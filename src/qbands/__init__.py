@@ -51,7 +51,6 @@ from .tightbinding import (
     build_s_block,
     diagonalize_classical,
     make_kpath,
-    pad_to_power_of_two,
 )
 from .vqe import (
     ExactBackend,

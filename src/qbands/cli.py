@@ -160,7 +160,9 @@ def _solve_kpoint(args: tuple) -> dict:
     dec = decompose(H)
     n_qubits = _MODE_QUBITS[config.mode]
     backend = _make_backend(config, n_qubits, k_index)
-    opt_seed_root = config.optimizer.seed if config.optimizer.seed else config.seed
+    opt_seed_root = (
+        config.optimizer.seed if config.optimizer.seed is not None else config.seed
+    )
     opt = OptimizerConfig(
         **{
             **asdict(config.optimizer),
@@ -444,8 +446,28 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject out-of-range flags before any work starts (exit code 2)."""
+    if getattr(args, "shots", 1) < 1:
+        parser.error(f"--shots must be >= 1, got {args.shots}")
+    if getattr(args, "workers", 1) < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.command == "bands":
+        try:
+            _, points_per_segment = parse_kpath(args.kpath)
+        except ValueError as exc:
+            parser.error(f"--kpath {args.kpath!r}: {exc}")
+        if points_per_segment < 1:
+            parser.error(
+                f"--kpath {args.kpath!r}: points per segment must be >= 1, "
+                f"got {points_per_segment}"
+            )
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_args(parser, args)
     config = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

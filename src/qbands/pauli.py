@@ -27,6 +27,9 @@ PAULI_MATRICES = {
 # so that shot budgets are never spent measuring null words.
 COEFF_PRUNE_TOL = 1e-14
 
+# Largest entrywise |H - H†| accepted as Hermitian.
+HERM_TOL = 1e-9
+
 
 @lru_cache(maxsize=None)
 def pauli_words(n_qubits: int) -> tuple[str, ...]:
@@ -70,6 +73,14 @@ class SpectralDecomposition:
         return len(self.coeffs)
 
 
+def require_hermitian(H: np.ndarray, herm_tol: float = HERM_TOL) -> None:
+    """Raise ValueError if H deviates from Hermiticity by more than
+    ``herm_tol`` entrywise."""
+    dev = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
+    if dev > herm_tol:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+
+
 def _prune(coeffs: dict[str, float]) -> dict[str, float]:
     return {w: c for w, c in coeffs.items() if abs(c) >= COEFF_PRUNE_TOL}
 
@@ -78,11 +89,14 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition c_w = Tr(H† σ_w) / 2**n of a Hermitian matrix.
 
     Raises ValueError if the matrix is not square with dimension a power of
-    two.  Coefficients with magnitude below COEFF_PRUNE_TOL are omitted.
+    two, or is not Hermitian within HERM_TOL (real coefficients cannot
+    represent an anti-Hermitian part).  Coefficients with magnitude below
+    COEFF_PRUNE_TOL are omitted.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    require_hermitian(H)
     dim = H.shape[0]
     n = dim.bit_length() - 1
     if dim != 2**n:

@@ -10,7 +10,6 @@ Gate conventions: RY(t) = exp(-i t Y / 2), RZ(t) = exp(-i t Z / 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -188,44 +187,51 @@ def prepare_three_qubit(thetas) -> np.ndarray:
     return apply_circuit(zero_state(3), three_qubit_template(thetas))
 
 
-@lru_cache(maxsize=1)
-def _three_qubit_entangler() -> np.ndarray:
-    dim = 8
-    M = np.zeros((dim, dim))
-    for b in range(dim):
+def _entangler_gather() -> np.ndarray:
+    """Index map of CNOT(1->2)·CNOT(2->3): entangled[:, c] = psi[:, map[c]]."""
+    image = []
+    for b in range(8):
         c = b ^ 2 if b & 1 else b  # CNOT(1 -> 2)
         c = c ^ 4 if c & 2 else c  # CNOT(2 -> 3)
-        M[c, b] = 1.0
-    return M
+        image.append(c)
+    return np.argsort(image)
+
+
+_ENTANGLER_GATHER = _entangler_gather()
 
 
 def three_qubit_batch(thetas: np.ndarray) -> np.ndarray:
-    """Vectorised prepare_three_qubit for a (N, 18) parameter array."""
+    """Vectorised prepare_three_qubit for a (N, 18) parameter array.
+
+    Layer 0 acts on |000>, so it is the product of the first columns of its
+    per-qubit RZ·RY matrices.  Every later layer is one (N, 8, 8) Kronecker
+    product applied by batched matmul after the entangler permutation.
+    """
     T = np.asarray(thetas, dtype=float)
     if T.ndim != 2 or T.shape[1] != THREE_QUBIT_PARAMS:
         raise ValueError(f"expected (N, {THREE_QUBIT_PARAMS}) parameters")
-    ent = _three_qubit_entangler()
     B = T.shape[0]
-    psi = np.zeros((B, 8), dtype=complex)
-    psi[:, 0] = 1.0
-    for layer in range(THREE_QUBIT_LAYERS):
-        o = 6 * layer
-        cy = np.cos(T[:, o : o + 3] / 2)
-        sy = np.sin(T[:, o : o + 3] / 2)
-        ez = np.exp(-1j * T[:, o + 3 : o + 6] / 2)
-        u = np.empty((B, 3, 2, 2), dtype=complex)  # u_q = RZ @ RY per qubit
-        u[:, :, 0, 0] = ez * cy
-        u[:, :, 0, 1] = -ez * sy
-        u[:, :, 1, 0] = ez.conj() * sy
-        u[:, :, 1, 1] = ez.conj() * cy
-        v = psi.reshape(B, 2, 2, 2)  # axes: qubit 3, qubit 2, qubit 1
-        v = np.einsum("bqp,bijp->bijq", u[:, 0], v)
-        v = np.einsum("bqp,bipk->biqk", u[:, 1], v)
-        v = np.einsum("bqp,bpjk->bqjk", u[:, 2], v)
-        psi = v.reshape(B, 8)
-        if layer < THREE_QUBIT_LAYERS - 1:
-            psi = psi @ ent.T
-    return psi
+    half = 0.5 * T.reshape(B, THREE_QUBIT_LAYERS, 2, 3)  # layer, ry|rz, qubit
+    cy = np.cos(half[:, :, 0])
+    sy = np.sin(half[:, :, 0])
+    ez = np.exp(-1j * half[:, :, 1])
+    u = np.empty((B, THREE_QUBIT_LAYERS, 3, 2, 2), dtype=complex)  # RZ @ RY
+    u[..., 0, 0] = ez * cy
+    u[..., 0, 1] = -ez * sy
+    u[..., 1, 0] = ez.conj() * sy
+    u[..., 1, 1] = ez.conj() * cy
+    first = u[:, 0, :, :, 0]  # (B, qubit, 2): each qubit's RZ·RY|0>
+    psi = (first[:, 2, :, None, None] * first[:, 1, None, :, None]
+           * first[:, 0, None, None, :]).reshape(B, 8, 1)
+    # kron(u3, u2, u1) of every later layer; index bits run qubit 3, 2, 1.
+    rest = u[:, 1:]
+    kron = (rest[:, :, 2, :, None, None, :, None, None]
+            * rest[:, :, 1, None, :, None, None, :, None]
+            * rest[:, :, 0, None, None, :, None, None, :]
+            ).reshape(B, THREE_QUBIT_LAYERS - 1, 8, 8)
+    for layer in range(THREE_QUBIT_LAYERS - 1):
+        psi = np.matmul(kron[:, layer], psi[:, _ENTANGLER_GATHER])
+    return psi[:, :, 0]
 
 
 @dataclass(frozen=True)

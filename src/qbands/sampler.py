@@ -35,25 +35,6 @@ class BitstringCounts:
     def shots(self) -> int:
         return sum(self.counts.values())
 
-    def to_csv(self, path) -> None:
-        """Write (bitstring, count) rows, bitstrings in ascending order."""
-        with open(path, "w") as fh:
-            fh.write("bitstring,count\n")
-            for bits in sorted(self.counts):
-                fh.write(f"{bits},{self.counts[bits]}\n")
-
-    @classmethod
-    def from_csv(cls, path, n_qubits: int | None = None) -> "BitstringCounts":
-        counts = {}
-        with open(path) as fh:
-            next(fh)  # header row
-            for line in fh:
-                bits, c = line.strip().split(",")
-                counts[bits] = int(c)
-        if n_qubits is None:
-            n_qubits = len(next(iter(counts)))
-        return cls(n_qubits, counts)
-
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
     if np.isscalar(value):

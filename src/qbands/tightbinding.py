@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .pauli import HERM_TOL, require_hermitian
+
 # Nearest-neighbour bond vectors in units of the lattice constant.
 BOND_VECTORS = 0.25 * np.array(
     [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
@@ -189,7 +191,7 @@ def build_s_block(params: TBParameters, k: KPoint) -> np.ndarray:
     )
 
 
-def diagonalize_classical(H: np.ndarray, herm_tol: float = 1e-9) -> np.ndarray:
+def diagonalize_classical(H: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix (degeneracies repeated).
 
     This is the classical reference against which every hybrid result is
@@ -197,23 +199,6 @@ def diagonalize_classical(H: np.ndarray, herm_tol: float = 1e-9) -> np.ndarray:
     more than ``herm_tol`` entrywise.
     """
     H = np.asarray(H, dtype=complex)
-    dev = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
-    if dev > herm_tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    require_hermitian(H, herm_tol)
     return np.linalg.eigvalsh(H)
 
-
-def pad_to_power_of_two(H: np.ndarray, sentinel: float = 1e6) -> np.ndarray:
-    """Embed H in the next power-of-two dimension, padding the diagonal with
-    a large positive sentinel so the spurious levels sit far above the band
-    energies.  The native model only produces dimensions 2 and 8; this is
-    provided for completeness.
-    """
-    H = np.asarray(H, dtype=complex)
-    dim = H.shape[0]
-    target = 1 << max(dim - 1, 1).bit_length() if dim & (dim - 1) else dim
-    if target == dim:
-        return H.copy()
-    padded = np.eye(target, dtype=complex) * sentinel
-    padded[:dim, :dim] = H
-    return padded

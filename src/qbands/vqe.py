@@ -60,7 +60,9 @@ class OptimizerConfig:
 
     method: "bfgs" (quasi-Newton with central-difference gradients) or
     "cobyla" (direct search).  ``max_iter``, ``fd_step`` and ``restarts``
-    default per method / ansatz / backend when None.
+    default per method / ansatz / backend when None.  ``seed`` None means
+    unset: the CLI then roots the optimiser streams at the master seed, and
+    the library draws from seed 0.
     """
 
     method: str = "bfgs"
@@ -68,7 +70,7 @@ class OptimizerConfig:
     tol_ev: float = 1e-6
     fd_step: float | None = None
     restarts: int | None = None
-    seed: int = 0
+    seed: int | None = None
 
     def __post_init__(self):
         m = self.method.lower()
@@ -180,15 +182,16 @@ class ExactBackend:
         return qsim.exact_expectation(state, decomp)
 
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
-        dense = reconstruct(decomp)
-
-        def f(theta):
-            psi = ansatz.prepare(theta)
-            return float(np.real(np.vdot(psi, dense @ psi)))
+        """(f, f_batch) on the ansatz's batched kernel; f(θ) is exactly
+        f_batch(θ[None])[0]."""
+        dense_t = reconstruct(decomp).T
 
         def f_batch(thetas):
-            psi = ansatz.prepare_batch(np.asarray(thetas))
-            return np.real(np.einsum("bi,ij,bj->b", psi.conj(), dense, psi))
+            psi = ansatz.prepare_batch(thetas)
+            return np.real(np.einsum("bi,bi->b", psi.conj(), psi @ dense_t))
+
+        def f(theta):
+            return float(f_batch(np.asarray(theta, dtype=float)[None])[0])
 
         return f, f_batch
 
@@ -264,7 +267,8 @@ class ShotsBackend:
 
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
         def f(theta):
-            return self.expectation(decomp, ansatz.prepare(theta))
+            state = ansatz.prepare_batch(np.asarray(theta, dtype=float)[None])[0]
+            return self.expectation(decomp, state)
 
         return f, None
 
@@ -330,13 +334,14 @@ def minimize(
     if fd_step is None and backend.stochastic:
         fd_step = np.pi / 32
     run_config = replace(config, fd_step=fd_step, restarts=restarts)
+    seed = config.seed if config.seed is not None else 0
 
     f, f_batch = backend.make_objective(decomp, ansatz)
     best = None
     traces = []
     total_evals = 0
     for r in range(restarts):
-        x0 = ansatz.random_parameters(spawn_rng(config.seed, _STREAM_RESTART, r))
+        x0 = ansatz.random_parameters(spawn_rng(seed, _STREAM_RESTART, r))
         if run_config.method == "cobyla":
             res = optimize_direct(f, x0, run_config)
         else:
@@ -449,10 +454,9 @@ def full_spectrum(
     work = shift_identity(decomp, shift)
     results = []
     residuals = []
+    seed = config.seed if config.seed is not None else 0
     for level in range(levels):
-        level_config = replace(
-            config, seed=spawn_seed(config.seed, _STREAM_LEVEL, level)
-        )
+        level_config = replace(config, seed=spawn_seed(seed, _STREAM_LEVEL, level))
         res = minimize(work, ansatz, backend, level_config)
         if res.energy > -ZERO_CAPTURE_TOL:
             raise ZeroCaptureError(

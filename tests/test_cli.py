@@ -57,6 +57,24 @@ class TestParsing:
             parse_kpoint("0.1/0.2")
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv, flag", [
+        (["bands", "--shots", "0"], "--shots"),
+        (["scan", "--shots", "-3"], "--shots"),
+        (["bands", "--workers", "0"], "--workers"),
+        (["bands", "--kpath", "X,G:0"], "--kpath"),
+        (["bands", "--kpath", "X,G:-2"], "--kpath"),
+        (["bands", "--kpath", "G:5"], "--kpath"),
+    ])
+    def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBands:
     def test_two_band_exact_small_path(self, tmp_path):
         main(["bands", "--mode", "2band", "--kpath", "X,G,L:3",
@@ -220,6 +238,13 @@ class TestDecompose:
         table = {r[0]: float(r[1]) for r in rows}
         assert table == {"Y": 0.5, "Z": 1.0}
 
+    def test_non_hermitian_matrix_rejected(self, tmp_path):
+        mat_file = tmp_path / "m.json"
+        mat_file.write_text(json.dumps({"matrix": [[0, 1], [0, 0]]}))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            main(["decompose", "--matrix", str(mat_file), "--out", str(tmp_path)])
+        assert not (tmp_path / "decompose.csv").exists()
+
 
 class TestDeterminism:
     def test_identical_seed_reproduces_bands_bytes(self, tmp_path):
@@ -242,6 +267,17 @@ class TestDeterminism:
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "rates.csv").read_bytes() == \
             (tmp_path / "b" / "rates.csv").read_bytes()
+
+    def test_explicit_optimizer_seed_zero_replaces_master(self, tmp_path):
+        opt_file = tmp_path / "opt.json"
+        opt_file.write_text(json.dumps({"seed": 0}))
+        args = ["bands", "--mode", "2band", "--kpath", "X,G:2",
+                "--optimizer", str(opt_file)]
+        main(args + ["--seed", "1", "--out", str(tmp_path / "a")])
+        main(args + ["--seed", "2", "--out", str(tmp_path / "b")])
+        a = (tmp_path / "a" / "bands.csv").read_text().splitlines()[1:]
+        b = (tmp_path / "b" / "bands.csv").read_text().splitlines()[1:]
+        assert a == b
 
     def test_different_seed_changes_shots_output(self, tmp_path):
         args = ["bands", "--mode", "2band", "--kpath", "X,G:1", "--backend",

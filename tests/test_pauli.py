@@ -66,6 +66,15 @@ class TestDecompose:
         with pytest.raises(ValueError, match="square"):
             decompose(np.ones((2, 4)))
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_accepts_hermitian_within_tolerance(self, rng):
+        H = rand_hermitian(rng, 4)
+        H[0, 1] += 1e-12
+        assert np.max(np.abs(reconstruct(decompose(H)) - H)) < 1e-11
+
     def test_linearity(self, rng):
         H1 = rand_hermitian(rng, 4)
         H2 = rand_hermitian(rng, 4)

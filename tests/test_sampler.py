@@ -116,13 +116,6 @@ class TestSample:
         with pytest.raises(ValueError):
             BitstringCounts(2, {"012": 5})
 
-    def test_counts_csv_roundtrip(self, tmp_path, rng):
-        counts = sample(rand_state(rng, 4), 5000, rng=17)
-        path = tmp_path / "counts.csv"
-        counts.to_csv(path)
-        loaded = BitstringCounts.from_csv(path)
-        assert loaded.n_qubits == 2 and loaded.counts == dict(counts.counts)
-
 
 class TestExpectationFromCounts:
     def test_worked_five_qubit_example(self):

@@ -10,7 +10,6 @@ from qbands.tightbinding import (
     build_s_block,
     diagonalize_classical,
     make_kpath,
-    pad_to_power_of_two,
     structure_factors,
 )
 
@@ -207,16 +206,3 @@ class TestDiagonalize:
         with pytest.raises(ValueError, match="Hermitian"):
             diagonalize_classical(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-class TestPadding:
-    def test_pads_to_next_power_of_two(self):
-        H = np.diag([1.0, 2.0, 3.0])
-        padded = pad_to_power_of_two(H, sentinel=1e6)
-        assert padded.shape == (4, 4)
-        evals = np.linalg.eigvalsh(padded)
-        assert evals[:3] == pytest.approx([1.0, 2.0, 3.0])
-        assert evals[3] == pytest.approx(1e6)
-
-    def test_power_of_two_unchanged(self):
-        H = np.eye(8)
-        assert np.array_equal(pad_to_power_of_two(H), H)

@@ -9,7 +9,7 @@ from qbands.pauli import (
     reconstruct,
     shift_identity,
 )
-from qbands.qsim import MEAN_FIELD, THREE_QUBIT, prepare_meanfield
+from qbands.qsim import MEAN_FIELD, THREE_QUBIT, prepare_meanfield, prepare_three_qubit
 from qbands.sampler import ReadoutNoiseModel
 from qbands.tightbinding import (
     KPoint,
@@ -120,6 +120,22 @@ class TestOptimizers:
         res = optimize_quasinewton(rosen, np.array([-1.0, 1.0]),
                                    OptimizerConfig(max_iter=2))
         assert not res.converged
+
+
+class TestExactObjective:
+    @pytest.mark.parametrize("ansatz, build, prepare", [
+        (THREE_QUBIT, build_full_hamiltonian, prepare_three_qubit),
+        (MEAN_FIELD, build_s_block, lambda t: prepare_meanfield(*t)),
+    ])
+    def test_scalar_is_batch_row_and_matches_statevector(self, ansatz, build,
+                                                         prepare, rng):
+        H = build(SI, KPoint((0.5, 0.25, 0.0)))
+        f, f_batch = EXACT.make_objective(decompose(H), ansatz)
+        for _ in range(10):
+            theta = ansatz.random_parameters(rng)
+            assert f(theta) == f_batch(theta[None])[0]
+            psi = prepare(theta)
+            assert f(theta) == pytest.approx(np.vdot(psi, H @ psi).real, abs=1e-12)
 
 
 class TestMinimize:
