@@ -25,14 +25,12 @@ from .qsim import (
     ansatz_for,
     apply_circuit,
     apply_gate,
-    exact_expectation,
     exact_pauli_expectations,
     prepare_meanfield,
     prepare_three_qubit,
     zero_state,
 )
 from .sampler import (
-    BitstringCounts,
     MeasurementBasisChange,
     ReadoutNoiseModel,
     basis_change,

@@ -446,29 +446,49 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _check_args(parser: argparse.ArgumentParser, config: RunConfig) -> None:
     """Reject out-of-range flags before any work starts (exit code 2)."""
-    if getattr(args, "shots", 1) < 1:
-        parser.error(f"--shots must be >= 1, got {args.shots}")
-    if getattr(args, "workers", 1) < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.command == "bands":
+    if config.shots < 1:
+        parser.error(f"--shots must be >= 1, got {config.shots}")
+    if config.workers < 1:
+        parser.error(f"--workers must be >= 1, got {config.workers}")
+    if config.command == "bands":
         try:
-            _, points_per_segment = parse_kpath(args.kpath)
+            _, points_per_segment = parse_kpath(config.kpath_spec)
         except ValueError as exc:
-            parser.error(f"--kpath {args.kpath!r}: {exc}")
+            parser.error(f"--kpath {config.kpath_spec!r}: {exc}")
         if points_per_segment < 1:
             parser.error(
-                f"--kpath {args.kpath!r}: points per segment must be >= 1, "
+                f"--kpath {config.kpath_spec!r}: points per segment must be >= 1, "
                 f"got {points_per_segment}"
             )
+    extra = config.extra
+    for flag, key, least in (("--theta-steps", "theta_steps", 2),
+                             ("--phi-steps", "phi_steps", 2),
+                             ("--qubits", "qubits", 1),
+                             ("--trials", "trials", 1)):
+        if key in extra and extra[key] < least:
+            parser.error(f"{flag} must be >= {least}, got {extra[key]}")
+    if config.noise is None:
+        return
+    n_qubits = extra["qubits"] if config.command == "rates" else _MODE_QUBITS[config.mode]
+    try:
+        noise = ReadoutNoiseModel.from_dict(config.noise, n_qubits)
+    except ValueError as exc:
+        parser.error(f"--noise: {exc} ({n_qubits} qubits)")
+    if config.mitigate:
+        w01, w10 = noise.rates_at()
+        w10_peak = np.minimum(w10 + abs(noise.drift_amplitude), 1.0)
+        if np.any(w01 + w10_peak >= 1.0):
+            parser.error("--mitigate is ill-posed: w01 + w10 >= 1 on some qubit "
+                         "(w10 at its drift peak)")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_args(parser, args)
     config = _resolve_config(args)
+    _check_args(parser, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     runners = {

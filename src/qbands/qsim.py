@@ -1,5 +1,5 @@
 """Exact statevector simulation: gates, the two variational circuits, and
-analytic expectation values.
+analytic Pauli expectation values.
 
 States are complex amplitude vectors over 2**n basis states; bitstring b
 indexes the amplitude with qubit 1 as the least significant bit.  Qubit
@@ -14,16 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import SpectralDecomposition, pauli_words, word_matrix_stack
-
-_SQRT2_INV = 1.0 / np.sqrt(2.0)
-
-_FIXED_1Q = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-}
+from .pauli import pauli_words, word_matrix_stack
 
 
 def _ry_matrix(t: float) -> np.ndarray:
@@ -52,22 +43,6 @@ def rz(qubit: int, angle: float) -> Gate:
     return Gate("rz", (qubit,), float(angle))
 
 
-def h(qubit: int) -> Gate:
-    return Gate("h", (qubit,))
-
-
-def s(qubit: int) -> Gate:
-    return Gate("s", (qubit,))
-
-
-def z(qubit: int) -> Gate:
-    return Gate("z", (qubit,))
-
-
-def x(qubit: int) -> Gate:
-    return Gate("x", (qubit,))
-
-
 def cnot(control: int, target: int) -> Gate:
     if control == target:
         raise ValueError("CNOT control and target must differ")
@@ -93,8 +68,6 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _ry_matrix(gate.angle)
     if gate.kind == "rz":
         return _rz_matrix(gate.angle)
-    if gate.kind in _FIXED_1Q:
-        return _FIXED_1Q[gate.kind]
     raise ValueError(f"{gate.kind} has no single-qubit matrix")
 
 
@@ -281,23 +254,6 @@ def ansatz_for(n_qubits: int) -> Ansatz:
 
 # ---------------------------------------------------------------------------
 # Analytic expectation values
-
-
-def exact_expectation(state: np.ndarray, decomp: SpectralDecomposition) -> float:
-    """sum_w c_w <ψ|σ_w|ψ>, evaluated word by word on the statevector."""
-    n = num_qubits(state)
-    if n != decomp.n_qubits:
-        raise ValueError(
-            f"state has {n} qubits but decomposition has {decomp.n_qubits}"
-        )
-    words = pauli_words(n)
-    index = {w: i for i, w in enumerate(words)}
-    stack = word_matrix_stack(n)
-    total = 0.0
-    for word, c in decomp.coeffs.items():
-        sigma = stack[index[word]]
-        total += c * float(np.real(np.vdot(state, sigma @ state)))
-    return total
 
 
 def exact_pauli_expectations(state: np.ndarray) -> dict[str, float]:

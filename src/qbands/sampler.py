@@ -1,5 +1,8 @@
-"""Shot-based measurement: basis changes, bitstring sampling with readout
-noise, parity estimators, transition-rate estimation and mitigation.
+"""Shot-based measurement: basis changes, sampled counts with readout noise,
+parity estimators, transition-rate estimation and mitigation.
+
+Counts are integer arrays of length 2**n indexed by bitstring value, with
+qubit 1 as the least significant bit.
 
 Readout noise is modelled as independent classical bit flips at measurement
 time, with per-qubit rates w01 (|0> read as |1>) and w10 (|1> read as |0>).
@@ -8,32 +11,13 @@ never of wall-clock time, so runs stay reproducible.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import qsim
-from .qsim import Gate
-
-
-@dataclass(frozen=True)
-class BitstringCounts:
-    """Histogram of measured bitstrings; qubit 1 is the rightmost character."""
-
-    n_qubits: int
-    counts: Mapping[str, int]
-
-    def __post_init__(self):
-        for bits, c in self.counts.items():
-            if len(bits) != self.n_qubits or set(bits) - {"0", "1"}:
-                raise ValueError(f"bad bitstring {bits!r} for {self.n_qubits} qubits")
-            if c < 0:
-                raise ValueError(f"negative count for {bits!r}")
-
-    @property
-    def shots(self) -> int:
-        return sum(self.counts.values())
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
@@ -100,38 +84,48 @@ class ReadoutNoiseModel:
         return w01, w10
 
 
-@dataclass(frozen=True)
+_PARITY = np.array([1.0, -1.0])  # (-1)^bit of one measured qubit
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+# Per-letter (diagonal letter, 2x2 rotation); Y takes H·S·Z = H·diag(1, -i).
+_LETTER_BASIS = {
+    "I": ("I", np.eye(2, dtype=complex)),
+    "Z": ("Z", np.eye(2, dtype=complex)),
+    "X": ("Z", _H),
+    "Y": ("Z", _H @ np.diag([1, -1j])),
+}
+
+
+def _kron(factors: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product of per-qubit factors, the first on the highest qubit."""
+    if not factors:
+        raise ValueError("need at least one qubit")
+    return functools.reduce(np.kron, factors)
+
+
+@dataclass(frozen=True, eq=False)
 class MeasurementBasisChange:
-    """Gates U mapping a Pauli word onto its all-I/Z counterpart: σ = U† A U."""
+    """Unitary U mapping a Pauli word onto its all-I/Z counterpart: σ = U† A U."""
 
     source: str
     diagonal: str
-    gates: tuple[Gate, ...]
+    unitary: np.ndarray
 
 
 def basis_change(word: str) -> MeasurementBasisChange:
     """Pre-measurement rotation for a Pauli word.
 
-    X qubits get a Hadamard; Y qubits get the gate sequence Z, S, H (applied
-    in that order, so the composite operator is the matrix product H·S·Z);
-    I and Z qubits need nothing.
+    The Kronecker product of one fixed 2x2 matrix per letter, leftmost letter
+    on the highest qubit: a Hadamard for X, H·S·Z for Y, the identity for I
+    and Z.
     """
-    n = len(word)
-    gates: list[Gate] = []
-    diagonal = []
-    for pos, letter in enumerate(word):
-        qubit = n - pos  # leftmost letter acts on the highest qubit
-        if letter == "X":
-            gates.append(qsim.h(qubit))
-            diagonal.append("Z")
-        elif letter == "Y":
-            gates.extend([qsim.z(qubit), qsim.s(qubit), qsim.h(qubit)])
-            diagonal.append("Z")
-        elif letter in ("I", "Z"):
-            diagonal.append(letter)
-        else:
+    diagonal, factors = [], []
+    for letter in word:
+        if letter not in _LETTER_BASIS:
             raise ValueError(f"bad Pauli letter {letter!r} in {word!r}")
-    return MeasurementBasisChange(word, "".join(diagonal), tuple(gates))
+        d, u = _LETTER_BASIS[letter]
+        diagonal.append(d)
+        factors.append(u)
+    return MeasurementBasisChange(word, "".join(diagonal), _kron(factors))
 
 
 def sample(
@@ -140,53 +134,54 @@ def sample(
     noise: ReadoutNoiseModel | None = None,
     rng: np.random.Generator | int | None = None,
     trial: int = 0,
-) -> BitstringCounts:
-    """Draw ``shots`` bitstrings from |amplitude|^2, flipping bits per the
-    noise model.  Deterministic for a fixed generator or seed."""
+) -> np.ndarray:
+    """Counts of ``shots`` measurements of a statevector, as an integer array
+    of length 2**n indexed by bitstring value (qubit 1 the least significant
+    bit).  Deterministic for a fixed generator or seed.
+
+    Readout flips are independent per shot and qubit, so the noisy outcome
+    law is |amplitude|^2 under the Kronecker product of the per-qubit
+    confusion matrices [[1-w01, w10], [w01, 1-w10]] (leftmost factor on the
+    highest qubit); one multinomial draw over it gives the counts.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     n = qsim.num_qubits(state)
     probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
-    drawn = rng.choice(len(probs), size=shots, p=probs)
-    bits = (drawn[:, None] >> np.arange(n)) & 1  # column q-1 = qubit q
     if noise is not None:
         if noise.n_qubits != n:
             raise ValueError("noise model qubit count mismatch")
         w01, w10 = noise.rates_at(trial)
-        flip_prob = np.where(bits == 0, w01[None, :], w10[None, :])
-        bits = bits ^ (rng.random(bits.shape) < flip_prob)
-    weights = 1 << np.arange(n)
-    values, freq = np.unique(bits @ weights, return_counts=True)
-    counts = {format(int(v), f"0{n}b"): int(c) for v, c in zip(values, freq)}
-    return BitstringCounts(n, counts)
+        confusion = [np.array([[1 - a, b], [a, 1 - b]])
+                     for a, b in zip(w01[::-1], w10[::-1])]
+        probs = _kron(confusion) @ probs
+    return rng.multinomial(shots, probs / probs.sum())
 
 
-def _zmask(word: str) -> int:
-    """Bit mask of the Z positions of an all-I/Z word."""
-    mask = 0
+def _diagonal_vector(counts: np.ndarray, word: str, z_factor) -> np.ndarray:
+    """Kronecker product over an all-I/Z word, leftmost letter on the highest
+    qubit: [1, 1] for I and ``z_factor(qubit)`` for Z."""
+    if len(counts) != 2 ** len(word):
+        raise ValueError("word length does not match counts")
     n = len(word)
+    factors = []
     for pos, letter in enumerate(word):
         if letter == "Z":
-            mask |= 1 << (n - 1 - pos)
-        elif letter != "I":
+            factors.append(z_factor(n - pos))
+        elif letter == "I":
+            factors.append(np.ones(2))
+        else:
             raise ValueError(f"word {word!r} contains non-diagonal letter {letter!r}")
-    return mask
+    return _kron(factors)
 
 
-def expectation_from_counts(counts: BitstringCounts, word: str) -> float:
+def expectation_from_counts(counts: np.ndarray, word: str) -> float:
     """Parity estimator of an all-I/Z word: each bitstring contributes the
-    parity (±1) of its substring at the Z positions."""
-    if len(word) != counts.n_qubits:
-        raise ValueError("word length does not match counts")
-    mask = _zmask(word)
-    total = 0
-    for bits, c in counts.counts.items():
-        parity = bin(int(bits, 2) & mask).count("1") & 1
-        total += -c if parity else c
-    return total / counts.shots
+    parity (±1) of its bits at the Z positions."""
+    parity = _diagonal_vector(counts, word, lambda qubit: _PARITY)
+    return float(counts @ parity / counts.sum())
 
 
 def estimate_transition_rates(
@@ -198,30 +193,21 @@ def estimate_transition_rates(
 ) -> ReadoutNoiseModel:
     """Empirical flip rates from repeated readout of prepared |0> and |1>.
 
-    Prepares the all-zeros state ``trials`` times and counts per-qubit ones
-    (giving w01), then the all-ones state via X gates (giving w10)."""
+    Reads the all-zeros state ``trials`` times and counts per-qubit ones
+    (giving w01), then the all-ones state (giving w10)."""
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     zeros = qsim.zero_state(n_qubits)
-    ones = qsim.apply_circuit(zeros, [qsim.x(q) for q in range(1, n_qubits + 1)])
-    w01_hat = _marginal_ones(sample(zeros, trials, noise, rng, trial)) / trials
-    ones_counts = sample(ones, trials, noise, rng, trial)
-    w10_hat = 1.0 - _marginal_ones(ones_counts) / trials
+    ones = zeros[::-1]  # |1...1>
+    bits = (np.arange(len(zeros))[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q
+    w01_hat = sample(zeros, trials, noise, rng, trial) @ bits / trials
+    w10_hat = 1.0 - sample(ones, trials, noise, rng, trial) @ bits / trials
     return ReadoutNoiseModel(tuple(float(v) for v in w01_hat),
                              tuple(float(v) for v in w10_hat))
-
-
-def _marginal_ones(counts: BitstringCounts) -> np.ndarray:
-    """Per-qubit number of shots that read 1 (index q-1 = qubit q)."""
-    ones = np.zeros(counts.n_qubits)
-    for bits, c in counts.counts.items():
-        val = int(bits, 2)
-        for q in range(counts.n_qubits):
-            if (val >> q) & 1:
-                ones[q] += c
-    return ones
 
 
 def _check_invertible(p_plus: np.ndarray) -> None:
@@ -245,7 +231,7 @@ def mitigate_single(
 
 
 def mitigate_counts(
-    counts: BitstringCounts,
+    counts: np.ndarray,
     model: ReadoutNoiseModel,
     word: str,
     trial: int = 0,
@@ -253,26 +239,18 @@ def mitigate_counts(
     """Multi-qubit readout correction of an all-I/Z word:
     sum_z p(z) prod_i ((-1)^{z_i} - p⁻_i) / (1 - p⁺_i) over the Z positions,
     clamped to [-1, 1]."""
-    if len(word) != counts.n_qubits:
-        raise ValueError("word length does not match counts")
-    if model.n_qubits != counts.n_qubits:
+    if model.n_qubits != len(word):
         raise ValueError("noise model qubit count mismatch")
-    mask = _zmask(word)
     w01, w10 = model.rates_at(trial)
     p_plus = w10 + w01
     p_minus = w10 - w01
-    z_qubits = [q for q in range(counts.n_qubits) if (mask >> q) & 1]
-    if z_qubits:
-        _check_invertible(p_plus[z_qubits])
-    total = 0.0
-    for bits, c in counts.counts.items():
-        val = int(bits, 2)
-        factor = 1.0
-        for q in z_qubits:
-            sign = -1.0 if (val >> q) & 1 else 1.0
-            factor *= (sign - p_minus[q]) / (1.0 - p_plus[q])
-        total += c * factor
-    return float(np.clip(total / counts.shots, -1.0, 1.0))
+
+    def corrected_parity(qubit):
+        _check_invertible(p_plus[qubit - 1:qubit])
+        return (_PARITY - p_minus[qubit - 1]) / (1.0 - p_plus[qubit - 1])
+
+    total = counts @ _diagonal_vector(counts, word, corrected_parity)
+    return float(np.clip(total / counts.sum(), -1.0, 1.0))
 
 
 def sampled_expectation(
@@ -293,8 +271,7 @@ def sampled_expectation(
     change = basis_change(word)
     if change.diagonal == "I" * len(word):
         return 1.0
-    measured = qsim.apply_circuit(state, change.gates)
-    counts = sample(measured, shots, noise, rng, trial)
+    counts = sample(change.unitary @ state, shots, noise, rng, trial)
     if mitigation is not None:
         return mitigate_counts(counts, mitigation, change.diagonal, trial)
     return expectation_from_counts(counts, change.diagonal)

@@ -179,7 +179,13 @@ class ExactBackend:
     stochastic = False
 
     def expectation(self, decomp: SpectralDecomposition, state: np.ndarray) -> float:
-        return qsim.exact_expectation(state, decomp)
+        """Re<ψ|H|ψ> with H the dense reconstruction of the decomposition."""
+        n = qsim.num_qubits(state)
+        if n != decomp.n_qubits:
+            raise ValueError(
+                f"state has {n} qubits but decomposition has {decomp.n_qubits}"
+            )
+        return float(np.real(np.vdot(state, reconstruct(decomp) @ state)))
 
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
         """(f, f_batch) on the ansatz's batched kernel; f(θ) is exactly

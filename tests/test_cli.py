@@ -65,11 +65,40 @@ class TestBadInput:
         (["bands", "--kpath", "X,G:0"], "--kpath"),
         (["bands", "--kpath", "X,G:-2"], "--kpath"),
         (["bands", "--kpath", "G:5"], "--kpath"),
+        (["rates", "--trials", "0"], "--trials"),
+        (["rates", "--qubits", "0"], "--qubits"),
+        (["scan", "--theta-steps", "1"], "--theta-steps"),
+        (["scan", "--phi-steps", "1"], "--phi-steps"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, noise, flag", [
+        (["bands", "--backend", "shots"], {"w01": [0.1, 0.1]}, "--noise"),
+        (["bands", "--mode", "8band", "--backend", "shots"],
+         {"w01": 0.1, "w10": [0.1, 0.1]}, "--noise"),
+        (["scan", "--backend", "shots"], {"w10": [0.1, 0.1, 0.1]}, "--noise"),
+        (["rates", "--qubits", "2"], {"w01": [0.1, 0.1, 0.1]}, "--noise"),
+        (["bands", "--backend", "shots", "--mitigate"],
+         {"w01": 0.5, "w10": 0.5}, "--mitigate"),
+        (["bands", "--mode", "8band", "--backend", "shots", "--mitigate"],
+         {"w01": [0.0, 0.0, 0.6], "w10": [0.1, 0.1, 0.4]}, "--mitigate"),
+        (["bands", "--backend", "shots", "--mitigate", "--kpath", "X,G:1",
+          "--shots", "64"],
+         {"w01": 0.45, "w10": 0.5, "drift_amplitude": 0.1, "drift_period": 4},
+         "--mitigate"),
+    ])
+    def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps(noise))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--noise", str(noise_file), "--out", str(out)])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()

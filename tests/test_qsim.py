@@ -10,9 +10,7 @@ from qbands.qsim import (
     apply_circuit,
     apply_gate,
     cnot,
-    exact_expectation,
     exact_pauli_expectations,
-    gate_matrix,
     meanfield_batch,
     prepare_meanfield,
     prepare_three_qubit,
@@ -20,8 +18,23 @@ from qbands.qsim import (
     three_qubit_template,
     zero_state,
 )
+from qbands.vqe import ExactBackend
 
 from conftest import SIGMA, kron_word, rand_hermitian, rand_state
+
+HADAMARD = (SIGMA["X"] + SIGMA["Z"]) / np.sqrt(2)
+PLUS = HADAMARD @ np.array([1, 0], dtype=complex)
+
+
+def _backend_expectation(state, decomp):
+    """<ψ|H|ψ> through the exact backend."""
+    return ExactBackend().expectation(decomp, state)
+
+
+def _rotation(gate):
+    """RY/RZ matrix exp(-i t σ / 2) built from the test-local Pauli matrices."""
+    sigma = SIGMA["Y"] if gate.kind == "ry" else SIGMA["Z"]
+    return np.cos(gate.angle / 2) * SIGMA["I"] - 1j * np.sin(gate.angle / 2) * sigma
 
 
 def _three_qubit_oracle(t):
@@ -62,7 +75,7 @@ def _circuit_matrix(gates, n):
             step = P0 + P1
         else:
             mats = [np.eye(2, dtype=complex)] * n
-            mats[n - g.qubits[0]] = gate_matrix(g)
+            mats[n - g.qubits[0]] = _rotation(g)
             step = mats[0]
             for m in mats[1:]:
                 step = np.kron(step, m)
@@ -75,9 +88,9 @@ class TestGates:
         out = apply_gate(zero_state(1), qsim.ry(1, np.pi))
         assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
-    def test_hadamard(self):
-        out = apply_gate(zero_state(1), qsim.h(1))
-        assert np.allclose(out, [1, 1] / np.sqrt(2), atol=1e-15)
+    def test_ry_half_pi_makes_plus(self):
+        out = apply_gate(zero_state(1), qsim.ry(1, np.pi / 2))
+        assert np.allclose(out, PLUS, atol=1e-15)
 
     def test_cnot_flips_target(self):
         # |01> (qubit 1 set) -> |11>
@@ -105,14 +118,12 @@ class TestGates:
             state = rand_state(rng, 8)
             gates = []
             for _ in range(20):
-                kind = rng.integers(0, 4)
+                kind = rng.integers(0, 3)
                 q = int(rng.integers(1, 4))
                 if kind == 0:
                     gates.append(qsim.ry(q, rng.uniform(-np.pi, np.pi)))
                 elif kind == 1:
                     gates.append(qsim.rz(q, rng.uniform(-np.pi, np.pi)))
-                elif kind == 2:
-                    gates.append(qsim.h(q))
                 else:
                     t = int(rng.integers(1, 4))
                     if t != q:
@@ -121,8 +132,8 @@ class TestGates:
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_matches_dense_unitary(self, rng):
-        gates = [qsim.ry(1, 0.3), qsim.rz(2, -1.2), cnot(1, 3), qsim.s(2),
-                 qsim.h(3), cnot(2, 1), qsim.z(1), qsim.x(2)]
+        gates = [qsim.ry(1, 0.3), qsim.rz(2, -1.2), cnot(1, 3), qsim.rz(2, 0.7),
+                 qsim.ry(3, -2.1), cnot(2, 1), qsim.rz(1, np.pi), qsim.ry(2, 1.9)]
         state = rand_state(rng, 8)
         assert np.allclose(
             apply_circuit(state, gates), _circuit_matrix(gates, 3) @ state, atol=1e-12
@@ -222,9 +233,8 @@ class TestAnsatz:
 class TestExactExpectation:
     def test_z_on_basis_states(self):
         d = SpectralDecomposition(1, {"Z": 1.0})
-        assert exact_expectation(zero_state(1), d) == pytest.approx(1.0)
-        plus = apply_gate(zero_state(1), qsim.h(1))
-        assert exact_expectation(plus, d) == pytest.approx(0.0, abs=1e-15)
+        assert _backend_expectation(zero_state(1), d) == pytest.approx(1.0)
+        assert _backend_expectation(PLUS, d) == pytest.approx(0.0, abs=1e-15)
 
     def test_meanfield_sweep_matches_dense_matvec(self, rng):
         H = rand_hermitian(rng, 2, scale=3.0)
@@ -233,14 +243,14 @@ class TestExactExpectation:
             for ph in np.linspace(-np.pi, np.pi, 7):
                 psi = prepare_meanfield(th, ph)
                 direct = float(np.real(psi.conj() @ (H @ psi)))
-                assert exact_expectation(psi, d) == pytest.approx(direct, abs=1e-12)
+                assert _backend_expectation(psi, d) == pytest.approx(direct, abs=1e-12)
 
     def test_bounded_by_spectrum(self, rng):
         H = rand_hermitian(rng, 8, scale=2.0)
         d = decompose(H)
         lo, hi = np.linalg.eigvalsh(H)[[0, -1]]
         for _ in range(10):
-            val = exact_expectation(rand_state(rng, 8), d)
+            val = _backend_expectation(rand_state(rng, 8), d)
             assert lo - 1e-10 <= val <= hi + 1e-10
 
     def test_linear_in_coefficients(self, rng):
@@ -251,13 +261,13 @@ class TestExactExpectation:
             w: 0.5 * d1.coefficient(w) - 1.5 * d2.coefficient(w)
             for w in pauli_words(2)
         }
-        lhs = exact_expectation(state, SpectralDecomposition(2, combined))
-        rhs = 0.5 * exact_expectation(state, d1) - 1.5 * exact_expectation(state, d2)
+        lhs = _backend_expectation(state, SpectralDecomposition(2, combined))
+        rhs = 0.5 * _backend_expectation(state, d1) - 1.5 * _backend_expectation(state, d2)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_qubit_count_mismatch(self):
         with pytest.raises(ValueError, match="qubits"):
-            exact_expectation(zero_state(2), SpectralDecomposition(1, {"Z": 1.0}))
+            _backend_expectation(zero_state(2), SpectralDecomposition(1, {"Z": 1.0}))
 
 
 class TestPauliExpectations:
@@ -270,8 +280,7 @@ class TestPauliExpectations:
                 assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_plus_state(self):
-        plus = apply_gate(zero_state(1), qsim.h(1))
-        exps = exact_pauli_expectations(plus)
+        exps = exact_pauli_expectations(PLUS)
         assert exps["I"] == pytest.approx(1.0)
         assert exps["X"] == pytest.approx(1.0)
         assert exps["Y"] == pytest.approx(0.0, abs=1e-15)

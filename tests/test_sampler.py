@@ -5,9 +5,8 @@ import pytest
 
 from qbands import qsim
 from qbands.pauli import decompose, pauli_words
-from qbands.qsim import apply_circuit, gate_matrix, zero_state
+from qbands.qsim import zero_state
 from qbands.sampler import (
-    BitstringCounts,
     ReadoutNoiseModel,
     basis_change,
     estimate_transition_rates,
@@ -20,62 +19,69 @@ from qbands.sampler import (
 
 from conftest import SIGMA, kron_word, rand_hermitian, rand_state
 
-
-def _composite_1q(gates):
-    """Matrix product of a single-qubit gate list in application order."""
-    U = np.eye(2, dtype=complex)
-    for g in gates:
-        U = gate_matrix(g) @ U
-    return U
+HADAMARD = (SIGMA["X"] + SIGMA["Z"]) / np.sqrt(2)
+PLUS = HADAMARD @ np.array([1, 0], dtype=complex)
+# Asymmetric per-qubit rates: a reversed qubit order changes the outcome law.
+W01, W10 = (0.0, 0.2), (0.1, 0.0)
 
 
-def _basis_change_matrix(word):
-    """Full-register unitary of the module's basis-change gates."""
-    change = basis_change(word)
-    n = len(word)
-    per_qubit = {q: [] for q in range(1, n + 1)}
-    for g in change.gates:
-        per_qubit[g.qubits[0]].append(g)
-    U = np.eye(1, dtype=complex)
-    for q in range(n, 0, -1):  # leftmost kron factor = highest qubit
-        U = np.kron(U, _composite_1q(per_qubit[q]))
-    return U, change.diagonal
+def _counts(n, entries):
+    """Count array of n qubits from {bitstring value: count}."""
+    out = np.zeros(2**n, dtype=np.int64)
+    for value, c in entries.items():
+        out[value] = c
+    return out
+
+
+def _noisy_law(true_value, n, w01, w10):
+    """Outcome law of basis state |true_value> under independent readout
+    flips, by enumerating every flip pattern; index q-1 of the rates is
+    qubit q."""
+    law = np.zeros(2**n)
+    for flips in itertools.product((0, 1), repeat=n):
+        prob, read = 1.0, 0
+        for q, flip in enumerate(flips):
+            bit = (true_value >> q) & 1
+            rate = w10[q] if bit else w01[q]
+            prob *= rate if flip else 1 - rate
+            read |= (bit ^ flip) << q
+        law[read] += prob
+    return law
 
 
 class TestBasisChange:
     def test_z_needs_nothing(self):
         change = basis_change("Z")
-        assert change.gates == ()
+        assert np.array_equal(change.unitary, np.eye(2))
         assert change.diagonal == "Z"
 
     def test_x_uses_hadamard(self):
         change = basis_change("X")
-        assert [g.kind for g in change.gates] == ["h"]
+        assert np.allclose(change.unitary, HADAMARD, atol=1e-15)
         # <X> of |+> measured as a Z expectation after the rotation
-        plus = apply_circuit(zero_state(1), [qsim.h(1)])
-        rotated = apply_circuit(plus, change.gates)
+        rotated = change.unitary @ PLUS
         assert qsim.exact_pauli_expectations(rotated)["Z"] == pytest.approx(1.0)
 
     def test_y_gate_product_is_hsz(self):
         change = basis_change("Y")
-        assert [g.kind for g in change.gates] == ["z", "s", "h"]
-        U = _composite_1q(change.gates)
-        Hmat = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        U = change.unitary
         Smat = np.diag([1, 1j])
-        Zmat = np.diag([1, -1])
-        assert np.allclose(U, Hmat @ Smat @ Zmat, atol=1e-15)
-        assert np.allclose(U.conj().T @ Zmat @ U, SIGMA["Y"], atol=1e-12)
+        assert np.allclose(U, HADAMARD @ Smat @ SIGMA["Z"], atol=1e-15)
+        assert np.allclose(U.conj().T @ SIGMA["Z"] @ U, SIGMA["Y"], atol=1e-12)
         # The +1 eigenstate of Y lands on <Z> = +1
         y_plus = np.array([1, 1j]) / np.sqrt(2)
-        rotated = apply_circuit(y_plus, change.gates)
-        assert qsim.exact_pauli_expectations(rotated)["Z"] == pytest.approx(1.0)
+        assert qsim.exact_pauli_expectations(U @ y_plus)["Z"] == pytest.approx(1.0)
+
+    def test_identity_letters_need_nothing(self):
+        assert np.array_equal(basis_change("IZI").unitary, np.eye(8))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_conjugation_recovers_word(self, n):
         for letters in itertools.product("IXYZ", repeat=n):
             word = "".join(letters)
-            U, diagonal = _basis_change_matrix(word)
-            recovered = U.conj().T @ kron_word(diagonal) @ U
+            change = basis_change(word)
+            U = change.unitary
+            recovered = U.conj().T @ kron_word(change.diagonal) @ U
             assert np.max(np.abs(recovered - kron_word(word))) < 1e-12
 
     def test_rejects_bad_letter(self):
@@ -86,54 +92,79 @@ class TestBasisChange:
 class TestSample:
     def test_deterministic_zero_state(self):
         counts = sample(zero_state(1), 1000, rng=1)
-        assert counts.counts == {"0": 1000}
-        assert counts.shots == 1000
+        assert counts.tolist() == [1000, 0]
 
     def test_plus_state_binomial(self):
-        plus = apply_circuit(zero_state(1), [qsim.h(1)])
-        counts = sample(plus, 8192, rng=7)
-        frac = counts.counts["0"] / 8192
+        counts = sample(PLUS, 8192, rng=7)
+        frac = counts[0] / 8192
         assert abs(frac - 0.5) <= 3 * np.sqrt(0.25 / 8192)
 
     def test_readout_flips_at_injected_rate(self):
         noise = ReadoutNoiseModel.uniform(1, w01=0.03, w10=0.0)
         counts = sample(zero_state(1), 100_000, noise=noise, rng=3)
-        frac = counts.counts.get("1", 0) / 100_000
+        frac = counts[1] / 100_000
         assert abs(frac - 0.03) <= 3 * np.sqrt(0.03 * 0.97 / 100_000)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_integer_counts_over_all_outcomes(self, n):
+        state = rand_state(np.random.default_rng(n), 2**n)
+        noise = ReadoutNoiseModel.uniform(n, 0.02, 0.05)
+        counts = sample(state, 5000, noise=noise, rng=42)
+        assert counts.shape == (2**n,)
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert counts.sum() == 5000 and counts.min() >= 0
 
     def test_seeded_replay(self):
         state = rand_state(np.random.default_rng(0), 4)
         noise = ReadoutNoiseModel.uniform(2, 0.02, 0.05)
         a = sample(state, 5000, noise=noise, rng=42)
         b = sample(state, 5000, noise=noise, rng=42)
-        assert a.counts == b.counts
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, true_value", [(2, 0b01), (2, 0b10), (3, 0b011), (3, 0b100)])
+    def test_asymmetric_noise_law_on_basis_states(self, n, true_value):
+        w01 = W01 + (0.05,) * (n - 2)
+        w10 = W10 + (0.15,) * (n - 2)
+        state = np.zeros(2**n, dtype=complex)
+        state[true_value] = 1.0
+        M = 1_000_000
+        counts = sample(state, M, noise=ReadoutNoiseModel(w01, w10), rng=17)
+        law = _noisy_law(true_value, n, w01, w10)
+        sigma = np.sqrt(law * (1 - law) / M)
+        assert np.all(np.abs(counts / M - law) <= 5 * sigma + 1e-12)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample(zero_state(1), 0)
 
-    def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            BitstringCounts(2, {"012": 5})
-
 
 class TestExpectationFromCounts:
     def test_worked_five_qubit_example(self):
         # I5 Z4 Z3 I2 Z1 on |00101>: substring 011, weight two, even parity.
-        counts = BitstringCounts(5, {"00101": 8192})
+        counts = _counts(5, {0b00101: 8192})
         assert expectation_from_counts(counts, "IZZIZ") == 1.0
 
     def test_single_qubit_two_p_minus_one(self):
-        counts = BitstringCounts(1, {"0": 75, "1": 25})
+        counts = _counts(1, {0: 75, 1: 25})
         assert expectation_from_counts(counts, "Z") == pytest.approx(0.5)
 
+    def test_reads_the_named_qubit(self):
+        # Qubit 1 reads 1 in every shot, qubit 2 reads 0.
+        counts = _counts(2, {0b01: 100})
+        assert expectation_from_counts(counts, "IZ") == -1.0
+        assert expectation_from_counts(counts, "ZI") == 1.0
+
     def test_identity_word_is_one(self, rng):
-        bits = {"00": 13, "01": 5, "10": 0, "11": 7}
-        assert expectation_from_counts(BitstringCounts(2, bits), "II") == 1.0
+        counts = _counts(2, {0b00: 13, 0b01: 5, 0b10: 0, 0b11: 7})
+        assert expectation_from_counts(counts, "II") == 1.0
 
     def test_rejects_undiagonalised_word(self):
         with pytest.raises(ValueError, match="non-diagonal"):
-            expectation_from_counts(BitstringCounts(1, {"0": 1}), "X")
+            expectation_from_counts(_counts(1, {0: 1}), "X")
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            expectation_from_counts(_counts(2, {0: 1}), "Z")
 
     def test_converges_to_exact(self, rng):
         # Estimator consistency at large M, within 4σ (seeded).
@@ -229,7 +260,7 @@ class TestMitigation:
 
     def test_counts_reduces_to_single_qubit_formula(self, rng):
         model = ReadoutNoiseModel.uniform(1, 0.07, 0.12)
-        counts = BitstringCounts(1, {"0": 6200, "1": 3800})
+        counts = _counts(1, {0: 6200, 1: 3800})
         raw = expectation_from_counts(counts, "Z")
         assert mitigate_counts(counts, model, "Z") == pytest.approx(
             mitigate_single(raw, model), abs=1e-12
@@ -252,6 +283,16 @@ class TestMitigation:
         assert abs(raw - 0.81) <= 3 * sigma_raw  # (1 - 2w)^2 attenuation
         corrected = mitigate_counts(counts, model, "ZZ")
         assert abs(corrected - 1.0) <= 3 * sigma_raw / 0.81
+
+    @pytest.mark.parametrize("word, qubit", [("ZI", 2), ("IZ", 1)])
+    def test_unbiased_per_qubit_with_asymmetric_rates(self, word, qubit, rng):
+        model = ReadoutNoiseModel(W01, W10)
+        state = rand_state(rng, 4)
+        exact = qsim.exact_pauli_expectations(state)[word]
+        M = 200_000
+        counts = sample(state, M, noise=model, rng=31)
+        sigma = np.sqrt(1.0 / M) / (1 - (W01[qubit - 1] + W10[qubit - 1]))
+        assert abs(mitigate_counts(counts, model, word) - exact) <= 4 * sigma
 
     def test_unbiased_for_random_rates(self, rng):
         # Mitigated estimates agree with the exact value for any rates
