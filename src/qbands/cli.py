@@ -254,8 +254,6 @@ def _band_summary(records: list[dict], n_bands: int) -> dict:
 
 def run_scan(config: RunConfig, out_dir: Path) -> Path:
     k = parse_kpoint(config.extra["kpoint"])
-    if config.mode != "2band":
-        raise ValueError("parameter-surface scans are defined for --mode 2band only")
     H = build_s_block(config.params, k)
     dec = decompose(H)
     backend = _make_backend(config, 1, 0)
@@ -405,20 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _parse_flag(parser: argparse.ArgumentParser, flag: str, parse, value: str | None):
+    """``parse(value)``, None for an unset flag.  A value or file that ``parse``
+    cannot read or rejects exits 2 naming the flag."""
+    try:
+        return parse(value) if value is not None else None
+    except (OSError, ValueError, TypeError) as exc:
+        parser.error(f"{flag} {value!r}: {exc}")
+
+
+def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
     params = None
     if args.command in ("bands", "scan"):
-        params = (
-            TBParameters.from_json(args.params)
-            if args.params
-            else TBParameters.default_silicon()
-        )
-    noise = _load_json(args.noise) if getattr(args, "noise", None) else None
-    optimizer = (
-        OptimizerConfig.from_dict(_load_json(args.optimizer))
-        if getattr(args, "optimizer", None)
-        else OptimizerConfig()
-    )
+        params = (_parse_flag(parser, "--params", TBParameters.from_json, args.params)
+                  or TBParameters.default_silicon())
+    noise = _parse_flag(parser, "--noise", _load_json, getattr(args, "noise", None))
+    optimizer = _parse_flag(
+        parser, "--optimizer",
+        lambda path: OptimizerConfig.from_dict(_load_json(path)),
+        getattr(args, "optimizer", None),
+    ) or OptimizerConfig()
     extra = {}
     if args.command == "scan":
         extra = {
@@ -453,20 +457,20 @@ def _check_args(parser: argparse.ArgumentParser, config: RunConfig) -> None:
     if config.workers < 1:
         parser.error(f"--workers must be >= 1, got {config.workers}")
     if config.command == "bands":
-        try:
-            _, points_per_segment = parse_kpath(config.kpath_spec)
-        except ValueError as exc:
-            parser.error(f"--kpath {config.kpath_spec!r}: {exc}")
+        _, points_per_segment = _parse_flag(parser, "--kpath", parse_kpath, config.kpath_spec)
         if points_per_segment < 1:
             parser.error(
                 f"--kpath {config.kpath_spec!r}: points per segment must be >= 1, "
                 f"got {points_per_segment}"
             )
     extra = config.extra
+    if config.command == "scan":
+        _parse_flag(parser, "--kpoint", parse_kpoint, extra["kpoint"])
     for flag, key, least in (("--theta-steps", "theta_steps", 2),
                              ("--phi-steps", "phi_steps", 2),
                              ("--qubits", "qubits", 1),
-                             ("--trials", "trials", 1)):
+                             ("--trials", "trials", 1),
+                             ("--samples", "samples", 1)):
         if key in extra and extra[key] < least:
             parser.error(f"{flag} must be >= {least}, got {extra[key]}")
     if config.noise is None:
@@ -474,7 +478,7 @@ def _check_args(parser: argparse.ArgumentParser, config: RunConfig) -> None:
     n_qubits = extra["qubits"] if config.command == "rates" else _MODE_QUBITS[config.mode]
     try:
         noise = ReadoutNoiseModel.from_dict(config.noise, n_qubits)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         parser.error(f"--noise: {exc} ({n_qubits} qubits)")
     if config.mitigate:
         w01, w10 = noise.rates_at()
@@ -487,7 +491,7 @@ def _check_args(parser: argparse.ArgumentParser, config: RunConfig) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _resolve_config(args)
+    config = _resolve_config(parser, args)
     _check_args(parser, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

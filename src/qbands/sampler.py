@@ -67,6 +67,8 @@ class ReadoutNoiseModel:
     def from_dict(cls, data: Mapping, n_qubits: int) -> "ReadoutNoiseModel":
         """Noise config: {"w01": x|[...], "w10": x|[...],
         "drift_amplitude": a, "drift_period": p}."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"expected a mapping, got {type(data).__name__}")
         return cls(
             _as_rates(data.get("w01", 0.0), n_qubits, "w01"),
             _as_rates(data.get("w10", 0.0), n_qubits, "w10"),

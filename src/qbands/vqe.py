@@ -23,7 +23,7 @@ from .pauli import (
     reconstruct,
     shift_identity,
 )
-from .qsim import Ansatz
+from .qsim import MEAN_FIELD, Ansatz
 from .seeding import spawn_rng, spawn_seed
 
 # Sub-stream roles in the seed fan-out (master, role, ...).
@@ -87,6 +87,8 @@ class OptimizerConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OptimizerConfig":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"expected a mapping, got {type(data).__name__}")
         keys = ("method", "max_iter", "tol_ev", "fd_step", "restarts", "seed")
         return cls(**{k: data[k] for k in keys if k in data})
 
@@ -104,13 +106,13 @@ def optimize_quasinewton(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
     config: OptimizerConfig,
-    objective_batch: Callable[[np.ndarray], np.ndarray] | None = None,
+    objective_batch: Callable[[np.ndarray], np.ndarray],
 ) -> OptimizeResult:
     """BFGS with central-difference gradients of configurable step.
 
-    ``objective_batch``, if given, evaluates an (N, dim) stack of points in
-    one call and is used to amortise the 2*dim gradient evaluations.
-    Hitting the iteration cap returns the best-so-far flagged unconverged.
+    ``objective_batch`` evaluates an (N, dim) stack of points in one call;
+    each gradient is one call on its 2*dim shifted points.  Hitting the
+    iteration cap returns the best-so-far flagged unconverged.
     """
     x0 = np.asarray(x0, dtype=float)
     dim = x0.size
@@ -130,11 +132,7 @@ def optimize_quasinewton(
     def jac(xv):
         nonlocal nfev
         nfev += 2 * dim
-        points = xv[None, :] + shifts
-        if objective_batch is not None:
-            vals = np.asarray(objective_batch(points), dtype=float)
-        else:
-            vals = np.array([objective(p) for p in points])
+        vals = np.asarray(objective_batch(xv[None, :] + shifts), dtype=float)
         return (vals[0::2] - vals[1::2]) / (2 * step)
 
     res = _sciopt.minimize(
@@ -173,33 +171,41 @@ def optimize_direct(
 # Backends
 
 
+# Readouts of each prepared basis state per mitigation-rate estimate.
+RATE_TRIALS = 100_000
+
+
+def _check_qubits(decomp: SpectralDecomposition, ansatz: Ansatz) -> None:
+    if ansatz.n_qubits != decomp.n_qubits:
+        raise ValueError(f"ansatz acts on {ansatz.n_qubits} qubits but the "
+                         f"decomposition has {decomp.n_qubits}")
+
+
+def _with_scalar(f_batch):
+    """(f, f_batch) with f(θ) exactly f_batch(θ[None])[0]."""
+
+    def f(theta):
+        return float(f_batch(np.asarray(theta, dtype=float)[None])[0])
+
+    return f, f_batch
+
+
 class ExactBackend:
     """Analytic expectation values straight off the statevector."""
 
     stochastic = False
 
-    def expectation(self, decomp: SpectralDecomposition, state: np.ndarray) -> float:
-        """Re<ψ|H|ψ> with H the dense reconstruction of the decomposition."""
-        n = qsim.num_qubits(state)
-        if n != decomp.n_qubits:
-            raise ValueError(
-                f"state has {n} qubits but decomposition has {decomp.n_qubits}"
-            )
-        return float(np.real(np.vdot(state, reconstruct(decomp) @ state)))
-
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
-        """(f, f_batch) on the ansatz's batched kernel; f(θ) is exactly
-        f_batch(θ[None])[0]."""
+        """(f, f_batch): Re<ψ|H|ψ> of every row of the ansatz's batched
+        kernel, H the dense reconstruction of the decomposition."""
+        _check_qubits(decomp, ansatz)
         dense_t = reconstruct(decomp).T
 
         def f_batch(thetas):
             psi = ansatz.prepare_batch(thetas)
             return np.real(np.einsum("bi,bi->b", psi.conj(), psi @ dense_t))
 
-        def f(theta):
-            return float(f_batch(np.asarray(theta, dtype=float)[None])[0])
-
-        return f, f_batch
+        return _with_scalar(f_batch)
 
     def pauli_expectations(self, ansatz: Ansatz, theta: np.ndarray) -> dict[str, float]:
         return qsim.exact_pauli_expectations(ansatz.prepare(theta))
@@ -210,9 +216,10 @@ class ShotsBackend:
 
     Every Pauli word is measured in its own circuit execution with the full
     shot budget.  When mitigation is on, transition rates are estimated from
-    prepared basis states; with a drifting noise model they are re-estimated
-    before every energy evaluation, otherwise once and cached.  Each energy
-    evaluation advances the trial counter that drives the drift.
+    ``RATE_TRIALS`` readouts of prepared basis states; with a drifting noise
+    model they are re-estimated before every energy evaluation, otherwise
+    once and cached.  Each energy evaluation, one row of an objective batch,
+    advances the trial counter that drives the drift.
     """
 
     stochastic = True
@@ -223,7 +230,6 @@ class ShotsBackend:
         noise: sampler.ReadoutNoiseModel | None = None,
         mitigate: bool = False,
         seed: int = 0,
-        rate_trials: int = 100_000,
     ):
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -231,7 +237,6 @@ class ShotsBackend:
         self.noise = noise
         self.mitigate = mitigate
         self.seed = seed
-        self.rate_trials = rate_trials
         self.trial = 0
         self._rates: sampler.ReadoutNoiseModel | None = None
 
@@ -244,13 +249,13 @@ class ShotsBackend:
         if self._rates is None or self._drifting():
             rng = spawn_rng(self.seed, _STREAM_RATES, trial)
             self._rates = sampler.estimate_transition_rates(
-                self.noise, n_qubits, self.rate_trials, rng, trial=trial
+                self.noise, n_qubits, RATE_TRIALS, rng, trial=trial
             )
         return self._rates
 
     def _measure_words(
         self,
-        words: list[tuple[str, float]],
+        words: list[str],
         state: np.ndarray,
         n_qubits: int,
     ) -> dict[str, float]:
@@ -258,7 +263,7 @@ class ShotsBackend:
         self.trial += 1
         rates = self._mitigation_rates(n_qubits, trial)
         out = {}
-        for wi, (word, _) in enumerate(words):
+        for wi, word in enumerate(words):
             rng = spawn_rng(self.seed, _STREAM_WORDS, trial, wi)
             out[word] = sampler.sampled_expectation(
                 state, word, self.shots, self.noise, rng,
@@ -266,22 +271,25 @@ class ShotsBackend:
             )
         return out
 
-    def expectation(self, decomp: SpectralDecomposition, state: np.ndarray) -> float:
-        items = list(decomp.coeffs.items())
-        measured = self._measure_words(items, state, decomp.n_qubits)
-        return float(sum(c * measured[w] for w, c in items))
-
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
-        def f(theta):
-            state = ansatz.prepare_batch(np.asarray(theta, dtype=float)[None])[0]
-            return self.expectation(decomp, state)
+        """(f, f_batch): sum_w c_w <σ_w> of every row of the ansatz's batched
+        kernel, each row measured in turn as one energy evaluation."""
+        _check_qubits(decomp, ansatz)
+        words = list(decomp.coeffs)
 
-        return f, None
+        def f_batch(thetas):
+            states = ansatz.prepare_batch(thetas)
+            energies = np.empty(len(states))
+            for b, state in enumerate(states):
+                measured = self._measure_words(words, state, decomp.n_qubits)
+                energies[b] = sum(c * measured[w] for w, c in decomp.coeffs.items())
+            return energies
+
+        return _with_scalar(f_batch)
 
     def pauli_expectations(self, ansatz: Ansatz, theta: np.ndarray) -> dict[str, float]:
-        state = ansatz.prepare(theta)
-        words = [(w, 0.0) for w in pauli_words(ansatz.n_qubits)]
-        return self._measure_words(words, state, ansatz.n_qubits)
+        return self._measure_words(pauli_words(ansatz.n_qubits), ansatz.prepare(theta),
+                                   ansatz.n_qubits)
 
 
 Backend = ExactBackend | ShotsBackend
@@ -330,11 +338,6 @@ def minimize(
     Runs ``restarts`` independent optimisations from uniform random angles
     and keeps the lowest energy (ties broken by fewest evaluations).
     """
-    if ansatz.n_qubits != decomp.n_qubits:
-        raise ValueError(
-            f"ansatz acts on {ansatz.n_qubits} qubits but the decomposition "
-            f"has {decomp.n_qubits}"
-        )
     restarts = config.restarts if config.restarts is not None else _default_restarts(ansatz)
     fd_step = config.fd_step
     if fd_step is None and backend.stochastic:
@@ -386,28 +389,17 @@ def grid_scan(
 ) -> GridScan:
     """Evaluate <H> on a dense (θ, φ) grid over [0, π] x [-π, π].
 
-    Only defined for one-qubit decompositions (the mean-field circuit).
+    The grid is one batch through the backend's mean-field objective, in
+    row-major order (θ outer, φ inner), so only one-qubit decompositions fit.
     """
-    if decomp.n_qubits != 1:
-        raise ValueError("grid_scan requires a one-qubit decomposition")
     if theta_steps < 2 or phi_steps < 2:
         raise ValueError("grid needs at least two steps per axis")
     backend = backend if backend is not None else ExactBackend()
     thetas = np.linspace(0.0, np.pi, theta_steps)
     phis = np.linspace(-np.pi, np.pi, phi_steps)
-    if backend.stochastic:
-        energies = np.empty((theta_steps, phi_steps))
-        for i, th in enumerate(thetas):
-            for j, ph in enumerate(phis):
-                state = qsim.prepare_meanfield(th, ph)
-                energies[i, j] = backend.expectation(decomp, state)
-    else:
-        TH, PH = np.meshgrid(thetas, phis, indexing="ij")
-        states = qsim.meanfield_batch(np.column_stack([TH.ravel(), PH.ravel()]))
-        dense = reconstruct(decomp)
-        energies = np.real(
-            np.einsum("bi,ij,bj->b", states.conj(), dense, states)
-        ).reshape(theta_steps, phi_steps)
+    TH, PH = np.meshgrid(thetas, phis, indexing="ij")
+    _, f_batch = backend.make_objective(decomp, MEAN_FIELD)
+    energies = f_batch(np.column_stack([TH.ravel(), PH.ravel()])).reshape(TH.shape)
     i, j = np.unravel_index(np.argmin(energies), energies.shape)
     return GridScan(thetas, phis, energies,
                     (float(thetas[i]), float(phis[j]), float(energies[i, j])))

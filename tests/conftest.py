@@ -24,6 +24,12 @@ def kron_word(word: str) -> np.ndarray:
     return out
 
 
+def pauli_sum_expectation(coeffs: dict, state: np.ndarray) -> float:
+    """Re<ψ| sum_w c_w σ_w |ψ> with σ_w built from the test-local matrices."""
+    H = sum(c * kron_word(w) for w, c in coeffs.items())
+    return float(np.real(np.vdot(state, H @ state)))
+
+
 def rand_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (A + A.conj().T) / 2

@@ -60,6 +60,7 @@ class TestAcceptance:
         assert elapsed < 10.0
         _report(1, f"41 k-points, max|Δ| = {worst:.2e} eV, {elapsed:.1f} s")
 
+    @pytest.mark.slow
     def test_02_eight_band_oracle_equivalence(self, tmp_path):
         start = time.perf_counter()
         main(["bands", "--mode", "8band", "--backend", "exact",
@@ -87,6 +88,7 @@ class TestAcceptance:
             f"{excluded} non-converged excluded, {elapsed:.0f} s",
         )
 
+    @pytest.mark.slow
     def test_03_deflation_spectral_completeness(self):
         rng = np.random.default_rng(2024)
         worst = 0.0

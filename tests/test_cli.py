@@ -57,6 +57,20 @@ class TestParsing:
             parse_kpoint("0.1/0.2")
 
 
+class File:
+    """An input file argument, written to the test's tmp directory with
+    ``content`` (left missing when None)."""
+
+    def __init__(self, content: str | None):
+        self.content = content
+
+    def path(self, tmp_path) -> str:
+        path = tmp_path / "input.json"
+        if self.content is not None:
+            path.write_text(self.content)
+        return str(path)
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv, flag", [
         (["bands", "--shots", "0"], "--shots"),
@@ -69,9 +83,22 @@ class TestBadInput:
         (["rates", "--qubits", "0"], "--qubits"),
         (["scan", "--theta-steps", "1"], "--theta-steps"),
         (["scan", "--phi-steps", "1"], "--phi-steps"),
+        (["bands", "--backend", "shots", "--noise", File(None)], "--noise"),
+        (["bands", "--backend", "shots", "--noise", File("{w01: 0.1")], "--noise"),
+        (["bands", "--backend", "shots", "--noise", File("[0.1]")], "--noise"),
+        (["bands", "--optimizer", File(None)], "--optimizer"),
+        (["bands", "--optimizer", File("not json")], "--optimizer"),
+        (["bands", "--optimizer", File("[1]")], "--optimizer"),
+        (["bands", "--optimizer", File('{"method": "newton"}')], "--optimizer"),
+        (["scan", "--params", File(None)], "--params"),
+        (["bands", "--params", File("{")], "--params"),
+        (["bands", "--params", File('{"E_s": 0.0}')], "--params"),
+        (["scan", "--kpoint", "Q"], "--kpoint"),
+        (["rates", "--samples", "0"], "--samples"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
+        argv = [a.path(tmp_path) if isinstance(a, File) else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
         assert exc.value.code == 2
@@ -92,6 +119,7 @@ class TestBadInput:
           "--shots", "64"],
          {"w01": 0.45, "w10": 0.5, "drift_amplitude": 0.1, "drift_period": 4},
          "--mitigate"),
+        (["bands", "--backend", "shots"], {"w01": None}, "--noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"

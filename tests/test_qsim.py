@@ -6,6 +6,7 @@ from qbands.pauli import SpectralDecomposition, decompose, pauli_words
 from qbands.qsim import (
     MEAN_FIELD,
     THREE_QUBIT,
+    Ansatz,
     ansatz_for,
     apply_circuit,
     apply_gate,
@@ -27,8 +28,13 @@ PLUS = HADAMARD @ np.array([1, 0], dtype=complex)
 
 
 def _backend_expectation(state, decomp):
-    """<ψ|H|ψ> through the exact backend."""
-    return ExactBackend().expectation(decomp, state)
+    """<ψ|H|ψ> through the exact backend's objective, on a parameterless
+    ansatz that prepares ``state``."""
+    fixed = Ansatz("fixed", qsim.num_qubits(state), 0, (), (),
+                   prepare=lambda t: state,
+                   prepare_batch=lambda T: np.tile(state, (len(T), 1)))
+    f, _ = ExactBackend().make_objective(decomp, fixed)
+    return f(np.zeros(0))
 
 
 def _rotation(gate):

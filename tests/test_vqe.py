@@ -31,11 +31,16 @@ from qbands.vqe import (
     optimize_quasinewton,
 )
 
-from conftest import rand_hermitian
+from conftest import pauli_sum_expectation, rand_hermitian
 
 SI = TBParameters.default_silicon()
 GAMMA = KPoint((0.0, 0.0, 0.0))
 EXACT = ExactBackend()
+
+
+def row_loop(f):
+    """Batch objective that calls the scalar ``f`` on each row."""
+    return lambda X: np.array([f(x) for x in X])
 
 
 class TestOptimizerConfig:
@@ -66,8 +71,12 @@ class TestOptimizerConfig:
 class TestOptimizers:
     def test_quadratic_both_methods(self):
         cfg = OptimizerConfig(tol_ev=1e-10)
-        for opt in (optimize_quasinewton, optimize_direct):
-            res = opt(lambda x: float((x[0] - 2.0) ** 2), np.array([0.0]), cfg)
+
+        def f(x):
+            return float((x[0] - 2.0) ** 2)
+
+        for res in (optimize_quasinewton(f, np.array([0.0]), cfg, row_loop(f)),
+                    optimize_direct(f, np.array([0.0]), cfg)):
             assert res.x[0] == pytest.approx(2.0, abs=1e-6)
             assert res.converged
 
@@ -75,7 +84,8 @@ class TestOptimizers:
         def rosen(x):
             return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
 
-        res = optimize_quasinewton(rosen, np.array([-1.0, 1.0]), OptimizerConfig())
+        res = optimize_quasinewton(rosen, np.array([-1.0, 1.0]), OptimizerConfig(),
+                                   row_loop(rosen))
         assert res.fun < 1e-6
 
     def test_batched_gradient_matches_scalar(self):
@@ -86,7 +96,7 @@ class TestOptimizers:
             return np.sum(np.sin(X) + 0.3 * X**2, axis=1)
 
         x0 = np.array([0.4, -1.2, 2.0])
-        a = optimize_quasinewton(f, x0, OptimizerConfig())
+        a = optimize_quasinewton(f, x0, OptimizerConfig(), row_loop(f))
         b = optimize_quasinewton(f, x0, OptimizerConfig(), objective_batch=fb)
         assert np.allclose(a.x, b.x, atol=1e-10)
 
@@ -108,8 +118,9 @@ class TestOptimizers:
         x0 = np.array([1.7, 0.6])
         direct = optimize_direct(noisy(1), x0, OptimizerConfig(max_iter=500))
         assert np.linalg.norm(direct.x - target) < 0.05
+        f = noisy(2)
         bfgs = optimize_quasinewton(
-            noisy(2), x0, OptimizerConfig(fd_step=1e-7, max_iter=200)
+            f, x0, OptimizerConfig(fd_step=1e-7, max_iter=200), row_loop(f)
         )
         assert np.linalg.norm(bfgs.x - target) > 0.05
 
@@ -118,7 +129,7 @@ class TestOptimizers:
             return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
 
         res = optimize_quasinewton(rosen, np.array([-1.0, 1.0]),
-                                   OptimizerConfig(max_iter=2))
+                                   OptimizerConfig(max_iter=2), row_loop(rosen))
         assert not res.converged
 
 
@@ -172,7 +183,7 @@ class TestMinimize:
         dec = decompose(build_s_block(SI, GAMMA))
         res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(seed=1))
         assert res.energy == pytest.approx(
-            EXACT.expectation(dec, prepare_meanfield(*res.theta)), abs=1e-12
+            pauli_sum_expectation(dec.coeffs, prepare_meanfield(*res.theta)), abs=1e-12
         )
 
     def test_qubit_mismatch_rejected(self):
@@ -225,6 +236,17 @@ class TestGridScan:
             np.max(np.abs(np.diff(scan.energies, axis=1))),
         )
         assert abs(scan.argmin[2] - res.energy) <= step
+
+    def test_shots_scan_is_objective_batch_over_grid_rows(self):
+        dec = decompose(build_s_block(SI, KPoint((0.125, 0.125, 0.125))))
+        noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06, drift_amplitude=0.02,
+                                          drift_period=5)
+        scan = grid_scan(dec, 4, 5, ShotsBackend(shots=128, noise=noise,
+                                                 mitigate=True, seed=36))
+        _, f_batch = ShotsBackend(shots=128, noise=noise, mitigate=True,
+                                  seed=36).make_objective(dec, MEAN_FIELD)
+        rows = np.array([(th, ph) for th in scan.thetas for ph in scan.phis])
+        assert scan.energies.ravel().tolist() == f_batch(rows).tolist()
 
     def test_rejects_multi_qubit_decomposition(self):
         with pytest.raises(ValueError):
@@ -330,11 +352,13 @@ class TestShotsBackendDriver:
 
     def test_trial_counter_advances(self):
         backend = ShotsBackend(shots=64, seed=33)
-        dec = SpectralDecomposition(1, {"Z": 0.5})
-        state = prepare_meanfield(0.4, 0.0)
-        backend.expectation(dec, state)
-        backend.expectation(dec, state)
+        f, f_batch = backend.make_objective(SpectralDecomposition(1, {"Z": 0.5}),
+                                            MEAN_FIELD)
+        f(np.array([0.4, 0.0]))
+        f(np.array([0.4, 0.0]))
         assert backend.trial == 2
+        f_batch(np.zeros((3, 2)))
+        assert backend.trial == 5
 
     def test_mitigation_tracks_drifting_rates(self):
         # w10 swings hard between successive trials; re-estimated rates must
@@ -343,7 +367,31 @@ class TestShotsBackendDriver:
             1, w01=0.02, w10=0.1, drift_amplitude=0.08, drift_period=4
         )
         backend = ShotsBackend(shots=20_000, noise=noise, mitigate=True, seed=34)
-        dec = SpectralDecomposition(1, {"Z": 1.0})
-        one = prepare_meanfield(np.pi, 0.0)
+        f, _ = backend.make_objective(SpectralDecomposition(1, {"Z": 1.0}), MEAN_FIELD)
+        one = np.array([np.pi, 0.0])  # |1>
         for _ in range(6):
-            assert backend.expectation(dec, one) == pytest.approx(-1.0, abs=0.05)
+            assert f(one) == pytest.approx(-1.0, abs=0.05)
+
+    @pytest.mark.parametrize("ansatz, build", [
+        (MEAN_FIELD, build_s_block),
+        (THREE_QUBIT, build_full_hamiltonian),
+    ])
+    @pytest.mark.parametrize("noise, mitigate", [
+        (None, False),
+        ((0.03, 0.06, 0.0, None), True),
+        ((0.03, 0.06, 0.02, 5), True),
+    ], ids=["noiseless", "mitigated", "mitigated-drift"])
+    def test_batch_rows_equal_successive_scalar_calls(self, ansatz, build, noise,
+                                                      mitigate, rng):
+        dec = decompose(build(SI, KPoint((0.5, 0.25, 0.0))))
+        model = ReadoutNoiseModel.uniform(ansatz.n_qubits, *noise) if noise else None
+
+        def fresh():
+            return ShotsBackend(shots=256, noise=model, mitigate=mitigate, seed=35)
+
+        scalar, batch = fresh(), fresh()
+        f, _ = scalar.make_objective(dec, ansatz)
+        _, f_batch = batch.make_objective(dec, ansatz)
+        thetas = np.array([ansatz.random_parameters(rng) for _ in range(3)])
+        assert f_batch(thetas).tolist() == [f(t) for t in thetas]
+        assert scalar.trial == batch.trial == 3
