@@ -57,6 +57,7 @@ class RunConfig:
     seed: int
     workers: int
     extra: dict
+    matrix: np.ndarray | None = None  # `decompose --matrix`, read at the boundary
 
     def as_dict(self) -> dict:
         return {
@@ -309,35 +310,46 @@ def run_rates(config: RunConfig, out_dir: Path) -> Path:
     return out
 
 
+def _json_entry(e) -> complex:
+    if isinstance(e, (list, tuple)):
+        if len(e) != 2:
+            raise ValueError(f"matrix entry {e!r} is not an [re, im] pair")
+        return complex(float(e[0]), float(e[1]))
+    return complex(e)
+
+
 def _read_matrix(path: str) -> np.ndarray:
-    """Hermitian matrix from JSON ({'matrix': [[[re, im], ...], ...]}) or CSV
-    rows of interleaved re,im values."""
+    """Square matrix of power-of-two dimension from JSON
+    ({'matrix': [[[re, im], ...], ...]} or the bare nested list) or CSV rows
+    of interleaved re,im values.  Hermiticity is left to ``decompose``."""
     if path.endswith(".json"):
         data = _load_json(path)
-        raw = data["matrix"] if isinstance(data, dict) else data
+        raw = data.get("matrix") if isinstance(data, dict) else data
+        if not isinstance(raw, list):
+            raise ValueError("expected a 'matrix' list of rows")
+        rows = [[_json_entry(e) for e in row] for row in raw]
+    else:
         rows = []
-        for row in raw:
-            rows.append(
-                [complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-                 for e in row]
-            )
-        return np.array(rows, dtype=complex)
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = [float(v) for v in line.split(",")]
-            if len(vals) % 2:
-                raise ValueError("CSV matrix rows must hold re,im pairs")
-            rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                vals = [float(v) for v in line.split(",")]
+                if len(vals) % 2:
+                    raise ValueError("CSV matrix rows must hold re,im pairs")
+                rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"expected a square matrix, got {len(rows)} rows of "
+                         f"lengths {sorted({len(row) for row in rows})}")
+    dim = len(rows)
+    if dim & (dim - 1):
+        raise ValueError(f"matrix dimension {dim} is not a power of two")
     return np.array(rows, dtype=complex)
 
 
 def run_decompose(config: RunConfig, out_dir: Path) -> Path:
-    H = _read_matrix(config.extra["matrix"])
-    dec = decompose(H)
+    dec = decompose(config.matrix)
     rows = [
         [word, dec.coeffs[word]]
         for word in pauli_words(dec.n_qubits)
@@ -434,6 +446,7 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         extra = {"qubits": args.qubits, "trials": args.trials, "samples": args.samples}
     elif args.command == "decompose":
         extra = {"matrix": args.matrix}
+    matrix = _parse_flag(parser, "--matrix", _read_matrix, getattr(args, "matrix", None))
     return RunConfig(
         command=args.command,
         params=params,
@@ -447,11 +460,14 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         seed=args.seed,
         workers=getattr(args, "workers", 1),
         extra=extra,
+        matrix=matrix,
     )
 
 
 def _check_args(parser: argparse.ArgumentParser, config: RunConfig) -> None:
     """Reject out-of-range flags before any work starts (exit code 2)."""
+    if config.seed < 0:
+        parser.error(f"--seed must be >= 0, got {config.seed}")
     if config.shots < 1:
         parser.error(f"--shots must be >= 1, got {config.shots}")
     if config.workers < 1:

@@ -10,7 +10,7 @@ c_w = Tr(H† σ_w) / 2**n over all 4**n words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Mapping
 
@@ -72,6 +72,14 @@ class SpectralDecomposition:
     def __len__(self) -> int:
         return len(self.coeffs)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense reconstruction, built on first use and then shared
+        (read-only) by every consumer of this decomposition."""
+        dense = reconstruct(self)
+        dense.flags.writeable = False
+        return dense
+
 
 def require_hermitian(H: np.ndarray, herm_tol: float = HERM_TOL) -> None:
     """Raise ValueError if H deviates from Hermiticity by more than
@@ -111,13 +119,19 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(n, _prune(coeffs))
 
 
+@lru_cache(maxsize=8)
+def _word_index(n_qubits: int) -> dict[str, int]:
+    return {w: i for i, w in enumerate(pauli_words(n_qubits))}
+
+
 def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
     """Dense matrix sum(c_w σ_w); inverse of decompose up to pruning."""
-    dim = 2**decomp.n_qubits
-    H = np.zeros((dim, dim), dtype=complex)
+    n = decomp.n_qubits
+    index = _word_index(n)
+    weights = np.zeros(4**n)
     for word, c in decomp.coeffs.items():
-        H += c * word_matrix(word)
-    return H
+        weights[index[word]] = c
+    return np.tensordot(weights, word_matrix_stack(n), axes=1)
 
 
 def shift_identity(decomp: SpectralDecomposition, s: float) -> SpectralDecomposition:

@@ -10,6 +10,7 @@ Gate conventions: RY(t) = exp(-i t Y / 2), RZ(t) = exp(-i t Z / 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -160,56 +161,116 @@ def prepare_three_qubit(thetas) -> np.ndarray:
     return apply_circuit(zero_state(3), three_qubit_template(thetas))
 
 
-def _entangler_gather() -> np.ndarray:
-    """Index map of CNOT(1->2)·CNOT(2->3): entangled[:, c] = psi[:, map[c]]."""
+def _entangler_gather(n_qubits: int) -> np.ndarray:
+    """Index map of the CNOT(1->2)·CNOT(2->3)··· chain:
+    entangled[:, c] = psi[:, map[c]]."""
     image = []
-    for b in range(8):
-        c = b ^ 2 if b & 1 else b  # CNOT(1 -> 2)
-        c = c ^ 4 if c & 2 else c  # CNOT(2 -> 3)
-        image.append(c)
+    for b in range(2**n_qubits):
+        for q in range(n_qubits - 1):  # CNOT(q+1 -> q+2)
+            if b >> q & 1:
+                b ^= 2 << q
+        image.append(b)
     return np.argsort(image)
 
 
-_ENTANGLER_GATHER = _entangler_gather()
+@lru_cache(maxsize=None)
+def _register_maps(n_qubits: int):
+    """Per-qubit Z signs (n, 2**n) as floats, bit-flip index maps (n, 2**n),
+    and the entangler's gather map and its inverse."""
+    x = np.arange(2**n_qubits)
+    bits = np.arange(n_qubits)[:, None]
+    gather = _entangler_gather(n_qubits)
+    return (1.0 - 2.0 * (x >> bits & 1)), x ^ (1 << bits), gather, np.argsort(gather)
 
 
-def three_qubit_batch(thetas: np.ndarray) -> np.ndarray:
-    """Vectorised prepare_three_qubit for a (N, 18) parameter array.
+def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
+    """Forward pass of the layered circuit on |0...0> for (N, n_params) rows.
 
-    Layer 0 acts on |000>, so it is the product of the first columns of its
-    per-qubit RZ·RY matrices.  Every later layer is one (N, 8, 8) Kronecker
-    product applied by batched matmul after the entangler permutation.
+    Each layer is RY then RZ on every qubit (angles ordered RY on qubits
+    1..n, then RZ on qubits 1..n); the CNOT chain entangler separates the
+    layers.  Layer 0 acts on |0...0>, so it is the product of the first
+    columns of its per-qubit RZ·RY matrices.  Every later layer is one
+    (N, 2**n, 2**n) Kronecker product applied by batched matmul after the
+    entangler permutation.  Returns the state after every layer and those
+    Kronecker products (N, n_layers - 1, 2**n, 2**n), highest qubit first.
     """
-    T = np.asarray(thetas, dtype=float)
-    if T.ndim != 2 or T.shape[1] != THREE_QUBIT_PARAMS:
-        raise ValueError(f"expected (N, {THREE_QUBIT_PARAMS}) parameters")
     B = T.shape[0]
-    half = 0.5 * T.reshape(B, THREE_QUBIT_LAYERS, 2, 3)  # layer, ry|rz, qubit
+    half = 0.5 * T.reshape(B, n_layers, 2, n_qubits)  # layer, ry|rz, qubit
     cy = np.cos(half[:, :, 0])
     sy = np.sin(half[:, :, 0])
     ez = np.exp(-1j * half[:, :, 1])
-    u = np.empty((B, THREE_QUBIT_LAYERS, 3, 2, 2), dtype=complex)  # RZ @ RY
+    u = np.empty((B, n_layers, n_qubits, 2, 2), dtype=complex)  # RZ @ RY
     u[..., 0, 0] = ez * cy
     u[..., 0, 1] = -ez * sy
     u[..., 1, 0] = ez.conj() * sy
     u[..., 1, 1] = ez.conj() * cy
     first = u[:, 0, :, :, 0]  # (B, qubit, 2): each qubit's RZ·RY|0>
-    psi = (first[:, 2, :, None, None] * first[:, 1, None, :, None]
-           * first[:, 0, None, None, :]).reshape(B, 8, 1)
-    # kron(u3, u2, u1) of every later layer; index bits run qubit 3, 2, 1.
-    rest = u[:, 1:]
-    kron = (rest[:, :, 2, :, None, None, :, None, None]
-            * rest[:, :, 1, None, :, None, None, :, None]
-            * rest[:, :, 0, None, None, :, None, None, :]
-            ).reshape(B, THREE_QUBIT_LAYERS - 1, 8, 8)
-    for layer in range(THREE_QUBIT_LAYERS - 1):
-        psi = np.matmul(kron[:, layer], psi[:, _ENTANGLER_GATHER])
-    return psi[:, :, 0]
+    psi = first[:, -1]
+    kron = u[:, 1:, -1]
+    for q in range(n_qubits - 2, -1, -1):
+        dim = 2 * psi.shape[-1]
+        psi = (psi[:, :, None] * first[:, q, None, :]).reshape(B, dim)
+        kron = (kron[..., :, None, :, None] * u[:, 1:, q, None, :, None, :]
+                ).reshape(B, n_layers - 1, dim, dim)
+    gather = _register_maps(n_qubits)[2]
+    states = [psi]
+    for layer in range(n_layers - 1):
+        states.append(np.matmul(kron[:, layer], states[-1][:, gather, None])[..., 0])
+    return states, kron
+
+
+def three_qubit_batch(thetas: np.ndarray) -> np.ndarray:
+    """Vectorised prepare_three_qubit for a (N, 18) parameter array."""
+    T = np.asarray(thetas, dtype=float)
+    if T.ndim != 2 or T.shape[1] != THREE_QUBIT_PARAMS:
+        raise ValueError(f"expected (N, {THREE_QUBIT_PARAMS}) parameters")
+    return _rotation_layers(T, 3, THREE_QUBIT_LAYERS)[0][-1]
+
+
+def rotation_layers_gradient(thetas: np.ndarray, dense: np.ndarray,
+                             n_qubits: int, n_layers: int) -> np.ndarray:
+    """Row-wise gradient of <ψ(θ)|H|ψ(θ)> by one batched adjoint sweep.
+
+    The circuit is that of `_rotation_layers`: the three-qubit circuit, and
+    with one layer on one qubit the mean-field circuit up to a global
+    phase, which leaves <H> unchanged.  Every angle drives one gate
+    exp(-iθP/2), so ∂E/∂θ = Im<λ|P|φ>, with φ the state just after the gate
+    and λ = Hψ carried back to the same point (Jones & Gacon 2020,
+    arXiv:2009.02823).  The sweep starts from λ = Hψ and undoes each
+    layer's RZ block, RY block and entangler in turn; it carries μ = λ*,
+    so that undoing a layer is a row vector times its Kronecker product.
+    """
+    T = np.asarray(thetas, dtype=float)
+    B = T.shape[0]
+    zsign, flip, _, scatter = _register_maps(n_qubits)
+    states, kron = _rotation_layers(T, n_qubits, n_layers)
+    rz = np.exp(-0.5j * np.einsum("blq,qx->blx", T.reshape(B, n_layers, 2, n_qubits)[:, :, 1],
+                                  zsign))
+    grad = np.empty((B, n_layers, 2, n_qubits))
+    # Stacked matvecs and einsum, not 2-D matmul: BLAS rounds the latter
+    # differently for one row, and a row must not depend on its batch.
+    mu = np.matmul(dense, states[-1][..., None])[..., 0].conj()
+    for layer in range(n_layers - 1, -1, -1):
+        phi = states[layer]
+        grad[:, layer, 1] = np.einsum("bx,qx->bq", np.imag(mu * phi), zsign)
+        # After the RY block: φ' = RZ†φ, λ' = RZ†λ.  Y_q b = -i z_q b[flip_q],
+        # so Im<λ'|Y_q|φ'> = -Re Σ conj(λ') z_q φ'[flip_q].
+        phi = rz[:, layer].conj() * phi
+        grad[:, layer, 0] = -np.real(
+            np.sum((rz[:, layer] * mu)[:, None] * zsign * phi[:, flip], axis=-1))
+        if layer:
+            mu = np.matmul(mu[:, None, :], kron[:, layer - 1])[:, 0, scatter]
+    return grad.reshape(B, -1)
 
 
 @dataclass(frozen=True)
 class Ansatz:
-    """A parameterised state-preparation family."""
+    """A parameterised state-preparation family.
+
+    ``gradient_batch(thetas, H)`` gives the (N, n_params) gradients of
+    <ψ|H|ψ> at an (N, n_params) stack of rows, H a dense Hermitian matrix;
+    None when the family has no analytic gradient.
+    """
 
     name: str
     n_qubits: int
@@ -218,6 +279,7 @@ class Ansatz:
     highs: tuple[float, ...]
     prepare: Callable[[np.ndarray], np.ndarray]
     prepare_batch: Callable[[np.ndarray], np.ndarray]
+    gradient_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def random_parameters(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lows, self.highs)
@@ -231,6 +293,7 @@ MEAN_FIELD = Ansatz(
     highs=(np.pi, np.pi),
     prepare=lambda t: prepare_meanfield(t[0], t[1]),
     prepare_batch=meanfield_batch,
+    gradient_batch=partial(rotation_layers_gradient, n_qubits=1, n_layers=1),
 )
 
 THREE_QUBIT = Ansatz(
@@ -241,6 +304,8 @@ THREE_QUBIT = Ansatz(
     highs=(np.pi,) * THREE_QUBIT_PARAMS,
     prepare=prepare_three_qubit,
     prepare_batch=three_qubit_batch,
+    gradient_batch=partial(rotation_layers_gradient, n_qubits=3,
+                           n_layers=THREE_QUBIT_LAYERS),
 )
 
 

@@ -2,17 +2,20 @@
 surface scans, and full-spectrum extraction via identity shift plus
 iterative deflation.
 
-Two backends evaluate the energy objective sum_w c_w <σ_w>: an exact
-statevector backend and a shot-sampling backend with optional readout noise
-and mitigation.  The optimiser never sees which one it is driving.
+Two backends evaluate the energy objective sum_w c_w <σ_w> and its
+gradient: an exact statevector backend (adjoint-sweep gradients) and a
+shot-sampling backend with optional readout noise and mitigation
+(parameter-shift gradients).  The optimiser never sees which one it is
+driving.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from . import qsim, sampler
 from .pauli import (
@@ -20,7 +23,6 @@ from .pauli import (
     deflate,
     gershgorin_upper_bound,
     pauli_words,
-    reconstruct,
     shift_identity,
 )
 from .qsim import MEAN_FIELD, Ansatz
@@ -54,13 +56,17 @@ class ZeroCaptureError(RuntimeError):
         self.energies_found = energies_found
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Classical optimiser settings.
 
-    method: "bfgs" (quasi-Newton with central-difference gradients) or
-    "cobyla" (direct search).  ``max_iter``, ``fd_step`` and ``restarts``
-    default per method / ansatz / backend when None.  ``seed`` None means
+    method: "bfgs" (quasi-Newton on the backend's exact gradients, all
+    restarts in lock step) or "cobyla" (direct search).  ``max_iter`` and
+    ``restarts`` default per method / ansatz when None.  ``seed`` None means
     unset: the CLI then roots the optimiser streams at the master seed, and
     the library draws from seed 0.
     """
@@ -68,11 +74,12 @@ class OptimizerConfig:
     method: str = "bfgs"
     max_iter: int | None = None
     tol_ev: float = 1e-6
-    fd_step: float | None = None
     restarts: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.method, str):
+            raise TypeError(f"method must be a string, got {self.method!r}")
         m = self.method.lower()
         if m in _QUASINEWTON_METHODS:
             object.__setattr__(self, "method", "bfgs")
@@ -80,17 +87,25 @@ class OptimizerConfig:
             object.__setattr__(self, "method", "cobyla")
         else:
             raise ValueError(f"unknown optimiser method {self.method!r}")
-        if not self.tol_ev > 0:
-            raise ValueError("tol_ev must be positive")
-        if self.restarts is not None and self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        tol = self.tol_ev
+        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+                and 0 < tol < math.inf):
+            raise ValueError(f"tol_ev must be a positive real, got {tol!r}")
+        for name in ("max_iter", "restarts"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OptimizerConfig":
         if not isinstance(data, Mapping):
             raise ValueError(f"expected a mapping, got {type(data).__name__}")
-        keys = ("method", "max_iter", "tol_ev", "fd_step", "restarts", "seed")
-        return cls(**{k: data[k] for k in keys if k in data})
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown optimiser keys {unknown}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -102,47 +117,112 @@ class OptimizeResult:
     converged: bool
 
 
+# Armijo sufficient-decrease constant and the halvings a line search may
+# take before it counts as failed.
+_ARMIJO_C1 = 1e-4
+_MAX_HALVINGS = 8
+# Curvature pairs with y.s at or below this are not used for an update.
+_MIN_CURVATURE = 1e-12
+
+
 def optimize_quasinewton(
-    objective: Callable[[np.ndarray], float],
+    objective_batch: Callable[[np.ndarray], np.ndarray],
+    gradient_batch: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     config: OptimizerConfig,
-    objective_batch: Callable[[np.ndarray], np.ndarray],
-) -> OptimizeResult:
-    """BFGS with central-difference gradients of configurable step.
+    gradient_evaluations: int = 1,
+) -> list[OptimizeResult]:
+    """BFGS from every row of the (R, d) ``x0`` at once, in lock step.
 
-    ``objective_batch`` evaluates an (N, dim) stack of points in one call;
-    each gradient is one call on its 2*dim shifted points.  Hitting the
-    iteration cap returns the best-so-far flagged unconverged.
+    Each row keeps its own point, energy, gradient and (d, d) inverse
+    Hessian; the rows only share the calls: each backtracking round is one
+    ``objective_batch`` call on the rows still searching, and each
+    iteration's new gradients are one ``gradient_batch`` call on the rows
+    that moved.  A row's path is the one it would take alone.
+
+    Line search: Armijo backtracking (Nocedal & Wright, Alg. 3.1) along
+    -H g, halving up to 8 times; the first trial step is 1, or min(1, 1/|g|)
+    while H is the identity.  The first accepted step from the identity
+    scales H by y.s / y.y (N&W eq. 6.20) before its BFGS update; a pair
+    with y.s <= 1e-12 leaves H unchanged.  A failed line search resets H to
+    the identity and retries along -g.  A failure that starts from the
+    identity is terminal "precision loss": the step fell below the
+    resolution of the objective (round-off or shot noise), and the row
+    counts as converged.  A row also converges when max|g| <= ``tol_ev``;
+    hitting ``max_iter`` accepted steps returns it unconverged.
+
+    ``evaluations`` counts energy rows: one per line-search trial and
+    ``gradient_evaluations`` per gradient row.
     """
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.size
-    step = config.fd_step if config.fd_step is not None else 1e-4
+    X = np.array(x0, dtype=float, ndmin=2)
+    R, d = X.shape
     max_iter = config.max_iter if config.max_iter is not None else 200
-    shifts = np.zeros((2 * dim, dim))
-    for j in range(dim):
-        shifts[2 * j, j] = step
-        shifts[2 * j + 1, j] = -step
-    nfev = 0
+    F = np.asarray(objective_batch(X), dtype=float)
+    G = np.asarray(gradient_batch(X), dtype=float)
+    eye = np.eye(d)
+    Hinv = np.tile(eye, (R, 1, 1))
+    identity = np.ones(R, dtype=bool)  # Hinv is I (start, or after a reset)
+    nfev = np.full(R, 1 + gradient_evaluations)
+    nit = np.zeros(R, dtype=int)
+    converged = np.max(np.abs(G), axis=1) <= config.tol_ev
+    active = ~converged & (nit < max_iter)
+    while active.any():
+        a = np.flatnonzero(active)
+        g = G[a]
+        p = -np.einsum("rij,rj->ri", Hinv[a], g)
+        slope = np.einsum("ri,ri->r", g, p)
+        uphill = slope >= 0
+        if uphill.any():  # H lost positive definiteness to round-off
+            Hinv[a[uphill]] = eye
+            identity[a[uphill]] = True
+            p[uphill] = -g[uphill]
+            slope[uphill] = -np.einsum("ri,ri->r", g[uphill], g[uphill])
+        step = np.where(identity[a], np.minimum(1.0, 1.0 / np.linalg.norm(g, axis=1)), 1.0)
+        accepted = np.zeros(len(a), dtype=bool)
+        f_new = np.empty(len(a))
+        for _ in range(_MAX_HALVINGS + 1):
+            s = np.flatnonzero(~accepted)
+            f_new[s] = objective_batch(X[a[s]] + step[s, None] * p[s])
+            nfev[a[s]] += 1
+            accepted[s] = f_new[s] <= F[a[s]] + _ARMIJO_C1 * step[s] * slope[s]
+            if accepted.all():
+                break
+            step[s] = np.where(accepted[s], step[s], 0.5 * step[s])
 
-    def f(xv):
-        nonlocal nfev
-        nfev += 1
-        return float(objective(xv))
+        failed = a[~accepted]
+        if len(failed):
+            converged[failed[identity[failed]]] = True  # precision loss
+            Hinv[failed] = eye
+            identity[failed] = True
 
-    def jac(xv):
-        nonlocal nfev
-        nfev += 2 * dim
-        vals = np.asarray(objective_batch(xv[None, :] + shifts), dtype=float)
-        return (vals[0::2] - vals[1::2]) / (2 * step)
-
-    res = _sciopt.minimize(
-        f, x0, jac=jac, method="BFGS",
-        options={"maxiter": max_iter, "gtol": config.tol_ev},
-    )
-    # Status 2 (precision loss) means the line search bottomed out at the
-    # finite-difference / shot-noise floor: a terminal state, not a cap hit.
-    converged = bool(res.success) or res.status == 2
-    return OptimizeResult(res.x, float(res.fun), nfev, int(res.nit), converged)
+        moved = a[accepted]
+        if len(moved):
+            sk = step[accepted, None] * p[accepted]
+            X[moved] += sk
+            F[moved] = f_new[accepted]
+            G_new = np.asarray(gradient_batch(X[moved]), dtype=float)
+            nfev[moved] += gradient_evaluations
+            yk = G_new - G[moved]
+            G[moved] = G_new
+            nit[moved] += 1
+            ys = np.einsum("ri,ri->r", yk, sk)
+            upd = ys > _MIN_CURVATURE
+            u, sk, yk, ys = moved[upd], sk[upd], yk[upd], ys[upd]
+            first = identity[u]
+            Hinv[u[first]] *= (ys[first] / np.einsum("ri,ri->r", yk[first], yk[first])
+                               )[:, None, None]
+            identity[u] = False
+            rho = 1.0 / ys
+            Hy = np.einsum("rij,rj->ri", Hinv[u], yk)
+            yHy = np.einsum("ri,ri->r", yk, Hy)
+            Hinv[u] += (-rho[:, None, None] * (sk[:, :, None] * Hy[:, None, :]
+                                               + Hy[:, :, None] * sk[:, None, :])
+                        + (rho * (1.0 + rho * yHy))[:, None, None]
+                        * sk[:, :, None] * sk[:, None, :])
+            converged[moved] |= np.max(np.abs(G_new), axis=1) <= config.tol_ev
+        active = ~converged & (nit < max_iter)
+    return [OptimizeResult(X[r].copy(), float(F[r]), int(nfev[r]), int(nit[r]),
+                           bool(converged[r])) for r in range(R)]
 
 
 def optimize_direct(
@@ -151,6 +231,8 @@ def optimize_direct(
     config: OptimizerConfig,
 ) -> OptimizeResult:
     """COBYLA direct search: linear-approximation trust region, no gradients."""
+    from scipy import optimize  # deferred: scipy costs every start-up ~0.6 s
+
     x0 = np.asarray(x0, dtype=float)
     max_iter = config.max_iter if config.max_iter is not None else 4000
     nfev = 0
@@ -160,7 +242,7 @@ def optimize_direct(
         nfev += 1
         return float(objective(xv))
 
-    res = _sciopt.minimize(
+    res = optimize.minimize(
         f, x0, method="COBYLA", tol=config.tol_ev,
         options={"maxiter": max_iter},
     )
@@ -190,22 +272,54 @@ def _with_scalar(f_batch):
     return f, f_batch
 
 
+def _parameter_shift(f_batch, n_params: int):
+    """Row-wise gradient of ``f_batch`` by the ±π/2 parameter-shift rule,
+    exact when every angle drives one gate exp(-iθP/2) with P² = 1
+    (Mitarai et al. 2018, arXiv:1803.00745).  Each row costs 2·n_params
+    energy evaluations, in the order θ + π/2 e_j, θ - π/2 e_j for j = 1..d."""
+    eye = np.eye(n_params)
+    shifts = 0.5 * np.pi * np.stack([eye, -eye], axis=1)  # (j, +/-, param)
+
+    def grad_batch(thetas):
+        thetas = np.asarray(thetas, dtype=float)
+        energies = f_batch((thetas[:, None, None, :] + shifts).reshape(-1, n_params))
+        energies = energies.reshape(len(thetas), n_params, 2)
+        return 0.5 * (energies[..., 0] - energies[..., 1])
+
+    return grad_batch
+
+
 class ExactBackend:
     """Analytic expectation values straight off the statevector."""
 
-    stochastic = False
-
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
         """(f, f_batch): Re<ψ|H|ψ> of every row of the ansatz's batched
-        kernel, H the dense reconstruction of the decomposition."""
+        kernel, H the dense matrix of the decomposition."""
         _check_qubits(decomp, ansatz)
-        dense_t = reconstruct(decomp).T
+        dense = decomp.matrix
 
         def f_batch(thetas):
             psi = ansatz.prepare_batch(thetas)
-            return np.real(np.einsum("bi,bi->b", psi.conj(), psi @ dense_t))
+            # A stacked matvec per row, not one (N, dim) @ (dim, dim) product:
+            # BLAS rounds the latter differently for N = 1, and a restart
+            # must not depend on how many others share its batch.
+            hpsi = np.matmul(dense, psi[..., None])[..., 0]
+            return np.real(np.einsum("bi,bi->b", psi.conj(), hpsi))
 
         return _with_scalar(f_batch)
+
+    def make_gradient(self, decomp: SpectralDecomposition, ansatz: Ansatz):
+        """(grad_batch, 1): the ansatz's adjoint-sweep gradient of every row,
+        each row counted as one energy evaluation."""
+        _check_qubits(decomp, ansatz)
+        if ansatz.gradient_batch is None:
+            raise ValueError(f"ansatz {ansatz.name!r} has no analytic gradient")
+        dense = decomp.matrix
+
+        def grad_batch(thetas):
+            return ansatz.gradient_batch(thetas, dense)
+
+        return grad_batch, 1
 
     def pauli_expectations(self, ansatz: Ansatz, theta: np.ndarray) -> dict[str, float]:
         return qsim.exact_pauli_expectations(ansatz.prepare(theta))
@@ -221,8 +335,6 @@ class ShotsBackend:
     once and cached.  Each energy evaluation, one row of an objective batch,
     advances the trial counter that drives the drift.
     """
-
-    stochastic = True
 
     def __init__(
         self,
@@ -287,6 +399,12 @@ class ShotsBackend:
 
         return _with_scalar(f_batch)
 
+    def make_gradient(self, decomp: SpectralDecomposition, ansatz: Ansatz):
+        """(grad_batch, 2·n_params): parameter-shift gradients through the
+        objective batch, every shifted row one measured energy evaluation."""
+        _, f_batch = self.make_objective(decomp, ansatz)
+        return _parameter_shift(f_batch, ansatz.n_params), 2 * ansatz.n_params
+
     def pauli_expectations(self, ansatz: Ansatz, theta: np.ndarray) -> dict[str, float]:
         return self._measure_words(pauli_words(ansatz.n_qubits), ansatz.prepare(theta),
                                    ansatz.n_qubits)
@@ -313,7 +431,8 @@ class VQEResult:
 
     ``energy`` is a fresh backend evaluation at ``theta`` (identical to the
     optimiser value on the exact backend, an independent estimate on the
-    shot backend).  ``evaluations`` counts every objective call made.
+    shot backend).  ``evaluations`` counts every energy row evaluated: line
+    searches, gradients at their per-row cost, and that final evaluation.
     """
 
     energy: float
@@ -335,39 +454,30 @@ def minimize(
 ) -> VQEResult:
     """Minimise the reconstructed <H> over the ansatz parameters.
 
-    Runs ``restarts`` independent optimisations from uniform random angles
-    and keeps the lowest energy (ties broken by fewest evaluations).
+    Runs ``restarts`` optimisations from uniform random angles (BFGS: all
+    in lock step; COBYLA: one after another) and keeps the lowest energy,
+    ties broken by fewest evaluations, then by restart order.
     """
     restarts = config.restarts if config.restarts is not None else _default_restarts(ansatz)
-    fd_step = config.fd_step
-    if fd_step is None and backend.stochastic:
-        fd_step = np.pi / 32
-    run_config = replace(config, fd_step=fd_step, restarts=restarts)
     seed = config.seed if config.seed is not None else 0
 
     f, f_batch = backend.make_objective(decomp, ansatz)
-    best = None
-    traces = []
-    total_evals = 0
-    for r in range(restarts):
-        x0 = ansatz.random_parameters(spawn_rng(seed, _STREAM_RESTART, r))
-        if run_config.method == "cobyla":
-            res = optimize_direct(f, x0, run_config)
-        else:
-            res = optimize_quasinewton(f, x0, run_config, objective_batch=f_batch)
-        traces.append(RestartTrace(res.fun, res.evaluations, res.iterations,
-                                   res.converged))
-        total_evals += res.evaluations
-        if best is None or (res.fun, res.evaluations) < (best.fun, best.evaluations):
-            best = res
+    x0 = np.array([ansatz.random_parameters(spawn_rng(seed, _STREAM_RESTART, r))
+                   for r in range(restarts)])
+    if config.method == "cobyla":
+        results = [optimize_direct(f, x, config) for x in x0]
+    else:
+        grad_batch, grad_evaluations = backend.make_gradient(decomp, ansatz)
+        results = optimize_quasinewton(f_batch, grad_batch, x0, config, grad_evaluations)
+    best = min(results, key=lambda res: (res.fun, res.evaluations))
     energy = f(best.x)
-    total_evals += 1
     return VQEResult(
         energy=float(energy),
         theta=np.asarray(best.x, dtype=float),
-        evaluations=total_evals,
+        evaluations=sum(res.evaluations for res in results) + 1,
         converged=best.converged,
-        restarts=tuple(traces),
+        restarts=tuple(RestartTrace(res.fun, res.evaluations, res.iterations,
+                                    res.converged) for res in results),
     )
 
 
@@ -448,7 +558,7 @@ def full_spectrum(
     if not 1 <= levels <= dim:
         raise ValueError(f"levels must be in [1, {dim}]")
     if shift is None:
-        shift = gershgorin_upper_bound(reconstruct(decomp)) + 1.0
+        shift = gershgorin_upper_bound(decomp.matrix) + 1.0
     work = shift_identity(decomp, shift)
     results = []
     residuals = []
@@ -461,8 +571,7 @@ def full_spectrum(
                 level, res.energy, [r.energy + shift for r in results]
             )
         psi = ansatz.prepare(res.theta)
-        dense = reconstruct(work)
-        residuals.append(float(np.linalg.norm(dense @ psi - res.energy * psi)))
+        residuals.append(float(np.linalg.norm(work.matrix @ psi - res.energy * psi)))
         results.append(res)
         if level + 1 < levels:
             expectations = backend.pauli_expectations(ansatz, res.theta)

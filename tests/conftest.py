@@ -30,6 +30,37 @@ def pauli_sum_expectation(coeffs: dict, state: np.ndarray) -> float:
     return float(np.real(np.vdot(state, H @ state)))
 
 
+def rotation(letter: str, angle: float) -> np.ndarray:
+    """exp(-i angle σ / 2) for one Pauli letter, from the test-local matrices."""
+    return np.cos(angle / 2) * SIGMA["I"] - 1j * np.sin(angle / 2) * SIGMA[letter]
+
+
+def meanfield_state(t) -> np.ndarray:
+    """Mean-field circuit state RZ(φ)·RY(θ)|0> (no global-phase fix)."""
+    return rotation("Z", t[1]) @ rotation("Y", t[0]) @ np.array([1, 0], dtype=complex)
+
+
+def three_qubit_state(t) -> np.ndarray:
+    """Independent three-qubit circuit state, built from SIGMA Kronecker
+    products; t holds per layer RY angles on qubits 1-3, then RZ angles."""
+    I = SIGMA["I"]
+    P0, P1 = (I + SIGMA["Z"]) / 2, (I - SIGMA["Z"]) / 2
+
+    def on_qubits(m3, m2, m1):
+        return np.kron(m3, np.kron(m2, m1))
+
+    cnot_12 = on_qubits(I, I, P0) + on_qubits(I, SIGMA["X"], P1)
+    cnot_23 = on_qubits(I, P0, I) + on_qubits(SIGMA["X"], P1, I)
+    psi = np.eye(8, dtype=complex)[0]
+    for layer in range(3):
+        ry = [rotation("Y", a) for a in t[6 * layer:6 * layer + 3]]
+        rz = [rotation("Z", a) for a in t[6 * layer + 3:6 * layer + 6]]
+        psi = on_qubits(*(z @ y for z, y in zip(rz[::-1], ry[::-1]))) @ psi
+        if layer < 2:
+            psi = cnot_23 @ cnot_12 @ psi
+    return psi
+
+
 def rand_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (A + A.conj().T) / 2

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbands
 from qbands.cli import main, parse_kpath, parse_kpoint
 from qbands.pauli import decompose
 from qbands.pauli import gershgorin_upper_bound
@@ -58,14 +63,15 @@ class TestParsing:
 
 
 class File:
-    """An input file argument, written to the test's tmp directory with
-    ``content`` (left missing when None)."""
+    """An input file argument, written to the test's tmp directory as
+    ``name`` with ``content`` (left missing when None)."""
 
-    def __init__(self, content: str | None):
+    def __init__(self, content: str | None, name: str = "input.json"):
         self.content = content
+        self.name = name
 
     def path(self, tmp_path) -> str:
-        path = tmp_path / "input.json"
+        path = tmp_path / self.name
         if self.content is not None:
             path.write_text(self.content)
         return str(path)
@@ -95,6 +101,25 @@ class TestBadInput:
         (["bands", "--params", File('{"E_s": 0.0}')], "--params"),
         (["scan", "--kpoint", "Q"], "--kpoint"),
         (["rates", "--samples", "0"], "--samples"),
+        (["bands", "--optimizer", File('{"max_iter": "x"}')], "--optimizer"),
+        (["bands", "--optimizer", File('{"restarts": 2.5}')], "--optimizer"),
+        (["bands", "--optimizer", File('{"max_iter": true}')], "--optimizer"),
+        (["bands", "--optimizer", File('{"tol_ev": "1e-6"}')], "--optimizer"),
+        (["bands", "--optimizer", File('{"seed": "1"}')], "--optimizer"),
+        (["bands", "--optimizer", File('{"fd_step": 1e-4}')], "--optimizer"),
+        (["bands", "--optimizer", File('{"max_iters": 50}')], "--optimizer"),
+        (["decompose", "--matrix", File(None)], "--matrix"),
+        (["decompose", "--matrix", File("{")], "--matrix"),
+        (["decompose", "--matrix", File('{"rows": [[1.0]]}')], "--matrix"),
+        (["decompose", "--matrix", File('{"matrix": [[1, 0, 0], [0, 1, 0]]}')],
+         "--matrix"),
+        (["decompose", "--matrix", File('{"matrix": [[[1, 0, 0], 0], [0, 1]]}')],
+         "--matrix"),
+        (["decompose", "--matrix",
+          File('{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')], "--matrix"),
+        (["decompose", "--matrix", File("1.0,0.0,0.0,0.0\n", "m.csv")], "--matrix"),
+        (["decompose", "--matrix", File("1.0,x\n", "m.csv")], "--matrix"),
+        (["bands", "--kpath", "X,G:1", "--seed", "-1"], "--seed"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -196,6 +221,19 @@ class TestBands:
                 vqe = col(columns, [row], f"e_vqe_{band}")[0]
                 assert abs(vqe - oracle[band - 1]) <= tol
 
+    def test_degenerate_x_point_second_level_not_stopped_early(self, tmp_path):
+        # Both levels at X are 0 eV.  Restarts that stop after a few
+        # iterations on a failed line search, flagged converged, leave level 2
+        # well above that (0.106 eV at this seed with central-difference BFGS).
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.05, "w10": 0.08}))
+        main(["bands", "--mode", "2band", "--backend", "shots", "--shots", "8192",
+              "--mitigate", "--noise", str(noise_file), "--kpath", "X,G:1",
+              "--seed", "5001", "--out", str(tmp_path)])
+        _, columns, rows = read_csv(tmp_path / "bands.csv")
+        assert abs(col(columns, rows[:1], "e_oracle_2")[0]) < 1e-12
+        assert abs(col(columns, rows[:1], "e_vqe_2")[0]) <= 0.09
+
     def test_eight_band_sorted_energies(self, tmp_path):
         main(["bands", "--mode", "8band", "--kpath", "G,L:1",
               "--out", str(tmp_path), "--seed", "2"])
@@ -272,6 +310,29 @@ class TestRates:
             if best is None or sse < best[1]:
                 best = (period, sse)
         assert abs(best[0] - 18.0) / 18.0 < 0.10
+
+
+class TestStartup:
+    def test_scipy_stays_off_the_import_path(self):
+        # scipy serves COBYLA only and is imported on its first use.
+        script = (
+            "import sys\n"
+            "import qbands\n"
+            "from qbands.cli import main\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
+            "import numpy as np\n"
+            "res = qbands.optimize_direct(lambda x: float((x[0] - 1) ** 2), np.zeros(1),\n"
+            "                             qbands.OptimizerConfig(method='cobyla'))\n"
+            "assert abs(res.x[0] - 1) < 1e-3 and 'scipy' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qbands.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDecompose:

@@ -21,7 +21,7 @@ from qbands.qsim import (
 )
 from qbands.vqe import ExactBackend
 
-from conftest import SIGMA, kron_word, rand_hermitian, rand_state
+from conftest import SIGMA, kron_word, rand_hermitian, rand_state, three_qubit_state
 
 HADAMARD = (SIGMA["X"] + SIGMA["Z"]) / np.sqrt(2)
 PLUS = HADAMARD @ np.array([1, 0], dtype=complex)
@@ -41,27 +41,6 @@ def _rotation(gate):
     """RY/RZ matrix exp(-i t σ / 2) built from the test-local Pauli matrices."""
     sigma = SIGMA["Y"] if gate.kind == "ry" else SIGMA["Z"]
     return np.cos(gate.angle / 2) * SIGMA["I"] - 1j * np.sin(gate.angle / 2) * sigma
-
-
-def _three_qubit_oracle(t):
-    """Independent three-qubit circuit state, built from SIGMA Kronecker
-    products; t holds per layer RY angles on qubits 1-3, then RZ angles."""
-    I, Y, Z = SIGMA["I"], SIGMA["Y"], SIGMA["Z"]
-    P0, P1 = (I + Z) / 2, (I - Z) / 2
-
-    def on_qubits(m3, m2, m1):
-        return np.kron(m3, np.kron(m2, m1))
-
-    cnot_12 = on_qubits(I, I, P0) + on_qubits(I, SIGMA["X"], P1)
-    cnot_23 = on_qubits(I, P0, I) + on_qubits(SIGMA["X"], P1, I)
-    psi = np.eye(8, dtype=complex)[0]
-    for layer in range(3):
-        ry = [np.cos(a / 2) * I - 1j * np.sin(a / 2) * Y for a in t[6 * layer:6 * layer + 3]]
-        rz = [np.cos(a / 2) * I - 1j * np.sin(a / 2) * Z for a in t[6 * layer + 3:6 * layer + 6]]
-        psi = on_qubits(*(z @ y for z, y in zip(rz[::-1], ry[::-1]))) @ psi
-        if layer < 2:
-            psi = cnot_23 @ cnot_12 @ psi
-    return psi
 
 
 def _circuit_matrix(gates, n):
@@ -216,7 +195,7 @@ class TestThreeQubit:
         T = rng.uniform(-np.pi, np.pi, size=(rows, 18))
         batch = three_qubit_batch(T)
         assert batch.shape == (rows, 8)
-        oracle = np.array([_three_qubit_oracle(t) for t in T])
+        oracle = np.array([three_qubit_state(t) for t in T])
         assert np.max(np.abs(batch - oracle)) < 1e-12
 
 

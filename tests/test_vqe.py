@@ -31,16 +31,25 @@ from qbands.vqe import (
     optimize_quasinewton,
 )
 
-from conftest import pauli_sum_expectation, rand_hermitian
+from conftest import (
+    meanfield_state,
+    pauli_sum_expectation,
+    rand_hermitian,
+    three_qubit_state,
+)
 
 SI = TBParameters.default_silicon()
 GAMMA = KPoint((0.0, 0.0, 0.0))
 EXACT = ExactBackend()
 
 
-def row_loop(f):
-    """Batch objective that calls the scalar ``f`` on each row."""
-    return lambda X: np.array([f(x) for x in X])
+def rosen(X):
+    return (1 - X[:, 0]) ** 2 + 100 * (X[:, 1] - X[:, 0] ** 2) ** 2
+
+
+def rosen_grad(X):
+    x, y = X[:, 0], X[:, 1]
+    return np.column_stack([-2 * (1 - x) - 400 * x * (y - x**2), 200 * (y - x**2)])
 
 
 class TestOptimizerConfig:
@@ -60,77 +69,166 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": "x"}, {"max_iter": 2.0}, {"max_iter": True}, {"max_iter": 0},
+        {"restarts": 2.5}, {"restarts": False}, {"restarts": "3"},
+        {"tol_ev": "1e-6"}, {"tol_ev": True}, {"tol_ev": float("inf")},
+        {"tol_ev": float("nan")}, {"seed": 1.0}, {"seed": "7"}, {"seed": True},
+        {"seed": -1}, {"method": 3},
+    ])
+    def test_rejects_wrong_types(self, kwargs):
+        with pytest.raises((ValueError, TypeError)):
+            OptimizerConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = OptimizerConfig(max_iter=np.int64(5), restarts=np.int32(2), seed=np.uint64(3))
+        assert cfg.max_iter == 5 and cfg.restarts == 2 and cfg.seed == 3
+
     def test_from_dict(self):
         cfg = OptimizerConfig.from_dict(
-            {"method": "cobyla", "max_iter": 77, "tol_ev": 1e-6,
-             "fd_step": 0.01, "restarts": 4, "seed": 9}
+            {"method": "cobyla", "max_iter": 77, "tol_ev": 1e-6, "restarts": 4, "seed": 9}
         )
         assert cfg.method == "cobyla" and cfg.max_iter == 77 and cfg.seed == 9
+
+    @pytest.mark.parametrize("data, named", [
+        ({"fd_step": 1e-4}, "fd_step"),
+        ({"max_iters": 5, "seed": 1}, "max_iters"),
+    ])
+    def test_from_dict_names_unknown_keys(self, data, named):
+        with pytest.raises(ValueError, match=named):
+            OptimizerConfig.from_dict(data)
 
 
 class TestOptimizers:
     def test_quadratic_both_methods(self):
         cfg = OptimizerConfig(tol_ev=1e-10)
-
-        def f(x):
-            return float((x[0] - 2.0) ** 2)
-
-        for res in (optimize_quasinewton(f, np.array([0.0]), cfg, row_loop(f)),
-                    optimize_direct(f, np.array([0.0]), cfg)):
+        [bfgs] = optimize_quasinewton(lambda X: (X[:, 0] - 2.0) ** 2,
+                                      lambda X: 2 * (X - 2.0), np.array([[0.0]]), cfg)
+        direct = optimize_direct(lambda x: float((x[0] - 2.0) ** 2), np.array([0.0]), cfg)
+        for res in (bfgs, direct):
             assert res.x[0] == pytest.approx(2.0, abs=1e-6)
             assert res.converged
 
     def test_rosenbrock_quasinewton(self):
-        def rosen(x):
-            return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-
-        res = optimize_quasinewton(rosen, np.array([-1.0, 1.0]), OptimizerConfig(),
-                                   row_loop(rosen))
+        [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
+                                     OptimizerConfig())
         assert res.fun < 1e-6
+        assert res.converged
 
-    def test_batched_gradient_matches_scalar(self):
-        def f(x):
-            return float(np.sum(np.sin(x) + 0.3 * x**2))
-
+    def test_lockstep_rows_match_solo_runs(self, rng):
         def fb(X):
             return np.sum(np.sin(X) + 0.3 * X**2, axis=1)
 
-        x0 = np.array([0.4, -1.2, 2.0])
-        a = optimize_quasinewton(f, x0, OptimizerConfig(), row_loop(f))
-        b = optimize_quasinewton(f, x0, OptimizerConfig(), objective_batch=fb)
-        assert np.allclose(a.x, b.x, atol=1e-10)
+        def gb(X):
+            return np.cos(X) + 0.6 * X
 
-    def test_direct_search_tolerates_noise_where_tiny_step_bfgs_fails(self):
-        # Rough surface: tiny finite-difference steps see pure noise while
-        # the direct search keeps making progress.
+        x0 = rng.uniform(-3, 3, size=(6, 3))
+        together = optimize_quasinewton(fb, gb, x0, OptimizerConfig())
+        x0_rosen = rng.uniform(-2, 2, size=(5, 2))
+        together += optimize_quasinewton(rosen, rosen_grad, x0_rosen, OptimizerConfig())
+        solo = [optimize_quasinewton(fb, gb, x[None], OptimizerConfig())[0] for x in x0]
+        solo += [optimize_quasinewton(rosen, rosen_grad, x[None], OptimizerConfig())[0]
+                 for x in x0_rosen]
+        for a, b in zip(together, solo):
+            assert np.max(np.abs(a.x - b.x)) <= 1e-12
+            assert a.fun == pytest.approx(b.fun, abs=1e-12)
+            assert (a.evaluations, a.iterations, a.converged) == \
+                (b.evaluations, b.iterations, b.converged)
+
+    def test_exact_backend_rows_match_solo_runs(self, rng):
+        dec = decompose(build_full_hamiltonian(SI, KPoint((0.5, 0.25, 0.0))))
+        _, f_batch = EXACT.make_objective(dec, THREE_QUBIT)
+        grad, cost = EXACT.make_gradient(dec, THREE_QUBIT)
+        x0 = np.array([THREE_QUBIT.random_parameters(rng) for _ in range(4)])
+        cfg = OptimizerConfig(max_iter=60)
+        together = optimize_quasinewton(f_batch, grad, x0, cfg, cost)
+        for x, a in zip(x0, together):
+            [b] = optimize_quasinewton(f_batch, grad, x[None], cfg, cost)
+            assert np.max(np.abs(a.x - b.x)) <= 1e-12
+            assert (a.evaluations, a.iterations) == (b.evaluations, b.iterations)
+
+    def test_direct_search_tolerates_noise(self):
         target = np.array([0.7, -0.4])
+        noise_rng = np.random.default_rng(1)
 
-        def noisy(seed):
-            noise_rng = np.random.default_rng(seed)
+        def noisy(x):
+            return float(10 * np.sum((x - target) ** 2) + 0.01 * noise_rng.normal())
 
-            def f(x):
-                return float(
-                    10 * np.sum((x - target) ** 2) + 0.01 * noise_rng.normal()
-                )
-
-            return f
-
-        x0 = np.array([1.7, 0.6])
-        direct = optimize_direct(noisy(1), x0, OptimizerConfig(max_iter=500))
+        direct = optimize_direct(noisy, np.array([1.7, 0.6]), OptimizerConfig(max_iter=500))
         assert np.linalg.norm(direct.x - target) < 0.05
-        f = noisy(2)
-        bfgs = optimize_quasinewton(
-            f, x0, OptimizerConfig(fd_step=1e-7, max_iter=200), row_loop(f)
-        )
-        assert np.linalg.norm(bfgs.x - target) > 0.05
 
     def test_iteration_cap_flags_unconverged(self):
-        def rosen(x):
-            return float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-
-        res = optimize_quasinewton(rosen, np.array([-1.0, 1.0]),
-                                   OptimizerConfig(max_iter=2), row_loop(rosen))
+        [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
+                                     OptimizerConfig(max_iter=2))
         assert not res.converged
+        assert res.iterations == 2
+
+    def test_failed_search_from_identity_is_converged_precision_loss(self):
+        # Every trial point is uphill: the first search, from H = I, halves
+        # 8 times and stops.  Evaluations: start (1 + gradient cost 5) plus
+        # 9 trial rows.
+        def fb(X):
+            return np.where(np.all(X == 1.0, axis=1), 0.0, 1.0)
+
+        [res] = optimize_quasinewton(fb, lambda X: np.ones_like(X), np.array([[1.0, 1.0]]),
+                                     OptimizerConfig(), gradient_evaluations=5)
+        assert res.converged and res.iterations == 0
+        assert res.evaluations == 1 + 5 + 9
+        assert np.all(res.x == 1.0)
+
+    def test_failed_search_from_learned_hessian_resets_to_identity(self):
+        # On |x|^2 from (3, 4), the first step along -g lands on (2.4, 3.2).
+        # A gradient there that is off by a near-zero curvature pair
+        # (y = 1e-4 s) teaches H = 1e4 along s, so the next search fails
+        # after 8 halvings.  Resetting H to I and stepping along -g recovers;
+        # stopping there instead would keep the bad point as "converged".
+        calls = []
+
+        def grad(X):
+            calls.append(X.copy())
+            if len(calls) == 2:
+                return np.array([[6.0, 8.0]]) + 1e-4 * (X - np.array([3.0, 4.0]))
+            return 2 * X
+
+        [res] = optimize_quasinewton(lambda X: np.sum(X**2, axis=1), grad,
+                                     np.array([[3.0, 4.0]]), OptimizerConfig())
+        assert np.allclose(calls[1], [[2.4, 3.2]])
+        assert res.converged and res.iterations > 2
+        assert np.max(np.abs(res.x)) < 1e-6
+
+
+class TestGradients:
+    @pytest.mark.parametrize("ansatz, oracle_state", [
+        (MEAN_FIELD, meanfield_state),
+        (THREE_QUBIT, three_qubit_state),
+    ])
+    def test_adjoint_matches_central_differences(self, ansatz, oracle_state, rng):
+        H = rand_hermitian(rng, 2**ansatz.n_qubits, scale=2.0)
+        dec = decompose(H)
+        grad, cost = EXACT.make_gradient(dec, ansatz)
+        assert cost == 1
+        thetas = np.array([ansatz.random_parameters(rng) for _ in range(4)])
+        h = 1e-5
+        for theta, g in zip(thetas, grad(thetas)):
+            fd = np.empty(ansatz.n_params)
+            for j in range(ansatz.n_params):
+                e = np.zeros(ansatz.n_params)
+                e[j] = h
+                fd[j] = (pauli_sum_expectation(dec.coeffs, oracle_state(theta + e))
+                         - pauli_sum_expectation(dec.coeffs, oracle_state(theta - e))) / (2 * h)
+            assert np.max(np.abs(g - fd)) <= 1e-8
+
+    def test_parameter_shift_mean_matches_exact_gradient(self):
+        dec = decompose(build_s_block(SI, KPoint((0.3, 0.1, -0.2))))
+        theta = np.array([[1.1, -0.7]])
+        exact, _ = EXACT.make_gradient(dec, MEAN_FIELD)
+        backend = ShotsBackend(shots=2048, seed=37)
+        shift, cost = backend.make_gradient(dec, MEAN_FIELD)
+        assert cost == 4
+        draws = np.array([shift(theta)[0] for _ in range(200)])
+        assert backend.trial == 200 * cost
+        sem = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - exact(theta)[0]) <= 5 * sem)
 
 
 class TestExactObjective:
