@@ -24,10 +24,7 @@ from .qsim import (
     Ansatz,
     ansatz_for,
     apply_circuit,
-    apply_gate,
     exact_pauli_expectations,
-    prepare_meanfield,
-    prepare_three_qubit,
     zero_state,
 )
 from .sampler import (

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .pauli import decompose, pauli_words
+from .pauli import decompose, pauli_words, require_hermitian
 from .qsim import ansatz_for
 from .sampler import ReadoutNoiseModel, estimate_transition_rates
 from .seeding import spawn_rng, spawn_seed
@@ -321,7 +321,7 @@ def _json_entry(e) -> complex:
 def _read_matrix(path: str) -> np.ndarray:
     """Square matrix of power-of-two dimension from JSON
     ({'matrix': [[[re, im], ...], ...]} or the bare nested list) or CSV rows
-    of interleaved re,im values.  Hermiticity is left to ``decompose``."""
+    of interleaved re,im values, Hermitian within ``pauli.HERM_TOL``."""
     if path.endswith(".json"):
         data = _load_json(path)
         raw = data.get("matrix") if isinstance(data, dict) else data
@@ -345,7 +345,9 @@ def _read_matrix(path: str) -> np.ndarray:
     dim = len(rows)
     if dim & (dim - 1):
         raise ValueError(f"matrix dimension {dim} is not a power of two")
-    return np.array(rows, dtype=complex)
+    matrix = np.array(rows, dtype=complex)
+    require_hermitian(matrix)
+    return matrix
 
 
 def run_decompose(config: RunConfig, out_dir: Path) -> Path:

@@ -81,11 +81,11 @@ class SpectralDecomposition:
         return dense
 
 
-def require_hermitian(H: np.ndarray, herm_tol: float = HERM_TOL) -> None:
+def require_hermitian(H: np.ndarray) -> None:
     """Raise ValueError if H deviates from Hermiticity by more than
-    ``herm_tol`` entrywise."""
+    HERM_TOL entrywise."""
     dev = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
-    if dev > herm_tol:
+    if dev > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
 
 

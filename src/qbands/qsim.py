@@ -1,5 +1,6 @@
-"""Exact statevector simulation: gates, the two variational circuits, and
-analytic Pauli expectation values.
+"""Exact statevector simulation: gates, the layered variational circuit
+(mean field and three qubit are two sizes of it), and analytic Pauli
+expectation values.
 
 States are complex amplitude vectors over 2**n basis states; bitstring b
 indexes the amplitude with qubit 1 as the least significant bit.  Qubit
@@ -109,56 +110,7 @@ def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Variational circuits
-
-
-def prepare_meanfield(theta: float, phi: float) -> np.ndarray:
-    """Single-qubit trial state cos(θ/2)|0> + e^{iφ} sin(θ/2)|1>.
-
-    Built as RZ(φ)·RY(θ)|0> with the global phase fixed so that the |0>
-    amplitude equals cos(θ/2) exactly.
-    """
-    state = apply_circuit(zero_state(1), [ry(1, theta), rz(1, phi)])
-    return state * np.exp(1j * phi / 2)
-
-
-def meanfield_batch(angles: np.ndarray) -> np.ndarray:
-    """Vectorised prepare_meanfield for an (N, 2) array of (θ, φ) rows."""
-    angles = np.asarray(angles, dtype=float)
-    th, ph = angles[:, 0], angles[:, 1]
-    out = np.empty((len(angles), 2), dtype=complex)
-    out[:, 0] = np.cos(th / 2)
-    out[:, 1] = np.exp(1j * ph) * np.sin(th / 2)
-    return out
-
-
-# Three-qubit circuit layout: three rotation layers (RY then RZ on every
-# qubit) separated by CNOT(1->2), CNOT(2->3) entanglers.
-THREE_QUBIT_LAYERS = 3
-THREE_QUBIT_PARAMS = 6 * THREE_QUBIT_LAYERS
-
-
-def three_qubit_template(thetas) -> list[Gate]:
-    """Gate list of the three-qubit variational circuit for given angles."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (THREE_QUBIT_PARAMS,):
-        raise ValueError(
-            f"expected {THREE_QUBIT_PARAMS} parameters, got shape {thetas.shape}"
-        )
-    gates: list[Gate] = []
-    for layer in range(THREE_QUBIT_LAYERS):
-        o = 6 * layer
-        gates.extend(ry(q, thetas[o + q - 1]) for q in (1, 2, 3))
-        gates.extend(rz(q, thetas[o + 2 + q]) for q in (1, 2, 3))
-        if layer < THREE_QUBIT_LAYERS - 1:
-            gates.append(cnot(1, 2))
-            gates.append(cnot(2, 3))
-    return gates
-
-
-def prepare_three_qubit(thetas) -> np.ndarray:
-    """Three-qubit trial state from |000> under the layered circuit."""
-    return apply_circuit(zero_state(3), three_qubit_template(thetas))
+# The layered variational circuit
 
 
 def _entangler_gather(n_qubits: int) -> np.ndarray:
@@ -196,14 +148,14 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
     """
     B = T.shape[0]
     half = 0.5 * T.reshape(B, n_layers, 2, n_qubits)  # layer, ry|rz, qubit
-    cy = np.cos(half[:, :, 0])
-    sy = np.sin(half[:, :, 0])
     ez = np.exp(-1j * half[:, :, 1])
-    u = np.empty((B, n_layers, n_qubits, 2, 2), dtype=complex)  # RZ @ RY
-    u[..., 0, 0] = ez * cy
-    u[..., 0, 1] = -ez * sy
-    u[..., 1, 0] = ez.conj() * sy
-    u[..., 1, 1] = ez.conj() * cy
+    a = ez * np.cos(half[:, :, 0])
+    b = ez.conj() * np.sin(half[:, :, 0])
+    u = np.empty((B, n_layers, n_qubits, 2, 2), dtype=complex)  # RZ @ RY = [[a, -b*], [b, a*]]
+    u[..., 0, 0] = a
+    u[..., 1, 0] = b
+    u[..., 0, 1] = -b.conj()
+    u[..., 1, 1] = a.conj()
     first = u[:, 0, :, :, 0]  # (B, qubit, 2): each qubit's RZ·RY|0>
     psi = first[:, -1]
     kron = u[:, 1:, -1]
@@ -219,21 +171,11 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
     return states, kron
 
 
-def three_qubit_batch(thetas: np.ndarray) -> np.ndarray:
-    """Vectorised prepare_three_qubit for a (N, 18) parameter array."""
-    T = np.asarray(thetas, dtype=float)
-    if T.ndim != 2 or T.shape[1] != THREE_QUBIT_PARAMS:
-        raise ValueError(f"expected (N, {THREE_QUBIT_PARAMS}) parameters")
-    return _rotation_layers(T, 3, THREE_QUBIT_LAYERS)[0][-1]
-
-
 def rotation_layers_gradient(thetas: np.ndarray, dense: np.ndarray,
                              n_qubits: int, n_layers: int) -> np.ndarray:
     """Row-wise gradient of <ψ(θ)|H|ψ(θ)> by one batched adjoint sweep.
 
-    The circuit is that of `_rotation_layers`: the three-qubit circuit, and
-    with one layer on one qubit the mean-field circuit up to a global
-    phase, which leaves <H> unchanged.  Every angle drives one gate
+    The circuit is that of `_rotation_layers`.  Every angle drives one gate
     exp(-iθP/2), so ∂E/∂θ = Im<λ|P|φ>, with φ the state just after the gate
     and λ = Hψ carried back to the same point (Jones & Gacon 2020,
     arXiv:2009.02823).  The sweep starts from λ = Hψ and undoes each
@@ -285,28 +227,51 @@ class Ansatz:
         return rng.uniform(self.lows, self.highs)
 
 
-MEAN_FIELD = Ansatz(
-    name="mean-field",
-    n_qubits=1,
-    n_params=2,
-    lows=(0.0, -np.pi),
-    highs=(np.pi, np.pi),
-    prepare=lambda t: prepare_meanfield(t[0], t[1]),
-    prepare_batch=meanfield_batch,
-    gradient_batch=partial(rotation_layers_gradient, n_qubits=1, n_layers=1),
-)
+def _layered_ansatz(name: str, n_qubits: int, n_layers: int, ry_low: float) -> Ansatz:
+    """The hardware-efficient circuit (Kandala et al. 2017, arXiv:1704.05018)
+    on ``n_qubits`` qubits: ``n_layers`` rotation layers, each RY on qubits
+    1..n then RZ on qubits 1..n, with the CNOT(1->2)·CNOT(2->3)··· chain
+    between layers.  Angles run layer by layer, RY before RZ; RY angles are
+    drawn from [ry_low, π], RZ angles from [-π, π].
 
-THREE_QUBIT = Ansatz(
-    name="three-qubit",
-    n_qubits=3,
-    n_params=THREE_QUBIT_PARAMS,
-    lows=(-np.pi,) * THREE_QUBIT_PARAMS,
-    highs=(np.pi,) * THREE_QUBIT_PARAMS,
-    prepare=prepare_three_qubit,
-    prepare_batch=three_qubit_batch,
-    gradient_batch=partial(rotation_layers_gradient, n_qubits=3,
-                           n_layers=THREE_QUBIT_LAYERS),
-)
+    ``prepare`` runs the gate list through the gate-list simulator;
+    ``prepare_batch`` and the gradient run `_rotation_layers`.
+    """
+    n_params = 2 * n_qubits * n_layers
+    qubits = range(1, n_qubits + 1)
+
+    def prepare(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if t.shape != (n_params,):
+            raise ValueError(f"expected {n_params} parameters, got shape {t.shape}")
+        gates: list[Gate] = []
+        for layer, (ry_angles, rz_angles) in enumerate(t.reshape(n_layers, 2, n_qubits)):
+            if layer:
+                gates.extend(cnot(q, q + 1) for q in qubits[:-1])
+            gates.extend(map(ry, qubits, ry_angles))
+            gates.extend(map(rz, qubits, rz_angles))
+        return apply_circuit(zero_state(n_qubits), gates)
+
+    def prepare_batch(thetas) -> np.ndarray:
+        return _rotation_layers(np.asarray(thetas, dtype=float), n_qubits, n_layers)[0][-1]
+
+    return Ansatz(
+        name=name,
+        n_qubits=n_qubits,
+        n_params=n_params,
+        lows=((ry_low,) * n_qubits + (-np.pi,) * n_qubits) * n_layers,
+        highs=(np.pi,) * n_params,
+        prepare=prepare,
+        prepare_batch=prepare_batch,
+        gradient_batch=partial(rotation_layers_gradient, n_qubits=n_qubits,
+                               n_layers=n_layers),
+    )
+
+
+# cos(θ/2)|0> + e^{iφ} sin(θ/2)|1> up to a global phase, from (θ, φ).
+MEAN_FIELD = _layered_ansatz("mean-field", n_qubits=1, n_layers=1, ry_low=0.0)
+# Three layers: two cannot pin arbitrary 8x8 eigenvectors.
+THREE_QUBIT = _layered_ansatz("three-qubit", n_qubits=3, n_layers=3, ry_low=-np.pi)
 
 
 def ansatz_for(n_qubits: int) -> Ansatz:

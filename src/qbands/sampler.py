@@ -12,12 +12,18 @@ never of wall-clock time, so runs stay reproducible.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import qsim
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
@@ -45,8 +51,12 @@ class ReadoutNoiseModel:
     def __post_init__(self):
         if len(self.w01) != len(self.w10):
             raise ValueError("w01 and w10 must have the same length")
-        if self.drift_amplitude and not self.drift_period:
-            raise ValueError("drift_amplitude requires drift_period")
+        amplitude, period = self.drift_amplitude, self.drift_period
+        if not (_is_real(amplitude) and math.isfinite(amplitude)):
+            raise ValueError(f"drift_amplitude must be a finite real, got {amplitude!r}")
+        if amplitude and not (_is_real(period) and 0 < period < math.inf):
+            raise ValueError("drift_amplitude requires a finite real drift_period > 0, "
+                             f"got {period!r}")
 
     @property
     def n_qubits(self) -> int:
@@ -69,10 +79,11 @@ class ReadoutNoiseModel:
         "drift_amplitude": a, "drift_period": p}."""
         if not isinstance(data, Mapping):
             raise ValueError(f"expected a mapping, got {type(data).__name__}")
+        amplitude = data.get("drift_amplitude")
         return cls(
             _as_rates(data.get("w01", 0.0), n_qubits, "w01"),
             _as_rates(data.get("w10", 0.0), n_qubits, "w10"),
-            float(data.get("drift_amplitude", 0.0) or 0.0),
+            0.0 if amplitude is None else amplitude,
             data.get("drift_period"),
         )
 

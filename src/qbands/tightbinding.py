@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pauli import HERM_TOL, require_hermitian
+from .pauli import require_hermitian
 
 # Nearest-neighbour bond vectors in units of the lattice constant.
 BOND_VECTORS = 0.25 * np.array(
@@ -191,14 +191,14 @@ def build_s_block(params: TBParameters, k: KPoint) -> np.ndarray:
     )
 
 
-def diagonalize_classical(H: np.ndarray, herm_tol: float = HERM_TOL) -> np.ndarray:
+def diagonalize_classical(H: np.ndarray) -> np.ndarray:
     """Ascending real spectrum of a Hermitian matrix (degeneracies repeated).
 
     This is the classical reference against which every hybrid result is
     judged.  Raises ValueError if the input deviates from Hermiticity by
-    more than ``herm_tol`` entrywise.
+    more than pauli.HERM_TOL entrywise.
     """
     H = np.asarray(H, dtype=complex)
-    require_hermitian(H, herm_tol)
+    require_hermitian(H)
     return np.linalg.eigvalsh(H)
 

@@ -321,8 +321,8 @@ class ExactBackend:
 
         return grad_batch, 1
 
-    def pauli_expectations(self, ansatz: Ansatz, theta: np.ndarray) -> dict[str, float]:
-        return qsim.exact_pauli_expectations(ansatz.prepare(theta))
+    def pauli_expectations(self, state: np.ndarray) -> dict[str, float]:
+        return qsim.exact_pauli_expectations(state)
 
 
 class ShotsBackend:
@@ -405,9 +405,9 @@ class ShotsBackend:
         _, f_batch = self.make_objective(decomp, ansatz)
         return _parameter_shift(f_batch, ansatz.n_params), 2 * ansatz.n_params
 
-    def pauli_expectations(self, ansatz: Ansatz, theta: np.ndarray) -> dict[str, float]:
-        return self._measure_words(pauli_words(ansatz.n_qubits), ansatz.prepare(theta),
-                                   ansatz.n_qubits)
+    def pauli_expectations(self, state: np.ndarray) -> dict[str, float]:
+        n_qubits = qsim.num_qubits(state)
+        return self._measure_words(pauli_words(n_qubits), state, n_qubits)
 
 
 Backend = ExactBackend | ShotsBackend
@@ -550,7 +550,9 @@ def full_spectrum(
     The identity coefficient is first shifted down by the Gershgorin upper
     bound plus 1 eV so that every eigenvalue is negative; each converged
     state is then projected to zero via the coefficient update and the next
-    minimisation finds the following eigenvalue.  A level converging near
+    minimisation finds the following eigenvalue.  Each level's state is
+    prepared once and serves both its residual and its deflation (the
+    backend's Pauli expectations of it).  A level converging near
     zero on the shifted axis raises ZeroCaptureError.  ``shift`` overrides
     the automatic bound (diagnostics only).
     """
@@ -574,7 +576,6 @@ def full_spectrum(
         residuals.append(float(np.linalg.norm(work.matrix @ psi - res.energy * psi)))
         results.append(res)
         if level + 1 < levels:
-            expectations = backend.pauli_expectations(ansatz, res.theta)
-            work = deflate(work, res.energy, expectations)
+            work = deflate(work, res.energy, backend.pauli_expectations(psi))
     energies = np.sort([r.energy + shift for r in results])
     return SpectrumResult(energies, tuple(results), tuple(residuals), float(shift))

@@ -35,29 +35,34 @@ def rotation(letter: str, angle: float) -> np.ndarray:
     return np.cos(angle / 2) * SIGMA["I"] - 1j * np.sin(angle / 2) * SIGMA[letter]
 
 
-def meanfield_state(t) -> np.ndarray:
-    """Mean-field circuit state RZ(φ)·RY(θ)|0> (no global-phase fix)."""
-    return rotation("Z", t[1]) @ rotation("Y", t[0]) @ np.array([1, 0], dtype=complex)
-
-
-def three_qubit_state(t) -> np.ndarray:
-    """Independent three-qubit circuit state, built from SIGMA Kronecker
-    products; t holds per layer RY angles on qubits 1-3, then RZ angles."""
+def layered_state(t, n_qubits: int, n_layers: int) -> np.ndarray:
+    """Independent state of the layered circuit on |0...0>, built from SIGMA
+    Kronecker products: per layer RY on qubits 1..n, then RZ on qubits 1..n,
+    with CNOT(1->2), CNOT(2->3), ... between layers.  ``t`` holds per layer
+    the RY angles, then the RZ angles, qubit 1 first."""
     I = SIGMA["I"]
     P0, P1 = (I + SIGMA["Z"]) / 2, (I - SIGMA["Z"]) / 2
 
-    def on_qubits(m3, m2, m1):
-        return np.kron(m3, np.kron(m2, m1))
+    def on_qubits(factors):
+        """Kronecker product of per-qubit factors, qubit 1's last."""
+        out = np.ones((1, 1), dtype=complex)
+        for m in reversed(factors):
+            out = np.kron(out, m)
+        return out
 
-    cnot_12 = on_qubits(I, I, P0) + on_qubits(I, SIGMA["X"], P1)
-    cnot_23 = on_qubits(I, P0, I) + on_qubits(SIGMA["X"], P1, I)
-    psi = np.eye(8, dtype=complex)[0]
-    for layer in range(3):
-        ry = [rotation("Y", a) for a in t[6 * layer:6 * layer + 3]]
-        rz = [rotation("Z", a) for a in t[6 * layer + 3:6 * layer + 6]]
-        psi = on_qubits(*(z @ y for z, y in zip(rz[::-1], ry[::-1]))) @ psi
-        if layer < 2:
-            psi = cnot_23 @ cnot_12 @ psi
+    def cnot(q):  # control q, target q + 1 (1-based)
+        factors = [I] * n_qubits
+        flipped = list(factors)
+        factors[q - 1], flipped[q - 1], flipped[q] = P0, P1, SIGMA["X"]
+        return on_qubits(factors) + on_qubits(flipped)
+
+    psi = np.eye(2**n_qubits, dtype=complex)[0]
+    t = np.asarray(t, dtype=float).reshape(n_layers, 2, n_qubits)
+    for layer, (ry, rz) in enumerate(t):
+        if layer:
+            for q in range(1, n_qubits):
+                psi = cnot(q) @ psi
+        psi = on_qubits([rotation("Z", z) @ rotation("Y", y) for y, z in zip(ry, rz)]) @ psi
     return psi
 
 

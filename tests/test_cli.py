@@ -120,6 +120,7 @@ class TestBadInput:
         (["decompose", "--matrix", File("1.0,0.0,0.0,0.0\n", "m.csv")], "--matrix"),
         (["decompose", "--matrix", File("1.0,x\n", "m.csv")], "--matrix"),
         (["bands", "--kpath", "X,G:1", "--seed", "-1"], "--seed"),
+        (["decompose", "--matrix", File('{"matrix": [[0, 1], [0, 0]]}')], "--matrix"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -145,6 +146,23 @@ class TestBadInput:
          {"w01": 0.45, "w10": 0.5, "drift_amplitude": 0.1, "drift_period": 4},
          "--mitigate"),
         (["bands", "--backend", "shots"], {"w01": None}, "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": "18"},
+         "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": float("nan")},
+         "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": float("nan"), "drift_period": 18},
+         "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": True}, "--noise"),
+        (["scan", "--backend", "shots", "--shots", "64"],
+         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": float("nan")}, "--noise"),
+        (["rates", "--trials", "10", "--samples", "2"],
+         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": "18"}, "--noise"),
+        (["rates", "--trials", "10", "--samples", "2"],
+         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": -18}, "--noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"
@@ -355,13 +373,6 @@ class TestDecompose:
         _, _, rows = read_csv(tmp_path / "decompose.csv")
         table = {r[0]: float(r[1]) for r in rows}
         assert table == {"Y": 0.5, "Z": 1.0}
-
-    def test_non_hermitian_matrix_rejected(self, tmp_path):
-        mat_file = tmp_path / "m.json"
-        mat_file.write_text(json.dumps({"matrix": [[0, 1], [0, 0]]}))
-        with pytest.raises(ValueError, match="not Hermitian"):
-            main(["decompose", "--matrix", str(mat_file), "--out", str(tmp_path)])
-        assert not (tmp_path / "decompose.csv").exists()
 
 
 class TestDeterminism:

@@ -12,16 +12,11 @@ from qbands.qsim import (
     apply_gate,
     cnot,
     exact_pauli_expectations,
-    meanfield_batch,
-    prepare_meanfield,
-    prepare_three_qubit,
-    three_qubit_batch,
-    three_qubit_template,
     zero_state,
 )
 from qbands.vqe import ExactBackend
 
-from conftest import SIGMA, kron_word, rand_hermitian, rand_state, three_qubit_state
+from conftest import SIGMA, kron_word, layered_state, rand_hermitian, rand_state
 
 HADAMARD = (SIGMA["X"] + SIGMA["Z"]) / np.sqrt(2)
 PLUS = HADAMARD @ np.array([1, 0], dtype=complex)
@@ -35,6 +30,22 @@ def _backend_expectation(state, decomp):
                    prepare_batch=lambda T: np.tile(state, (len(T), 1)))
     f, _ = ExactBackend().make_objective(decomp, fixed)
     return f(np.zeros(0))
+
+
+def _assert_same_ray(a, b):
+    """a and b are one state up to a global phase: |<a|b>| = 1."""
+    assert abs(np.vdot(a, b)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _assert_gate_list_batch_and_oracle_agree(ansatz, n_layers, T):
+    """prepare (gate list), each row of prepare_batch and the SIGMA oracle
+    give one state per parameter row."""
+    batch = ansatz.prepare_batch(T)
+    assert batch.shape == (len(T), 2**ansatz.n_qubits)
+    for row, t in zip(batch, T):
+        oracle = layered_state(t, ansatz.n_qubits, n_layers)
+        assert np.max(np.abs(ansatz.prepare(t) - oracle)) < 1e-12
+        assert np.max(np.abs(row - oracle)) < 1e-12
 
 
 def _rotation(gate):
@@ -126,30 +137,31 @@ class TestGates:
 
 
 class TestMeanField:
+    """MEAN_FIELD is the layered circuit with one layer on one qubit:
+    cos(θ/2)|0> + e^{iφ} sin(θ/2)|1> up to a global phase."""
+
     def test_zero_polar_angle(self):
         for phi in (-2.0, 0.0, 1.3):
-            assert np.allclose(prepare_meanfield(0.0, phi), [1.0, 0.0], atol=1e-15)
+            _assert_same_ray(MEAN_FIELD.prepare(np.array([0.0, phi])), [1.0, 0.0])
 
     def test_pi_polar_angle(self):
-        assert np.allclose(prepare_meanfield(np.pi, 0.0), [0.0, 1.0], atol=1e-15)
+        _assert_same_ray(MEAN_FIELD.prepare(np.array([np.pi, 0.0])), [0.0, 1.0])
 
     def test_equator_with_quarter_phase(self):
-        out = prepare_meanfield(np.pi / 2, np.pi / 2)
-        assert np.allclose(out, [1 / np.sqrt(2), 1j / np.sqrt(2)], atol=1e-12)
+        out = MEAN_FIELD.prepare(np.array([np.pi / 2, np.pi / 2]))
+        _assert_same_ray(out, [1 / np.sqrt(2), 1j / np.sqrt(2)])
 
     def test_closed_form_amplitudes(self, rng):
-        for _ in range(20):
-            th = rng.uniform(0, np.pi)
-            ph = rng.uniform(-np.pi, np.pi)
-            out = prepare_meanfield(th, ph)
-            assert out[0] == pytest.approx(np.cos(th / 2), abs=1e-12)
-            assert out[1] == pytest.approx(np.exp(1j * ph) * np.sin(th / 2), abs=1e-12)
+        T = np.array([MEAN_FIELD.random_parameters(rng) for _ in range(20)])
+        batch = MEAN_FIELD.prepare_batch(T)
+        for row, (th, ph) in zip(batch, T):
+            closed = [np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)]
+            _assert_same_ray(MEAN_FIELD.prepare(np.array([th, ph])), closed)
+            _assert_same_ray(row, closed)
 
     def test_batch_matches_single(self, rng):
-        angles = rng.uniform([-0.5, -np.pi], [np.pi, np.pi], size=(30, 2))
-        batch = meanfield_batch(angles)
-        for row, (th, ph) in zip(batch, angles):
-            assert np.allclose(row, prepare_meanfield(th, ph), atol=1e-12)
+        T = rng.uniform([-0.5, -np.pi], [np.pi, np.pi], size=(30, 2))
+        _assert_gate_list_batch_and_oracle_agree(MEAN_FIELD, 1, T)
 
     def test_reaches_any_single_qubit_state(self, rng):
         # Invert the closed form on random targets.
@@ -157,45 +169,44 @@ class TestMeanField:
             target = rand_state(rng, 2)
             theta = 2 * np.arccos(np.clip(abs(target[0]), 0, 1))
             phi = float(np.angle(target[1]) - np.angle(target[0]))
-            out = prepare_meanfield(theta, phi)
+            out = MEAN_FIELD.prepare(np.array([theta, phi]))
             assert abs(np.vdot(out, target)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestThreeQubit:
+    """THREE_QUBIT is the layered circuit with three layers on three qubits."""
+
     def test_zero_parameters_prepare_vacuum(self):
-        assert np.allclose(prepare_three_qubit(np.zeros(18)), np.eye(8)[0])
+        assert np.allclose(THREE_QUBIT.prepare(np.zeros(18)), np.eye(8)[0])
 
     def test_first_ry_pi_traces_through_entanglers(self):
         # RY(π) on qubit 1, everything else idle: |001> -> |011> -> |111>
         # after the first entangler pair, back to |101> after the second.
         thetas = np.zeros(18)
         thetas[0] = np.pi
-        out = prepare_three_qubit(thetas)
-        expected = _circuit_matrix(three_qubit_template(thetas), 3) @ zero_state(3)
-        assert np.allclose(out, expected, atol=1e-12)
+        out = THREE_QUBIT.prepare(thetas)
+        assert np.allclose(out, layered_state(thetas, 3, 3), atol=1e-12)
         assert np.allclose(out, np.eye(8)[0b101], atol=1e-12)
 
     def test_random_parameters_normalised(self, rng):
         for _ in range(10):
-            out = prepare_three_qubit(rng.uniform(-np.pi, np.pi, 18))
+            out = THREE_QUBIT.prepare(rng.uniform(-np.pi, np.pi, 18))
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_parameter_count_enforced(self):
         with pytest.raises(ValueError, match="18 parameters"):
-            prepare_three_qubit(np.zeros(12))
+            THREE_QUBIT.prepare(np.zeros(12))
 
     def test_batch_matches_single(self, rng):
         T = rng.uniform(-np.pi, np.pi, size=(25, 18))
-        batch = three_qubit_batch(T)
-        for row, t in zip(batch, T):
-            assert np.allclose(row, prepare_three_qubit(t), atol=1e-12)
+        _assert_gate_list_batch_and_oracle_agree(THREE_QUBIT, 3, T)
 
     @pytest.mark.parametrize("rows", [1, 37, 740])
     def test_batch_matches_kronecker_oracle(self, rows, rng):
         T = rng.uniform(-np.pi, np.pi, size=(rows, 18))
-        batch = three_qubit_batch(T)
+        batch = THREE_QUBIT.prepare_batch(T)
         assert batch.shape == (rows, 8)
-        oracle = np.array([three_qubit_state(t) for t in T])
+        oracle = np.array([layered_state(t, 3, 3) for t in T])
         assert np.max(np.abs(batch - oracle)) < 1e-12
 
 
@@ -209,6 +220,13 @@ class TestAnsatz:
     def test_parameter_counts(self):
         assert MEAN_FIELD.n_params == 2
         assert THREE_QUBIT.n_params == 18
+
+    def test_parameter_ranges(self):
+        # RY angles of the mean-field circuit start at 0, all others at -π.
+        assert MEAN_FIELD.lows == (0.0, -np.pi)
+        assert THREE_QUBIT.lows == (-np.pi,) * 18
+        assert MEAN_FIELD.highs == (np.pi,) * 2
+        assert THREE_QUBIT.highs == (np.pi,) * 18
 
     def test_random_parameters_in_domain(self, rng):
         t = MEAN_FIELD.random_parameters(rng)
@@ -226,7 +244,7 @@ class TestExactExpectation:
         d = decompose(H)
         for th in np.linspace(0, np.pi, 7):
             for ph in np.linspace(-np.pi, np.pi, 7):
-                psi = prepare_meanfield(th, ph)
+                psi = MEAN_FIELD.prepare(np.array([th, ph]))
                 direct = float(np.real(psi.conj() @ (H @ psi)))
                 assert _backend_expectation(psi, d) == pytest.approx(direct, abs=1e-12)
 

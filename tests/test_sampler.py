@@ -226,6 +226,16 @@ class TestTransitionRates:
         with pytest.raises(ValueError):
             ReadoutNoiseModel.uniform(1, 0.0, 0.05, drift_amplitude=0.01)
 
+    @pytest.mark.parametrize("amplitude, period", [
+        (float("nan"), 18), (float("inf"), 18), ("0.01", 18), (None, 18),
+        (0.01, "18"), (0.01, float("nan")), (0.01, float("inf")), (0.01, 0),
+        (0.01, -18), (0.01, True),
+    ])
+    def test_drift_fields_must_be_finite_reals(self, amplitude, period):
+        with pytest.raises(ValueError, match="drift"):
+            ReadoutNoiseModel.uniform(1, 0.0, 0.05, drift_amplitude=amplitude,
+                                      drift_period=period)
+
 
 class TestMitigation:
     def test_noiseless_passthrough(self):
@@ -239,7 +249,7 @@ class TestMitigation:
     def test_monte_carlo_bias_inversion(self, rng):
         # Sample a known state through readout flips, then undo the bias.
         model = ReadoutNoiseModel.uniform(1, 0.1, 0.1)
-        state = qsim.prepare_meanfield(1.1, 0.0)
+        state = qsim.MEAN_FIELD.prepare(np.array([1.1, 0.0]))
         z_true = qsim.exact_pauli_expectations(state)["Z"]
         counts = sample(state, 200_000, noise=model, rng=6)
         raw = expectation_from_counts(counts, "Z")

@@ -9,7 +9,7 @@ from qbands.pauli import (
     reconstruct,
     shift_identity,
 )
-from qbands.qsim import MEAN_FIELD, THREE_QUBIT, prepare_meanfield, prepare_three_qubit
+from qbands.qsim import MEAN_FIELD, THREE_QUBIT
 from qbands.sampler import ReadoutNoiseModel
 from qbands.tightbinding import (
     KPoint,
@@ -31,12 +31,7 @@ from qbands.vqe import (
     optimize_quasinewton,
 )
 
-from conftest import (
-    meanfield_state,
-    pauli_sum_expectation,
-    rand_hermitian,
-    three_qubit_state,
-)
+from conftest import layered_state, pauli_sum_expectation, rand_hermitian
 
 SI = TBParameters.default_silicon()
 GAMMA = KPoint((0.0, 0.0, 0.0))
@@ -198,11 +193,12 @@ class TestOptimizers:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("ansatz, oracle_state", [
-        (MEAN_FIELD, meanfield_state),
-        (THREE_QUBIT, three_qubit_state),
-    ])
-    def test_adjoint_matches_central_differences(self, ansatz, oracle_state, rng):
+    @pytest.mark.parametrize("ansatz, n_layers", [(MEAN_FIELD, 1), (THREE_QUBIT, 3)],
+                             ids=["mean-field", "three-qubit"])
+    def test_adjoint_matches_central_differences(self, ansatz, n_layers, rng):
+        def oracle_state(t):
+            return layered_state(t, ansatz.n_qubits, n_layers)
+
         H = rand_hermitian(rng, 2**ansatz.n_qubits, scale=2.0)
         dec = decompose(H)
         grad, cost = EXACT.make_gradient(dec, ansatz)
@@ -232,18 +228,18 @@ class TestGradients:
 
 
 class TestExactObjective:
-    @pytest.mark.parametrize("ansatz, build, prepare", [
-        (THREE_QUBIT, build_full_hamiltonian, prepare_three_qubit),
-        (MEAN_FIELD, build_s_block, lambda t: prepare_meanfield(*t)),
+    @pytest.mark.parametrize("ansatz, build, n_layers", [
+        (THREE_QUBIT, build_full_hamiltonian, 3),
+        (MEAN_FIELD, build_s_block, 1),
     ])
     def test_scalar_is_batch_row_and_matches_statevector(self, ansatz, build,
-                                                         prepare, rng):
+                                                         n_layers, rng):
         H = build(SI, KPoint((0.5, 0.25, 0.0)))
         f, f_batch = EXACT.make_objective(decompose(H), ansatz)
         for _ in range(10):
             theta = ansatz.random_parameters(rng)
             assert f(theta) == f_batch(theta[None])[0]
-            psi = prepare(theta)
+            psi = layered_state(theta, ansatz.n_qubits, n_layers)
             assert f(theta) == pytest.approx(np.vdot(psi, H @ psi).real, abs=1e-12)
 
 
@@ -252,7 +248,7 @@ class TestMinimize:
         res = minimize(SpectralDecomposition(1, {"Z": 1.0}), MEAN_FIELD, EXACT,
                        OptimizerConfig(seed=3))
         assert res.energy == pytest.approx(-1.0, abs=1e-10)
-        state = prepare_meanfield(*res.theta)
+        state = MEAN_FIELD.prepare(res.theta)
         assert abs(state[1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_s_block_zone_centre(self):
@@ -281,7 +277,7 @@ class TestMinimize:
         dec = decompose(build_s_block(SI, GAMMA))
         res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(seed=1))
         assert res.energy == pytest.approx(
-            pauli_sum_expectation(dec.coeffs, prepare_meanfield(*res.theta)), abs=1e-12
+            pauli_sum_expectation(dec.coeffs, layered_state(res.theta, 1, 1)), abs=1e-12
         )
 
     def test_qubit_mismatch_rejected(self):
@@ -402,7 +398,7 @@ class TestFullSpectrum:
         work = shift_identity(decompose(H), shift)
         cfg = OptimizerConfig(seed=12)
         res = minimize(work, MEAN_FIELD, EXACT, cfg)
-        exps = EXACT.pauli_expectations(MEAN_FIELD, res.theta)
+        exps = EXACT.pauli_expectations(MEAN_FIELD.prepare(res.theta))
         deflated = deflate(work, res.energy, exps)
         new_ground = np.linalg.eigvalsh(reconstruct(deflated))[0]
         assert new_ground + shift == pytest.approx(oracle[1], abs=1e-6)
