@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,52 +41,19 @@ _STREAM_RATES_DEMO = 3
 _MODE_QUBITS = {"2band": 1, "8band": 3}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one CLI invocation."""
-
-    command: str
-    params: TBParameters | None
-    kpath_spec: str | None
-    mode: str | None
-    backend: str
-    shots: int
-    noise: dict | None
-    mitigate: bool
-    optimizer: OptimizerConfig
-    seed: int
-    workers: int
-    extra: dict
-    matrix: np.ndarray | None = None  # `decompose --matrix`, read at the boundary
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": asdict(self.params) if self.params else None,
-            "kpath": self.kpath_spec,
-            "mode": self.mode,
-            "backend": self.backend,
-            "shots": self.shots,
-            "noise": self.noise,
-            "mitigate": self.mitigate,
-            "optimizer": asdict(self.optimizer),
-            "seed": self.seed,
-            "workers": self.workers,
-            **self.extra,
-        }
-
-    def digest(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
-
-    def header_line(self) -> str:
-        payload = {
-            "config": self.as_dict(),
-            "digest": self.digest(),
-            "seed": self.seed,
-            "version": __version__,
-        }
-        return "# " + json.dumps(payload, sort_keys=True)
+def _header(args: argparse.Namespace) -> dict:
+    """The header payload: the run's configuration (every flag but --out),
+    its digest, the master seed and the code version."""
+    config = {key: value for key, value in vars(args).items() if key != "out"}
+    config["params"] = asdict(args.params) if args.params else None
+    config["optimizer"] = asdict(args.optimizer)
+    blob = json.dumps(config, sort_keys=True).encode()
+    return {
+        "config": config,
+        "digest": hashlib.sha256(blob).hexdigest()[:12],
+        "seed": args.seed,
+        "version": __version__,
+    }
 
 
 def parse_kpoint(text: str) -> KPoint:
@@ -109,6 +76,8 @@ def parse_kpath(spec: str) -> tuple[list[KPoint], int]:
     anchors = [parse_kpoint(p) for p in spec.split(",") if p.strip()]
     if len(anchors) < 2:
         raise ValueError("k-path needs at least two anchors")
+    if points_per_segment < 1:
+        raise ValueError(f"points per segment must be >= 1, got {points_per_segment}")
     return anchors, points_per_segment
 
 
@@ -125,51 +94,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header_line: str, columns: list[str], rows) -> None:
+def _write_csv(path: Path, header: dict, columns: list[str], rows) -> None:
     with open(path, "w") as fh:
-        fh.write(header_line + "\n")
+        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _make_backend(config: RunConfig, n_qubits: int, k_index: int):
-    if config.backend == "exact":
+def _make_backend(args: argparse.Namespace, n_qubits: int, k_index: int):
+    if args.backend == "exact":
         return ExactBackend()
     noise = (
-        ReadoutNoiseModel.from_dict(config.noise, n_qubits)
-        if config.noise is not None
+        ReadoutNoiseModel.from_dict(args.noise, n_qubits)
+        if args.noise is not None
         else None
     )
     return ShotsBackend(
-        shots=config.shots,
+        shots=args.shots,
         noise=noise,
-        mitigate=config.mitigate,
-        seed=spawn_seed(config.seed, _STREAM_BACKEND, k_index),
+        mitigate=args.mitigate,
+        seed=spawn_seed(args.seed, _STREAM_BACKEND, k_index),
     )
 
 
-def _solve_kpoint(args: tuple) -> dict:
+def _solve_kpoint(job: tuple) -> dict:
     """Worker: solve one k-point; returns the flat band record."""
-    config, k_index, components, coord = args
+    args, k_index, components, coord = job
     k = KPoint(components)
-    if config.mode == "2band":
-        H = build_s_block(config.params, k)
+    if args.mode == "2band":
+        H = build_s_block(args.params, k)
     else:
-        H = build_full_hamiltonian(config.params, k)
+        H = build_full_hamiltonian(args.params, k)
     oracle = diagonalize_classical(H)
     dec = decompose(H)
-    n_qubits = _MODE_QUBITS[config.mode]
-    backend = _make_backend(config, n_qubits, k_index)
-    opt_seed_root = (
-        config.optimizer.seed if config.optimizer.seed is not None else config.seed
-    )
-    opt = OptimizerConfig(
-        **{
-            **asdict(config.optimizer),
-            "seed": spawn_seed(opt_seed_root, _STREAM_OPT, k_index),
-        }
-    )
+    n_qubits = _MODE_QUBITS[args.mode]
+    backend = _make_backend(args, n_qubits, k_index)
+    opt_seed_root = args.optimizer.seed if args.optimizer.seed is not None else args.seed
+    opt = replace(args.optimizer, seed=spawn_seed(opt_seed_root, _STREAM_OPT, k_index))
     spectrum = full_spectrum(dec, 2**n_qubits, ansatz_for(n_qubits), backend, opt)
     bands = spectrum.sorted_levels()
     return {
@@ -184,15 +146,17 @@ def _solve_kpoint(args: tuple) -> dict:
     }
 
 
-def run_bands(config: RunConfig, out_dir: Path) -> Path:
-    anchors, pps = parse_kpath(config.kpath_spec)
+def run_bands(args: argparse.Namespace, out_dir: Path) -> Path:
+    anchors, pps = parse_kpath(args.kpath)
     path = make_kpath(anchors, pps)
     jobs = [
-        (config, i, kp.components, float(path.coords[i]))
+        (args, i, kp.components, float(path.coords[i]))
         for i, kp in enumerate(path.points)
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    # A pool forks all its workers up front, so it is no larger than the path.
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_kpoint, jobs))
     else:
         records = [_solve_kpoint(job) for job in jobs]
@@ -211,12 +175,13 @@ def run_bands(config: RunConfig, out_dir: Path) -> Path:
             [r["k_index"], *r["k"], r["coord"], *r["energies"], *r["oracle"],
              *r["evaluations"], *r["converged"], *r["residuals"]]
         )
+    header = _header(args)
     out = out_dir / "bands.csv"
-    _write_csv(out, config.header_line(), columns, rows)
+    _write_csv(out, header, columns, rows)
 
     summary = _band_summary(records, n_bands)
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump({"digest": config.digest(), **summary}, fh, indent=2, sort_keys=True)
+        json.dump({"digest": header["digest"], **summary}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for band in summary["bands"]:
         if band["entries"]:
@@ -253,24 +218,22 @@ def _band_summary(records: list[dict], n_bands: int) -> dict:
     return {"bands": per_band, "non_converged_entries": excluded}
 
 
-def run_scan(config: RunConfig, out_dir: Path) -> Path:
-    k = parse_kpoint(config.extra["kpoint"])
-    H = build_s_block(config.params, k)
+def run_scan(args: argparse.Namespace, out_dir: Path) -> Path:
+    H = build_s_block(args.params, parse_kpoint(args.kpoint))
     dec = decompose(H)
-    backend = _make_backend(config, 1, 0)
+    backend = _make_backend(args, 1, 0)
     scan = grid_scan(
         dec,
-        theta_steps=config.extra["theta_steps"],
-        phi_steps=config.extra["phi_steps"],
+        theta_steps=args.theta_steps,
+        phi_steps=args.phi_steps,
         backend=backend,
     )
-    payload = json.loads(config.header_line()[2:])
-    payload["argmin"] = {
+    header = _header(args)
+    header["argmin"] = {
         "theta": scan.argmin[0],
         "phi": scan.argmin[1],
         "energy": scan.argmin[2],
     }
-    header = "# " + json.dumps(payload, sort_keys=True)
     rows = []
     for i, th in enumerate(scan.thetas):
         for j, ph in enumerate(scan.phis):
@@ -285,27 +248,25 @@ def run_scan(config: RunConfig, out_dir: Path) -> Path:
     return out
 
 
-def run_rates(config: RunConfig, out_dir: Path) -> Path:
-    n_qubits = config.extra["qubits"]
-    trials = config.extra["trials"]
-    samples = config.extra["samples"]
+def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
+    n_qubits = args.qubits
     noise = (
-        ReadoutNoiseModel.from_dict(config.noise, n_qubits)
-        if config.noise is not None
+        ReadoutNoiseModel.from_dict(args.noise, n_qubits)
+        if args.noise is not None
         else None
     )
     columns = ["sample_index"]
     columns += [f"w01_q{q}" for q in range(1, n_qubits + 1)]
     columns += [f"w10_q{q}" for q in range(1, n_qubits + 1)]
     rows = []
-    for t in range(samples):
+    for t in range(args.samples):
         est = estimate_transition_rates(
-            noise, n_qubits, trials, spawn_rng(config.seed, _STREAM_RATES_DEMO, t),
+            noise, n_qubits, args.trials, spawn_rng(args.seed, _STREAM_RATES_DEMO, t),
             trial=t,
         )
         rows.append([t, *est.w01, *est.w10])
     out = out_dir / "rates.csv"
-    _write_csv(out, config.header_line(), columns, rows)
+    _write_csv(out, _header(args), columns, rows)
     print(f"wrote {out}")
     return out
 
@@ -350,33 +311,85 @@ def _read_matrix(path: str) -> np.ndarray:
     return matrix
 
 
-def run_decompose(config: RunConfig, out_dir: Path) -> Path:
-    dec = decompose(config.matrix)
+def run_decompose(args: argparse.Namespace, out_dir: Path) -> Path:
+    dec = decompose(args.matrix.matrix)
     rows = [
         [word, dec.coeffs[word]]
         for word in pauli_words(dec.n_qubits)
         if word in dec.coeffs
     ]
     out = out_dir / "decompose.csv"
-    _write_csv(out, config.header_line(), ["word", "coefficient"], rows)
+    _write_csv(out, _header(args), ["word", "coefficient"], rows)
     print(f"wrote {out} ({len(rows)} nonzero of {4**dec.n_qubits} words)")
     return out
 
 
+def _arg(parse):
+    """An argparse ``type``: ``parse(text)``, with an input it cannot read or
+    rejects reported as an error of the flag (exit 2, before any work)."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (OSError, ValueError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from exc
+
+    return convert
+
+
+def _at_least(least: int):
+    """The ``type`` of an integer flag with a minimum."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be >= {least}")
+        return value
+
+    return _arg(parse)
+
+
+def _as_written(parse):
+    """``parse`` as a check only: the flag keeps its text, which the header
+    records."""
+    def check(text: str) -> str:
+        parse(text)
+        return text
+
+    return _arg(check)
+
+
+class _MatrixFile(str):
+    """A `--matrix` path as written (the header records it), carrying the
+    matrix read from it."""
+
+    matrix: np.ndarray
+
+
+def _matrix_file(path: str) -> _MatrixFile:
+    file = _MatrixFile(path)
+    file.matrix = _read_matrix(path)
+    return file
+
+
+def _read_optimizer(path: str) -> OptimizerConfig:
+    return OptimizerConfig.from_dict(_load_json(path))
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
     p.add_argument("--out", default=".", help="output directory")
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--params", help="TB parameter JSON (default: bundled silicon)")
+    p.add_argument("--params", type=_arg(TBParameters.from_json),
+                   help="TB parameter JSON (default: bundled silicon)")
     p.add_argument("--backend", choices=["exact", "shots"], default="exact")
-    p.add_argument("--shots", type=int, default=8192,
+    p.add_argument("--shots", type=_at_least(1), default=8192,
                    help="shots per Pauli word (default 8192)")
-    p.add_argument("--noise", help="readout-noise JSON file")
+    p.add_argument("--noise", type=_arg(_load_json), help="readout-noise JSON file")
     p.add_argument("--mitigate", action="store_true",
                    help="apply readout-error mitigation")
-    p.add_argument("--optimizer", help="optimizer config JSON")
+    p.add_argument("--optimizer", type=_arg(_read_optimizer), default=OptimizerConfig(),
+                   help="optimizer config JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,120 +398,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Silicon band structure via a simulated hybrid eigensolver.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # Every header carries every key; a subcommand's own flags override these.
+    parser.set_defaults(params=None, kpath=None, mode=None, backend="exact", shots=8192,
+                        noise=None, mitigate=False, optimizer=OptimizerConfig(), workers=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="band energies along a k-path")
     _add_model_args(p)
-    p.add_argument("--kpath", default="X,G,L:20",
+    p.add_argument("--kpath", type=_as_written(parse_kpath), default="X,G,L:20",
                    help="anchors and points per segment, e.g. 'X,G,L:20'")
     p.add_argument("--mode", choices=["2band", "8band"], default="2band")
-    p.add_argument("--workers", type=int, default=1, help="k-point worker pool size")
+    p.add_argument("--workers", type=_at_least(1), default=1,
+                   help="k-point worker pool size")
     _add_common(p)
 
     p = sub.add_parser("scan", help="mean-field parameter surface at one k-point")
     _add_model_args(p)
-    p.add_argument("--kpoint", default="0.125/0.125/0.125",
+    p.add_argument("--kpoint", type=_as_written(parse_kpoint), default="0.125/0.125/0.125",
                    help="k-point label or 'x/y/z' fractions of 2π/a")
-    p.add_argument("--theta-steps", type=int, default=32)
-    p.add_argument("--phi-steps", type=int, default=64)
+    p.add_argument("--theta-steps", type=_at_least(2), default=32)
+    p.add_argument("--phi-steps", type=_at_least(2), default=64)
+    p.set_defaults(mode="2band")
     _add_common(p)
 
     p = sub.add_parser("rates", help="repeated transition-rate estimation series")
-    p.add_argument("--noise", help="readout-noise JSON file")
-    p.add_argument("--trials", type=int, default=100_000,
+    p.add_argument("--noise", type=_arg(_load_json), help="readout-noise JSON file")
+    p.add_argument("--trials", type=_at_least(1), default=100_000,
                    help="preparations per state per estimate")
-    p.add_argument("--samples", type=int, default=50, help="series length")
-    p.add_argument("--qubits", type=int, default=1)
+    p.add_argument("--samples", type=_at_least(1), default=50, help="series length")
+    p.add_argument("--qubits", type=_at_least(1), default=1)
     _add_common(p)
 
     p = sub.add_parser("decompose", help="Pauli coefficient table of a matrix")
-    p.add_argument("--matrix", required=True, help="Hermitian matrix JSON or CSV")
+    p.add_argument("--matrix", type=_arg(_matrix_file), required=True,
+                   help="Hermitian matrix JSON or CSV")
     _add_common(p)
     return parser
 
 
-def _parse_flag(parser: argparse.ArgumentParser, flag: str, parse, value: str | None):
-    """``parse(value)``, None for an unset flag.  A value or file that ``parse``
-    cannot read or rejects exits 2 naming the flag."""
-    try:
-        return parse(value) if value is not None else None
-    except (OSError, ValueError, TypeError) as exc:
-        parser.error(f"{flag} {value!r}: {exc}")
-
-
-def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    params = None
-    if args.command in ("bands", "scan"):
-        params = (_parse_flag(parser, "--params", TBParameters.from_json, args.params)
-                  or TBParameters.default_silicon())
-    noise = _parse_flag(parser, "--noise", _load_json, getattr(args, "noise", None))
-    optimizer = _parse_flag(
-        parser, "--optimizer",
-        lambda path: OptimizerConfig.from_dict(_load_json(path)),
-        getattr(args, "optimizer", None),
-    ) or OptimizerConfig()
-    extra = {}
-    if args.command == "scan":
-        extra = {
-            "kpoint": args.kpoint,
-            "theta_steps": args.theta_steps,
-            "phi_steps": args.phi_steps,
-        }
-    elif args.command == "rates":
-        extra = {"qubits": args.qubits, "trials": args.trials, "samples": args.samples}
-    elif args.command == "decompose":
-        extra = {"matrix": args.matrix}
-    matrix = _parse_flag(parser, "--matrix", _read_matrix, getattr(args, "matrix", None))
-    return RunConfig(
-        command=args.command,
-        params=params,
-        kpath_spec=getattr(args, "kpath", None),
-        mode=getattr(args, "mode", "2band" if args.command == "scan" else None),
-        backend=getattr(args, "backend", "exact"),
-        shots=getattr(args, "shots", 8192),
-        noise=noise,
-        mitigate=getattr(args, "mitigate", False),
-        optimizer=optimizer,
-        seed=args.seed,
-        workers=getattr(args, "workers", 1),
-        extra=extra,
-        matrix=matrix,
-    )
-
-
-def _check_args(parser: argparse.ArgumentParser, config: RunConfig) -> None:
-    """Reject out-of-range flags before any work starts (exit code 2)."""
-    if config.seed < 0:
-        parser.error(f"--seed must be >= 0, got {config.seed}")
-    if config.shots < 1:
-        parser.error(f"--shots must be >= 1, got {config.shots}")
-    if config.workers < 1:
-        parser.error(f"--workers must be >= 1, got {config.workers}")
-    if config.command == "bands":
-        _, points_per_segment = _parse_flag(parser, "--kpath", parse_kpath, config.kpath_spec)
-        if points_per_segment < 1:
-            parser.error(
-                f"--kpath {config.kpath_spec!r}: points per segment must be >= 1, "
-                f"got {points_per_segment}"
-            )
-    extra = config.extra
-    if config.command == "scan":
-        _parse_flag(parser, "--kpoint", parse_kpoint, extra["kpoint"])
-    for flag, key, least in (("--theta-steps", "theta_steps", 2),
-                             ("--phi-steps", "phi_steps", 2),
-                             ("--qubits", "qubits", 1),
-                             ("--trials", "trials", 1),
-                             ("--samples", "samples", 1)):
-        if key in extra and extra[key] < least:
-            parser.error(f"{flag} must be >= {least}, got {extra[key]}")
-    if config.noise is None:
+def _check_noise(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The one check across flags: the noise file against the qubit count and
+    `--mitigate` (exit 2, before any work)."""
+    if args.noise is None:
         return
-    n_qubits = extra["qubits"] if config.command == "rates" else _MODE_QUBITS[config.mode]
+    n_qubits = args.qubits if args.command == "rates" else _MODE_QUBITS[args.mode]
     try:
-        noise = ReadoutNoiseModel.from_dict(config.noise, n_qubits)
+        noise = ReadoutNoiseModel.from_dict(args.noise, n_qubits)
     except (ValueError, TypeError) as exc:
         parser.error(f"--noise: {exc} ({n_qubits} qubits)")
-    if config.mitigate:
+    if args.mitigate:
         w01, w10 = noise.rates_at()
         w10_peak = np.minimum(w10 + abs(noise.drift_amplitude), 1.0)
         if np.any(w01 + w10_peak >= 1.0):
@@ -509,8 +457,9 @@ def _check_args(parser: argparse.ArgumentParser, config: RunConfig) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _resolve_config(parser, args)
-    _check_args(parser, config)
+    _check_noise(parser, args)
+    if args.command in ("bands", "scan") and args.params is None:
+        args.params = TBParameters.default_silicon()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     runners = {
@@ -519,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         "rates": run_rates,
         "decompose": run_decompose,
     }
-    runners[args.command](config, out_dir)
+    runners[args.command](args, out_dir)
     return 0
 
 

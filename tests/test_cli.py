@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import qbands
+import qbands.cli
 from qbands.cli import main, parse_kpath, parse_kpoint
 from qbands.pauli import decompose
 from qbands.pauli import gershgorin_upper_bound
@@ -56,6 +58,10 @@ class TestParsing:
     def test_kpath_needs_two_anchors(self):
         with pytest.raises(ValueError):
             parse_kpath("G:5")
+
+    def test_kpath_needs_a_point_per_segment(self):
+        with pytest.raises(ValueError):
+            parse_kpath("X,G:0")
 
     def test_kpoint_bad_fraction(self):
         with pytest.raises(ValueError):
@@ -121,6 +127,7 @@ class TestBadInput:
         (["decompose", "--matrix", File("1.0,x\n", "m.csv")], "--matrix"),
         (["bands", "--kpath", "X,G:1", "--seed", "-1"], "--seed"),
         (["decompose", "--matrix", File('{"matrix": [[0, 1], [0, 0]]}')], "--matrix"),
+        (["bands", "--optimizer", File('{"method": "quasi-newton"}')], "--optimizer"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -175,6 +182,41 @@ class TestBadInput:
         assert not out.exists()
 
 
+_COMMON_KEYS = {"command", "params", "kpath", "mode", "backend", "shots", "noise",
+                "mitigate", "optimizer", "seed", "workers"}
+
+
+class TestHeader:
+    @pytest.mark.parametrize("argv, out_file, expected", [
+        (["bands", "--kpath", "X,G:1", "--seed", "3"], "bands.csv",
+         {"kpath": "X,G:1", "mode": "2band", "workers": 1, "seed": 3}),
+        (["scan", "--kpoint", "X", "--theta-steps", "2", "--phi-steps", "3"], "scan.csv",
+         {"kpath": None, "mode": "2band", "kpoint": "X", "theta_steps": 2,
+          "phi_steps": 3}),
+        (["rates", "--samples", "1", "--trials", "10"], "rates.csv",
+         {"params": None, "kpath": None, "mode": None, "qubits": 1, "trials": 10,
+          "samples": 1}),
+        (["decompose", "--matrix", File('{"matrix": [[1, 0], [0, -1]]}')], "decompose.csv",
+         {"params": None, "kpath": None, "mode": None, "backend": "exact"}),
+    ], ids=["bands", "scan", "rates", "decompose"])
+    def test_config_keys_and_digest(self, argv, out_file, expected, tmp_path):
+        argv = [a.path(tmp_path) if isinstance(a, File) else a for a in argv]
+        main(argv + ["--out", str(tmp_path)])
+        header, _, _ = read_csv(tmp_path / out_file)
+        config = header["config"]
+        extra = {k for k in expected if k not in _COMMON_KEYS}
+        if argv[0] == "decompose":
+            extra.add("matrix")
+            assert config["matrix"] == argv[2]
+        assert set(config) == _COMMON_KEYS | extra
+        assert {k: config[k] for k in expected} == expected
+        assert config["command"] == argv[0]
+        assert config["optimizer"]["method"] == "bfgs"
+        blob = json.dumps(config, sort_keys=True).encode()
+        assert header["digest"] == hashlib.sha256(blob).hexdigest()[:12]
+        assert header["seed"] == config["seed"]
+
+
 class TestBands:
     def test_two_band_exact_small_path(self, tmp_path):
         main(["bands", "--mode", "2band", "--kpath", "X,G,L:3",
@@ -203,6 +245,28 @@ class TestBands:
         serial = (tmp_path / "serial" / "bands.csv").read_text().splitlines()
         pool = (tmp_path / "pool" / "bands.csv").read_text().splitlines()
         assert serial[1:] == pool[1:]  # headers differ only in the workers field
+
+    def test_worker_pool_no_larger_than_path(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(qbands.cli, "ProcessPoolExecutor", SerialPool)
+        main(["bands", "--kpath", "X,G:1", "--workers", "8", "--out", str(tmp_path)])
+        assert sizes == [2]  # two k-points
+        header, _, rows = read_csv(tmp_path / "bands.csv")
+        assert len(rows) == 2 and header["config"]["workers"] == 8
 
     def test_shots_bands_within_statistical_tolerance(self, tmp_path):
         noise_file = tmp_path / "noise.json"

@@ -49,8 +49,11 @@ def rosen_grad(X):
 
 class TestOptimizerConfig:
     def test_method_aliases(self):
-        assert OptimizerConfig(method="quasi-newton-gradient").method == "bfgs"
-        assert OptimizerConfig(method="direct-search").method == "cobyla"
+        # Only the documented spellings name a method.
+        for method in ("quasi-newton", "quasi-newton-gradient", "direct",
+                       "direct-search", "BFGS", "Cobyla"):
+            with pytest.raises(ValueError):
+                OptimizerConfig(method=method)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
