@@ -34,7 +34,6 @@ from .sampler import (
     estimate_transition_rates,
     expectation_from_counts,
     mitigate_counts,
-    mitigate_single,
     sample,
     sampled_expectation,
 )

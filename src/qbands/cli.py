@@ -261,8 +261,8 @@ def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
     rows = []
     for t in range(args.samples):
         est = estimate_transition_rates(
-            noise, n_qubits, args.trials, spawn_rng(args.seed, _STREAM_RATES_DEMO, t),
-            trial=t,
+            None if noise is None else noise.at(t), n_qubits, args.trials,
+            spawn_rng(args.seed, _STREAM_RATES_DEMO, t),
         )
         rows.append([t, *est.w01, *est.w10])
     out = out_dir / "rates.csv"
@@ -446,12 +446,9 @@ def _check_noise(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         noise = ReadoutNoiseModel.from_dict(args.noise, n_qubits)
     except (ValueError, TypeError) as exc:
         parser.error(f"--noise: {exc} ({n_qubits} qubits)")
-    if args.mitigate:
-        w01, w10 = noise.rates_at()
-        w10_peak = np.minimum(w10 + abs(noise.drift_amplitude), 1.0)
-        if np.any(w01 + w10_peak >= 1.0):
-            parser.error("--mitigate is ill-posed: w01 + w10 >= 1 on some qubit "
-                         "(w10 at its drift peak)")
+    if args.mitigate and noise.ill_posed().any():
+        parser.error("--mitigate is ill-posed: w01 + w10 >= 1 on some qubit "
+                     "(w10 at its drift peak)")
 
 
 def main(argv: list[str] | None = None) -> int:

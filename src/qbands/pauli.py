@@ -47,8 +47,11 @@ def word_matrix(word: str) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def word_matrix_stack(n_qubits: int) -> np.ndarray:
-    """(4**n, 2**n, 2**n) stack of all word matrices, in pauli_words order."""
-    return np.array([word_matrix(w) for w in pauli_words(n_qubits)])
+    """(4**n, 2**n, 2**n) stack of all word matrices, in pauli_words order;
+    cached, so read-only."""
+    stack = np.array([word_matrix(w) for w in pauli_words(n_qubits)])
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)

@@ -128,11 +128,14 @@ def _entangler_gather(n_qubits: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _register_maps(n_qubits: int):
     """Per-qubit Z signs (n, 2**n) as floats, bit-flip index maps (n, 2**n),
-    and the entangler's gather map and its inverse."""
+    and the entangler's gather map and its inverse; cached, so read-only."""
     x = np.arange(2**n_qubits)
     bits = np.arange(n_qubits)[:, None]
     gather = _entangler_gather(n_qubits)
-    return (1.0 - 2.0 * (x >> bits & 1)), x ^ (1 << bits), gather, np.argsort(gather)
+    maps = (1.0 - 2.0 * (x >> bits & 1)), x ^ (1 << bits), gather, np.argsort(gather)
+    for array in maps:
+        array.flags.writeable = False
+    return maps
 
 
 def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):

@@ -7,7 +7,9 @@ qubit 1 as the least significant bit.
 Readout noise is modelled as independent classical bit flips at measurement
 time, with per-qubit rates w01 (|0> read as |1>) and w10 (|1> read as |0>).
 An optional sinusoidal drift modulates w10 as a function of a trial counter,
-never of wall-clock time, so runs stay reproducible.
+never of wall-clock time, so runs stay reproducible.  `ReadoutNoiseModel.at`
+gives the drift-free law in force at a trial; everything below it measures
+and corrects under such a law.
 """
 from __future__ import annotations
 
@@ -27,16 +29,13 @@ def _is_real(value) -> bool:
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        rates = (float(value),) * n_qubits
-    else:
-        rates = tuple(float(v) for v in value)
-        if len(rates) != n_qubits:
-            raise ValueError(f"{name} needs {n_qubits} per-qubit entries")
+    rates = (value,) * n_qubits if np.isscalar(value) else tuple(value)
+    if len(rates) != n_qubits:
+        raise ValueError(f"{name} needs {n_qubits} per-qubit entries")
     for r in rates:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"{name} rate {r} outside [0, 1]")
-    return rates
+        if not (_is_real(r) and 0.0 <= r <= 1.0):
+            raise ValueError(f"{name} rate {r!r} is not a real number in [0, 1]")
+    return tuple(float(r) for r in rates)
 
 
 @dataclass(frozen=True)
@@ -87,24 +86,36 @@ class ReadoutNoiseModel:
             data.get("drift_period"),
         )
 
-    def rates_at(self, trial: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """(w01, w10) arrays at a trial index, drift applied and clipped."""
-        w01 = np.array(self.w01)
-        w10 = np.array(self.w10)
-        if self.drift_amplitude and self.drift_period:
-            mod = self.drift_amplitude * np.sin(2 * np.pi * trial / self.drift_period)
-            w10 = np.clip(w10 + mod, 0.0, 1.0)
-        return w01, w10
+    def at(self, trial: int) -> "ReadoutNoiseModel":
+        """The drift-free law in force at a trial: w10 moved by the drift and
+        clipped to [0, 1].  A model without drift is its own law."""
+        if not self.drift_amplitude:
+            return self
+        mod = self.drift_amplitude * np.sin(2 * np.pi * trial / self.drift_period)
+        w10 = np.clip(np.array(self.w10) + mod, 0.0, 1.0)
+        return ReadoutNoiseModel(self.w01, tuple(float(v) for v in w10))
+
+    def ill_posed(self) -> np.ndarray:
+        """Per qubit, whether mitigation can be ill-posed: w01 + w10 >= 1 with
+        w10 at its drift peak."""
+        w10_peak = np.minimum(np.array(self.w10) + abs(self.drift_amplitude), 1.0)
+        return np.array(self.w01) + w10_peak >= 1.0
 
 
-_PARITY = np.array([1.0, -1.0])  # (-1)^bit of one measured qubit
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Shared by every caller (`_kron` hands a lone factor out as is), so read-only.
+_PARITY = _read_only(np.array([1.0, -1.0]))  # (-1)^bit of one measured qubit
+_H = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 # Per-letter (diagonal letter, 2x2 rotation); Y takes H·S·Z = H·diag(1, -i).
 _LETTER_BASIS = {
-    "I": ("I", np.eye(2, dtype=complex)),
-    "Z": ("Z", np.eye(2, dtype=complex)),
+    "I": ("I", _read_only(np.eye(2, dtype=complex))),
+    "Z": ("Z", _read_only(np.eye(2, dtype=complex))),
     "X": ("Z", _H),
-    "Y": ("Z", _H @ np.diag([1, -1j])),
+    "Y": ("Z", _read_only(_H @ np.diag([1, -1j]))),
 }
 
 
@@ -119,7 +130,6 @@ def _kron(factors: list[np.ndarray]) -> np.ndarray:
 class MeasurementBasisChange:
     """Unitary U mapping a Pauli word onto its all-I/Z counterpart: σ = U† A U."""
 
-    source: str
     diagonal: str
     unitary: np.ndarray
 
@@ -138,7 +148,7 @@ def basis_change(word: str) -> MeasurementBasisChange:
         d, u = _LETTER_BASIS[letter]
         diagonal.append(d)
         factors.append(u)
-    return MeasurementBasisChange(word, "".join(diagonal), _kron(factors))
+    return MeasurementBasisChange("".join(diagonal), _kron(factors))
 
 
 def sample(
@@ -146,7 +156,6 @@ def sample(
     shots: int,
     noise: ReadoutNoiseModel | None = None,
     rng: np.random.Generator | int | None = None,
-    trial: int = 0,
 ) -> np.ndarray:
     """Counts of ``shots`` measurements of a statevector, as an integer array
     of length 2**n indexed by bitstring value (qubit 1 the least significant
@@ -155,7 +164,8 @@ def sample(
     Readout flips are independent per shot and qubit, so the noisy outcome
     law is |amplitude|^2 under the Kronecker product of the per-qubit
     confusion matrices [[1-w01, w10], [w01, 1-w10]] (leftmost factor on the
-    highest qubit); one multinomial draw over it gives the counts.
+    highest qubit); one multinomial draw over it gives the counts.  A
+    drifting ``noise`` acts as its trial-0 law.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -166,35 +176,35 @@ def sample(
     if noise is not None:
         if noise.n_qubits != n:
             raise ValueError("noise model qubit count mismatch")
-        w01, w10 = noise.rates_at(trial)
         confusion = [np.array([[1 - a, b], [a, 1 - b]])
-                     for a, b in zip(w01[::-1], w10[::-1])]
+                     for a, b in zip(noise.w01[::-1], noise.w10[::-1])]
         probs = _kron(confusion) @ probs
     return rng.multinomial(shots, probs / probs.sum())
 
 
-def _diagonal_vector(counts: np.ndarray, word: str, z_factor) -> np.ndarray:
-    """Kronecker product over an all-I/Z word, leftmost letter on the highest
-    qubit: [1, 1] for I and ``z_factor(qubit)`` for Z."""
+def _parity_mean(counts: np.ndarray, word: str, w01, w10) -> float:
+    """Mean over the counts of the Kronecker product over an all-I/Z word,
+    leftmost letter on the highest qubit: [1, 1] for I and the corrected
+    parity ((-1)^bit - p⁻) / (1 - p⁺), p± = w10 ± w01 of its qubit, for Z.
+    With p± = 0 that is the plain parity ±1."""
     if len(counts) != 2 ** len(word):
         raise ValueError("word length does not match counts")
-    n = len(word)
     factors = []
-    for pos, letter in enumerate(word):
+    for letter, a, b in zip(word, w01[::-1], w10[::-1]):
         if letter == "Z":
-            factors.append(z_factor(n - pos))
+            factors.append((_PARITY - (b - a)) / (1.0 - (b + a)))
         elif letter == "I":
             factors.append(np.ones(2))
         else:
             raise ValueError(f"word {word!r} contains non-diagonal letter {letter!r}")
-    return _kron(factors)
+    return float(counts @ _kron(factors) / counts.sum())
 
 
 def expectation_from_counts(counts: np.ndarray, word: str) -> float:
     """Parity estimator of an all-I/Z word: each bitstring contributes the
     parity (±1) of its bits at the Z positions."""
-    parity = _diagonal_vector(counts, word, lambda qubit: _PARITY)
-    return float(counts @ parity / counts.sum())
+    no_flips = (0.0,) * len(word)
+    return _parity_mean(counts, word, no_flips, no_flips)
 
 
 def estimate_transition_rates(
@@ -202,7 +212,6 @@ def estimate_transition_rates(
     n_qubits: int,
     trials: int,
     rng: np.random.Generator | int | None = None,
-    trial: int = 0,
 ) -> ReadoutNoiseModel:
     """Empirical flip rates from repeated readout of prepared |0> and |1>.
 
@@ -217,53 +226,22 @@ def estimate_transition_rates(
     zeros = qsim.zero_state(n_qubits)
     ones = zeros[::-1]  # |1...1>
     bits = (np.arange(len(zeros))[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q
-    w01_hat = sample(zeros, trials, noise, rng, trial) @ bits / trials
-    w10_hat = 1.0 - sample(ones, trials, noise, rng, trial) @ bits / trials
+    w01_hat = sample(zeros, trials, noise, rng) @ bits / trials
+    w10_hat = 1.0 - sample(ones, trials, noise, rng) @ bits / trials
     return ReadoutNoiseModel(tuple(float(v) for v in w01_hat),
                              tuple(float(v) for v in w10_hat))
 
 
-def _check_invertible(p_plus: np.ndarray) -> None:
-    if np.any(1.0 - p_plus <= 0.0):
-        raise ValueError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
-
-
-def mitigate_single(
-    measured: float,
-    model: ReadoutNoiseModel,
-    qubit: int = 1,
-    trial: int = 0,
-) -> float:
-    """Correct a single-qubit expectation: (<σ> - p⁻) / (1 - p⁺) with
-    p± = w10 ± w01, clamped to [-1, 1]."""
-    w01, w10 = model.rates_at(trial)
-    p_plus = w10[qubit - 1] + w01[qubit - 1]
-    p_minus = w10[qubit - 1] - w01[qubit - 1]
-    _check_invertible(np.array([p_plus]))
-    return float(np.clip((measured - p_minus) / (1.0 - p_plus), -1.0, 1.0))
-
-
-def mitigate_counts(
-    counts: np.ndarray,
-    model: ReadoutNoiseModel,
-    word: str,
-    trial: int = 0,
-) -> float:
+def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel, word: str) -> float:
     """Multi-qubit readout correction of an all-I/Z word:
     sum_z p(z) prod_i ((-1)^{z_i} - p⁻_i) / (1 - p⁺_i) over the Z positions,
-    clamped to [-1, 1]."""
+    clamped to [-1, 1].  A drifting ``model`` acts as its trial-0 law."""
     if model.n_qubits != len(word):
         raise ValueError("noise model qubit count mismatch")
-    w01, w10 = model.rates_at(trial)
-    p_plus = w10 + w01
-    p_minus = w10 - w01
-
-    def corrected_parity(qubit):
-        _check_invertible(p_plus[qubit - 1:qubit])
-        return (_PARITY - p_minus[qubit - 1]) / (1.0 - p_plus[qubit - 1])
-
-    total = counts @ _diagonal_vector(counts, word, corrected_parity)
-    return float(np.clip(total / counts.sum(), -1.0, 1.0))
+    law = model.at(0)
+    if any(letter == "Z" and bad for letter, bad in zip(word, law.ill_posed()[::-1])):
+        raise ValueError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
+    return min(max(_parity_mean(counts, word, law.w01, law.w10), -1.0), 1.0)
 
 
 def sampled_expectation(
@@ -273,18 +251,18 @@ def sampled_expectation(
     noise: ReadoutNoiseModel | None = None,
     rng: np.random.Generator | int | None = None,
     mitigation: ReadoutNoiseModel | None = None,
-    trial: int = 0,
 ) -> float:
     """Estimate <σ_word> by basis change, sampling and the parity rule.
 
-    ``mitigation`` is the rate model used for correction (usually an
-    estimate, not the true injected noise); None disables correction.
-    The identity word needs no measurement and returns exactly 1.
+    ``noise`` is the readout law the counts are drawn under; ``mitigation``
+    is the rate model used for correction (usually an estimate, not the
+    true injected noise); None disables correction.  The identity word
+    needs no measurement and returns exactly 1.
     """
     change = basis_change(word)
     if change.diagonal == "I" * len(word):
         return 1.0
-    counts = sample(change.unitary @ state, shots, noise, rng, trial)
+    counts = sample(change.unitary @ state, shots, noise, rng)
     if mitigation is not None:
-        return mitigate_counts(counts, mitigation, change.diagonal, trial)
+        return mitigate_counts(counts, mitigation, change.diagonal)
     return expectation_from_counts(counts, change.diagonal)

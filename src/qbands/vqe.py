@@ -322,7 +322,8 @@ class ShotsBackend:
     ``RATE_TRIALS`` readouts of prepared basis states; with a drifting noise
     model they are re-estimated before every energy evaluation, otherwise
     once and cached.  Each energy evaluation, one row of an objective batch,
-    advances the trial counter that drives the drift.
+    is measured under the law ``noise.at(trial)`` and advances the trial
+    counter that drives the drift.
     """
 
     def __init__(
@@ -341,19 +342,6 @@ class ShotsBackend:
         self.trial = 0
         self._rates: sampler.ReadoutNoiseModel | None = None
 
-    def _drifting(self) -> bool:
-        return self.noise is not None and bool(self.noise.drift_amplitude)
-
-    def _mitigation_rates(self, n_qubits: int, trial: int) -> sampler.ReadoutNoiseModel | None:
-        if not self.mitigate:
-            return None
-        if self._rates is None or self._drifting():
-            rng = spawn_rng(self.seed, _STREAM_RATES, trial)
-            self._rates = sampler.estimate_transition_rates(
-                self.noise, n_qubits, RATE_TRIALS, rng, trial=trial
-            )
-        return self._rates
-
     def _measure_words(
         self,
         words: list[str],
@@ -362,7 +350,13 @@ class ShotsBackend:
     ) -> dict[str, float]:
         trial = self.trial
         self.trial += 1
-        rates = self._mitigation_rates(n_qubits, trial)
+        law = None if self.noise is None else self.noise.at(trial)
+        # A drifting model's law differs at every trial, so its rates are
+        # re-estimated each evaluation; a static law's rates are estimated once.
+        if self.mitigate and (self._rates is None or law is not self.noise):
+            rng = spawn_rng(self.seed, _STREAM_RATES, trial)
+            self._rates = sampler.estimate_transition_rates(law, n_qubits, RATE_TRIALS, rng)
+        rates = self._rates if self.mitigate else None
         # <I...I> = 1 needs no shots; the other words keep their stream index.
         identity = "I" * n_qubits
         out = {}
@@ -372,8 +366,7 @@ class ShotsBackend:
                 continue
             rng = spawn_rng(self.seed, _STREAM_WORDS, trial, wi)
             out[word] = sampler.sampled_expectation(
-                state, word, self.shots, self.noise, rng,
-                mitigation=rates, trial=trial,
+                state, word, self.shots, law, rng, mitigation=rates,
             )
         return out
 

@@ -16,7 +16,6 @@ from qbands.sampler import (
     basis_change,
     expectation_from_counts,
     mitigate_counts,
-    mitigate_single,
     sample,
     sampled_expectation,
 )
@@ -142,7 +141,7 @@ class TestAcceptance:
             raw = expectation_from_counts(counts, "Z")
             sigma = np.sqrt(max(1 - (0.9 * z) ** 2, 1e-12) / M)
             assert abs(raw - (1 - p_plus) * z) <= 3 * sigma
-            corrected = mitigate_single(raw, model1)
+            corrected = mitigate_counts(counts, model1, "Z")
             assert abs(corrected - z) <= 3 * sigma / (1 - p_plus)
         model2 = ReadoutNoiseModel.uniform(2, 0.05, 0.05)
         zz_op = kron_word("ZZ")

@@ -170,6 +170,11 @@ class TestBadInput:
          {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": "18"}, "--noise"),
         (["rates", "--trials", "10", "--samples", "2"],
          {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": -18}, "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": "0.05"}, "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w10": True}, "--noise"),
+        (["rates", "--trials", "10", "--samples", "2"], {"w01": ["0.1"]}, "--noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"

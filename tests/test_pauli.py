@@ -10,6 +10,7 @@ from qbands.pauli import (
     reconstruct,
     shift_identity,
     word_matrix,
+    word_matrix_stack,
 )
 
 from conftest import kron_word, rand_hermitian
@@ -31,6 +32,11 @@ class TestWords:
     def test_matches_independent_kron(self):
         for word in ("XZ", "IYZ", "ZZY"):
             assert np.array_equal(word_matrix(word), kron_word(word))
+
+    def test_cached_stack_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            word_matrix_stack(1)[3] *= 2
+        assert decompose(np.diag([1.0, -1.0])).coeffs == {"Z": 1.0}
 
 
 class TestDecompose:

@@ -298,3 +298,9 @@ class TestPauliExpectations:
     def test_values_in_unit_interval(self, rng):
         exps = exact_pauli_expectations(rand_state(rng, 4))
         assert all(-1 - 1e-12 <= v <= 1 + 1e-12 for v in exps.values())
+
+
+def test_cached_register_maps_are_read_only():
+    for array in qsim._register_maps(2):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]

@@ -12,7 +12,6 @@ from qbands.sampler import (
     estimate_transition_rates,
     expectation_from_counts,
     mitigate_counts,
-    mitigate_single,
     sample,
     sampled_expectation,
 )
@@ -87,6 +86,11 @@ class TestBasisChange:
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             basis_change("XQ")
+
+    @pytest.mark.parametrize("word", ["I", "Z", "X", "Y"])
+    def test_shared_unitary_is_read_only(self, word):
+        with pytest.raises(ValueError, match="read-only"):
+            basis_change(word).unitary[1, 1] = 5
 
 
 class TestSample:
@@ -218,7 +222,7 @@ class TestTransitionRates:
         trials = 200_000
         sigma = np.sqrt(0.06 * 0.94 / trials)
         for t in range(0, 36, 3):
-            est = estimate_transition_rates(noise, 1, trials, rng=50 + t, trial=t)
+            est = estimate_transition_rates(noise.at(t), 1, trials, rng=50 + t)
             truth = base + amp * np.sin(2 * np.pi * t / period)
             assert abs(est.w10[0] - truth) <= 4 * sigma
 
@@ -237,14 +241,42 @@ class TestTransitionRates:
                                       drift_period=period)
 
 
+class TestReadoutLaw:
+    def test_without_drift_is_its_own_law(self):
+        model = ReadoutNoiseModel((0.02, 0.1), (0.05, 0.0))
+        assert model.at(0) is model and model.at(7) is model
+
+    def test_matches_drift_formula(self):
+        base, amp, period = (0.05, 0.3), 0.02, 7.0
+        model = ReadoutNoiseModel((0.01, 0.0), base, amp, period)
+        for t in range(40):
+            law = model.at(t)
+            assert law.w01 == model.w01 and law.drift_amplitude == 0.0
+            assert law.w10 == pytest.approx(
+                [b + amp * np.sin(2 * np.pi * t / period) for b in base], abs=1e-15)
+
+    def test_clipped_to_unit_interval(self):
+        low = ReadoutNoiseModel.uniform(1, 0.0, 0.01, drift_amplitude=0.05, drift_period=4)
+        assert low.at(3).w10 == (0.0,)  # 0.01 - 0.05
+        high = ReadoutNoiseModel.uniform(1, 0.0, 0.98, drift_amplitude=0.05, drift_period=4)
+        assert high.at(1).w10 == (1.0,)  # 0.98 + 0.05
+
+    def test_ill_posed_only_at_drift_peak(self):
+        model = ReadoutNoiseModel.uniform(1, 0.45, 0.5, drift_amplitude=0.1, drift_period=4)
+        assert model.ill_posed().tolist() == [True]
+        assert [bool(model.at(t).ill_posed()[0]) for t in range(8)] == [
+            False, True, False, False, False, True, False, False]
+        assert not ReadoutNoiseModel.uniform(1, 0.45, 0.5).ill_posed().any()
+
+
 class TestMitigation:
     def test_noiseless_passthrough(self):
         model = ReadoutNoiseModel.uniform(1, 0.0, 0.0)
-        assert mitigate_single(0.5, model) == 0.5
+        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, "Z") == 0.5
 
     def test_symmetric_rates_example(self):
         model = ReadoutNoiseModel.uniform(1, 0.1, 0.1)
-        assert mitigate_single(0.5, model) == pytest.approx(0.625)
+        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, "Z") == pytest.approx(0.625)
 
     def test_monte_carlo_bias_inversion(self, rng):
         # Sample a known state through readout flips, then undo the bias.
@@ -255,25 +287,33 @@ class TestMitigation:
         raw = expectation_from_counts(counts, "Z")
         sigma = np.sqrt(1.0 / 200_000)
         assert abs(raw - 0.8 * z_true) <= 3 * sigma  # attenuated by 1 - p+
-        corrected = mitigate_single(raw, model)
+        corrected = mitigate_counts(counts, model, "Z")
         assert abs(corrected - z_true) <= 3 * sigma / 0.8
 
     def test_clamped_to_physical_range(self):
         model = ReadoutNoiseModel.uniform(1, 0.15, 0.02)
-        assert mitigate_single(-0.999, model) >= -1.0
-        assert mitigate_single(0.9999, model) <= 1.0
+        assert mitigate_counts(_counts(1, {0: 1, 1: 1999}), model, "Z") >= -1.0  # raw -0.999
+        assert mitigate_counts(_counts(1, {0: 19999, 1: 1}), model, "Z") <= 1.0  # raw 0.9999
 
     def test_ill_posed_rates_rejected(self):
         model = ReadoutNoiseModel.uniform(1, 0.6, 0.5)
         with pytest.raises(ValueError, match="ill-posed"):
-            mitigate_single(0.1, model)
+            mitigate_counts(_counts(1, {0: 11, 1: 9}), model, "Z")  # raw 0.1
+
+    def test_ill_posed_only_on_measured_qubits(self):
+        model = ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5))  # qubit 2 ill-posed
+        counts = _counts(2, {0b00: 6, 0b01: 2, 0b10: 1, 0b11: 1})
+        assert mitigate_counts(counts, model, "IZ") == pytest.approx(0.4 / 0.8)  # raw 0.4, p+ 0.2
+        with pytest.raises(ValueError, match="ill-posed"):
+            mitigate_counts(counts, model, "ZI")
 
     def test_counts_reduces_to_single_qubit_formula(self, rng):
         model = ReadoutNoiseModel.uniform(1, 0.07, 0.12)
         counts = _counts(1, {0: 6200, 1: 3800})
         raw = expectation_from_counts(counts, "Z")
+        p_minus, p_plus = 0.12 - 0.07, 0.12 + 0.07
         assert mitigate_counts(counts, model, "Z") == pytest.approx(
-            mitigate_single(raw, model), abs=1e-12
+            (raw - p_minus) / (1 - p_plus), abs=1e-12
         )
 
     def test_zero_model_equals_parity_estimator(self, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qbands import sampler
 from qbands.pauli import (
     SpectralDecomposition,
     decompose,
@@ -456,6 +457,20 @@ class TestShotsBackendDriver:
         assert backend.trial == 2
         f_batch(np.zeros((3, 2)))
         assert backend.trial == 5
+
+    @pytest.mark.parametrize("drift, estimates", [(0.0, 1), (0.02, 3)])
+    def test_rates_estimated_once_unless_drifting(self, drift, estimates, monkeypatch):
+        laws = []
+        estimate = sampler.estimate_transition_rates
+        monkeypatch.setattr(sampler, "estimate_transition_rates",
+                            lambda noise, *rest: laws.append(noise) or estimate(noise, *rest))
+        noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06, drift_amplitude=drift,
+                                          drift_period=5)
+        backend = ShotsBackend(shots=64, noise=noise, mitigate=True, seed=37)
+        f, _ = backend.make_objective(SpectralDecomposition(1, {"Z": 0.5}), MEAN_FIELD)
+        for _ in range(3):
+            f(np.array([0.4, 0.0]))
+        assert laws == [noise.at(t) for t in range(estimates)]
 
     def test_mitigation_tracks_drifting_rates(self):
         # w10 swings hard between successive trials; re-estimated rates must
