@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .pauli import decompose, pauli_words, require_hermitian
+from .pauli import decompose, from_json_object, is_real, pauli_words, require_hermitian
 from .qsim import ansatz_for
 from .sampler import ReadoutNoiseModel, estimate_transition_rates
 from .seeding import spawn_rng, spawn_seed
@@ -102,17 +102,19 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _noise_model(args: argparse.Namespace, n_qubits: int) -> ReadoutNoiseModel | None:
+    """The `--noise` file's model on ``n_qubits`` qubits, or None."""
+    if args.noise is None:
+        return None
+    return from_json_object(ReadoutNoiseModel.uniform, args.noise, n_qubits)
+
+
 def _make_backend(args: argparse.Namespace, n_qubits: int, k_index: int):
     if args.backend == "exact":
         return ExactBackend()
-    noise = (
-        ReadoutNoiseModel.from_dict(args.noise, n_qubits)
-        if args.noise is not None
-        else None
-    )
     return ShotsBackend(
         shots=args.shots,
-        noise=noise,
+        noise=_noise_model(args, n_qubits),
         mitigate=args.mitigate,
         seed=spawn_seed(args.seed, _STREAM_BACKEND, k_index),
     )
@@ -160,7 +162,6 @@ def run_bands(args: argparse.Namespace, out_dir: Path) -> Path:
             records = list(pool.map(_solve_kpoint, jobs))
     else:
         records = [_solve_kpoint(job) for job in jobs]
-    records.sort(key=lambda r: r["k_index"])
 
     n_bands = len(records[0]["energies"])
     columns = ["k_index", "kx", "ky", "kz", "path_coord"]
@@ -250,11 +251,7 @@ def run_scan(args: argparse.Namespace, out_dir: Path) -> Path:
 
 def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
     n_qubits = args.qubits
-    noise = (
-        ReadoutNoiseModel.from_dict(args.noise, n_qubits)
-        if args.noise is not None
-        else None
-    )
+    noise = _noise_model(args, n_qubits)
     columns = ["sample_index"]
     columns += [f"w01_q{q}" for q in range(1, n_qubits + 1)]
     columns += [f"w10_q{q}" for q in range(1, n_qubits + 1)]
@@ -271,18 +268,19 @@ def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
     return out
 
 
-def _json_entry(e) -> complex:
-    if isinstance(e, (list, tuple)):
-        if len(e) != 2:
-            raise ValueError(f"matrix entry {e!r} is not an [re, im] pair")
-        return complex(float(e[0]), float(e[1]))
-    return complex(e)
+def _json_entry(e) -> float | complex:
+    """A JSON matrix entry: a real number or an [re, im] pair of reals."""
+    if is_real(e):
+        return e
+    if isinstance(e, list) and len(e) == 2 and all(map(is_real, e)):
+        return complex(*e)
+    raise ValueError(f"matrix entry {e!r} is not a real number or an [re, im] pair of reals")
 
 
 def _read_matrix(path: str) -> np.ndarray:
     """Square matrix of power-of-two dimension from JSON
     ({'matrix': [[[re, im], ...], ...]} or the bare nested list) or CSV rows
-    of interleaved re,im values, Hermitian within ``pauli.HERM_TOL``."""
+    of interleaved re,im values, finite and Hermitian within ``pauli.HERM_TOL``."""
     if path.endswith(".json"):
         data = _load_json(path)
         raw = data.get("matrix") if isinstance(data, dict) else data
@@ -443,8 +441,8 @@ def _check_noise(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         return
     n_qubits = args.qubits if args.command == "rates" else _MODE_QUBITS[args.mode]
     try:
-        noise = ReadoutNoiseModel.from_dict(args.noise, n_qubits)
-    except (ValueError, TypeError) as exc:
+        noise = _noise_model(args, n_qubits)
+    except ValueError as exc:
         parser.error(f"--noise: {exc} ({n_qubits} qubits)")
     if args.mitigate and noise.ill_posed().any():
         parser.error("--mitigate is ill-posed: w01 + w10 >= 1 on some qubit "

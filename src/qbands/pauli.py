@@ -9,6 +9,7 @@ c_w = Tr(H† σ_w) / 2**n over all 4**n words.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
@@ -84,9 +85,33 @@ class SpectralDecomposition:
         return dense
 
 
+def is_real(value) -> bool:
+    """A real number, bool excluded: the one number rule of every input."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """An integer, bool excluded."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def from_json_object(make, obj, *args):
+    """``make(*args, **obj)`` for a JSON object of an input file: keys starting
+    with ``_`` are comments, an unknown or a missing key is a ValueError naming
+    it, and ``make`` checks the values."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    try:
+        return make(*args, **{k: v for k, v in obj.items() if not str(k).startswith("_")})
+    except TypeError as exc:  # an unknown or a missing key, or a value of the wrong type
+        raise ValueError(str(exc)) from None
+
+
 def require_hermitian(H: np.ndarray) -> None:
-    """Raise ValueError if H deviates from Hermiticity by more than
-    HERM_TOL entrywise."""
+    """Raise ValueError if H has a non-finite entry or deviates from
+    Hermiticity by more than HERM_TOL entrywise."""
+    if not np.isfinite(H).all():
+        raise ValueError("matrix has non-finite entries")
     dev = np.max(np.abs(H - H.conj().T)) if H.size else 0.0
     if dev > HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")

@@ -15,17 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from . import qsim
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+from .pauli import is_real
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
@@ -33,7 +28,7 @@ def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
     if len(rates) != n_qubits:
         raise ValueError(f"{name} needs {n_qubits} per-qubit entries")
     for r in rates:
-        if not (_is_real(r) and 0.0 <= r <= 1.0):
+        if not (is_real(r) and 0.0 <= r <= 1.0):
             raise ValueError(f"{name} rate {r!r} is not a real number in [0, 1]")
     return tuple(float(r) for r in rates)
 
@@ -51,9 +46,9 @@ class ReadoutNoiseModel:
         if len(self.w01) != len(self.w10):
             raise ValueError("w01 and w10 must have the same length")
         amplitude, period = self.drift_amplitude, self.drift_period
-        if not (_is_real(amplitude) and math.isfinite(amplitude)):
+        if not (is_real(amplitude) and math.isfinite(amplitude)):
             raise ValueError(f"drift_amplitude must be a finite real, got {amplitude!r}")
-        if amplitude and not (_is_real(period) and 0 < period < math.inf):
+        if amplitude and not (is_real(period) and 0 < period < math.inf):
             raise ValueError("drift_amplitude requires a finite real drift_period > 0, "
                              f"got {period!r}")
 
@@ -62,28 +57,15 @@ class ReadoutNoiseModel:
         return len(self.w01)
 
     @classmethod
-    def uniform(cls, n_qubits: int, w01: float, w10: float,
+    def uniform(cls, n_qubits: int, w01: float = 0.0, w10: float = 0.0,
                 drift_amplitude: float = 0.0,
                 drift_period: float | None = None) -> "ReadoutNoiseModel":
+        """Rates from scalars (every qubit) or per-qubit lists; a noise file's keys."""
         return cls(
             _as_rates(w01, n_qubits, "w01"),
             _as_rates(w10, n_qubits, "w10"),
             drift_amplitude,
             drift_period,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Mapping, n_qubits: int) -> "ReadoutNoiseModel":
-        """Noise config: {"w01": x|[...], "w10": x|[...],
-        "drift_amplitude": a, "drift_period": p}."""
-        if not isinstance(data, Mapping):
-            raise ValueError(f"expected a mapping, got {type(data).__name__}")
-        amplitude = data.get("drift_amplitude")
-        return cls(
-            _as_rates(data.get("w01", 0.0), n_qubits, "w01"),
-            _as_rates(data.get("w10", 0.0), n_qubits, "w10"),
-            0.0 if amplitude is None else amplitude,
-            data.get("drift_period"),
         )
 
     def at(self, trial: int) -> "ReadoutNoiseModel":
@@ -169,8 +151,7 @@ def sample(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     n = qsim.num_qubits(state)
     probs = np.abs(state) ** 2
     if noise is not None:
@@ -221,8 +202,7 @@ def estimate_transition_rates(
         raise ValueError("n_qubits must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     zeros = qsim.zero_state(n_qubits)
     ones = zeros[::-1]  # |1...1>
     bits = (np.arange(len(zeros))[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .pauli import require_hermitian
+from .pauli import from_json_object, is_real, require_hermitian
 
 # Nearest-neighbour bond vectors in units of the lattice constant.
 BOND_VECTORS = 0.25 * np.array(
@@ -44,8 +44,6 @@ HIGH_SYMMETRY_POINTS = {
     "U": (1.0, 0.25, 0.25),
 }
 
-_PARAM_KEYS = ("lattice_constant", "E_s", "E_p", "V_ss", "V_sp", "V_xx", "V_xy")
-
 
 @dataclass(frozen=True)
 class TBParameters:
@@ -60,27 +58,23 @@ class TBParameters:
     V_xy: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite real, got {value!r}")
+            object.__setattr__(self, f.name, float(value))
         if not self.lattice_constant > 0:
             raise ValueError("lattice_constant must be positive")
-        for key in _PARAM_KEYS:
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "TBParameters":
         with open(path) as fh:
-            data = json.load(fh)
-        missing = [k for k in _PARAM_KEYS if k not in data]
-        if missing:
-            raise ValueError(f"parameter file missing keys: {missing}")
-        return cls(**{k: float(data[k]) for k in _PARAM_KEYS})
+            return from_json_object(cls, json.load(fh))
 
     @classmethod
     def default_silicon(cls) -> "TBParameters":
         """Reference silicon values shipped with the package (data/silicon.json)."""
-        with resources.files("qbands.data").joinpath("silicon.json").open() as fh:
-            data = json.load(fh)
-        return cls(**{k: float(data[k]) for k in _PARAM_KEYS})
+        return cls.from_json(resources.files("qbands.data").joinpath("silicon.json"))
 
 
 @dataclass(frozen=True)
@@ -157,8 +151,8 @@ def structure_factors(k: KPoint) -> np.ndarray:
     return (_G_SIGNS @ phases) / 4.0
 
 
-def build_full_hamiltonian(params: TBParameters, k: KPoint) -> np.ndarray:
-    """8x8 Bloch Hamiltonian in the basis (A: s,px,py,pz; B: s,px,py,pz)."""
+def _bloch_hamiltonian(params: TBParameters, k: KPoint) -> np.ndarray:
+    """The 8x8 matrix of both builders below, so that neither calls the other."""
     g0, g1, g2, g3 = structure_factors(k)
     H = np.zeros((8, 8), dtype=complex)
     onsite = [params.E_s, params.E_p, params.E_p, params.E_p]
@@ -179,16 +173,15 @@ def build_full_hamiltonian(params: TBParameters, k: KPoint) -> np.ndarray:
     return H
 
 
+def build_full_hamiltonian(params: TBParameters, k: KPoint) -> np.ndarray:
+    """8x8 Bloch Hamiltonian in the basis (A: s,px,py,pz; B: s,px,py,pz)."""
+    return _bloch_hamiltonian(params, k)
+
+
 def build_s_block(params: TBParameters, k: KPoint) -> np.ndarray:
-    """2x2 s-orbital block, the full Hamiltonian with s-p hopping dropped."""
-    g0 = structure_factors(k)[0]
-    return np.array(
-        [
-            [params.E_s, params.V_ss * g0],
-            [np.conj(params.V_ss * g0), params.E_s],
-        ],
-        dtype=complex,
-    )
+    """2x2 s-orbital block: the (A s, B s) rows and columns of the 8x8
+    Hamiltonian, which drops the s-p hopping."""
+    return _bloch_hamiltonian(params, k)[np.ix_([0, 4], [0, 4])]
 
 
 def diagonalize_classical(H: np.ndarray) -> np.ndarray:

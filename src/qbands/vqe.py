@@ -11,8 +11,7 @@ driving.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -21,7 +20,10 @@ from . import qsim, sampler
 from .pauli import (
     SpectralDecomposition,
     deflate,
+    from_json_object,
     gershgorin_upper_bound,
+    is_int,
+    is_real,
     pauli_words,
     shift_identity,
 )
@@ -52,10 +54,6 @@ class ZeroCaptureError(RuntimeError):
         self.energies_found = energies_found
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Classical optimiser settings.
@@ -77,30 +75,26 @@ class OptimizerConfig:
         if self.method not in ("bfgs", "cobyla"):
             raise ValueError(f"method must be 'bfgs' or 'cobyla', got {self.method!r}")
         tol = self.tol_ev
-        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-                and 0 < tol < math.inf):
+        if not (is_real(tol) and 0 < tol < math.inf):
             raise ValueError(f"tol_ev must be a positive real, got {tol!r}")
         for name in ("max_iter", "restarts"):
             value = getattr(self, name)
-            if value is not None and not (_is_int(value) and value >= 1):
+            if value is not None and not (is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+        if self.seed is not None and not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OptimizerConfig":
-        if not isinstance(data, Mapping):
-            raise ValueError(f"expected a mapping, got {type(data).__name__}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown optimiser keys {unknown}")
-        return cls(**data)
+        return from_json_object(cls, data)
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """One restart's end point, its energy and what reaching it cost."""
+
     x: np.ndarray
-    fun: float
+    energy: float
     evaluations: int
     iterations: int
     converged: bool
@@ -405,14 +399,6 @@ Backend = ExactBackend | ShotsBackend
 
 
 @dataclass(frozen=True)
-class RestartTrace:
-    energy: float
-    evaluations: int
-    iterations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
 class VQEResult:
     """Best variational result over all restarts.
 
@@ -426,7 +412,7 @@ class VQEResult:
     theta: np.ndarray
     evaluations: int
     converged: bool
-    restarts: tuple[RestartTrace, ...] = field(default_factory=tuple)
+    restarts: tuple[OptimizeResult, ...] = field(default_factory=tuple)
 
 
 def _default_restarts(ansatz: Ansatz) -> int:
@@ -456,15 +442,14 @@ def minimize(
     else:
         grad_batch, grad_evaluations = backend.make_gradient(decomp, ansatz)
         results = optimize_quasinewton(f_batch, grad_batch, x0, config, grad_evaluations)
-    best = min(results, key=lambda res: (res.fun, res.evaluations))
+    best = min(results, key=lambda res: (res.energy, res.evaluations))
     energy = f(best.x)
     return VQEResult(
         energy=float(energy),
         theta=np.asarray(best.x, dtype=float),
         evaluations=sum(res.evaluations for res in results) + 1,
         converged=best.converged,
-        restarts=tuple(RestartTrace(res.fun, res.evaluations, res.iterations,
-                                    res.converged) for res in results),
+        restarts=tuple(results),
     )
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,11 @@ class File:
         return str(path)
 
 
+def params_file(**changes) -> File:
+    """A `--params` file: the bundled silicon values with ``changes``."""
+    return File(json.dumps({**asdict(SI), **changes}))
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv, flag", [
         (["bands", "--shots", "0"], "--shots"),
@@ -128,6 +135,14 @@ class TestBadInput:
         (["bands", "--kpath", "X,G:1", "--seed", "-1"], "--seed"),
         (["decompose", "--matrix", File('{"matrix": [[0, 1], [0, 0]]}')], "--matrix"),
         (["bands", "--optimizer", File('{"method": "quasi-newton"}')], "--optimizer"),
+        (["bands", "--params", params_file(E_s=True)], "--params"),
+        (["bands", "--params", params_file(E_p="7.20")], "--params"),
+        (["bands", "--params", params_file(V_zz=1.0)], "--params"),
+        (["decompose", "--matrix", File('{"matrix": [[true, 0], [0, 1]]}')], "--matrix"),
+        (["decompose", "--matrix", File('{"matrix": [[1, 0], [0, "1+0j"]]}')], "--matrix"),
+        (["decompose", "--matrix", File("nan,0,0,0\n0,0,1,0\n", "m.csv")], "--matrix"),
+        (["decompose", "--matrix", File('{"matrix": [[Infinity, 0], [0, 1]]}')],
+         "--matrix"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -175,6 +190,10 @@ class TestBadInput:
         (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
          {"w10": True}, "--noise"),
         (["rates", "--trials", "10", "--samples", "2"], {"w01": ["0.1"]}, "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w_01": 0.05, "w10": 0.08}, "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": None}, "--noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"
@@ -485,3 +504,14 @@ class TestDeterminism:
         a = (tmp_path / "a" / "bands.csv").read_text().splitlines()[2:]
         b = (tmp_path / "b" / "bands.csv").read_text().splitlines()[2:]
         assert a != b
+
+    def test_bundled_params_file_reproduces_default_run(self, tmp_path):
+        # The bundled file carries a "_comment" key, which the reader skips.
+        params = tmp_path / "silicon.json"
+        params.write_text(
+            resources.files("qbands.data").joinpath("silicon.json").read_text())
+        args = ["bands", "--kpath", "X,G:1", "--seed", "3"]
+        main(args + ["--out", str(tmp_path / "a")])
+        main(args + ["--params", str(params), "--out", str(tmp_path / "b")])
+        assert (tmp_path / "a" / "bands.csv").read_bytes() == \
+            (tmp_path / "b" / "bands.csv").read_bytes()

@@ -76,6 +76,11 @@ class TestDecompose:
         with pytest.raises(ValueError, match="not Hermitian"):
             decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_accepts_hermitian_within_tolerance(self, rng):
         H = rand_hermitian(rng, 4)
         H[0, 1] += 1e-12

@@ -65,6 +65,17 @@ class TestParameters:
         with pytest.raises(ValueError, match="missing"):
             TBParameters.from_json(path)
 
+    @pytest.mark.parametrize("field, value", [("E_s", True), ("E_p", "7.20"),
+                                              ("lattice_constant", None)])
+    def test_rejects_bool_and_string_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            _params(**{field: value})
+
+    def test_stores_integers_as_floats(self):
+        p = _params(E_s=0, lattice_constant=5)
+        assert type(p.E_s) is float and p.E_s == 0.0
+        assert type(p.lattice_constant) is float and p.lattice_constant == 5.0
+
 
 class TestStructureFactors:
     def test_zone_centre(self):

@@ -97,6 +97,10 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match=named):
             OptimizerConfig.from_dict(data)
 
+    def test_from_dict_skips_comment_keys(self):
+        cfg = OptimizerConfig.from_dict({"_comment": "fast", "restarts": 2})
+        assert cfg == OptimizerConfig(restarts=2)
+
 
 class TestOptimizers:
     def test_quadratic_both_methods(self):
@@ -111,7 +115,7 @@ class TestOptimizers:
     def test_rosenbrock_quasinewton(self):
         [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
                                      OptimizerConfig())
-        assert res.fun < 1e-6
+        assert res.energy < 1e-6
         assert res.converged
 
     def test_lockstep_rows_match_solo_runs(self, rng):
@@ -130,7 +134,7 @@ class TestOptimizers:
                  for x in x0_rosen]
         for a, b in zip(together, solo):
             assert np.max(np.abs(a.x - b.x)) <= 1e-12
-            assert a.fun == pytest.approx(b.fun, abs=1e-12)
+            assert a.energy == pytest.approx(b.energy, abs=1e-12)
             assert (a.evaluations, a.iterations, a.converged) == \
                 (b.evaluations, b.iterations, b.converged)
 
