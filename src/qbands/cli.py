@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .pauli import decompose, from_json_object, is_real, pauli_words, require_hermitian
+from .pauli import (
+    decompose,
+    from_json_object,
+    is_finite_real,
+    pauli_words,
+    require_hermitian,
+)
 from .qsim import ansatz_for
 from .sampler import ReadoutNoiseModel, estimate_transition_rates
 from .seeding import spawn_rng, spawn_seed
@@ -269,24 +275,31 @@ def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
 
 
 def _json_entry(e) -> float | complex:
-    """A JSON matrix entry: a real number or an [re, im] pair of reals."""
-    if is_real(e):
+    """A JSON matrix entry: a finite real number or an [re, im] pair of them."""
+    if is_finite_real(e):
         return e
-    if isinstance(e, list) and len(e) == 2 and all(map(is_real, e)):
+    if isinstance(e, list) and len(e) == 2 and all(map(is_finite_real, e)):
         return complex(*e)
-    raise ValueError(f"matrix entry {e!r} is not a real number or an [re, im] pair of reals")
+    raise ValueError(f"matrix entry {e!r} is not a finite real number or an "
+                     "[re, im] pair of finite reals")
+
+
+def _json_rows(matrix) -> list[list]:
+    """The rows of a JSON matrix: a list of rows of matrix entries."""
+    if not isinstance(matrix, list):
+        raise ValueError("expected a 'matrix' list of rows")
+    return [[_json_entry(e) for e in row] for row in matrix]
 
 
 def _read_matrix(path: str) -> np.ndarray:
     """Square matrix of power-of-two dimension from JSON
-    ({'matrix': [[[re, im], ...], ...]} or the bare nested list) or CSV rows
-    of interleaved re,im values, finite and Hermitian within ``pauli.HERM_TOL``."""
+    ({'matrix': [[[re, im], ...], ...]}, read as every config file is, or the
+    bare nested list) or CSV rows of interleaved re,im values, finite and
+    Hermitian within ``pauli.HERM_TOL``."""
     if path.endswith(".json"):
         data = _load_json(path)
-        raw = data.get("matrix") if isinstance(data, dict) else data
-        if not isinstance(raw, list):
-            raise ValueError("expected a 'matrix' list of rows")
-        rows = [[_json_entry(e) for e in row] for row in raw]
+        rows = (from_json_object(_json_rows, data) if isinstance(data, dict)
+                else _json_rows(data))
     else:
         rows = []
         with open(path) as fh:

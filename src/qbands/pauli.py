@@ -9,6 +9,7 @@ c_w = Tr(H† σ_w) / 2**n over all 4**n words.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -88,6 +89,15 @@ class SpectralDecomposition:
 def is_real(value) -> bool:
     """A real number, bool excluded: the one number rule of every input."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A real number with a finite float value, bool excluded: an integer too
+    large for a float is not one."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def is_int(value) -> bool:

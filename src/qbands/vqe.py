@@ -10,7 +10,6 @@ driving.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -22,8 +21,8 @@ from .pauli import (
     deflate,
     from_json_object,
     gershgorin_upper_bound,
+    is_finite_real,
     is_int,
-    is_real,
     pauli_words,
     shift_identity,
 )
@@ -59,10 +58,10 @@ class OptimizerConfig:
     """Classical optimiser settings.
 
     method: "bfgs" (quasi-Newton on the backend's exact gradients, all
-    restarts in lock step) or "cobyla" (direct search).  ``max_iter`` and
-    ``restarts`` default per method / ansatz when None.  ``seed`` None means
-    unset: the CLI then roots the optimiser streams at the master seed, and
-    the library draws from seed 0.
+    restarts in lock step) or "cobyla" (direct search).  When None,
+    ``max_iter`` defaults per method and ``restarts`` per ansatz and
+    backend.  ``seed`` None means unset: the CLI then roots the optimiser
+    streams at the master seed, and the library draws from seed 0.
     """
 
     method: str = "bfgs"
@@ -75,8 +74,8 @@ class OptimizerConfig:
         if self.method not in ("bfgs", "cobyla"):
             raise ValueError(f"method must be 'bfgs' or 'cobyla', got {self.method!r}")
         tol = self.tol_ev
-        if not (is_real(tol) and 0 < tol < math.inf):
-            raise ValueError(f"tol_ev must be a positive real, got {tol!r}")
+        if not (is_finite_real(tol) and tol > 0):
+            raise ValueError(f"tol_ev must be a positive finite real, got {tol!r}")
         for name in ("max_iter", "restarts"):
             value = getattr(self, name)
             if value is not None and not (is_int(value) and value >= 1):
@@ -415,8 +414,19 @@ class VQEResult:
     restarts: tuple[OptimizeResult, ...] = field(default_factory=tuple)
 
 
-def _default_restarts(ansatz: Ansatz) -> int:
-    return 3 if ansatz.n_params == 2 else 20
+def _default_restarts(ansatz: Ansatz, backend: Backend) -> int:
+    """Restarts per level when the config leaves them unset.
+
+    Three-qubit circuit on the exact backend: 4, the smallest count with no
+    missed level and no more unconverged levels than 20 restarts in the
+    sweep of ``scripts/restart_sweep.py`` (the 41-point X,G,L path at 10
+    CLI seeds, L and Γ at 200, 100 random 8x8 spectra); no count leaves
+    every level converged.  Mean field: 3 on both backends, and three qubit
+    on the shots backend: 20; neither has been swept.
+    """
+    if ansatz.n_params == 2:
+        return 3
+    return 4 if isinstance(backend, ExactBackend) else 20
 
 
 def minimize(
@@ -431,7 +441,8 @@ def minimize(
     in lock step; COBYLA: one after another) and keeps the lowest energy,
     ties broken by fewest evaluations, then by restart order.
     """
-    restarts = config.restarts if config.restarts is not None else _default_restarts(ansatz)
+    restarts = (config.restarts if config.restarts is not None
+                else _default_restarts(ansatz, backend))
     seed = config.seed if config.seed is not None else 0
 
     f, f_batch = backend.make_objective(decomp, ansatz)

@@ -143,6 +143,13 @@ class TestBadInput:
         (["decompose", "--matrix", File("nan,0,0,0\n0,0,1,0\n", "m.csv")], "--matrix"),
         (["decompose", "--matrix", File('{"matrix": [[Infinity, 0], [0, 1]]}')],
          "--matrix"),
+        (["bands", "--kpath", "X,G:1", "--params", params_file(E_s=10**400)], "--params"),
+        (["bands", "--kpath", "X,G:1", "--optimizer", File(json.dumps({"tol_ev": 10**400}))],
+         "--optimizer"),
+        (["decompose", "--matrix", File(json.dumps({"matrix": [[10**400, 0], [0, 1]]}))],
+         "--matrix"),
+        (["decompose", "--matrix",
+          File('{"matrix": [[1, 0], [0, -1]], "matrx_note": "typo"}')], "--matrix"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -194,6 +201,12 @@ class TestBadInput:
          {"w_01": 0.05, "w10": 0.08}, "--noise"),
         (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
          {"w01": 0.05, "w10": 0.08, "drift_amplitude": None}, "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 10**400, "drift_period": 5},
+         "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 10**400},
+         "--noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"
@@ -453,6 +466,17 @@ class TestDecompose:
         table = {r[0]: float(r[1]) for r in rows}
         expected = decompose(H)
         assert table == pytest.approx(dict(expected.coeffs))
+
+    @pytest.mark.parametrize("content", [
+        {"_comment": "diag(1, -1)", "matrix": [[1, 0], [0, -1]]},
+        [[1, 0], [0, -1]],
+    ], ids=["object-with-comment", "bare-list"])
+    def test_json_matrix_forms(self, content, tmp_path):
+        mat_file = tmp_path / "m.json"
+        mat_file.write_text(json.dumps(content))
+        main(["decompose", "--matrix", str(mat_file), "--out", str(tmp_path)])
+        _, _, rows = read_csv(tmp_path / "decompose.csv")
+        assert {r[0]: float(r[1]) for r in rows} == {"Z": 1.0}
 
     def test_csv_matrix_input(self, tmp_path):
         mat_file = tmp_path / "m.csv"

@@ -6,6 +6,7 @@ from qbands.pauli import (
     decompose,
     deflate,
     gershgorin_upper_bound,
+    is_finite_real,
     pauli_words,
     reconstruct,
     shift_identity,
@@ -37,6 +38,16 @@ class TestWords:
         with pytest.raises(ValueError, match="read-only"):
             word_matrix_stack(1)[3] *= 2
         assert decompose(np.diag([1.0, -1.0])).coeffs == {"Z": 1.0}
+
+
+class TestNumberRule:
+    def test_finite_reals(self):
+        assert all(map(is_finite_real, [0, -3, 1.5, np.float64(2.0), np.int32(7), 10**300]))
+
+    @pytest.mark.parametrize("value", [True, float("inf"), float("nan"), "1", None, 10**400],
+                             ids=["bool", "inf", "nan", "str", "none", "401-digit-int"])
+    def test_rejected(self, value):
+        assert not is_finite_real(value)
 
 
 class TestDecompose:

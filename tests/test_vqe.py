@@ -25,6 +25,7 @@ from qbands.vqe import (
     OptimizerConfig,
     ShotsBackend,
     ZeroCaptureError,
+    _default_restarts,
     full_spectrum,
     grid_scan,
     minimize,
@@ -298,6 +299,15 @@ class TestMinimize:
         assert len(res.restarts) == 4
         assert res.evaluations >= sum(t.evaluations for t in res.restarts)
 
+    def test_default_restarts_per_ansatz_and_backend(self):
+        shots = ShotsBackend(shots=64)
+        assert _default_restarts(THREE_QUBIT, EXACT) == 4
+        assert _default_restarts(THREE_QUBIT, shots) == 20
+        assert _default_restarts(MEAN_FIELD, EXACT) == 3
+        assert _default_restarts(MEAN_FIELD, shots) == 3
+        res = minimize(decompose(build_s_block(SI, GAMMA)), MEAN_FIELD, EXACT)
+        assert len(res.restarts) == 3
+
 
 class TestGridScan:
     def test_single_z_minimum_on_pi_row(self):
@@ -373,6 +383,14 @@ class TestFullSpectrum:
         assert np.max(np.abs(spec.energies - np.linalg.eigvalsh(H))) < 1e-2
         assert len(spec.levels) == 8 and len(spec.residuals) == 8
         assert max(spec.residuals) < 1e-4
+
+    @pytest.mark.parametrize("k", [GAMMA, KPoint((0.5, 0.5, 0.5))], ids=["G", "L"])
+    def test_default_restarts_recover_eight_bands(self, k):
+        H = build_full_hamiltonian(SI, k)
+        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT, OptimizerConfig())
+        assert all(len(level.restarts) == 4 for level in spec.levels)
+        assert all(level.converged for level in spec.levels)
+        assert np.max(np.abs(spec.energies - np.linalg.eigvalsh(H))) <= 1e-5
 
     def test_zone_centre_p_band_multiplets(self):
         H = build_full_hamiltonian(SI, GAMMA)
