@@ -19,13 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .pauli import (
-    decompose,
-    from_json_object,
-    is_finite_real,
-    pauli_words,
-    require_hermitian,
-)
+from .pauli import decompose, from_json_object, is_real, pauli_words, require_hermitian
 from .qsim import ansatz_for
 from .sampler import ReadoutNoiseModel, estimate_transition_rates
 from .seeding import spawn_rng, spawn_seed
@@ -276,9 +270,9 @@ def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
 
 def _json_entry(e) -> float | complex:
     """A JSON matrix entry: a finite real number or an [re, im] pair of them."""
-    if is_finite_real(e):
+    if is_real(e):
         return e
-    if isinstance(e, list) and len(e) == 2 and all(map(is_finite_real, e)):
+    if isinstance(e, list) and len(e) == 2 and all(map(is_real, e)):
         return complex(*e)
     raise ValueError(f"matrix entry {e!r} is not a finite real number or an "
                      "[re, im] pair of finite reals")

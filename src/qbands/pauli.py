@@ -87,15 +87,11 @@ class SpectralDecomposition:
 
 
 def is_real(value) -> bool:
-    """A real number, bool excluded: the one number rule of every input."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def is_finite_real(value) -> bool:
-    """A real number with a finite float value, bool excluded: an integer too
-    large for a float is not one."""
+    """A real number with a finite float value, bool excluded: the one number
+    rule of every input.  An integer too large for a float is not one."""
     try:
-        return is_real(value) and math.isfinite(value)
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
     except OverflowError:
         return False
 

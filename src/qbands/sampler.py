@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim
-from .pauli import is_finite_real, is_real
+from .pauli import is_real
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
@@ -45,9 +45,9 @@ class ReadoutNoiseModel:
         if len(self.w01) != len(self.w10):
             raise ValueError("w01 and w10 must have the same length")
         amplitude, period = self.drift_amplitude, self.drift_period
-        if not is_finite_real(amplitude):
+        if not is_real(amplitude):
             raise ValueError(f"drift_amplitude must be a finite real, got {amplitude!r}")
-        if amplitude and not (is_finite_real(period) and period > 0):
+        if amplitude and not (is_real(period) and period > 0):
             raise ValueError("drift_amplitude requires a finite real drift_period > 0, "
                              f"got {period!r}")
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pauli import from_json_object, is_finite_real, require_hermitian
+from .pauli import from_json_object, is_real, require_hermitian
 
 # Nearest-neighbour bond vectors in units of the lattice constant.
 BOND_VECTORS = 0.25 * np.array(
@@ -60,7 +60,7 @@ class TBParameters:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not is_finite_real(value):
+            if not is_real(value):
                 raise ValueError(f"{f.name} must be a finite real, got {value!r}")
             object.__setattr__(self, f.name, float(value))
         if not self.lattice_constant > 0:

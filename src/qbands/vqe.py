@@ -21,8 +21,8 @@ from .pauli import (
     deflate,
     from_json_object,
     gershgorin_upper_bound,
-    is_finite_real,
     is_int,
+    is_real,
     pauli_words,
     shift_identity,
 )
@@ -59,9 +59,9 @@ class OptimizerConfig:
 
     method: "bfgs" (quasi-Newton on the backend's exact gradients, all
     restarts in lock step) or "cobyla" (direct search).  When None,
-    ``max_iter`` defaults per method and ``restarts`` per ansatz and
-    backend.  ``seed`` None means unset: the CLI then roots the optimiser
-    streams at the master seed, and the library draws from seed 0.
+    ``max_iter`` and ``restarts`` default per ansatz, backend and method
+    (see ``_with_defaults``).  ``seed`` None means unset: the CLI then roots the
+    optimiser streams at the master seed, and the library draws from seed 0.
     """
 
     method: str = "bfgs"
@@ -74,7 +74,7 @@ class OptimizerConfig:
         if self.method not in ("bfgs", "cobyla"):
             raise ValueError(f"method must be 'bfgs' or 'cobyla', got {self.method!r}")
         tol = self.tol_ev
-        if not (is_finite_real(tol) and tol > 0):
+        if not (is_real(tol) and tol > 0):
             raise ValueError(f"tol_ev must be a positive finite real, got {tol!r}")
         for name in ("max_iter", "restarts"):
             value = getattr(self, name)
@@ -103,8 +103,10 @@ class OptimizeResult:
 # take before it counts as failed.
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 8
-# Curvature pairs with y.s at or below this are not used for an update.
-_MIN_CURVATURE = 1e-12
+# Curvature pairs with y.s at or below this fraction of |y||s| are not used
+# for an update: the cut is scale-free, so a flat valley's small but
+# well-measured curvature still updates H.
+_MIN_CURVATURE = 1e-8
 
 
 def optimize_quasinewton(
@@ -126,10 +128,10 @@ def optimize_quasinewton(
     -H g, halving up to 8 times; the first trial step is 1, or min(1, 1/|g|)
     while H is the identity.  The first accepted step from the identity
     scales H by y.s / y.y (N&W eq. 6.20) before its BFGS update; a pair
-    with y.s <= 1e-12 leaves H unchanged.  A failed line search resets H to
-    the identity and retries along -g.  A failure that starts from the
-    identity is terminal "precision loss": the step fell below the
-    resolution of the objective (round-off or shot noise), and the row
+    with y.s <= 1e-8 |y| |s| leaves H unchanged.  A failed line search
+    resets H to the identity and retries along -g.  A failure that starts
+    from the identity is terminal "precision loss": the step fell below
+    the resolution of the objective (round-off or shot noise), and the row
     counts as converged.  A row also converges when max|g| <= ``tol_ev``;
     hitting ``max_iter`` accepted steps returns it unconverged.
 
@@ -188,7 +190,7 @@ def optimize_quasinewton(
             G[moved] = G_new
             nit[moved] += 1
             ys = np.einsum("ri,ri->r", yk, sk)
-            upd = ys > _MIN_CURVATURE
+            upd = ys > _MIN_CURVATURE * np.linalg.norm(yk, axis=1) * np.linalg.norm(sk, axis=1)
             u, sk, yk, ys = moved[upd], sk[upd], yk[upd], ys[upd]
             first = identity[u]
             Hinv[u[first]] *= (ys[first] / np.einsum("ri,ri->r", yk[first], yk[first])
@@ -414,19 +416,28 @@ class VQEResult:
     restarts: tuple[OptimizeResult, ...] = field(default_factory=tuple)
 
 
-def _default_restarts(ansatz: Ansatz, backend: Backend) -> int:
-    """Restarts per level when the config leaves them unset.
+def _with_defaults(config: OptimizerConfig, ansatz: Ansatz, backend: Backend
+                   ) -> OptimizerConfig:
+    """``config`` with unset ``restarts`` and ``max_iter`` filled in.
 
-    Three-qubit circuit on the exact backend: 4, the smallest count with no
-    missed level and no more unconverged levels than 20 restarts in the
-    sweep of ``scripts/restart_sweep.py`` (the 41-point X,G,L path at 10
-    CLI seeds, L and Γ at 200, 100 random 8x8 spectra); no count leaves
-    every level converged.  Mean field: 3 on both backends, and three qubit
-    on the shots backend: 20; neither has been swept.
+    The three-qubit circuit with BFGS on the exact backend gets 2 restarts
+    of up to 1000 iterations: the smallest restart count with no missed and
+    no unconverged level in the sweep of ``scripts/restart_sweep.py`` (the
+    41-point X,G,L path at 10 CLI seeds, L and Γ at 1200, 100 random 8x8
+    spectra); no level of that sweep stopped at the cap.  Elsewhere, none
+    of it swept: 3 restarts for the mean-field circuit, 20 for the
+    three-qubit one, and the optimisers' own caps (200 BFGS iterations,
+    4000 COBYLA evaluations).
     """
-    if ansatz.n_params == 2:
-        return 3
-    return 4 if isinstance(backend, ExactBackend) else 20
+    if ansatz.n_params > 2 and isinstance(backend, ExactBackend) and config.method == "bfgs":
+        restarts, max_iter = 2, 1000
+    else:
+        restarts, max_iter = (3 if ansatz.n_params == 2 else 20), None
+    return replace(
+        config,
+        restarts=config.restarts if config.restarts is not None else restarts,
+        max_iter=config.max_iter if config.max_iter is not None else max_iter,
+    )
 
 
 def minimize(
@@ -437,17 +448,17 @@ def minimize(
 ) -> VQEResult:
     """Minimise the reconstructed <H> over the ansatz parameters.
 
-    Runs ``restarts`` optimisations from uniform random angles (BFGS: all
-    in lock step; COBYLA: one after another) and keeps the lowest energy,
-    ties broken by fewest evaluations, then by restart order.
+    Runs ``restarts`` optimisations (unset: see ``_with_defaults``) from
+    uniform random angles (BFGS: all in lock step; COBYLA: one after
+    another) and keeps the lowest energy, ties broken by fewest
+    evaluations, then by restart order.
     """
-    restarts = (config.restarts if config.restarts is not None
-                else _default_restarts(ansatz, backend))
+    config = _with_defaults(config, ansatz, backend)
     seed = config.seed if config.seed is not None else 0
 
     f, f_batch = backend.make_objective(decomp, ansatz)
     x0 = np.array([ansatz.random_parameters(spawn_rng(seed, _STREAM_RESTART, r))
-                   for r in range(restarts)])
+                   for r in range(config.restarts)])
     if config.method == "cobyla":
         results = [optimize_direct(f, x, config) for x in x0]
     else:

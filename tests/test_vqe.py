@@ -25,7 +25,7 @@ from qbands.vqe import (
     OptimizerConfig,
     ShotsBackend,
     ZeroCaptureError,
-    _default_restarts,
+    _with_defaults,
     full_spectrum,
     grid_scan,
     minimize,
@@ -200,6 +200,18 @@ class TestOptimizers:
         assert res.converged and res.iterations > 2
         assert np.max(np.abs(res.x)) < 1e-6
 
+    def test_flat_valley_curvature_updates_hessian(self):
+        # On 1e-5 |x|^2 / 2 the first step along -g has y.s = 1e-5 |s|^2,
+        # about 2e-15: tiny but exact, with y parallel to s.  Using the pair
+        # makes the next step Newton's; dropping it for its absolute size
+        # leaves H = I, which shrinks x by 1e-5 per step.
+        a = 1e-5
+        [res] = optimize_quasinewton(lambda X: 0.5 * a * np.sum(X**2, axis=1),
+                                     lambda X: a * X, np.array([[1.0, 1.0]]),
+                                     OptimizerConfig())
+        assert res.converged and res.iterations <= 3
+        assert np.max(np.abs(res.x)) < 0.1
+
 
 class TestGradients:
     @pytest.mark.parametrize("ansatz, n_layers", [(MEAN_FIELD, 1), (THREE_QUBIT, 3)],
@@ -299,12 +311,21 @@ class TestMinimize:
         assert len(res.restarts) == 4
         assert res.evaluations >= sum(t.evaluations for t in res.restarts)
 
-    def test_default_restarts_per_ansatz_and_backend(self):
+    def test_defaults_per_ansatz_backend_and_method(self):
         shots = ShotsBackend(shots=64)
-        assert _default_restarts(THREE_QUBIT, EXACT) == 4
-        assert _default_restarts(THREE_QUBIT, shots) == 20
-        assert _default_restarts(MEAN_FIELD, EXACT) == 3
-        assert _default_restarts(MEAN_FIELD, shots) == 3
+
+        def defaults(ansatz, backend, method):
+            config = _with_defaults(OptimizerConfig(method=method), ansatz, backend)
+            return config.restarts, config.max_iter
+
+        assert defaults(THREE_QUBIT, EXACT, "bfgs") == (2, 1000)
+        assert defaults(THREE_QUBIT, EXACT, "cobyla") == (20, None)
+        assert defaults(THREE_QUBIT, shots, "bfgs") == (20, None)
+        for backend in (EXACT, shots):
+            for method in ("bfgs", "cobyla"):
+                assert defaults(MEAN_FIELD, backend, method) == (3, None)
+        explicit = OptimizerConfig(restarts=5, max_iter=7)
+        assert _with_defaults(explicit, THREE_QUBIT, EXACT) == explicit
         res = minimize(decompose(build_s_block(SI, GAMMA)), MEAN_FIELD, EXACT)
         assert len(res.restarts) == 3
 
@@ -388,7 +409,7 @@ class TestFullSpectrum:
     def test_default_restarts_recover_eight_bands(self, k):
         H = build_full_hamiltonian(SI, k)
         spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT, OptimizerConfig())
-        assert all(len(level.restarts) == 4 for level in spec.levels)
+        assert all(len(level.restarts) == 2 for level in spec.levels)
         assert all(level.converged for level in spec.levels)
         assert np.max(np.abs(spec.energies - np.linalg.eigvalsh(H))) <= 1e-5
 
