@@ -451,7 +451,7 @@ def _check_noise(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         noise = _noise_model(args, n_qubits)
     except ValueError as exc:
         parser.error(f"--noise: {exc} ({n_qubits} qubits)")
-    if args.mitigate and noise.ill_posed().any():
+    if args.mitigate and noise.ill_posed.any():
         parser.error("--mitigate is ill-posed: w01 + w10 >= 1 on some qubit "
                      "(w10 at its drift peak)")
 

@@ -10,6 +10,12 @@ An optional sinusoidal drift modulates w10 as a function of a trial counter,
 never of wall-clock time, so runs stay reproducible.  `ReadoutNoiseModel.at`
 gives the drift-free law in force at a trial; everything below it measures
 and corrects under such a law.
+
+`sample`, `sampled_expectation`, `mitigate_counts` and
+`expectation_from_counts` take one state (or count array) or a (B, 2**n)
+stack of rows.  Every row-wise product on a stack is one stacked mat-vec
+and every row draws from its own generator, so each row gets the value it
+would get alone, bit for bit, whatever B is.
 """
 from __future__ import annotations
 
@@ -76,11 +82,21 @@ class ReadoutNoiseModel:
         w10 = np.clip(np.array(self.w10) + mod, 0.0, 1.0)
         return ReadoutNoiseModel(self.w01, tuple(float(v) for v in w10))
 
+    @functools.cached_property
     def ill_posed(self) -> np.ndarray:
         """Per qubit, whether mitigation can be ill-posed: w01 + w10 >= 1 with
-        w10 at its drift peak."""
+        w10 at its drift peak.  Computed once; read-only."""
         w10_peak = np.minimum(np.array(self.w10) + abs(self.drift_amplitude), 1.0)
-        return np.array(self.w01) + w10_peak >= 1.0
+        return _read_only(np.array(self.w01) + w10_peak >= 1.0)
+
+    @functools.cached_property
+    def confusion(self) -> np.ndarray:
+        """The 2**n x 2**n map from true to read outcome probabilities of the
+        trial-0 law: the Kronecker product of the per-qubit confusion matrices
+        [[1-w01, w10], [w01, 1-w10]], leftmost factor on the highest qubit.
+        Computed once; read-only."""
+        return _read_only(_kron([np.array([[1 - a, b], [a, 1 - b]])
+                                 for a, b in zip(self.w01[::-1], self.w10[::-1])]))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -107,6 +123,39 @@ def _kron(factors: list[np.ndarray]) -> np.ndarray:
     return functools.reduce(np.kron, factors)
 
 
+def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row of a (B, dim) stack, as one stacked
+    mat-vec.  Row b's product is the same for every B; ``rows @ matrix.T``
+    is not (BLAS rounds a one-row product differently)."""
+    return np.matmul(matrix, rows[..., None])[..., 0]
+
+
+def _stack(rows) -> np.ndarray:
+    """A (B, dim) stack: one state or count array is a stack of one row."""
+    rows = np.asarray(rows)
+    if rows.ndim not in (1, 2):
+        raise ValueError(f"expected one row or a (B, dim) stack, got shape {rows.shape}")
+    return rows if rows.ndim == 2 else rows[None]
+
+
+def _unstack(like, values: np.ndarray):
+    """Per-row ``values`` of a stacked computation: as is for a stack, the
+    float of its one row when ``like`` was a single row."""
+    return values if np.ndim(like) == 2 else float(values[0])
+
+
+def _row_generators(rows, rng) -> list[np.random.Generator]:
+    """One generator per row: a single row takes ``rng`` itself (a generator,
+    a seed or None); a (B, dim) stack takes a list or tuple of B of them."""
+    if np.ndim(rows) == 1:
+        return [np.random.default_rng(rng)]
+    if not isinstance(rng, (list, tuple)) or len(rng) != len(rows):
+        got = f"{len(rng)} generators" if isinstance(rng, (list, tuple)) else repr(rng)
+        raise ValueError(f"a stack of {len(rows)} rows needs a list of {len(rows)} "
+                         f"generators, one per row; got {got}")
+    return [np.random.default_rng(g) for g in rng]
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementBasisChange:
     """Unitary U mapping a Pauli word onto its all-I/Z counterpart: σ = U† A U."""
@@ -115,12 +164,13 @@ class MeasurementBasisChange:
     unitary: np.ndarray
 
 
+@functools.lru_cache(maxsize=256)
 def basis_change(word: str) -> MeasurementBasisChange:
     """Pre-measurement rotation for a Pauli word.
 
     The Kronecker product of one fixed 2x2 matrix per letter, leftmost letter
     on the highest qubit: a Hadamard for X, H·S·Z for Y, the identity for I
-    and Z.
+    and Z.  Built once per word and shared, so the unitary is read-only.
     """
     diagonal, factors = [], []
     for letter in word:
@@ -129,45 +179,50 @@ def basis_change(word: str) -> MeasurementBasisChange:
         d, u = _LETTER_BASIS[letter]
         diagonal.append(d)
         factors.append(u)
-    return MeasurementBasisChange("".join(diagonal), _kron(factors))
+    return MeasurementBasisChange("".join(diagonal), _read_only(_kron(factors)))
 
 
 def sample(
     state: np.ndarray,
     shots: int,
     noise: ReadoutNoiseModel | None = None,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | list | None = None,
 ) -> np.ndarray:
     """Counts of ``shots`` measurements of a statevector, as an integer array
     of length 2**n indexed by bitstring value (qubit 1 the least significant
     bit).  Deterministic for a fixed generator or seed.
 
+    ``state`` may be a (B, 2**n) stack of statevectors; ``rng`` is then a list
+    of B generators or seeds, and row b of the (B, 2**n) counts is drawn from
+    ``rng[b]`` alone, exactly as a call on that one state would draw it.
+
     Readout flips are independent per shot and qubit, so the noisy outcome
-    law is |amplitude|^2 under the Kronecker product of the per-qubit
-    confusion matrices [[1-w01, w10], [w01, 1-w10]] (leftmost factor on the
-    highest qubit); one multinomial draw over it gives the counts.  A
-    drifting ``noise`` acts as its trial-0 law.
+    law is |amplitude|^2 under ``noise.confusion``; one multinomial draw per
+    row over it gives the counts.  A drifting ``noise`` acts as its trial-0
+    law.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(rng)
-    n = qsim.num_qubits(state)
-    probs = np.abs(state) ** 2
+    states = _stack(state)
+    rngs = _row_generators(state, rng)
+    n = qsim.num_qubits(states[0])
+    probs = np.abs(states) ** 2
     if noise is not None:
         if noise.n_qubits != n:
             raise ValueError("noise model qubit count mismatch")
-        confusion = [np.array([[1 - a, b], [a, 1 - b]])
-                     for a, b in zip(noise.w01[::-1], noise.w10[::-1])]
-        probs = _kron(confusion) @ probs
-    return rng.multinomial(shots, probs / probs.sum())
+        probs = _rowwise(noise.confusion, probs)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    counts = np.array([g.multinomial(shots, p) for g, p in zip(rngs, probs)])
+    return counts if np.ndim(state) == 2 else counts[0]
 
 
-def _parity_mean(counts: np.ndarray, word: str, w01, w10) -> float:
-    """Mean over the counts of the Kronecker product over an all-I/Z word,
-    leftmost letter on the highest qubit: [1, 1] for I and the corrected
-    parity ((-1)^bit - p⁻) / (1 - p⁺), p± = w10 ± w01 of its qubit, for Z.
-    With p± = 0 that is the plain parity ±1."""
-    if len(counts) != 2 ** len(word):
+def _parity_mean(counts: np.ndarray, word: str, w01, w10) -> np.ndarray:
+    """Per row of a (B, 2**n) count stack, the mean over its counts of the
+    Kronecker product over an all-I/Z word, leftmost letter on the highest
+    qubit: [1, 1] for I and the corrected parity ((-1)^bit - p⁻) / (1 - p⁺),
+    p± = w10 ± w01 of its qubit, for Z.  With p± = 0 that is the plain
+    parity ±1."""
+    if counts.shape[-1] != 2 ** len(word):
         raise ValueError("word length does not match counts")
     factors = []
     for letter, a, b in zip(word, w01[::-1], w10[::-1]):
@@ -177,14 +232,17 @@ def _parity_mean(counts: np.ndarray, word: str, w01, w10) -> float:
             factors.append(np.ones(2))
         else:
             raise ValueError(f"word {word!r} contains non-diagonal letter {letter!r}")
-    return float(counts @ _kron(factors) / counts.sum())
+    # The Kronecker product of vectors is their flattened outer product.
+    weights = functools.reduce(lambda a, b: np.outer(a, b).ravel(), factors)
+    return _rowwise(weights, counts) / counts.sum(axis=-1)
 
 
-def expectation_from_counts(counts: np.ndarray, word: str) -> float:
+def expectation_from_counts(counts: np.ndarray, word: str):
     """Parity estimator of an all-I/Z word: each bitstring contributes the
-    parity (±1) of its bits at the Z positions."""
+    parity (±1) of its bits at the Z positions.  A (B, 2**n) count stack
+    gives B estimates."""
     no_flips = (0.0,) * len(word)
-    return _parity_mean(counts, word, no_flips, no_flips)
+    return _unstack(counts, _parity_mean(_stack(counts), word, no_flips, no_flips))
 
 
 def estimate_transition_rates(
@@ -211,16 +269,18 @@ def estimate_transition_rates(
                              tuple(float(v) for v in w10_hat))
 
 
-def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel, word: str) -> float:
+def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel, word: str):
     """Multi-qubit readout correction of an all-I/Z word:
     sum_z p(z) prod_i ((-1)^{z_i} - p⁻_i) / (1 - p⁺_i) over the Z positions,
-    clamped to [-1, 1].  A drifting ``model`` acts as its trial-0 law."""
+    clamped to [-1, 1].  A (B, 2**n) count stack gives B estimates.  A
+    drifting ``model`` acts as its trial-0 law."""
     if model.n_qubits != len(word):
         raise ValueError("noise model qubit count mismatch")
     law = model.at(0)
-    if any(letter == "Z" and bad for letter, bad in zip(word, law.ill_posed()[::-1])):
+    if any(letter == "Z" and bad for letter, bad in zip(word, law.ill_posed[::-1])):
         raise ValueError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
-    return min(max(_parity_mean(counts, word, law.w01, law.w10), -1.0), 1.0)
+    values = _parity_mean(_stack(counts), word, law.w01, law.w10)
+    return _unstack(counts, np.clip(values, -1.0, 1.0))
 
 
 def sampled_expectation(
@@ -228,20 +288,24 @@ def sampled_expectation(
     word: str,
     shots: int,
     noise: ReadoutNoiseModel | None = None,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | list | None = None,
     mitigation: ReadoutNoiseModel | None = None,
-) -> float:
+):
     """Estimate <σ_word> by basis change, sampling and the parity rule.
 
     ``noise`` is the readout law the counts are drawn under; ``mitigation``
     is the rate model used for correction (usually an estimate, not the
     true injected noise); None disables correction.  The identity word
-    needs no measurement and returns exactly 1.
+    needs no measurement and returns exactly 1.  A (B, 2**n) stack of
+    states, with a list of B generators as ``rng`` (see `sample`), gives B
+    estimates, row b's the one its state and generator give alone.
     """
+    states = _stack(state)
+    rngs = _row_generators(state, rng)
     change = basis_change(word)
     if change.diagonal == "I" * len(word):
-        return 1.0
-    counts = sample(change.unitary @ state, shots, noise, rng)
+        return _unstack(state, np.ones(len(states)))
+    counts = sample(_rowwise(change.unitary, states), shots, noise, rngs)
     if mitigation is not None:
-        return mitigate_counts(counts, mitigation, change.diagonal)
-    return expectation_from_counts(counts, change.diagonal)
+        return _unstack(state, mitigate_counts(counts, mitigation, change.diagonal))
+    return _unstack(state, expectation_from_counts(counts, change.diagonal))

@@ -318,7 +318,10 @@ class ShotsBackend:
     model they are re-estimated before every energy evaluation, otherwise
     once and cached.  Each energy evaluation, one row of an objective batch,
     is measured under the law ``noise.at(trial)`` and advances the trial
-    counter that drives the drift.
+    counter that drives the drift.  A batch is measured once per word over
+    the stack of its rows, each row drawing every word, in word order, from
+    its own stream ``(seed, _STREAM_WORDS, trial)``; so every row gets the
+    value it would get evaluated alone.
     """
 
     def __init__(
@@ -340,44 +343,47 @@ class ShotsBackend:
     def _measure_words(
         self,
         words: list[str],
-        state: np.ndarray,
+        states: np.ndarray,
         n_qubits: int,
-    ) -> dict[str, float]:
-        trial = self.trial
-        self.trial += 1
-        law = None if self.noise is None else self.noise.at(trial)
-        # A drifting model's law differs at every trial, so its rates are
-        # re-estimated each evaluation; a static law's rates are estimated once.
-        if self.mitigate and (self._rates is None or law is not self.noise):
-            rng = spawn_rng(self.seed, _STREAM_RATES, trial)
-            self._rates = sampler.estimate_transition_rates(law, n_qubits, RATE_TRIALS, rng)
-        rates = self._rates if self.mitigate else None
-        # <I...I> = 1 needs no shots; the other words keep their stream index.
-        identity = "I" * n_qubits
-        out = {}
-        for wi, word in enumerate(words):
-            if word == identity:
-                out[word] = 1.0
-                continue
-            rng = spawn_rng(self.seed, _STREAM_WORDS, trial, wi)
-            out[word] = sampler.sampled_expectation(
-                state, word, self.shots, law, rng, mitigation=rates,
-            )
+    ) -> np.ndarray:
+        """(B, len(words)) estimates of every word on every row of a (B, 2**n)
+        stack; the rows are the energy evaluations at the next B trials."""
+        first = self.trial
+        self.trial += len(states)
+        trials = range(first, self.trial)
+        rngs = [spawn_rng(self.seed, _STREAM_WORDS, trial) for trial in trials]
+        # A drifting model's law differs at every trial, so each row is measured
+        # alone under its own law and re-estimated rates; a static law measures
+        # the whole stack, with rates estimated once.
+        drifts = self.noise is not None and bool(self.noise.drift_amplitude)
+        groups = ([(t, slice(b, b + 1)) for b, t in enumerate(trials)] if drifts
+                  else [(first, slice(None))])
+        out = np.empty((len(states), len(words)))
+        for trial, rows in groups:
+            law = None if self.noise is None else self.noise.at(trial)
+            if self.mitigate and (self._rates is None or drifts):
+                rng = spawn_rng(self.seed, _STREAM_RATES, trial)
+                self._rates = sampler.estimate_transition_rates(law, n_qubits, RATE_TRIALS, rng)
+            rates = self._rates if self.mitigate else None
+            for wi, word in enumerate(words):
+                out[rows, wi] = sampler.sampled_expectation(
+                    states[rows], word, self.shots, law, rngs[rows], mitigation=rates,
+                )
         return out
 
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
         """(f, f_batch): sum_w c_w <σ_w> of every row of the ansatz's batched
-        kernel, each row measured in turn as one energy evaluation."""
+        kernel, each row one energy evaluation."""
         _check_qubits(decomp, ansatz)
         words = list(decomp.coeffs)
+        coeffs = list(decomp.coeffs.values())
 
         def f_batch(thetas):
-            states = ansatz.prepare_batch(thetas)
-            energies = np.empty(len(states))
-            for b, state in enumerate(states):
-                measured = self._measure_words(words, state, decomp.n_qubits)
-                energies[b] = sum(c * measured[w] for w, c in decomp.coeffs.items())
-            return energies
+            measured = self._measure_words(words, ansatz.prepare_batch(thetas),
+                                           decomp.n_qubits)
+            # Word by word, in order: each row sums as it would alone.
+            return sum((c * measured[:, wi] for wi, c in enumerate(coeffs)),
+                       np.zeros(len(measured)))
 
         return _with_scalar(f_batch)
 
@@ -389,7 +395,9 @@ class ShotsBackend:
 
     def pauli_expectations(self, state: np.ndarray) -> dict[str, float]:
         n_qubits = qsim.num_qubits(state)
-        return self._measure_words(pauli_words(n_qubits), state, n_qubits)
+        words = pauli_words(n_qubits)
+        measured = self._measure_words(words, state[None], n_qubits)[0]
+        return dict(zip(words, measured.tolist()))
 
 
 Backend = ExactBackend | ShotsBackend

@@ -87,7 +87,7 @@ class TestBasisChange:
         with pytest.raises(ValueError):
             basis_change("XQ")
 
-    @pytest.mark.parametrize("word", ["I", "Z", "X", "Y"])
+    @pytest.mark.parametrize("word", ["I", "Z", "X", "Y", "XYZ"])
     def test_shared_unitary_is_read_only(self, word):
         with pytest.raises(ValueError, match="read-only"):
             basis_change(word).unitary[1, 1] = 5
@@ -197,6 +197,58 @@ class TestSampledExpectation:
         assert sampled_expectation(zero_state(2), "II", 10) == 1.0
 
 
+class TestStacks:
+    """A (B, 2**n) stack with one generator per row is B one-row calls."""
+
+    N, ROWS, SHOTS = 3, 5, 500
+    NOISE = ReadoutNoiseModel((0.02, 0.05, 0.1), (0.04, 0.0, 0.07))
+    RATES = ReadoutNoiseModel((0.03, 0.04, 0.09), (0.05, 0.01, 0.06))
+
+    def _states(self, rng):
+        return np.array([rand_state(rng, 2**self.N) for _ in range(self.ROWS)])
+
+    def test_sample_rows_are_one_row_calls(self, rng):
+        states = self._states(rng)
+        counts = sample(states, self.SHOTS, self.NOISE, list(range(self.ROWS)))
+        assert counts.shape == (self.ROWS, 2**self.N)
+        assert counts.tolist() == [sample(state, self.SHOTS, self.NOISE, seed).tolist()
+                                   for seed, state in enumerate(states)]
+
+    @pytest.mark.parametrize("word", ["XYZ", "IZX", "ZZZ", "YII", "III"])
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_sampled_expectation_rows_are_one_row_calls(self, word, mitigate, rng):
+        states = self._states(rng)
+        rates = self.RATES if mitigate else None
+        gens = [np.random.default_rng(seed) for seed in range(self.ROWS)]
+        stacked = sampled_expectation(states, word, self.SHOTS, self.NOISE, gens,
+                                      mitigation=rates)
+        alone = [sampled_expectation(state, word, self.SHOTS, self.NOISE, seed,
+                                     mitigation=rates)
+                 for seed, state in enumerate(states)]
+        assert stacked.tolist() == alone
+
+    def test_estimators_of_count_rows_are_one_row_calls(self, rng):
+        counts = sample(self._states(rng), self.SHOTS, self.NOISE, list(range(self.ROWS)))
+        for word in ("ZZZ", "IZI", "ZIZ", "III"):
+            assert expectation_from_counts(counts, word).tolist() == [
+                expectation_from_counts(row, word) for row in counts]
+            assert mitigate_counts(counts, self.RATES, word).tolist() == [
+                mitigate_counts(row, self.RATES, word) for row in counts]
+
+    @pytest.mark.parametrize("rng_arg", [None, 7, np.random.default_rng(7), [1, 2], [1, 2, 3, 4]],
+                             ids=["none", "seed", "generator", "too-few", "too-many"])
+    def test_generator_count_must_match_rows(self, rng_arg):
+        states = np.array([zero_state(1)] * 3)
+        with pytest.raises(ValueError, match="one per row"):
+            sample(states, 10, rng=rng_arg)
+        with pytest.raises(ValueError, match="one per row"):
+            sampled_expectation(states, "X", 10, rng=rng_arg)
+
+    def test_rejects_higher_rank_stacks(self):
+        with pytest.raises(ValueError, match="stack"):
+            sample(np.ones((2, 2, 2)), 10, rng=[1, 2])
+
+
 class TestTransitionRates:
     def test_noiseless_rates_are_exactly_zero(self):
         est = estimate_transition_rates(None, 1, 10_000, rng=5)
@@ -263,10 +315,26 @@ class TestReadoutLaw:
 
     def test_ill_posed_only_at_drift_peak(self):
         model = ReadoutNoiseModel.uniform(1, 0.45, 0.5, drift_amplitude=0.1, drift_period=4)
-        assert model.ill_posed().tolist() == [True]
-        assert [bool(model.at(t).ill_posed()[0]) for t in range(8)] == [
+        assert model.ill_posed.tolist() == [True]
+        assert [bool(model.at(t).ill_posed[0]) for t in range(8)] == [
             False, True, False, False, False, True, False, False]
-        assert not ReadoutNoiseModel.uniform(1, 0.45, 0.5).ill_posed().any()
+        assert not ReadoutNoiseModel.uniform(1, 0.45, 0.5).ill_posed.any()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_confusion_columns_are_basis_state_laws(self, n):
+        w01, w10 = W01 + (0.05,) * (n - 2), W10 + (0.15,) * (n - 2)
+        confusion = ReadoutNoiseModel(w01, w10).confusion
+        for value in range(2**n):
+            assert np.allclose(confusion[:, value], _noisy_law(value, n, w01, w10),
+                               atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["confusion", "ill_posed"])
+    def test_cached_arrays_are_read_only(self, name):
+        model = ReadoutNoiseModel((0.02, 0.6), (0.05, 0.5))
+        cached = getattr(model, name)
+        assert getattr(model, name) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0
 
 
 class TestMitigation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbands import sampler
+from qbands import sampler, vqe
 from qbands.pauli import (
     SpectralDecomposition,
     decompose,
@@ -12,6 +12,7 @@ from qbands.pauli import (
 )
 from qbands.qsim import MEAN_FIELD, THREE_QUBIT
 from qbands.sampler import ReadoutNoiseModel
+from qbands.seeding import spawn_rng
 from qbands.tightbinding import (
     KPoint,
     TBParameters,
@@ -33,7 +34,7 @@ from qbands.vqe import (
     optimize_quasinewton,
 )
 
-from conftest import layered_state, pauli_sum_expectation, rand_hermitian
+from conftest import layered_state, pauli_sum_expectation, rand_hermitian, rand_state
 
 SI = TBParameters.default_silicon()
 GAMMA = KPoint((0.0, 0.0, 0.0))
@@ -47,6 +48,15 @@ def rosen(X):
 def rosen_grad(X):
     x, y = X[:, 0], X[:, 1]
     return np.column_stack([-2 * (1 - x) - 400 * x * (y - x**2), 200 * (y - x**2)])
+
+
+def _deflated_full_hamiltonian(params, k):
+    """The 8x8 Hamiltonian after one deflation step, H - E |ψ><ψ| at a random
+    state ψ: a dense operator whose 63 non-identity words are all measured."""
+    psi = rand_state(np.random.default_rng(8), 8)
+    deflated = build_full_hamiltonian(params, k) - 5.0 * np.outer(psi, psi.conj())
+    assert len(decompose(deflated).coeffs) == 64
+    return deflated
 
 
 class TestOptimizerConfig:
@@ -530,6 +540,7 @@ class TestShotsBackendDriver:
     @pytest.mark.parametrize("ansatz, build", [
         (MEAN_FIELD, build_s_block),
         (THREE_QUBIT, build_full_hamiltonian),
+        (THREE_QUBIT, _deflated_full_hamiltonian),
     ])
     @pytest.mark.parametrize("noise, mitigate", [
         (None, False),
@@ -544,9 +555,44 @@ class TestShotsBackendDriver:
         def fresh():
             return ShotsBackend(shots=256, noise=model, mitigate=mitigate, seed=35)
 
+        # One lock-step parameter-shift gradient: 2·d rows per restart.
+        rows = 2 * ansatz.n_params * _with_defaults(OptimizerConfig(), ansatz,
+                                                    fresh()).restarts
         scalar, batch = fresh(), fresh()
         f, _ = scalar.make_objective(dec, ansatz)
         _, f_batch = batch.make_objective(dec, ansatz)
-        thetas = np.array([ansatz.random_parameters(rng) for _ in range(3)])
+        thetas = np.array([ansatz.random_parameters(rng) for _ in range(rows)])
         assert f_batch(thetas).tolist() == [f(t) for t in thetas]
-        assert scalar.trial == batch.trial == 3
+        assert scalar.trial == batch.trial == rows
+
+    @pytest.mark.parametrize("noise, mitigate", [
+        (None, False),
+        ((0.03, 0.06, 0.0, None), True),
+        ((0.03, 0.06, 0.02, 5), True),
+    ], ids=["noiseless", "mitigated", "mitigated-drift"])
+    def test_batch_spawns_one_word_stream_per_row(self, noise, mitigate, monkeypatch):
+        # Every word of a row draws from the row's one stream: B word streams
+        # per batch of B rows (not B x words), plus the rate streams.
+        paths = []
+        monkeypatch.setattr(vqe, "spawn_rng",
+                            lambda *path: paths.append(path) or spawn_rng(*path))
+        model = ReadoutNoiseModel.uniform(3, *noise) if noise else None
+        backend = ShotsBackend(shots=64, noise=model, mitigate=mitigate, seed=36)
+        _, f_batch = backend.make_objective(
+            decompose(_deflated_full_hamiltonian(SI, KPoint((0.5, 0.25, 0.0)))),
+            THREE_QUBIT)
+        for first in (0, 5):
+            paths.clear()
+            f_batch(np.zeros((5, THREE_QUBIT.n_params)))
+            words = [p for p in paths if p[1] == vqe._STREAM_WORDS]
+            assert words == [(36, vqe._STREAM_WORDS, t) for t in range(first, first + 5)]
+            # Static rates are estimated once, at the first trial; drifting
+            # rates at every row.
+            rates = 0 if not mitigate else 5 if model.drift_amplitude else int(first == 0)
+            assert len(paths) == len(words) + rates
+
+    def test_shots_objective_of_zero_operator_is_zero(self):
+        backend = ShotsBackend(shots=64, seed=38)
+        f, f_batch = backend.make_objective(SpectralDecomposition(1, {}), MEAN_FIELD)
+        assert f_batch(np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
+        assert f(np.zeros(2)) == 0.0
