@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -158,6 +157,10 @@ def run_bands(args: argparse.Namespace, out_dir: Path) -> Path:
     # A pool forks all its workers up front, so it is no larger than the path.
     workers = min(args.workers, len(jobs))
     if workers > 1:
+        # deferred: loads multiprocessing, socket and logging, which a serial
+        # run (and every start-up) would otherwise pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_kpoint, jobs))
     else:

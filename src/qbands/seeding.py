@@ -2,11 +2,24 @@
 
 Every stochastic component draws from a counter-based generator (Philox)
 keyed by a master seed plus a path of non-negative integers, so any part of
-a run can be reproduced bit-exactly in isolation.  The scheme is simply
-``SeedSequence([master, *path])``; the path components used by the CLI are
-documented in the README.
+a run can be reproduced bit-exactly in isolation.  Two rules address a
+stream:
+
+- `spawn_rng` hashes the whole path: ``SeedSequence([master, *path])``
+  seeds its own Philox.  One hash per stream; used where streams are few
+  (restart starting points, rate estimates).
+- `counter_rng` hashes ``(master, *path)`` once into a Philox key and
+  addresses stream t of that family by the counter alone: its 256-bit
+  counter starts at (0, 0, 0, t), t in the highest word, so streams of one
+  family never overlap (Salmon et al. 2011, "Parallel random numbers: as
+  easy as 1, 2, 3").  Used for the one stream per energy evaluation of the
+  shots backend, which would otherwise pay a hash per evaluation.
+
+The path components used by the CLI are documented in the README.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -15,6 +28,41 @@ def spawn_rng(master: int, *path: int) -> np.random.Generator:
     """Generator for the sub-stream identified by ``(master, *path)``."""
     ss = np.random.SeedSequence([int(master), *[int(p) for p in path]])
     return np.random.Generator(np.random.Philox(ss))
+
+
+class _PhiloxKey:
+    """A seed sequence that hands Philox one precomputed key.
+
+    ``Philox(key=K)`` also draws OS entropy for a seed sequence it then
+    discards, which costs three times the rest of its construction;
+    ``Philox(_PhiloxKey(K))`` is keyed with K and draws nothing.  Registered
+    with numpy's `ISeedSequence` on first use, so that importing this module
+    does not load `numpy.random`."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, np.dtype(dtype)) != (len(self.key), self.key.dtype):
+            raise ValueError(f"a Philox key is {len(self.key)} {self.key.dtype} words")
+        return self.key
+
+
+@functools.lru_cache(maxsize=128)
+def _family_key(*family: int) -> _PhiloxKey:
+    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+    key = np.random.SeedSequence(list(family)).generate_state(2, dtype=np.uint64)
+    key.flags.writeable = False
+    return _PhiloxKey(key)
+
+
+def counter_rng(master: int, *path: int, counter: int) -> np.random.Generator:
+    """Stream ``counter`` of the family ``(master, *path)``: the generator
+    ``Generator(Philox(key=K, counter=(0, 0, 0, counter)))`` with
+    K = ``SeedSequence([master, *path]).generate_state(2, uint64)``,
+    computed once per family.  Depends only on the family and ``counter``."""
+    key = _family_key(int(master), *[int(p) for p in path])
+    return np.random.Generator(np.random.Philox(key, counter=(0, 0, 0, int(counter))))
 
 
 def spawn_seed(master: int, *path: int) -> int:

@@ -27,7 +27,7 @@ from .pauli import (
     shift_identity,
 )
 from .qsim import MEAN_FIELD, Ansatz
-from .seeding import spawn_rng, spawn_seed
+from .seeding import counter_rng, spawn_rng, spawn_seed
 
 # Sub-stream roles in the seed fan-out (master, role, ...).
 _STREAM_RESTART = 0
@@ -316,12 +316,14 @@ class ShotsBackend:
     shot budget.  When mitigation is on, transition rates are estimated from
     ``RATE_TRIALS`` readouts of prepared basis states; with a drifting noise
     model they are re-estimated before every energy evaluation, otherwise
-    once and cached.  Each energy evaluation, one row of an objective batch,
-    is measured under the law ``noise.at(trial)`` and advances the trial
-    counter that drives the drift.  A batch is measured once per word over
-    the stack of its rows, each row drawing every word, in word order, from
-    its own stream ``(seed, _STREAM_WORDS, trial)``; so every row gets the
-    value it would get evaluated alone.
+    once, at the first evaluation, and cached.  Each energy evaluation, one
+    row of an objective batch, is measured under the law ``noise.at(trial)``
+    and advances the trial counter that drives the drift.  A batch is one
+    `sampler.sampled_expectation` call over all its rows and words (one per
+    row with a drifting law); the row at trial t draws every word, in word
+    order, from its own stream ``counter_rng(seed, _STREAM_WORDS,
+    counter=t)``.  So every row gets the value it would get evaluated alone:
+    its draws depend only on (seed, t), not on the batch around it.
     """
 
     def __init__(
@@ -351,7 +353,7 @@ class ShotsBackend:
         first = self.trial
         self.trial += len(states)
         trials = range(first, self.trial)
-        rngs = [spawn_rng(self.seed, _STREAM_WORDS, trial) for trial in trials]
+        rngs = [counter_rng(self.seed, _STREAM_WORDS, counter=trial) for trial in trials]
         # A drifting model's law differs at every trial, so each row is measured
         # alone under its own law and re-estimated rates; a static law measures
         # the whole stack, with rates estimated once.
@@ -365,10 +367,9 @@ class ShotsBackend:
                 rng = spawn_rng(self.seed, _STREAM_RATES, trial)
                 self._rates = sampler.estimate_transition_rates(law, n_qubits, RATE_TRIALS, rng)
             rates = self._rates if self.mitigate else None
-            for wi, word in enumerate(words):
-                out[rows, wi] = sampler.sampled_expectation(
-                    states[rows], word, self.shots, law, rngs[rows], mitigation=rates,
-                )
+            out[rows] = sampler.sampled_expectation(
+                states[rows], words, self.shots, law, rngs[rows], mitigation=rates,
+            )
         return out
 
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):

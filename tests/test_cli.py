@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -299,7 +300,8 @@ class TestBands:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(qbands.cli, "ProcessPoolExecutor", SerialPool)
+        # run_bands imports the pool from concurrent.futures when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         main(["bands", "--kpath", "X,G:1", "--workers", "8", "--out", str(tmp_path)])
         assert sizes == [2]  # two k-points
         header, _, rows = read_csv(tmp_path / "bands.csv")
@@ -447,6 +449,19 @@ class TestStartup:
             "res = qbands.optimize_direct(lambda x: float((x[0] - 1) ** 2), np.zeros(1),\n"
             "                             qbands.OptimizerConfig(method='cobyla'))\n"
             "assert abs(res.x[0] - 1) < 1e-3 and 'scipy' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(qbands.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_serial_start_up_leaves_out_multiprocessing(self):
+        # The process pool is imported only for --workers > 1.
+        script = (
+            "import sys\n"
+            "import qbands.cli\n"
+            "loaded = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(qbands.__file__).resolve().parent.parent)}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

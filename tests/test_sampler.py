@@ -1,9 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from qbands import qsim
+from qbands import qsim, sampler
 from qbands.pauli import decompose, pauli_words
 from qbands.qsim import zero_state
 from qbands.sampler import (
@@ -244,9 +245,86 @@ class TestStacks:
         with pytest.raises(ValueError, match="one per row"):
             sampled_expectation(states, "X", 10, rng=rng_arg)
 
-    def test_rejects_higher_rank_stacks(self):
+    def test_rejects_stacks_above_rank_three(self):
+        # (B, M, 2**n) is the highest rank: M word rotations per row.
         with pytest.raises(ValueError, match="stack"):
-            sample(np.ones((2, 2, 2)), 10, rng=[1, 2])
+            sample(np.ones((2, 2, 2, 2)), 10, rng=[1, 2])
+
+
+class TestAllWords:
+    """One `sampled_expectation` call measures every word of every row: row b
+    draws its words in order from its own generator."""
+
+    N, ROWS, SHOTS = 3, 4, 300
+    NOISE = TestStacks.NOISE
+    RATES = TestStacks.RATES
+    # Three measured words (one multinomial call per word) and all 63 (one
+    # 2-D multinomial call per row).
+    WORD_LISTS = {"few": ["XYZ", "III", "IZX", "ZZI"], "all": pauli_words(3)}
+
+    @pytest.mark.parametrize("words", WORD_LISTS.values(), ids=WORD_LISTS.keys())
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_word_list_is_successive_one_word_calls(self, words, mitigate, rng):
+        # Bit for bit: the stack's rows are their one-row calls, and a row's
+        # word list is its words measured one after another from its
+        # generator.
+        states = np.array([rand_state(rng, 2**self.N) for _ in range(self.ROWS)])
+        rates = self.RATES if mitigate else None
+        stacked = sampled_expectation(states, words, self.SHOTS, self.NOISE,
+                                      [np.random.default_rng(seed) for seed in range(self.ROWS)],
+                                      mitigation=rates)
+        assert stacked.shape == (self.ROWS, len(words))
+        for seed, (state, row) in enumerate(zip(states, stacked)):
+            alone = sampled_expectation(state, words, self.SHOTS, self.NOISE, seed,
+                                        mitigation=rates)
+            g = np.random.default_rng(seed)
+            successive = [sampled_expectation(state, word, self.SHOTS, self.NOISE, g,
+                                              mitigation=rates) for word in words]
+            assert row.tolist() == alone.tolist() == successive
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_one_sample_and_one_estimator_call(self, mitigate, monkeypatch):
+        # Plain parity and mitigation take the same path: one draw for all
+        # rows and words, then one estimator call over the (B, M, 2**n) counts.
+        calls = []
+
+        def record(name):
+            original = getattr(sampler, name)
+
+            def recorded(values, *rest, **kwargs):
+                calls.append((name, np.shape(values)))
+                return original(values, *rest, **kwargs)
+
+            monkeypatch.setattr(sampler, name, recorded)
+
+        for name in ("sample", "mitigate_counts", "expectation_from_counts"):
+            record(name)
+        rates = ReadoutNoiseModel.uniform(2, 0.1, 0.1) if mitigate else None
+        states = np.array([zero_state(2)] * 3)
+        sampled_expectation(states, ["ZZ", "II", "XI", "YX"], 10, rng=[1, 2, 3],
+                            mitigation=rates)
+        estimator = "mitigate_counts" if mitigate else "expectation_from_counts"
+        assert calls == [("sample", (3, 3, 4)), (estimator, (3, 3, 4))]
+
+    def test_ill_posed_rates_raise(self):
+        model = ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5))  # qubit 2 ill-posed
+        states = np.array([zero_state(2)] * 2)
+        assert sampled_expectation(states, ["IZ", "IX"], 10, rng=[1, 2],
+                                   mitigation=model).shape == (2, 2)
+        with pytest.raises(ValueError, match="ill-posed"):
+            sampled_expectation(states, ["IZ", "ZI"], 10, rng=[1, 2], mitigation=model)
+
+    def test_estimators_of_word_lists_are_one_word_calls(self, rng):
+        words = ["ZZI", "IIZ", "III"]
+        counts = np.array([[sample(rand_state(rng, 8), 50, rng=10 * b + m) for m in range(3)]
+                           for b in range(2)])  # (B, M, 2**n)
+        for estimate, extra in ((expectation_from_counts, ()),
+                                (mitigate_counts, (self.RATES,))):
+            stacked = estimate(counts, *extra, words)
+            assert stacked.tolist() == [[estimate(counts[b, m], *extra, word)
+                                         for m, word in enumerate(words)] for b in range(2)]
+        with pytest.raises(ValueError, match="count stack"):
+            expectation_from_counts(counts[:, :2], words)
 
 
 class TestTransitionRates:
@@ -374,6 +452,21 @@ class TestMitigation:
         assert mitigate_counts(counts, model, "IZ") == pytest.approx(0.4 / 0.8)  # raw 0.4, p+ 0.2
         with pytest.raises(ValueError, match="ill-posed"):
             mitigate_counts(counts, model, "ZI")
+
+    def test_weights_are_per_word_kronecker_products(self):
+        # The stacked weights of every I/Z word equal the word-by-word
+        # Kronecker product of its per-qubit factors, bit for bit.
+        model = ReadoutNoiseModel((0.02, 0.05, 0.1), (0.04, 0.0, 0.07),
+                                  drift_amplitude=0.01, drift_period=3)
+        words = tuple("".join(w) for w in itertools.product("IZ", repeat=3))
+        law = model.at(0)
+        expected = []
+        for word in words:
+            factors = [(np.array([1.0, -1.0]) - (b - a)) / (1.0 - (b + a)) if letter == "Z"
+                       else np.ones(2)
+                       for letter, a, b in zip(word, law.w01[::-1], law.w10[::-1])]
+            expected.append(functools.reduce(lambda u, v: np.outer(u, v).ravel(), factors))
+        assert sampler._parity_weights(words, model).tolist() == np.array(expected).tolist()
 
     def test_counts_reduces_to_single_qubit_formula(self, rng):
         model = ReadoutNoiseModel.uniform(1, 0.07, 0.12)

@@ -12,7 +12,7 @@ from qbands.pauli import (
 )
 from qbands.qsim import MEAN_FIELD, THREE_QUBIT
 from qbands.sampler import ReadoutNoiseModel
-from qbands.seeding import spawn_rng
+from qbands.seeding import counter_rng, spawn_rng
 from qbands.tightbinding import (
     KPoint,
     TBParameters,
@@ -571,25 +571,71 @@ class TestShotsBackendDriver:
         ((0.03, 0.06, 0.02, 5), True),
     ], ids=["noiseless", "mitigated", "mitigated-drift"])
     def test_batch_spawns_one_word_stream_per_row(self, noise, mitigate, monkeypatch):
-        # Every word of a row draws from the row's one stream: B word streams
-        # per batch of B rows (not B x words), plus the rate streams.
-        paths = []
+        # Every word of a row draws from the row's one counter stream: B word
+        # streams per batch of B rows (not B x words), keyed by trial; rate
+        # estimates keep their own spawned streams.
+        words, rates = [], []
+        monkeypatch.setattr(vqe, "counter_rng", lambda *family, counter: words.append(
+            (*family, counter)) or counter_rng(*family, counter=counter))
         monkeypatch.setattr(vqe, "spawn_rng",
-                            lambda *path: paths.append(path) or spawn_rng(*path))
+                            lambda *path: rates.append(path) or spawn_rng(*path))
         model = ReadoutNoiseModel.uniform(3, *noise) if noise else None
         backend = ShotsBackend(shots=64, noise=model, mitigate=mitigate, seed=36)
         _, f_batch = backend.make_objective(
             decompose(_deflated_full_hamiltonian(SI, KPoint((0.5, 0.25, 0.0)))),
             THREE_QUBIT)
         for first in (0, 5):
-            paths.clear()
+            words.clear()
+            rates.clear()
             f_batch(np.zeros((5, THREE_QUBIT.n_params)))
-            words = [p for p in paths if p[1] == vqe._STREAM_WORDS]
             assert words == [(36, vqe._STREAM_WORDS, t) for t in range(first, first + 5)]
             # Static rates are estimated once, at the first trial; drifting
             # rates at every row.
-            rates = 0 if not mitigate else 5 if model.drift_amplitude else int(first == 0)
-            assert len(paths) == len(words) + rates
+            trials = ([] if not mitigate else range(first, first + 5)
+                      if model.drift_amplitude else [0] if first == 0 else [])
+            assert rates == [(36, vqe._STREAM_RATES, t) for t in trials]
+
+    @pytest.mark.parametrize("noise, mitigate", [
+        ((0.03, 0.06, 0.0, None), False),
+        ((0.03, 0.06, 0.02, 5), True),
+    ], ids=["static", "mitigated-drift"])
+    @pytest.mark.parametrize("t", [0, 3, 6])
+    def test_fresh_backend_at_trial_t_replays_row_t(self, noise, mitigate, t, rng):
+        # Row t's value depends only on (seed, t): a backend whose counter
+        # starts at t evaluates it alone, bit for bit.
+        model = ReadoutNoiseModel.uniform(3, *noise)
+        dec = decompose(_deflated_full_hamiltonian(SI, KPoint((0.5, 0.25, 0.0))))
+        thetas = np.array([THREE_QUBIT.random_parameters(rng) for _ in range(7)])
+
+        def fresh(trial):
+            backend = ShotsBackend(shots=128, noise=model, mitigate=mitigate, seed=39)
+            backend.trial = trial
+            return backend.make_objective(dec, THREE_QUBIT)
+
+        _, f_batch = fresh(0)
+        f, _ = fresh(t)
+        assert f(thetas[t]) == f_batch(thetas)[t]
+
+    def test_identity_only_operator_estimates_rates_at_first_trial(self, monkeypatch):
+        # Nothing is sampled for "I", yet the static rates are estimated at
+        # the batch's first trial, as for any other operator.
+        laws = []
+        estimate = sampler.estimate_transition_rates
+        monkeypatch.setattr(sampler, "estimate_transition_rates",
+                            lambda noise, *rest: laws.append(noise) or estimate(noise, *rest))
+        noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06)
+        backend = ShotsBackend(shots=64, noise=noise, mitigate=True, seed=40)
+        _, f_batch = backend.make_objective(SpectralDecomposition(1, {"I": 0.7}), MEAN_FIELD)
+        assert f_batch(np.zeros((3, 2))).tolist() == [0.7, 0.7, 0.7]
+        assert laws == [noise.at(0)]
+        assert backend.trial == 3
+
+    def test_ill_posed_rates_raise(self):
+        noise = ReadoutNoiseModel.uniform(1, 0.6, 0.5)
+        backend = ShotsBackend(shots=64, noise=noise, mitigate=True, seed=41)
+        f, _ = backend.make_objective(SpectralDecomposition(1, {"Z": 0.5}), MEAN_FIELD)
+        with pytest.raises(ValueError, match="ill-posed"):
+            f(np.array([0.4, 0.0]))
 
     def test_shots_objective_of_zero_operator_is_zero(self):
         backend = ShotsBackend(shots=64, seed=38)
