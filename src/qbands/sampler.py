@@ -199,22 +199,6 @@ def basis_change(words: str | tuple[str, ...]) -> MeasurementBasisChange:
     return MeasurementBasisChange("".join(diagonal), _read_only(_kron(factors)))
 
 
-# A row's laws are drawn with one 2-D `multinomial` call from this many laws
-# on, and with one call per law below it: the cheaper of the two per row,
-# measured with numpy 2.4 on 2-, 4- and 8-outcome laws (3 laws 12-17 us
-# against 7-9 us; 15 laws 15-26 us against 23-44 us; even near 7).  Both
-# give the same counts and leave the generator in the same state.
-_BLOCK_DRAW_MIN = 7
-
-
-def _draw(g: np.random.Generator, shots: int, laws: np.ndarray):
-    """Counts of ``shots`` draws from each law of ``laws`` ((2**n,) or
-    (M, 2**n)), in order, from ``g``."""
-    if laws.ndim == 1 or len(laws) >= _BLOCK_DRAW_MIN:
-        return g.multinomial(shots, laws)
-    return [g.multinomial(shots, law) for law in laws]
-
-
 def sample(
     state: np.ndarray,
     shots: int,
@@ -250,10 +234,12 @@ def sample(
             raise ValueError("noise model qubit count mismatch")
         probs = _rowwise(noise.confusion, probs)
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    counts = np.empty(probs.shape, dtype=np.int64)
-    for g, laws, row in zip(rngs, probs, counts):
-        row[...] = _draw(g, shots, laws)
-    return counts if states.ndim > 1 else counts[0]
+    laws = probs.reshape(len(rngs), -1, probs.shape[-1])  # (B, M, 2**n)
+    counts = np.empty(laws.shape, dtype=np.int64)
+    for g, row_laws, row in zip(rngs, laws, counts):
+        for j, law in enumerate(row_laws):
+            row[j] = g.multinomial(shots, law)
+    return counts.reshape(states.shape)
 
 
 @functools.lru_cache(maxsize=256)
@@ -263,8 +249,8 @@ def _parity_weights(words: tuple[str, ...], model: ReadoutNoiseModel | None) -> 
     the word, leftmost letter on the highest qubit, of [1, 1] for I and, for
     Z, the corrected parity ((-1)^bit - p⁻) / (1 - p⁺), p± = w10 ± w01 of its
     qubit under ``model.at(0)``; without a model p± = 0, the plain parity ±1.
-    Built once per model and word tuple, where ``model.ill_posed`` is
-    checked; read-only."""
+    Built once per model and word tuple, where the trial-0 law's
+    ``ill_posed`` is checked; read-only."""
     if not words:
         raise ValueError("need at least one word")
     n = len(words[0])
@@ -281,9 +267,9 @@ def _parity_weights(words: tuple[str, ...], model: ReadoutNoiseModel | None) -> 
     else:
         if model.n_qubits != n:
             raise ValueError("noise model qubit count mismatch")
-        if (is_z & model.ill_posed[::-1]).any():
-            raise ValueError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
         law = model.at(0)
+        if (is_z & law.ill_posed[::-1]).any():
+            raise ValueError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
         w01, w10 = np.array(law.w01[::-1]), np.array(law.w10[::-1])
     z_factors = (_PARITY - (w10 - w01)[:, None]) / (1.0 - (w10 + w01))[:, None]
     factors = np.where(is_z[..., None], z_factors, 1.0)  # (M, n, 2)
@@ -349,7 +335,7 @@ def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel, words):
     sum_z p(z) prod_i ((-1)^{z_i} - p⁻_i) / (1 - p⁺_i) over the Z positions,
     clamped to [-1, 1].  Count stacks and word sequences are read as by
     `expectation_from_counts`.  A drifting ``model`` acts as its trial-0 law;
-    mitigation ill-posed on a measured qubit, at the drift peak, raises
+    mitigation ill-posed under that law on a measured qubit raises
     ValueError."""
     return _scalar(np.clip(_parity_estimates(counts, words, model), -1.0, 1.0))
 
@@ -378,12 +364,13 @@ def sampled_expectation(
     """
     words, single = _as_words(words)
     states = _stack(state)
+    rngs = _row_generators(state, rng)
     values = np.ones((len(states), len(words)))
     measured = [i for i, word in enumerate(words) if word.strip("I")]
     if measured:
         change = basis_change(tuple(words[i] for i in measured))
         rotated = _rowwise(change.unitary, states[:, None])  # (B, M, 2**n)
-        counts = sample(rotated, shots, noise, rng if np.ndim(state) == 2 else [rng])
+        counts = sample(rotated, shots, noise, rngs)
         if mitigation is not None:
             values[:, measured] = mitigate_counts(counts, mitigation, change.diagonal)
         else:

@@ -30,30 +30,11 @@ def spawn_rng(master: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-class _PhiloxKey:
-    """A seed sequence that hands Philox one precomputed key.
-
-    ``Philox(key=K)`` also draws OS entropy for a seed sequence it then
-    discards, which costs three times the rest of its construction;
-    ``Philox(_PhiloxKey(K))`` is keyed with K and draws nothing.  Registered
-    with numpy's `ISeedSequence` on first use, so that importing this module
-    does not load `numpy.random`."""
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if (n_words, np.dtype(dtype)) != (len(self.key), self.key.dtype):
-            raise ValueError(f"a Philox key is {len(self.key)} {self.key.dtype} words")
-        return self.key
-
-
 @functools.lru_cache(maxsize=128)
-def _family_key(*family: int) -> _PhiloxKey:
-    np.random.bit_generator.ISeedSequence.register(_PhiloxKey)
+def _family_key(*family: int) -> np.ndarray:
     key = np.random.SeedSequence(list(family)).generate_state(2, dtype=np.uint64)
     key.flags.writeable = False
-    return _PhiloxKey(key)
+    return key
 
 
 def counter_rng(master: int, *path: int, counter: int) -> np.random.Generator:
@@ -62,7 +43,7 @@ def counter_rng(master: int, *path: int, counter: int) -> np.random.Generator:
     K = ``SeedSequence([master, *path]).generate_state(2, uint64)``,
     computed once per family.  Depends only on the family and ``counter``."""
     key = _family_key(int(master), *[int(p) for p in path])
-    return np.random.Generator(np.random.Philox(key, counter=(0, 0, 0, int(counter))))
+    return np.random.Generator(np.random.Philox(key=key, counter=(0, 0, 0, int(counter))))
 
 
 def spawn_seed(master: int, *path: int) -> int:

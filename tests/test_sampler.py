@@ -244,6 +244,9 @@ class TestStacks:
             sample(states, 10, rng=rng_arg)
         with pytest.raises(ValueError, match="one per row"):
             sampled_expectation(states, "X", 10, rng=rng_arg)
+        # Checked even when no word needs a draw.
+        with pytest.raises(ValueError, match="one per row"):
+            sampled_expectation(states, ["I", "I"], 10, rng=rng_arg)
 
     def test_rejects_stacks_above_rank_three(self):
         # (B, M, 2**n) is the highest rank: M word rotations per row.
@@ -258,8 +261,7 @@ class TestAllWords:
     N, ROWS, SHOTS = 3, 4, 300
     NOISE = TestStacks.NOISE
     RATES = TestStacks.RATES
-    # Three measured words (one multinomial call per word) and all 63 (one
-    # 2-D multinomial call per row).
+    # Three measured words and all 63.
     WORD_LISTS = {"few": ["XYZ", "III", "IZX", "ZZI"], "all": pauli_words(3)}
 
     @pytest.mark.parametrize("words", WORD_LISTS.values(), ids=WORD_LISTS.keys())
@@ -452,6 +454,16 @@ class TestMitigation:
         assert mitigate_counts(counts, model, "IZ") == pytest.approx(0.4 / 0.8)  # raw 0.4, p+ 0.2
         with pytest.raises(ValueError, match="ill-posed"):
             mitigate_counts(counts, model, "ZI")
+
+    def test_drifting_model_checked_under_its_trial_0_law(self):
+        # Well-posed at trial 0 (p+ 0.9), ill-posed at the drift peak (p+
+        # 1.05): the correction uses the trial-0 rates, so it gives a value.
+        model = ReadoutNoiseModel.uniform(1, 0.4, 0.5, drift_amplitude=0.15, drift_period=4)
+        counts = _counts(1, {0: 23, 1: 17})  # raw 0.15, p- 0.1
+        assert model.ill_posed.tolist() == [True]
+        assert mitigate_counts(counts, model, "Z") == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="ill-posed"):
+            mitigate_counts(counts, model.at(1), "Z")
 
     def test_weights_are_per_word_kronecker_products(self):
         # The stacked weights of every I/Z word equal the word-by-word
