@@ -9,6 +9,7 @@ c_w = Tr(H† σ_w) / 2**n over all 4**n words.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -101,15 +102,31 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _key_list(keys) -> str:
+    return ", ".join(f'"{k}"' for k in keys)
+
+
 def from_json_object(make, obj, *args):
     """``make(*args, **obj)`` for a JSON object of an input file: keys starting
-    with ``_`` are comments, an unknown or a missing key is a ValueError naming
-    it, and ``make`` checks the values."""
+    with ``_`` are comments, and ``make`` checks the values.  Unknown or
+    missing keys are a ValueError that names them and the accepted keys,
+    the parameters of ``make`` after ``args``."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    kwargs = {k: v for k, v in obj.items() if not str(k).startswith("_")}
+    params = list(inspect.signature(make).parameters.values())[len(args):]
+    accepted = [p.name for p in params]
+    unknown = [k for k in kwargs if k not in accepted]
+    missing = [p.name for p in params if p.default is p.empty and p.name not in kwargs]
+    if unknown or missing:
+        problems = [f"{label}{'s' if len(keys) > 1 else ''} {_key_list(keys)}"
+                    for label, keys in (("unknown key", unknown), ("missing key", missing))
+                    if keys]
+        raise ValueError(f"{'; '.join(problems)}; the accepted keys are "
+                         f"{_key_list(accepted)} (keys starting with \"_\" are comments)")
     try:
-        return make(*args, **{k: v for k, v in obj.items() if not str(k).startswith("_")})
-    except TypeError as exc:  # an unknown or a missing key, or a value of the wrong type
+        return make(*args, **kwargs)
+    except TypeError as exc:  # a value of the wrong type
         raise ValueError(str(exc)) from None
 
 

@@ -16,8 +16,9 @@ and corrects under such a law.
 stack of rows, and the last three one word or a sequence of M words.  One
 `sampled_expectation` call measures every word of every row: one stacked
 rotation, one `sample` call and one estimator call.  Every row-wise product
-on a stack is one stacked mat-vec or dot, and every row draws all its words,
-in order, from its own generator, so each row gets the values it would get
+on a stack is one stacked mat-vec or dot.  A stack draws from a
+`seeding.StreamFamily` and a first counter: row b draws all its words, in
+order, from stream first + b, so each row gets the values it would get
 alone, bit for bit, whatever B is.
 """
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import qsim
 from .pauli import is_real
+from .seeding import StreamFamily
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
@@ -152,16 +154,18 @@ def _scalar(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _row_generators(rows, rng) -> list[np.random.Generator]:
-    """One generator per row: a single row takes ``rng`` itself (a generator,
-    a seed or None); a stack of B rows takes a list or tuple of B of them."""
-    if np.ndim(rows) == 1:
-        return [np.random.default_rng(rng)]
-    if not isinstance(rng, (list, tuple)) or len(rng) != len(rows):
-        got = f"{len(rng)} generators" if isinstance(rng, (list, tuple)) else repr(rng)
-        raise ValueError(f"a stack of {len(rows)} rows needs a list of {len(rows)} "
-                         f"generators, one per row; got {got}")
-    return [np.random.default_rng(g) for g in rng]
+def _row_streams(rows, rng, first: int):
+    """Row b's generator, as a function of b: stream ``first + b`` of a
+    `seeding.StreamFamily`, called when the row's draws begin.  A single row
+    (one state, or a stack of one row) may instead take ``rng`` itself (a
+    generator, a seed or None)."""
+    if isinstance(rng, StreamFamily):
+        return lambda b: rng.stream(first + b)
+    if np.ndim(rows) == 1 or len(rows) == 1:
+        generator = np.random.default_rng(rng)
+        return lambda b: generator
+    raise ValueError(f"a stack of {len(rows)} rows draws one stream per row from a "
+                     f"seeding.StreamFamily; got {rng!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,17 +207,19 @@ def sample(
     state: np.ndarray,
     shots: int,
     noise: ReadoutNoiseModel | None = None,
-    rng: np.random.Generator | int | list | None = None,
+    rng: np.random.Generator | int | StreamFamily | None = None,
+    first: int = 0,
 ) -> np.ndarray:
     """Counts of ``shots`` measurements of a statevector, as an integer array
     of length 2**n indexed by bitstring value (qubit 1 the least significant
-    bit).  Deterministic for a fixed generator or seed.
+    bit).  Deterministic for a fixed generator, seed or stream.
 
     ``state`` may be a (B, 2**n) stack of statevectors, or a (B, M, 2**n)
     stack of M states per row (one operator's word rotations); ``rng`` is
-    then a list of B generators or seeds.  Row b is drawn from ``rng[b]``
-    alone, its M states in order, exactly as a call on that row would draw
-    it.
+    then a `seeding.StreamFamily`.  Row b is drawn from stream ``first + b``
+    of the family alone, its M states in order, exactly as a call on that
+    row with ``first + b`` would draw it.  A single row takes a family too
+    (stream ``first``), or a generator or seed.
 
     Readout flips are independent per shot and qubit, so the noisy outcome
     law is |amplitude|^2 under ``noise.confusion``; one multinomial draw per
@@ -226,7 +232,7 @@ def sample(
     if states.ndim not in (1, 2, 3):
         raise ValueError("expected one state, a (B, 2**n) or a (B, M, 2**n) stack, "
                          f"got shape {states.shape}")
-    rngs = _row_generators(states, rng)
+    stream = _row_streams(states, rng, first)
     probs = np.abs(states if states.ndim > 1 else states[None]) ** 2
     n = qsim.num_qubits(probs.reshape(-1, probs.shape[-1])[0])
     if noise is not None:
@@ -234,9 +240,10 @@ def sample(
             raise ValueError("noise model qubit count mismatch")
         probs = _rowwise(noise.confusion, probs)
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    laws = probs.reshape(len(rngs), -1, probs.shape[-1])  # (B, M, 2**n)
+    laws = probs.reshape(len(probs), -1, probs.shape[-1])  # (B, M, 2**n)
     counts = np.empty(laws.shape, dtype=np.int64)
-    for g, row_laws, row in zip(rngs, laws, counts):
+    for b, (row_laws, row) in enumerate(zip(laws, counts)):
+        g = stream(b)
         for j, law in enumerate(row_laws):
             row[j] = g.multinomial(shots, law)
     return counts.reshape(states.shape)
@@ -345,8 +352,9 @@ def sampled_expectation(
     words,
     shots: int,
     noise: ReadoutNoiseModel | None = None,
-    rng: np.random.Generator | int | list | None = None,
+    rng: np.random.Generator | int | StreamFamily | None = None,
     mitigation: ReadoutNoiseModel | None = None,
+    first: int = 0,
 ):
     """Estimate <σ_w> of a word, or of each of a sequence of M words, by
     basis change, sampling and the parity rule.
@@ -356,21 +364,24 @@ def sampled_expectation(
     true injected noise); None disables correction.  An identity word needs
     no measurement and gives exactly 1.  Every other word is measured with
     ``shots`` shots, all in one `sample` call and one estimator call.  A
-    (B, 2**n) stack of states, with a list of B generators as ``rng`` (see
+    (B, 2**n) stack of states, with a `seeding.StreamFamily` as ``rng`` (see
     `sample`), gives B estimates per word; row b draws its words in order
-    from ``rng[b]``, so it gets the values its state and generator give
-    alone.  The result is a float for one state and one word, (M,) or (B,)
-    when one of them is a sequence, and (B, M) for both.
+    from stream ``first + b``, so it gets the values its state and stream
+    give alone.  The result is a float for one state and one word, (M,) or
+    (B,) when one of them is a sequence, and (B, M) for both.
     """
     words, single = _as_words(words)
     states = _stack(state)
-    rngs = _row_generators(state, rng)
+    if not isinstance(rng, StreamFamily):
+        # The one row's generator, built once; a stack raises here, even
+        # when no word needs a draw.
+        rng = _row_streams(state, rng, first)(0)
     values = np.ones((len(states), len(words)))
     measured = [i for i, word in enumerate(words) if word.strip("I")]
     if measured:
         change = basis_change(tuple(words[i] for i in measured))
         rotated = _rowwise(change.unitary, states[:, None])  # (B, M, 2**n)
-        counts = sample(rotated, shots, noise, rngs)
+        counts = sample(rotated, shots, noise, rng, first)
         if mitigation is not None:
             values[:, measured] = mitigate_counts(counts, mitigation, change.diagonal)
         else:

@@ -27,7 +27,7 @@ from .pauli import (
     shift_identity,
 )
 from .qsim import MEAN_FIELD, Ansatz
-from .seeding import counter_rng, spawn_rng, spawn_seed
+from .seeding import StreamFamily, spawn_rng, spawn_seed
 
 # Sub-stream roles in the seed fan-out (master, role, ...).
 _STREAM_RESTART = 0
@@ -109,6 +109,12 @@ _MAX_HALVINGS = 8
 _MIN_CURVATURE = 1e-8
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)`` of a real (R, d) array, bit for bit,
+    without its dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def optimize_quasinewton(
     objective_batch: Callable[[np.ndarray], np.ndarray],
     gradient_batch: Callable[[np.ndarray], np.ndarray],
@@ -144,67 +150,90 @@ def optimize_quasinewton(
     F = np.asarray(objective_batch(X), dtype=float)
     G = np.asarray(gradient_batch(X), dtype=float)
     eye = np.eye(d)
-    Hinv = np.tile(eye, (R, 1, 1))
-    identity = np.ones(R, dtype=bool)  # Hinv is I (start, or after a reset)
     nfev = np.full(R, 1 + gradient_evaluations)
     nit = np.zeros(R, dtype=int)
     converged = np.max(np.abs(G), axis=1) <= config.tol_ev
-    active = ~converged & (nit < max_iter)
-    while active.any():
-        a = np.flatnonzero(active)
-        g = G[a]
-        p = -np.einsum("rij,rj->ri", Hinv[a], g)
+    # The rows still searching (their indices a) keep their state in compact
+    # arrays: point, energy, gradient, inverse Hessian, whether that is the
+    # identity (start, or after a reset), evaluations and iterations.  A row
+    # writes its end state back to X, F, nfev, nit and converged when it stops.
+    a = np.flatnonzero(~converged)
+    x, f, g = X[a], F[a], G[a]
+    Hinv = np.tile(eye, (len(a), 1, 1))
+    identity = np.ones(len(a), dtype=bool)
+    evals, its = nfev[a], nit[a]
+    while len(a):
+        p = -np.einsum("rij,rj->ri", Hinv, g)
         slope = np.einsum("ri,ri->r", g, p)
         uphill = slope >= 0
         if uphill.any():  # H lost positive definiteness to round-off
-            Hinv[a[uphill]] = eye
-            identity[a[uphill]] = True
+            Hinv[uphill] = eye
+            identity[uphill] = True
             p[uphill] = -g[uphill]
             slope[uphill] = -np.einsum("ri,ri->r", g[uphill], g[uphill])
-        step = np.where(identity[a], np.minimum(1.0, 1.0 / np.linalg.norm(g, axis=1)), 1.0)
-        accepted = np.zeros(len(a), dtype=bool)
-        f_new = np.empty(len(a))
-        for _ in range(_MAX_HALVINGS + 1):
-            s = np.flatnonzero(~accepted)
-            f_new[s] = objective_batch(X[a[s]] + step[s, None] * p[s])
-            nfev[a[s]] += 1
-            accepted[s] = f_new[s] <= F[a[s]] + _ARMIJO_C1 * step[s] * slope[s]
-            if accepted.all():
-                break
-            step[s] = np.where(accepted[s], step[s], 0.5 * step[s])
-
-        failed = a[~accepted]
-        if len(failed):
-            converged[failed[identity[failed]]] = True  # precision loss
+        step = np.ones(len(a))
+        if identity.any():
+            step[identity] = np.minimum(1.0, 1.0 / _row_norms(g[identity]))
+        sk = step[:, None] * p
+        trial = x + sk
+        f_new = np.array(objective_batch(trial), dtype=float)
+        evals += 1
+        accepted = f_new <= f + _ARMIJO_C1 * step * slope
+        stop = np.zeros(len(a), dtype=bool)  # converged this round
+        moved = slice(None)  # every row, without a gather
+        if not accepted.all():  # backtrack the rows whose first trial failed
+            for _ in range(_MAX_HALVINGS):
+                s = np.flatnonzero(~accepted)
+                step[s] *= 0.5
+                sk[s] = step[s, None] * p[s]
+                trial[s] = x[s] + sk[s]
+                f_new[s] = objective_batch(trial[s])
+                evals[s] += 1
+                accepted[s] = f_new[s] <= f[s] + _ARMIJO_C1 * step[s] * slope[s]
+                if accepted.all():
+                    break
+            failed = ~accepted
+            stop = failed & identity  # precision loss
             Hinv[failed] = eye
             identity[failed] = True
+            moved = np.flatnonzero(accepted)
 
-        moved = a[accepted]
-        if len(moved):
-            sk = step[accepted, None] * p[accepted]
-            X[moved] += sk
-            F[moved] = f_new[accepted]
-            G_new = np.asarray(gradient_batch(X[moved]), dtype=float)
-            nfev[moved] += gradient_evaluations
-            yk = G_new - G[moved]
-            G[moved] = G_new
-            nit[moved] += 1
+        if accepted.any():
+            x[moved] = trial[moved]
+            f[moved] = f_new[moved]
+            G_new = np.asarray(gradient_batch(x[moved]), dtype=float)
+            evals[moved] += gradient_evaluations
+            yk = G_new - g[moved]
+            g[moved] = G_new
+            its[moved] += 1
+            sk = sk[moved]
             ys = np.einsum("ri,ri->r", yk, sk)
-            upd = ys > _MIN_CURVATURE * np.linalg.norm(yk, axis=1) * np.linalg.norm(sk, axis=1)
-            u, sk, yk, ys = moved[upd], sk[upd], yk[upd], ys[upd]
+            upd = ys > _MIN_CURVATURE * _row_norms(yk) * _row_norms(sk)
+            u = moved
+            if not upd.all():
+                u, sk, yk, ys = np.arange(len(a))[moved][upd], sk[upd], yk[upd], ys[upd]
+            Hu = Hinv[u]
             first = identity[u]
-            Hinv[u[first]] *= (ys[first] / np.einsum("ri,ri->r", yk[first], yk[first])
-                               )[:, None, None]
-            identity[u] = False
+            if first.any():
+                Hu[first] *= (ys[first] / np.einsum("ri,ri->r", yk[first], yk[first])
+                              )[:, None, None]
+                identity[u] = False
             rho = 1.0 / ys
-            Hy = np.einsum("rij,rj->ri", Hinv[u], yk)
+            Hy = np.einsum("rij,rj->ri", Hu, yk)
             yHy = np.einsum("ri,ri->r", yk, Hy)
-            Hinv[u] += (-rho[:, None, None] * (sk[:, :, None] * Hy[:, None, :]
-                                               + Hy[:, :, None] * sk[:, None, :])
-                        + (rho * (1.0 + rho * yHy))[:, None, None]
-                        * sk[:, :, None] * sk[:, None, :])
-            converged[moved] |= np.max(np.abs(G_new), axis=1) <= config.tol_ev
-        active = ~converged & (nit < max_iter)
+            sHy = sk[:, :, None] * Hy[:, None, :]
+            Hinv[u] = Hu + (-rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1))
+                            + (rho * (1.0 + rho * yHy))[:, None, None]
+                            * sk[:, :, None] * sk[:, None, :])
+            stop[moved] = np.maximum.reduce(np.abs(G_new), axis=1) <= config.tol_ev
+        done = stop | (its >= max_iter)
+        if done.any():
+            rows = a[done]
+            X[rows], F[rows], nfev[rows], nit[rows] = x[done], f[done], evals[done], its[done]
+            converged[rows] = stop[done]
+            keep = ~done
+            a, x, f, g, Hinv, identity, evals, its = (
+                v[keep] for v in (a, x, f, g, Hinv, identity, evals, its))
     return [OptimizeResult(X[r].copy(), float(F[r]), int(nfev[r]), int(nit[r]),
                            bool(converged[r])) for r in range(R)]
 
@@ -321,9 +350,11 @@ class ShotsBackend:
     and advances the trial counter that drives the drift.  A batch is one
     `sampler.sampled_expectation` call over all its rows and words (one per
     row with a drifting law); the row at trial t draws every word, in word
-    order, from its own stream ``counter_rng(seed, _STREAM_WORDS,
-    counter=t)``.  So every row gets the value it would get evaluated alone:
-    its draws depend only on (seed, t), not on the batch around it.
+    order, from stream t of the backend's word-stream family
+    ``seeding.StreamFamily(seed, _STREAM_WORDS)``, built once with the
+    backend and re-keyed per row.  So every row gets the value it would get
+    evaluated alone: its draws depend only on (seed, t), not on the batch
+    around it.
     """
 
     def __init__(
@@ -341,6 +372,7 @@ class ShotsBackend:
         self.seed = seed
         self.trial = 0
         self._rates: sampler.ReadoutNoiseModel | None = None
+        self._word_streams = StreamFamily(seed, _STREAM_WORDS)
 
     def _measure_words(
         self,
@@ -352,13 +384,11 @@ class ShotsBackend:
         stack; the rows are the energy evaluations at the next B trials."""
         first = self.trial
         self.trial += len(states)
-        trials = range(first, self.trial)
-        rngs = [counter_rng(self.seed, _STREAM_WORDS, counter=trial) for trial in trials]
         # A drifting model's law differs at every trial, so each row is measured
         # alone under its own law and re-estimated rates; a static law measures
         # the whole stack, with rates estimated once.
         drifts = self.noise is not None and bool(self.noise.drift_amplitude)
-        groups = ([(t, slice(b, b + 1)) for b, t in enumerate(trials)] if drifts
+        groups = ([(first + b, slice(b, b + 1)) for b in range(len(states))] if drifts
                   else [(first, slice(None))])
         out = np.empty((len(states), len(words)))
         for trial, rows in groups:
@@ -368,7 +398,8 @@ class ShotsBackend:
                 self._rates = sampler.estimate_transition_rates(law, n_qubits, RATE_TRIALS, rng)
             rates = self._rates if self.mitigate else None
             out[rows] = sampler.sampled_expectation(
-                states[rows], words, self.shots, law, rngs[rows], mitigation=rates,
+                states[rows], words, self.shots, law, self._word_streams,
+                mitigation=rates, first=trial,
             )
         return out
 

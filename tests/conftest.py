@@ -66,6 +66,13 @@ def layered_state(t, n_qubits: int, n_layers: int) -> np.ndarray:
     return psi
 
 
+def philox_stream(family: tuple[int, ...], t: int) -> np.random.Generator:
+    """Stream t of a counter-addressed family, built from scratch: a Philox
+    keyed by the family's seed-sequence hash, its counter at (0, 0, 0, t)."""
+    key = np.random.SeedSequence(list(family)).generate_state(2, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=(0, 0, 0, t)))
+
+
 def rand_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (A + A.conj().T) / 2

@@ -161,6 +161,31 @@ class TestBadInput:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose", "--matrix", File('{"rows": [[1.0]]}')],
+         'unknown key "rows"; missing key "matrix"; the accepted keys are "matrix"'),
+        (["decompose", "--matrix",
+          File('{"matrix": [[1, 0], [0, -1]], "matrx_note": "typo"}')],
+         'unknown key "matrx_note"; the accepted keys are "matrix" '
+         '(keys starting with "_" are comments)'),
+        (["bands", "--params", File('{"E_s": 0.0}')],
+         'missing keys "lattice_constant", "E_p", "V_ss", "V_sp", "V_xx", "V_xy"; '
+         'the accepted keys are "lattice_constant", "E_s", "E_p",'),
+        (["bands", "--params", params_file(V_zz=1.0)],
+         'unknown key "V_zz"; the accepted keys are "lattice_constant", "E_s", "E_p", '
+         '"V_ss", "V_sp", "V_xx", "V_xy"'),
+    ], ids=["matrix-wrong-key", "matrix-extra-key", "params-missing", "params-extra"])
+    def test_key_errors_name_the_keys(self, argv, message, tmp_path, capsys):
+        # The message names the unknown and missing keys and the accepted
+        # ones, not a Python call signature.
+        argv = [a.path(tmp_path) if isinstance(a, File) else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "argument '" not in err and "__init__" not in err
+
     @pytest.mark.parametrize("argv, noise, flag", [
         (["bands", "--backend", "shots"], {"w01": [0.1, 0.1]}, "--noise"),
         (["bands", "--mode", "8band", "--backend", "shots"],

@@ -5,6 +5,7 @@ from qbands.pauli import (
     SpectralDecomposition,
     decompose,
     deflate,
+    from_json_object,
     gershgorin_upper_bound,
     is_real,
     pauli_words,
@@ -48,6 +49,34 @@ class TestNumberRule:
                              ids=["bool", "inf", "nan", "str", "none", "401-digit-int"])
     def test_rejected(self, value):
         assert not is_real(value)
+
+
+class TestJsonObject:
+    @staticmethod
+    def make(scale, width, height=1.0, *, note=""):
+        return scale * width * height
+
+    def test_keys_are_the_parameters_after_args(self):
+        assert from_json_object(self.make, {"width": 2.0, "_comment": "x"}, 3.0) == 6.0
+        assert from_json_object(self.make, {"width": 2.0, "height": 4.0, "note": ""}, 3.0) == 24.0
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"widht": 2.0}, 'unknown key "widht"; missing key "width"; '
+                         'the accepted keys are "width", "height", "note"'),
+        ({"width": 2.0, "depth": 1.0, "colour": 0},
+         'unknown keys "depth", "colour"; the accepted keys are'),
+        ({"height": 1.0}, 'missing key "width"; the accepted keys are'),
+        ({"scale": 1.0, "width": 2.0}, 'unknown key "scale"'),
+    ])
+    def test_unknown_and_missing_keys_named(self, obj, message):
+        with pytest.raises(ValueError) as exc:
+            from_json_object(self.make, obj, 3.0)
+        assert message in str(exc.value)
+        assert "argument" not in str(exc.value)
+
+    def test_value_of_the_wrong_type_is_a_value_error(self):
+        with pytest.raises(ValueError, match="can't multiply"):
+            from_json_object(self.make, {"width": 2.0, "height": [1]}, "3")
 
 
 class TestDecompose:

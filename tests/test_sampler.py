@@ -7,6 +7,7 @@ import pytest
 from qbands import qsim, sampler
 from qbands.pauli import decompose, pauli_words
 from qbands.qsim import zero_state
+from qbands.seeding import StreamFamily
 from qbands.sampler import (
     ReadoutNoiseModel,
     basis_change,
@@ -17,7 +18,7 @@ from qbands.sampler import (
     sampled_expectation,
 )
 
-from conftest import SIGMA, kron_word, rand_hermitian, rand_state
+from conftest import SIGMA, kron_word, philox_stream, rand_hermitian, rand_state
 
 HADAMARD = (SIGMA["X"] + SIGMA["Z"]) / np.sqrt(2)
 PLUS = HADAMARD @ np.array([1, 0], dtype=complex)
@@ -199,37 +200,46 @@ class TestSampledExpectation:
 
 
 class TestStacks:
-    """A (B, 2**n) stack with one generator per row is B one-row calls."""
+    """A (B, 2**n) stack drawn from streams first..first+B-1 of a family is B
+    one-row calls, each on its own fresh stream."""
 
     N, ROWS, SHOTS = 3, 5, 500
     NOISE = ReadoutNoiseModel((0.02, 0.05, 0.1), (0.04, 0.0, 0.07))
     RATES = ReadoutNoiseModel((0.03, 0.04, 0.09), (0.05, 0.01, 0.06))
+    FAMILY, FIRST = (7, 1), 4
 
     def _states(self, rng):
         return np.array([rand_state(rng, 2**self.N) for _ in range(self.ROWS)])
 
+    def _streams(self):
+        """Row b's stream, built alone."""
+        return [philox_stream(self.FAMILY, self.FIRST + b) for b in range(self.ROWS)]
+
     def test_sample_rows_are_one_row_calls(self, rng):
         states = self._states(rng)
-        counts = sample(states, self.SHOTS, self.NOISE, list(range(self.ROWS)))
+        counts = sample(states, self.SHOTS, self.NOISE, StreamFamily(*self.FAMILY), self.FIRST)
         assert counts.shape == (self.ROWS, 2**self.N)
-        assert counts.tolist() == [sample(state, self.SHOTS, self.NOISE, seed).tolist()
-                                   for seed, state in enumerate(states)]
+        assert counts.tolist() == [sample(state, self.SHOTS, self.NOISE, g).tolist()
+                                   for g, state in zip(self._streams(), states)]
+        # A single row takes a family too: stream ``first``.
+        assert sample(states[2], self.SHOTS, self.NOISE, StreamFamily(*self.FAMILY),
+                      first=self.FIRST + 2).tolist() == counts[2].tolist()
 
     @pytest.mark.parametrize("word", ["XYZ", "IZX", "ZZZ", "YII", "III"])
     @pytest.mark.parametrize("mitigate", [False, True])
     def test_sampled_expectation_rows_are_one_row_calls(self, word, mitigate, rng):
         states = self._states(rng)
         rates = self.RATES if mitigate else None
-        gens = [np.random.default_rng(seed) for seed in range(self.ROWS)]
-        stacked = sampled_expectation(states, word, self.SHOTS, self.NOISE, gens,
-                                      mitigation=rates)
-        alone = [sampled_expectation(state, word, self.SHOTS, self.NOISE, seed,
+        stacked = sampled_expectation(states, word, self.SHOTS, self.NOISE,
+                                      StreamFamily(*self.FAMILY), mitigation=rates,
+                                      first=self.FIRST)
+        alone = [sampled_expectation(state, word, self.SHOTS, self.NOISE, g,
                                      mitigation=rates)
-                 for seed, state in enumerate(states)]
+                 for g, state in zip(self._streams(), states)]
         assert stacked.tolist() == alone
 
     def test_estimators_of_count_rows_are_one_row_calls(self, rng):
-        counts = sample(self._states(rng), self.SHOTS, self.NOISE, list(range(self.ROWS)))
+        counts = sample(self._states(rng), self.SHOTS, self.NOISE, StreamFamily(*self.FAMILY))
         for word in ("ZZZ", "IZI", "ZIZ", "III"):
             assert expectation_from_counts(counts, word).tolist() == [
                 expectation_from_counts(row, word) for row in counts]
@@ -239,24 +249,29 @@ class TestStacks:
     @pytest.mark.parametrize("rng_arg", [None, 7, np.random.default_rng(7), [1, 2], [1, 2, 3, 4]],
                              ids=["none", "seed", "generator", "too-few", "too-many"])
     def test_generator_count_must_match_rows(self, rng_arg):
+        # A stack of several rows draws one stream per row from a family; one
+        # generator, a seed, None or a list of generators is refused.
         states = np.array([zero_state(1)] * 3)
-        with pytest.raises(ValueError, match="one per row"):
+        with pytest.raises(ValueError, match="one stream per row"):
             sample(states, 10, rng=rng_arg)
-        with pytest.raises(ValueError, match="one per row"):
+        with pytest.raises(ValueError, match="one stream per row"):
             sampled_expectation(states, "X", 10, rng=rng_arg)
         # Checked even when no word needs a draw.
-        with pytest.raises(ValueError, match="one per row"):
+        with pytest.raises(ValueError, match="one stream per row"):
             sampled_expectation(states, ["I", "I"], 10, rng=rng_arg)
+        # A stack of one row is a single row: it may take a generator.
+        assert sample(states[:1], 10, rng=np.random.default_rng(7)).tolist() == \
+            sample(states[0], 10, rng=np.random.default_rng(7))[None].tolist()
 
     def test_rejects_stacks_above_rank_three(self):
         # (B, M, 2**n) is the highest rank: M word rotations per row.
         with pytest.raises(ValueError, match="stack"):
-            sample(np.ones((2, 2, 2, 2)), 10, rng=[1, 2])
+            sample(np.ones((2, 2, 2, 2)), 10, rng=StreamFamily(1))
 
 
 class TestAllWords:
     """One `sampled_expectation` call measures every word of every row: row b
-    draws its words in order from its own generator."""
+    draws its words in order from its own stream of the family."""
 
     N, ROWS, SHOTS = 3, 4, 300
     NOISE = TestStacks.NOISE
@@ -269,17 +284,16 @@ class TestAllWords:
     def test_word_list_is_successive_one_word_calls(self, words, mitigate, rng):
         # Bit for bit: the stack's rows are their one-row calls, and a row's
         # word list is its words measured one after another from its
-        # generator.
+        # stream.
         states = np.array([rand_state(rng, 2**self.N) for _ in range(self.ROWS)])
         rates = self.RATES if mitigate else None
         stacked = sampled_expectation(states, words, self.SHOTS, self.NOISE,
-                                      [np.random.default_rng(seed) for seed in range(self.ROWS)],
-                                      mitigation=rates)
+                                      StreamFamily(3, 1), mitigation=rates, first=10)
         assert stacked.shape == (self.ROWS, len(words))
-        for seed, (state, row) in enumerate(zip(states, stacked)):
-            alone = sampled_expectation(state, words, self.SHOTS, self.NOISE, seed,
-                                        mitigation=rates)
-            g = np.random.default_rng(seed)
+        for b, (state, row) in enumerate(zip(states, stacked)):
+            alone = sampled_expectation(state, words, self.SHOTS, self.NOISE,
+                                        philox_stream((3, 1), 10 + b), mitigation=rates)
+            g = philox_stream((3, 1), 10 + b)
             successive = [sampled_expectation(state, word, self.SHOTS, self.NOISE, g,
                                               mitigation=rates) for word in words]
             assert row.tolist() == alone.tolist() == successive
@@ -303,7 +317,7 @@ class TestAllWords:
             record(name)
         rates = ReadoutNoiseModel.uniform(2, 0.1, 0.1) if mitigate else None
         states = np.array([zero_state(2)] * 3)
-        sampled_expectation(states, ["ZZ", "II", "XI", "YX"], 10, rng=[1, 2, 3],
+        sampled_expectation(states, ["ZZ", "II", "XI", "YX"], 10, rng=StreamFamily(1),
                             mitigation=rates)
         estimator = "mitigate_counts" if mitigate else "expectation_from_counts"
         assert calls == [("sample", (3, 3, 4)), (estimator, (3, 3, 4))]
@@ -311,10 +325,11 @@ class TestAllWords:
     def test_ill_posed_rates_raise(self):
         model = ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5))  # qubit 2 ill-posed
         states = np.array([zero_state(2)] * 2)
-        assert sampled_expectation(states, ["IZ", "IX"], 10, rng=[1, 2],
+        assert sampled_expectation(states, ["IZ", "IX"], 10, rng=StreamFamily(1),
                                    mitigation=model).shape == (2, 2)
         with pytest.raises(ValueError, match="ill-posed"):
-            sampled_expectation(states, ["IZ", "ZI"], 10, rng=[1, 2], mitigation=model)
+            sampled_expectation(states, ["IZ", "ZI"], 10, rng=StreamFamily(1),
+                                mitigation=model)
 
     def test_estimators_of_word_lists_are_one_word_calls(self, rng):
         words = ["ZZI", "IIZ", "III"]

@@ -12,7 +12,7 @@ from qbands.pauli import (
 )
 from qbands.qsim import MEAN_FIELD, THREE_QUBIT
 from qbands.sampler import ReadoutNoiseModel
-from qbands.seeding import counter_rng, spawn_rng
+from qbands.seeding import StreamFamily, spawn_rng
 from qbands.tightbinding import (
     KPoint,
     TBParameters,
@@ -144,10 +144,9 @@ class TestOptimizers:
         solo += [optimize_quasinewton(rosen, rosen_grad, x[None], OptimizerConfig())[0]
                  for x in x0_rosen]
         for a, b in zip(together, solo):
-            assert np.max(np.abs(a.x - b.x)) <= 1e-12
-            assert a.energy == pytest.approx(b.energy, abs=1e-12)
-            assert (a.evaluations, a.iterations, a.converged) == \
-                (b.evaluations, b.iterations, b.converged)
+            assert a.x.tolist() == b.x.tolist()
+            assert (a.energy, a.evaluations, a.iterations, a.converged) == \
+                (b.energy, b.evaluations, b.iterations, b.converged)
 
     def test_exact_backend_rows_match_solo_runs(self, rng):
         dec = decompose(build_full_hamiltonian(SI, KPoint((0.5, 0.25, 0.0))))
@@ -158,8 +157,75 @@ class TestOptimizers:
         together = optimize_quasinewton(f_batch, grad, x0, cfg, cost)
         for x, a in zip(x0, together):
             [b] = optimize_quasinewton(f_batch, grad, x[None], cfg, cost)
-            assert np.max(np.abs(a.x - b.x)) <= 1e-12
-            assert (a.evaluations, a.iterations) == (b.evaluations, b.iterations)
+            assert a.x.tolist() == b.x.tolist()
+            assert (a.energy, a.evaluations, a.iterations, a.converged) == \
+                (b.energy, b.evaluations, b.iterations, b.converged)
+
+    # Row kinds of the mixed-fate batch below.  A row is (u, kind): its energy
+    # and gradient depend on u alone, per kind, and the kind coordinate has a
+    # zero gradient, so it never moves.
+    ACCEPT, HALVE, LEARNED, IDENTITY, UPHILL = range(5)
+
+    @staticmethod
+    def _fate_row(u, kind):
+        """(f, df/du) of one row of the mixed-fate batch."""
+        cls = TestOptimizers
+        if kind == cls.ACCEPT:  # u^2 from 3: two unit trials, the second Newton's
+            return u * u, 2 * u
+        if kind == cls.HALVE:  # 50 u^2 from 1e-3: the unit trial overshoots
+            return 50 * u * u, 100 * u
+        if kind == cls.LEARNED:
+            # u^2, but the gradient at u = 4 is off by a near-zero curvature
+            # pair (y = 1e-4 s): the learned H = 1e4 makes the next search fail.
+            return u * u, (10 + 1e-4 * (u - 5) if 3.5 < u < 4.5 else 2 * u)
+        if kind == cls.IDENTITY:  # every trial from u = 1 is uphill
+            return (0.0 if u == 1 else 1.0), 1.0
+        # UPHILL, from u = 0: curvature 1/2 teaches H = 2, then curvature 2^66
+        # cancels it to exactly 0, so the next direction -H g is 0 and its
+        # slope 0: H is reset and the row steps along -g, halving twice.
+        f = {0.0: 3.0, 0.5: 2.0, 1.0: 1.0}.get(u, -1e17)
+        g = {0.0: -0.5, 0.5: -0.25, 1.0: 2.0**65}.get(u, 0.0)
+        return f, g
+
+    def test_rows_with_different_fates_match_solo_runs(self):
+        # In the same rounds, rows accept their first trial, halve, fail from
+        # a learned H, fail from the identity, and reset after an uphill
+        # direction; each row's path is still the one it takes alone.
+        trials = {kind: [] for kind in range(5)}
+
+        def fb(X):
+            for u, kind in X:
+                trials[int(kind)].append(u)
+            return np.array([self._fate_row(u, kind)[0] for u, kind in X])
+
+        def gb(X):
+            return np.array([[self._fate_row(u, kind)[1], 0.0] for u, kind in X])
+
+        x0 = np.array([[3.0, self.ACCEPT], [1e-3, self.HALVE], [5.0, self.LEARNED],
+                       [1.0, self.IDENTITY], [0.0, self.UPHILL]])
+        together = optimize_quasinewton(fb, gb, x0, OptimizerConfig(), gradient_evaluations=3)
+        seen = {kind: values[1:] for kind, values in trials.items()}  # [0]: the start
+        for x, a in zip(x0, together):
+            [b] = optimize_quasinewton(fb, gb, x[None], OptimizerConfig(), gradient_evaluations=3)
+            assert a.x.tolist() == b.x.tolist()
+            assert (a.energy, a.evaluations, a.iterations, a.converged) == \
+                (b.energy, b.evaluations, b.iterations, b.converged)
+            assert a.converged and a.x[1] == x[1]
+
+        accept, halve, learned, identity, uphill = together
+        # Two iterations of one trial and one gradient (cost 3) each.
+        assert (accept.iterations, accept.evaluations) == (2, 1 + 3 + 2 * (1 + 3))
+        # The first search halves 6 times before its step is accepted.
+        assert seen[self.HALVE][:7] == [1e-3 - 0.1 * 0.5**k for k in range(7)]
+        # The second search, along -H g with the learned H, fails all 9 trials
+        # far from u = 4; the retry along -g from u = 4 is accepted near 3.
+        assert seen[self.LEARNED][0] == pytest.approx(4.0)
+        assert max(seen[self.LEARNED][1:10]) < -300
+        assert seen[self.LEARNED][10] == pytest.approx(3.0, abs=1e-3)
+        # Precision loss: 9 failed trials from the identity, no iteration.
+        assert (identity.iterations, identity.evaluations) == (0, 1 + 3 + 9)
+        assert seen[self.UPHILL] == [0.5, 1.0, 0.0, 0.5, 0.75]
+        assert uphill.iterations == 3 and halve.iterations >= 2 and learned.iterations >= 3
 
     def test_direct_search_tolerates_noise(self):
         target = np.array([0.7, -0.4])
@@ -572,11 +638,21 @@ class TestShotsBackendDriver:
     ], ids=["noiseless", "mitigated", "mitigated-drift"])
     def test_batch_spawns_one_word_stream_per_row(self, noise, mitigate, monkeypatch):
         # Every word of a row draws from the row's one counter stream: B word
-        # streams per batch of B rows (not B x words), keyed by trial; rate
-        # estimates keep their own spawned streams.
-        words, rates = [], []
-        monkeypatch.setattr(vqe, "counter_rng", lambda *family, counter: words.append(
-            (*family, counter)) or counter_rng(*family, counter=counter))
+        # streams per batch of B rows (not B x words), keyed by trial, all from
+        # the one word-stream family the backend builds; rate estimates keep
+        # their own spawned streams.
+        families, words, rates = [], [], []
+
+        class RecordedFamily(StreamFamily):
+            def __init__(self, *path):
+                families.append(path)
+                super().__init__(*path)
+
+            def stream(self, t):
+                words.append((*self.path, t))
+                return super().stream(t)
+
+        monkeypatch.setattr(vqe, "StreamFamily", RecordedFamily)
         monkeypatch.setattr(vqe, "spawn_rng",
                             lambda *path: rates.append(path) or spawn_rng(*path))
         model = ReadoutNoiseModel.uniform(3, *noise) if noise else None
@@ -594,6 +670,7 @@ class TestShotsBackendDriver:
             trials = ([] if not mitigate else range(first, first + 5)
                       if model.drift_amplitude else [0] if first == 0 else [])
             assert rates == [(36, vqe._STREAM_RATES, t) for t in trials]
+        assert families == [(36, vqe._STREAM_WORDS)]
 
     @pytest.mark.parametrize("noise, mitigate", [
         ((0.03, 0.06, 0.0, None), False),
