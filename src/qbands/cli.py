@@ -38,6 +38,8 @@ _STREAM_BACKEND = 2
 _STREAM_RATES_DEMO = 3
 
 _MODE_QUBITS = {"2band": 1, "8band": 3}
+# The largest count numpy holds (int64); counts above it fail deep in numpy.
+_MAX_COUNT = 2**63 - 1
 
 
 def _header(args: argparse.Namespace) -> dict:
@@ -75,8 +77,9 @@ def parse_kpath(spec: str) -> tuple[list[KPoint], int]:
     anchors = [parse_kpoint(p) for p in spec.split(",") if p.strip()]
     if len(anchors) < 2:
         raise ValueError("k-path needs at least two anchors")
-    if points_per_segment < 1:
-        raise ValueError(f"points per segment must be >= 1, got {points_per_segment}")
+    if not 1 <= points_per_segment <= _MAX_COUNT:
+        raise ValueError(f"points per segment must be in [1, 2**63 - 1], "
+                         f"got {points_per_segment}")
     return anchors, points_per_segment
 
 
@@ -344,12 +347,15 @@ def _arg(parse):
     return convert
 
 
-def _at_least(least: int):
-    """The ``type`` of an integer flag with a minimum."""
+def _at_least(least: int, most: int | None = _MAX_COUNT):
+    """The ``type`` of an integer flag with a minimum and, unless ``most`` is
+    None, a maximum (by default the largest count numpy holds)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < least:
             raise ValueError(f"must be >= {least}")
+        if most is not None and value > most:
+            raise ValueError(f"must be <= {most}")
         return value
 
     return _arg(parse)
@@ -383,7 +389,8 @@ def _read_optimizer(path: str) -> OptimizerConfig:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_at_least(0), default=0, help="master seed")
+    # Any size: a seed feeds numpy's SeedSequence, which takes big integers.
+    p.add_argument("--seed", type=_at_least(0, most=None), default=0, help="master seed")
     p.add_argument("--out", default=".", help="output directory")
 
 

@@ -11,7 +11,7 @@ Gate conventions: RY(t) = exp(-i t Y / 2), RZ(t) = exp(-i t Z / 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -148,6 +148,8 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
     (N, 2**n, 2**n) Kronecker product applied by batched matmul after the
     entangler permutation.  Returns the state after every layer and those
     Kronecker products (N, n_layers - 1, 2**n, 2**n), highest qubit first.
+    Each layered ansatz keeps its last result in one read-only slot, which
+    its ``prepare_batch`` and gradient share (`_layered_ansatz`).
     """
     B = T.shape[0]
     half = 0.5 * T.reshape(B, n_layers, 2, n_qubits)  # layer, ry|rz, qubit
@@ -174,37 +176,39 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
     return states, kron
 
 
-def rotation_layers_gradient(thetas: np.ndarray, dense: np.ndarray,
+def rotation_layers_gradient(T: np.ndarray, dense: np.ndarray, states, kron,
                              n_qubits: int, n_layers: int) -> np.ndarray:
     """Row-wise gradient of <ψ(θ)|H|ψ(θ)> by one batched adjoint sweep.
 
-    The circuit is that of `_rotation_layers`.  Every angle drives one gate
-    exp(-iθP/2), so ∂E/∂θ = Im<λ|P|φ>, with φ the state just after the gate
-    and λ = Hψ carried back to the same point (Jones & Gacon 2020,
-    arXiv:2009.02823).  The sweep starts from λ = Hψ and undoes each
-    layer's RZ block, RY block and entangler in turn; it carries μ = λ*,
-    so that undoing a layer is a row vector times its Kronecker product.
+    ``states`` and ``kron`` are the forward pass of `_rotation_layers` at
+    the (N, n_params) rows ``T``; the ansatz passes its memoised one, so a
+    gradient at the rows of the last ``prepare_batch`` builds no state.
+    Every angle drives one gate exp(-iθP/2), so ∂E/∂θ = Im<λ|P|φ>, with φ
+    the state just after the gate and λ = Hψ carried back to the same point
+    (Jones & Gacon 2020, arXiv:2009.02823).  The sweep starts from λ = Hψ
+    and undoes each layer's entangler in turn; it carries μ = λ*, so that
+    undoing a layer is a row vector times its Kronecker product.  The
+    angles' terms then come from all layers at once: before a layer's RZ
+    block for its RZ angles, and after its RY block (RZ undone) for its RY
+    angles.
     """
-    T = np.asarray(thetas, dtype=float)
     B = T.shape[0]
     zsign, flip, _, scatter = _register_maps(n_qubits)
-    states, kron = _rotation_layers(T, n_qubits, n_layers)
     rz = np.exp(-0.5j * np.einsum("blq,qx->blx", T.reshape(B, n_layers, 2, n_qubits)[:, :, 1],
                                   zsign))
-    grad = np.empty((B, n_layers, 2, n_qubits))
     # Stacked matvecs and einsum, not 2-D matmul: BLAS rounds the latter
     # differently for one row, and a row must not depend on its batch.
-    mu = np.matmul(dense, states[-1][..., None])[..., 0].conj()
-    for layer in range(n_layers - 1, -1, -1):
-        phi = states[layer]
-        grad[:, layer, 1] = np.einsum("bx,qx->bq", np.imag(mu * phi), zsign)
-        # After the RY block: φ' = RZ†φ, λ' = RZ†λ.  Y_q b = -i z_q b[flip_q],
-        # so Im<λ'|Y_q|φ'> = -Re Σ conj(λ') z_q φ'[flip_q].
-        phi = rz[:, layer].conj() * phi
-        grad[:, layer, 0] = -np.real(
-            np.sum((rz[:, layer] * mu)[:, None] * zsign * phi[:, flip], axis=-1))
-        if layer:
-            mu = np.matmul(mu[:, None, :], kron[:, layer - 1])[:, 0, scatter]
+    mu = np.empty((B, n_layers, 2**n_qubits), dtype=complex)
+    mu[:, -1] = np.matmul(dense, states[-1][..., None])[..., 0].conj()
+    for layer in range(n_layers - 1, 0, -1):
+        mu[:, layer - 1] = np.matmul(mu[:, layer, None, :], kron[:, layer - 1])[:, 0, scatter]
+    phi = np.concatenate(states, axis=1).reshape(mu.shape)  # np.stack, without its wrapper
+    grad = np.empty((B, n_layers, 2, n_qubits))
+    grad[:, :, 1] = np.einsum("blx,qx->blq", (mu * phi).imag, zsign)
+    # After the RY block: φ' = RZ†φ, λ' = RZ†λ.  Y_q b = -i z_q b[flip_q],
+    # so Im<λ'|Y_q|φ'> = -Re Σ conj(λ') z_q φ'[flip_q].
+    grad[:, :, 0] = -np.add.reduce(
+        (rz * mu)[:, :, None] * zsign * (rz.conj() * phi)[:, :, flip], axis=-1).real
     return grad.reshape(B, -1)
 
 
@@ -212,9 +216,12 @@ def rotation_layers_gradient(thetas: np.ndarray, dense: np.ndarray,
 class Ansatz:
     """A parameterised state-preparation family.
 
-    ``gradient_batch(thetas, H)`` gives the (N, n_params) gradients of
-    <ψ|H|ψ> at an (N, n_params) stack of rows, H a dense Hermitian matrix;
-    None when the family has no analytic gradient.
+    ``prepare_batch(thetas)`` gives the (N, 2**n) states of an
+    (N, n_params) stack of rows; the layered circuits return the read-only
+    stack of their one-slot forward-pass memo, shared by every caller at
+    the same rows (`_layered_ansatz`).  ``gradient_batch(thetas, H)`` gives
+    the (N, n_params) gradients of <ψ|H|ψ> at such a stack, H a dense
+    Hermitian matrix; None when the family has no analytic gradient.
     """
 
     name: str
@@ -238,10 +245,31 @@ def _layered_ansatz(name: str, n_qubits: int, n_layers: int, ry_low: float) -> A
     drawn from [ry_low, π], RZ angles from [-π, π].
 
     ``prepare`` runs the gate list through the gate-list simulator;
-    ``prepare_batch`` and the gradient run `_rotation_layers`.
+    ``prepare_batch`` and the gradient run `_rotation_layers` through one
+    slot that holds the last forward pass, keyed by the shape and bytes of
+    its float parameter stack (an optimizer rewrites its point array in
+    place, so the array's identity is no key).  A gradient at the rows of
+    the preceding ``prepare_batch`` reuses its states and Kronecker layers.
+    The slot's arrays, the stack ``prepare_batch`` returns among them, are
+    read-only.
     """
     n_params = 2 * n_qubits * n_layers
     qubits = range(1, n_qubits + 1)
+    last = None  # ((shape, bytes), (states, kron)): one entry
+
+    def forward(T: np.ndarray):
+        nonlocal last
+        key = T.shape, T.tobytes()
+        if last is not None and last[0] == key:
+            return last[1]
+        # Drop the old entry before building the new one: holding both at
+        # once raised the measured peak RSS of a `bands` run.
+        last = None
+        states, kron = _rotation_layers(T, n_qubits, n_layers)
+        for array in (*states, kron):
+            array.setflags(write=False)
+        last = key, (states, kron)
+        return states, kron
 
     def prepare(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -256,7 +284,11 @@ def _layered_ansatz(name: str, n_qubits: int, n_layers: int, ry_low: float) -> A
         return apply_circuit(zero_state(n_qubits), gates)
 
     def prepare_batch(thetas) -> np.ndarray:
-        return _rotation_layers(np.asarray(thetas, dtype=float), n_qubits, n_layers)[0][-1]
+        return forward(np.asarray(thetas, dtype=float))[0][-1]
+
+    def gradient_batch(thetas, dense) -> np.ndarray:
+        T = np.asarray(thetas, dtype=float)
+        return rotation_layers_gradient(T, dense, *forward(T), n_qubits, n_layers)
 
     return Ansatz(
         name=name,
@@ -266,8 +298,7 @@ def _layered_ansatz(name: str, n_qubits: int, n_layers: int, ry_low: float) -> A
         highs=(np.pi,) * n_params,
         prepare=prepare,
         prepare_batch=prepare_batch,
-        gradient_batch=partial(rotation_layers_gradient, n_qubits=n_qubits,
-                               n_layers=n_layers),
+        gradient_batch=gradient_batch,
     )
 
 

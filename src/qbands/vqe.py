@@ -317,7 +317,7 @@ class ExactBackend:
             # BLAS rounds the latter differently for N = 1, and a restart
             # must not depend on how many others share its batch.
             hpsi = np.matmul(dense, psi[..., None])[..., 0]
-            return np.real(np.einsum("bi,bi->b", psi.conj(), hpsi))
+            return np.einsum("bi,bi->b", psi.conj(), hpsi).real
 
         return _with_scalar(f_batch)
 

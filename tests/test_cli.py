@@ -151,6 +151,15 @@ class TestBadInput:
          "--matrix"),
         (["decompose", "--matrix",
           File('{"matrix": [[1, 0], [0, -1]], "matrx_note": "typo"}')], "--matrix"),
+        # Counts numpy cannot hold (above 2**63 - 1).
+        (["bands", "--backend", "shots", "--shots", str(10**20), "--kpath", "X,G:1"],
+         "--shots"),
+        (["bands", "--backend", "shots", "--shots", str(2**63), "--kpath", "X,G:1"],
+         "--shots"),
+        (["rates", "--samples", "1", "--trials", str(10**20)], "--trials"),
+        (["scan", "--theta-steps", str(10**20)], "--theta-steps"),
+        (["bands", "--kpath", f"X,G:{10**20}"], "--kpath"),
+        (["bands", "--kpath", f"X,G:{2**63}"], "--kpath"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -160,6 +169,11 @@ class TestBadInput:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_seed_takes_any_size(self, tmp_path):
+        # A seed is no count: numpy's SeedSequence takes big integers.
+        assert main(["bands", "--kpath", "X,G:1", "--seed", str(10**20),
+                     "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv, message", [
         (["decompose", "--matrix", File('{"rows": [[1.0]]}')],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from qbands.qsim import (
     exact_pauli_expectations,
     zero_state,
 )
-from qbands.vqe import ExactBackend
+from qbands.tightbinding import KPoint, TBParameters, build_full_hamiltonian
+from qbands.vqe import ExactBackend, OptimizerConfig, minimize
 
 from conftest import SIGMA, kron_word, layered_state, rand_hermitian, rand_state
 
@@ -304,3 +307,119 @@ def test_cached_register_maps_are_read_only():
     for array in qsim._register_maps(2):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
+
+
+def _layer_by_layer_gradient(T, dense, states, kron, n_qubits, n_layers):
+    """The adjoint sweep one layer at a time: each layer's RZ and RY terms
+    from its own (N, 2**n) rows, as the sweep ran before its terms were
+    taken from all layers at once.  Same arithmetic, so equal bit for bit."""
+    B = T.shape[0]
+    zsign, flip, _, scatter = qsim._register_maps(n_qubits)
+    rz = np.exp(-0.5j * np.einsum("blq,qx->blx", T.reshape(B, n_layers, 2, n_qubits)[:, :, 1],
+                                  zsign))
+    grad = np.empty((B, n_layers, 2, n_qubits))
+    mu = np.matmul(dense, states[-1][..., None])[..., 0].conj()
+    for layer in range(n_layers - 1, -1, -1):
+        phi = states[layer]
+        grad[:, layer, 1] = np.einsum("bx,qx->bq", np.imag(mu * phi), zsign)
+        phi = rz[:, layer].conj() * phi
+        grad[:, layer, 0] = -np.real(
+            np.sum((rz[:, layer] * mu)[:, None] * zsign * phi[:, flip], axis=-1))
+        if layer:
+            mu = np.matmul(mu[:, None, :], kron[:, layer - 1])[:, 0, scatter]
+    return grad.reshape(B, -1)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 40])
+@pytest.mark.parametrize("ansatz, n_layers", [(MEAN_FIELD, 1), (THREE_QUBIT, 3)],
+                         ids=["mean-field", "three-qubit"])
+def test_sweep_equals_layer_by_layer_sweep(ansatz, n_layers, rows, rng):
+    n = ansatz.n_qubits
+    for _ in range(5):
+        H = rand_hermitian(rng, 2**n)
+        T = np.array([ansatz.random_parameters(rng) for _ in range(rows)])
+        states, kron = qsim._rotation_layers(T, n, n_layers)
+        expected = _layer_by_layer_gradient(T, H, states, kron, n, n_layers)
+        assert (qsim.rotation_layers_gradient(T, H, states, kron, n, n_layers) == expected).all()
+
+
+class TestForwardMemo:
+    """Each layered ansatz keeps its last forward pass in one slot, keyed by
+    the bytes of the parameter stack; the exact gradient reuses it."""
+
+    @pytest.fixture
+    def forward_passes(self, monkeypatch):
+        """The stacks every `_rotation_layers` call runs on, in order."""
+        stacks = []
+        original = qsim._rotation_layers
+
+        def counted(T, n_qubits, n_layers):
+            stacks.append(T.copy())
+            return original(T, n_qubits, n_layers)
+
+        monkeypatch.setattr(qsim, "_rotation_layers", counted)
+        return stacks
+
+    @pytest.mark.parametrize("ansatz", [MEAN_FIELD, THREE_QUBIT],
+                             ids=["mean-field", "three-qubit"])
+    def test_gradient_from_memo_equals_rebuilt_one(self, ansatz, forward_passes, rng):
+        H = rand_hermitian(rng, 2**ansatz.n_qubits)
+        T = np.array([ansatz.random_parameters(rng) for _ in range(5)])
+        ansatz.prepare_batch(T)
+        hit = ansatz.gradient_batch(T, H)
+        assert len(forward_passes) == 1
+        ansatz.prepare_batch(T + 0.25)  # the slot now holds other rows
+        miss = ansatz.gradient_batch(T, H)
+        assert len(forward_passes) == 3
+        assert (hit == miss).all()
+
+    def test_point_changed_in_place_gets_its_own_gradient(self, rng):
+        # An optimizer writes accepted trials into one point array and takes
+        # the gradient at a view of it: the array's identity is no key.
+        H = rand_hermitian(rng, 8)
+        x = np.array([THREE_QUBIT.random_parameters(rng) for _ in range(3)])
+        THREE_QUBIT.prepare_batch(x)
+        x[1] += 0.5
+        states, kron = qsim._rotation_layers(x.copy(), 3, 3)
+        expected = qsim.rotation_layers_gradient(x.copy(), H, states, kron, 3, 3)
+        assert (THREE_QUBIT.gradient_batch(x[:], H) == expected).all()
+
+    @pytest.mark.parametrize("ansatz", [MEAN_FIELD, THREE_QUBIT],
+                             ids=["mean-field", "three-qubit"])
+    def test_prepared_stack_is_read_only(self, ansatz, rng):
+        # The stack is the slot's own, shared by every caller at these rows.
+        psi = ansatz.prepare_batch(np.array([ansatz.random_parameters(rng)]))
+        with pytest.raises(ValueError, match="read-only"):
+            psi[0, 0] = 1.0
+
+    def test_gradient_at_the_objective_rows_builds_no_state(self, forward_passes):
+        # One exact level: every gradient at the rows of the objective call
+        # just before it runs no forward pass; any other runs one.
+        events = []
+
+        def prepare_batch(T):
+            events.append(("objective", np.asarray(T, dtype=float).tobytes(), None))
+            return THREE_QUBIT.prepare_batch(T)
+
+        def gradient_batch(T, H):
+            before = len(forward_passes)
+            g = THREE_QUBIT.gradient_batch(T, H)
+            events.append(("gradient", np.asarray(T, dtype=float).tobytes(),
+                           len(forward_passes) - before))
+            return g
+
+        ansatz = dataclasses.replace(THREE_QUBIT, prepare_batch=prepare_batch,
+                                     gradient_batch=gradient_batch)
+        H = build_full_hamiltonian(TBParameters.default_silicon(), KPoint.high_symmetry("L"))
+        minimize(decompose(H), ansatz, ExactBackend(), OptimizerConfig(seed=3))
+        hits = misses = 0
+        for (kind, rows, _), (next_kind, next_rows, passes) in zip(events, events[1:]):
+            if next_kind == "gradient":
+                assert kind == "objective"
+                same = rows == next_rows
+                assert passes == (0 if same else 1)
+                hits += same
+                misses += not same
+        assert hits > 0
+        n_objective = sum(kind == "objective" for kind, _, _ in events)
+        assert len(forward_passes) <= n_objective + misses

@@ -300,9 +300,15 @@ class TestGradients:
         dec = decompose(H)
         grad, cost = EXACT.make_gradient(dec, ansatz)
         assert cost == 1
+        _, f_batch = EXACT.make_objective(dec, ansatz)
         thetas = np.array([ansatz.random_parameters(rng) for _ in range(4)])
+        f_batch(thetas + 0.5)
+        rebuilt = grad(thetas)  # the ansatz's last forward pass is at other rows
+        f_batch(thetas)
+        reused = grad(thetas)  # the objective's forward pass at these rows
         h = 1e-5
-        for theta, g in zip(thetas, grad(thetas)):
+        for theta, g in zip(np.concatenate([thetas, thetas]),
+                            np.concatenate([rebuilt, reused])):
             fd = np.empty(ansatz.n_params)
             for j in range(ansatz.n_params):
                 e = np.zeros(ansatz.n_params)
