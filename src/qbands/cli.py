@@ -40,6 +40,12 @@ _STREAM_RATES_DEMO = 3
 _MODE_QUBITS = {"2band": 1, "8band": 3}
 # The largest count numpy holds (int64); counts above it fail deep in numpy.
 _MAX_COUNT = 2**63 - 1
+# Size caps: what a scan grid or a k-path holds per node stays within 1 GiB.
+# A scan grid node peaks at 170-300 bytes (tracemalloc, exact and shots
+# backends), budgeted at 512; a k-point keeps about 2.6 KB of path, job,
+# record and CSV row on the 8-band model, budgeted at 4 KiB.
+_MAX_SCAN_NODES = 2**30 // 512  # 2**21
+_MAX_KPATH_POINTS = 2**30 // 4096  # 2**18
 
 
 def _header(args: argparse.Namespace) -> dict:
@@ -77,9 +83,11 @@ def parse_kpath(spec: str) -> tuple[list[KPoint], int]:
     anchors = [parse_kpoint(p) for p in spec.split(",") if p.strip()]
     if len(anchors) < 2:
         raise ValueError("k-path needs at least two anchors")
-    if not 1 <= points_per_segment <= _MAX_COUNT:
-        raise ValueError(f"points per segment must be in [1, 2**63 - 1], "
-                         f"got {points_per_segment}")
+    if points_per_segment < 1:
+        raise ValueError(f"points per segment must be >= 1, got {points_per_segment}")
+    points = 1 + (len(anchors) - 1) * points_per_segment
+    if points > _MAX_KPATH_POINTS:
+        raise ValueError(f"{points} k-points exceed the cap of {_MAX_KPATH_POINTS}")
     return anchors, points_per_segment
 
 
@@ -451,9 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_noise(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """The one check across flags: the noise file against the qubit count and
-    `--mitigate` (exit 2, before any work)."""
+def _check_across_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The checks across flags: the scan grid size, and the noise file
+    against the qubit count and `--mitigate` (exit 2, before any work)."""
+    if args.command == "scan" and args.theta_steps * args.phi_steps > _MAX_SCAN_NODES:
+        parser.error(f"--theta-steps x --phi-steps: {args.theta_steps * args.phi_steps} "
+                     f"grid nodes exceed the cap of {_MAX_SCAN_NODES}")
     if args.noise is None:
         return
     n_qubits = args.qubits if args.command == "rates" else _MODE_QUBITS[args.mode]
@@ -469,7 +480,7 @@ def _check_noise(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_noise(parser, args)
+    _check_across_flags(parser, args)
     if args.command in ("bands", "scan") and args.params is None:
         args.params = TBParameters.default_silicon()
     out_dir = Path(args.out)

@@ -1,8 +1,8 @@
 """Shot-based measurement: basis changes, sampled counts with readout noise,
 parity estimators, transition-rate estimation and mitigation.
 
-Counts are integer arrays of length 2**n indexed by bitstring value, with
-qubit 1 as the least significant bit.
+Counts are integer arrays whose last axis, of length 2**n, is indexed by
+bitstring value, with qubit 1 as the least significant bit.
 
 Readout noise is modelled as independent classical bit flips at measurement
 time, with per-qubit rates w01 (|0> read as |1>) and w10 (|1> read as |0>).
@@ -11,26 +11,27 @@ never of wall-clock time, so runs stay reproducible.  `ReadoutNoiseModel.at`
 gives the drift-free law in force at a trial; everything below it measures
 and corrects under such a law.
 
-`sample`, `sampled_expectation`, `mitigate_counts` and
-`expectation_from_counts` take one state (or count array) or a (B, 2**n)
-stack of rows, and the last three one word or a sequence of M words.  One
-`sampled_expectation` call measures every word of every row: one stacked
-rotation, one `sample` call and one estimator call.  Every row-wise product
-on a stack is one stacked mat-vec or dot.  A stack draws from a
-`seeding.StreamFamily` and a first counter: row b draws all its words, in
-order, from stream first + b, so each row gets the values it would get
-alone, bit for bit, whatever B is.
+Every function takes stacks of one shape.  `sample` draws a (B, M, 2**n)
+stack of states, M per row, into (B, M, 2**n) counts.  `sampled_expectation`
+measures a tuple of M words on every row of a (B, 2**n) stack, as (B, M)
+estimates: one stacked rotation, one `sample` call and one estimator call.
+`expectation_from_counts` and `mitigate_counts` read (..., M, 2**n) counts
+against a tuple of M all-I/Z words.  Every row-wise product is one stacked
+mat-vec or dot.  Row b draws its M states in order from the generator
+``stream(b)``; with one stream per row, such as
+``lambda b: family.stream(first + b)`` of a `seeding.StreamFamily`, each row
+gets the values it would get alone, bit for bit, whatever B is.
 """
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qsim
 from .pauli import is_real
-from .seeding import StreamFamily
 
 
 def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
@@ -109,16 +110,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# Shared by every caller (`_kron` hands a lone factor out as is), so read-only.
-_PARITY = _read_only(np.array([1.0, -1.0]))  # (-1)^bit of one measured qubit
-_H = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
+_PARITY = np.array([1.0, -1.0])  # (-1)^bit of one measured qubit
+_I2 = np.eye(2, dtype=complex)
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 # Per-letter (diagonal letter, 2x2 rotation); Y takes H·S·Z = H·diag(1, -i).
-_LETTER_BASIS = {
-    "I": ("I", _read_only(np.eye(2, dtype=complex))),
-    "Z": ("Z", _read_only(np.eye(2, dtype=complex))),
-    "X": ("Z", _H),
-    "Y": ("Z", _read_only(_H @ np.diag([1, -1j]))),
-}
+# `basis_change` copies them into its stacks, so they are never handed out.
+_LETTER_BASIS = {"I": ("I", _I2), "Z": ("Z", _I2), "X": ("Z", _H),
+                 "Y": ("Z", _H @ np.diag([1, -1j]))}
 
 
 def _kron(factors: list[np.ndarray]) -> np.ndarray:
@@ -136,117 +134,79 @@ def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(matrix, rows[..., None])[..., 0]
 
 
-def _stack(rows) -> np.ndarray:
-    """A (B, dim) stack: one state is a stack of one row."""
-    rows = np.asarray(rows)
-    if rows.ndim not in (1, 2):
-        raise ValueError(f"expected one row or a (B, dim) stack, got shape {rows.shape}")
-    return rows if rows.ndim == 2 else rows[None]
-
-
-def _as_words(words) -> tuple[tuple[str, ...], bool]:
-    """(the words as a tuple, whether a single word was given as a string)."""
-    return ((words,), True) if isinstance(words, str) else (tuple(words), False)
-
-
-def _scalar(values):
-    """A float for a 0-d result, the array otherwise."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
-def _row_streams(rows, rng, first: int):
-    """Row b's generator, as a function of b: stream ``first + b`` of a
-    `seeding.StreamFamily`, called when the row's draws begin.  A single row
-    (one state, or a stack of one row) may instead take ``rng`` itself (a
-    generator, a seed or None)."""
-    if isinstance(rng, StreamFamily):
-        return lambda b: rng.stream(first + b)
-    if np.ndim(rows) == 1 or len(rows) == 1:
-        generator = np.random.default_rng(rng)
-        return lambda b: generator
-    raise ValueError(f"a stack of {len(rows)} rows draws one stream per row from a "
-                     f"seeding.StreamFamily; got {rng!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementBasisChange:
-    """Unitary U mapping a Pauli word onto its all-I/Z counterpart: σ = U† A U.
+    """Unitaries U mapping Pauli words onto their all-I/Z counterparts,
+    σ = U† A U: ``diagonal`` is the tuple of the M all-I/Z words and
+    ``unitary`` the (M, 2**n, 2**n) stack of the rotations."""
 
-    For a tuple of M words, ``diagonal`` is the tuple of their all-I/Z words
-    and ``unitary`` the (M, 2**n, 2**n) stack of their rotations."""
-
-    diagonal: str | tuple[str, ...]
+    diagonal: tuple[str, ...]
     unitary: np.ndarray
 
 
 @functools.lru_cache(maxsize=256)
-def basis_change(words: str | tuple[str, ...]) -> MeasurementBasisChange:
-    """Pre-measurement rotation for a Pauli word, or the stacked rotations
-    of a tuple of words (one operator's measured words).
-
-    The Kronecker product of one fixed 2x2 matrix per letter, leftmost letter
-    on the highest qubit: a Hadamard for X, H·S·Z for Y, the identity for I
-    and Z.  Built once per word or tuple and shared, so the unitary is
-    read-only.
-    """
-    if not isinstance(words, str):
-        changes = [basis_change(word) for word in words]
-        return MeasurementBasisChange(tuple(c.diagonal for c in changes),
-                                      _read_only(np.array([c.unitary for c in changes])))
-    diagonal, factors = [], []
-    for letter in words:
+def _word_change(word: str) -> tuple[str, np.ndarray]:
+    """(all-I/Z word, rotation) of one Pauli word: the Kronecker product of
+    one fixed 2x2 matrix per letter, leftmost letter on the highest qubit; a
+    Hadamard for X, H·S·Z for Y, the identity for I and Z."""
+    for letter in word:
         if letter not in _LETTER_BASIS:
-            raise ValueError(f"bad Pauli letter {letter!r} in {words!r}")
-        d, u = _LETTER_BASIS[letter]
-        diagonal.append(d)
-        factors.append(u)
-    return MeasurementBasisChange("".join(diagonal), _read_only(_kron(factors)))
+            raise ValueError(f"bad Pauli letter {letter!r} in {word!r}")
+    return ("".join(_LETTER_BASIS[letter][0] for letter in word),
+            _kron([_LETTER_BASIS[letter][1] for letter in word]))
 
 
-def sample(
-    state: np.ndarray,
-    shots: int,
-    noise: ReadoutNoiseModel | None = None,
-    rng: np.random.Generator | int | StreamFamily | None = None,
-    first: int = 0,
-) -> np.ndarray:
-    """Counts of ``shots`` measurements of a statevector, as an integer array
-    of length 2**n indexed by bitstring value (qubit 1 the least significant
-    bit).  Deterministic for a fixed generator, seed or stream.
+def _word_tuple(words: tuple[str, ...]) -> tuple[str, ...]:
+    """``words``, refused when it is one word rather than a tuple of them."""
+    if isinstance(words, str):
+        raise TypeError(f"expected a tuple of words, got the string {words!r}")
+    return words
 
-    ``state`` may be a (B, 2**n) stack of statevectors, or a (B, M, 2**n)
-    stack of M states per row (one operator's word rotations); ``rng`` is
-    then a `seeding.StreamFamily`.  Row b is drawn from stream ``first + b``
-    of the family alone, its M states in order, exactly as a call on that
-    row with ``first + b`` would draw it.  A single row takes a family too
-    (stream ``first``), or a generator or seed.
+
+@functools.lru_cache(maxsize=256)
+def basis_change(words: tuple[str, ...]) -> MeasurementBasisChange:
+    """The stacked pre-measurement rotations of a tuple of Pauli words (one
+    operator's measured words).  Built once per tuple and shared, so the
+    unitary is read-only."""
+    changes = [_word_change(word) for word in _word_tuple(words)]
+    return MeasurementBasisChange(tuple(d for d, _ in changes),
+                                  _read_only(np.array([u for _, u in changes])))
+
+
+def sample(states: np.ndarray, shots: int, noise: ReadoutNoiseModel | None,
+           stream: Callable[[int], np.random.Generator]) -> np.ndarray:
+    """Counts of ``shots`` measurements of every state of a (B, M, 2**n)
+    stack (M states per row, such as one operator's word rotations), as a
+    (B, M, 2**n) integer array.  Row b draws its M states, in order, from
+    the generator ``stream(b)``; deterministic for fixed streams.
 
     Readout flips are independent per shot and qubit, so the noisy outcome
     law is |amplitude|^2 under ``noise.confusion``; one multinomial draw per
     state over it gives the counts.  A drifting ``noise`` acts as its
     trial-0 law.
+
+    numpy's multinomial draws each outcome through a binomial, which takes
+    another branch once a probability crosses 1/2 in its last bit: a change
+    of the state neutral in exact arithmetic (a global phase, say) can move
+    noiseless counts where an outcome has probability 1/2 up to round-off.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    states = np.asarray(state)
-    if states.ndim not in (1, 2, 3):
-        raise ValueError("expected one state, a (B, 2**n) or a (B, M, 2**n) stack, "
-                         f"got shape {states.shape}")
-    stream = _row_streams(states, rng, first)
-    probs = np.abs(states if states.ndim > 1 else states[None]) ** 2
-    n = qsim.num_qubits(probs.reshape(-1, probs.shape[-1])[0])
+    states = np.asarray(states)
+    if states.ndim != 3:
+        raise ValueError(f"expected a (B, M, 2**n) stack of states, got shape {states.shape}")
+    probs = np.abs(states) ** 2
     if noise is not None:
-        if noise.n_qubits != n:
+        if noise.n_qubits != qsim.num_qubits(probs[0, 0]):
             raise ValueError("noise model qubit count mismatch")
         probs = _rowwise(noise.confusion, probs)
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    laws = probs.reshape(len(probs), -1, probs.shape[-1])  # (B, M, 2**n)
-    counts = np.empty(laws.shape, dtype=np.int64)
-    for b, (row_laws, row) in enumerate(zip(laws, counts)):
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for b, (laws, row) in enumerate(zip(probs, counts)):
         g = stream(b)
-        for j, law in enumerate(row_laws):
+        for j, law in enumerate(laws):
             row[j] = g.multinomial(shots, law)
-    return counts.reshape(states.shape)
+    return counts
 
 
 @functools.lru_cache(maxsize=256)
@@ -287,104 +247,84 @@ def _parity_weights(words: tuple[str, ...], model: ReadoutNoiseModel | None) -> 
     return _read_only(weights)
 
 
-def _parity_estimates(counts: np.ndarray, words, model: ReadoutNoiseModel | None):
-    """Estimates of one word from a (..., 2**n) count stack, or of M words
-    from a (..., M, 2**n) one: the stacked dot of each count row with its
-    word's weights, over its shots."""
-    words, single = _as_words(words)
-    weights = _parity_weights(words, model)
+def _parity_estimates(counts: np.ndarray, words: tuple[str, ...],
+                      model: ReadoutNoiseModel | None) -> np.ndarray:
+    """(..., M) estimates of M words from (..., M, 2**n) counts, one count
+    row per word: the stacked dot of each count row with its word's
+    weights, over its shots."""
+    weights = _parity_weights(_word_tuple(words), model)
     counts = np.asarray(counts)
     if counts.shape[-1] != weights.shape[-1]:
         raise ValueError("word length does not match counts")
-    if single:
-        weights = weights[0]
-    elif counts.ndim < 2 or counts.shape[-2] != len(words):
+    if counts.ndim < 2 or counts.shape[-2] != len(words):
         raise ValueError(f"{len(words)} words need a (..., {len(words)}, 2**n) count "
                          f"stack, got shape {counts.shape}")
     values = np.matmul(weights[..., None, :], counts[..., None])[..., 0, 0]
     return values / counts.sum(axis=-1)
 
 
-def expectation_from_counts(counts: np.ndarray, words):
-    """Parity estimator of an all-I/Z word: each bitstring contributes the
-    parity (±1) of its bits at the Z positions.  A (B, 2**n) count stack
-    gives B estimates; a sequence of M words takes (..., M, 2**n) counts,
-    one count row per word, and gives (..., M)."""
-    return _scalar(_parity_estimates(counts, words, None))
+def expectation_from_counts(counts: np.ndarray, words: tuple[str, ...]) -> np.ndarray:
+    """Parity estimator of each of M all-I/Z words from (..., M, 2**n)
+    counts, one count row per word, as (..., M): each bitstring contributes
+    the parity (±1) of its bits at the word's Z positions."""
+    return _parity_estimates(counts, words, None)
 
 
-def estimate_transition_rates(
-    noise: ReadoutNoiseModel | None,
-    n_qubits: int,
-    trials: int,
-    rng: np.random.Generator | int | None = None,
-) -> ReadoutNoiseModel:
+def estimate_transition_rates(noise: ReadoutNoiseModel | None, n_qubits: int, trials: int,
+                              rng: np.random.Generator) -> ReadoutNoiseModel:
     """Empirical flip rates from repeated readout of prepared |0> and |1>.
 
     Reads the all-zeros state ``trials`` times and counts per-qubit ones
-    (giving w01), then the all-ones state (giving w10)."""
+    (giving w01), then the all-ones state (giving w10): one `sample` row of
+    the two states, both drawn from ``rng`` in that order."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(rng)
-    zeros = qsim.zero_state(n_qubits)
-    ones = zeros[::-1]  # |1...1>
-    bits = (np.arange(len(zeros))[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q
-    w01_hat = sample(zeros, trials, noise, rng) @ bits / trials
-    w10_hat = 1.0 - sample(ones, trials, noise, rng) @ bits / trials
-    return ReadoutNoiseModel(tuple(float(v) for v in w01_hat),
-                             tuple(float(v) for v in w10_hat))
+    dim = 2**n_qubits
+    basis = np.eye(dim)[[0, -1]]  # |0...0>, |1...1>
+    bits = (np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q
+    ones_read = sample(basis[None], trials, noise, lambda b: rng)[0] @ bits / trials
+    return ReadoutNoiseModel(tuple(float(v) for v in ones_read[0]),
+                             tuple(float(v) for v in 1.0 - ones_read[1]))
 
 
-def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel, words):
-    """Multi-qubit readout correction of an all-I/Z word:
+def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel,
+                    words: tuple[str, ...]) -> np.ndarray:
+    """Multi-qubit readout correction of each of M all-I/Z words:
     sum_z p(z) prod_i ((-1)^{z_i} - p⁻_i) / (1 - p⁺_i) over the Z positions,
-    clamped to [-1, 1].  Count stacks and word sequences are read as by
+    clamped to [-1, 1].  Counts and words are read as by
     `expectation_from_counts`.  A drifting ``model`` acts as its trial-0 law;
     mitigation ill-posed under that law on a measured qubit raises
     ValueError."""
-    return _scalar(np.clip(_parity_estimates(counts, words, model), -1.0, 1.0))
+    return np.clip(_parity_estimates(counts, words, model), -1.0, 1.0)
 
 
-def sampled_expectation(
-    state: np.ndarray,
-    words,
-    shots: int,
-    noise: ReadoutNoiseModel | None = None,
-    rng: np.random.Generator | int | StreamFamily | None = None,
-    mitigation: ReadoutNoiseModel | None = None,
-    first: int = 0,
-):
-    """Estimate <σ_w> of a word, or of each of a sequence of M words, by
-    basis change, sampling and the parity rule.
+def sampled_expectation(states: np.ndarray, words: tuple[str, ...], shots: int,
+                        noise: ReadoutNoiseModel | None,
+                        stream: Callable[[int], np.random.Generator],
+                        mitigation: ReadoutNoiseModel | None = None) -> np.ndarray:
+    """(B, M) estimates <σ_w> of a tuple of M words on every row of a
+    (B, 2**n) stack of states, by basis change, sampling and the parity rule.
 
     ``noise`` is the readout law the counts are drawn under; ``mitigation``
     is the rate model used for correction (usually an estimate, not the
     true injected noise); None disables correction.  An identity word needs
     no measurement and gives exactly 1.  Every other word is measured with
-    ``shots`` shots, all in one `sample` call and one estimator call.  A
-    (B, 2**n) stack of states, with a `seeding.StreamFamily` as ``rng`` (see
-    `sample`), gives B estimates per word; row b draws its words in order
-    from stream ``first + b``, so it gets the values its state and stream
-    give alone.  The result is a float for one state and one word, (M,) or
-    (B,) when one of them is a sequence, and (B, M) for both.
+    ``shots`` shots, all in one `sample` call and one estimator call; row b
+    draws its measured words, in order, from ``stream(b)`` (see `sample`).
     """
-    words, single = _as_words(words)
-    states = _stack(state)
-    if not isinstance(rng, StreamFamily):
-        # The one row's generator, built once; a stack raises here, even
-        # when no word needs a draw.
-        rng = _row_streams(state, rng, first)(0)
+    states = np.asarray(states)
+    if states.ndim != 2:
+        raise ValueError(f"expected a (B, 2**n) stack of states, got shape {states.shape}")
     values = np.ones((len(states), len(words)))
-    measured = [i for i, word in enumerate(words) if word.strip("I")]
+    measured = [i for i, word in enumerate(_word_tuple(words)) if word.strip("I")]
     if measured:
         change = basis_change(tuple(words[i] for i in measured))
         rotated = _rowwise(change.unitary, states[:, None])  # (B, M, 2**n)
-        counts = sample(rotated, shots, noise, rng, first)
+        counts = sample(rotated, shots, noise, stream)
         if mitigation is not None:
             values[:, measured] = mitigate_counts(counts, mitigation, change.diagonal)
         else:
             values[:, measured] = expectation_from_counts(counts, change.diagonal)
-    values = values[:, 0] if single else values
-    return _scalar(values if np.ndim(state) == 2 else values[0])
+    return values

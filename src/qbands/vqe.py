@@ -376,7 +376,7 @@ class ShotsBackend:
 
     def _measure_words(
         self,
-        words: list[str],
+        words: tuple[str, ...],
         states: np.ndarray,
         n_qubits: int,
     ) -> np.ndarray:
@@ -398,8 +398,9 @@ class ShotsBackend:
                 self._rates = sampler.estimate_transition_rates(law, n_qubits, RATE_TRIALS, rng)
             rates = self._rates if self.mitigate else None
             out[rows] = sampler.sampled_expectation(
-                states[rows], words, self.shots, law, self._word_streams,
-                mitigation=rates, first=trial,
+                states[rows], words, self.shots, law,
+                lambda b: self._word_streams.stream(trial + b),
+                mitigation=rates,
             )
         return out
 
@@ -407,7 +408,7 @@ class ShotsBackend:
         """(f, f_batch): sum_w c_w <σ_w> of every row of the ansatz's batched
         kernel, each row one energy evaluation."""
         _check_qubits(decomp, ansatz)
-        words = list(decomp.coeffs)
+        words = tuple(decomp.coeffs)
         coeffs = list(decomp.coeffs.values())
 
         def f_batch(thetas):

@@ -73,6 +73,12 @@ def philox_stream(family: tuple[int, ...], t: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=(0, 0, 0, t)))
 
 
+def seeded(seed):
+    """The ``stream`` of a one-row sampler call seeded with ``seed``: a fresh
+    ``np.random.default_rng(seed)``, the generator such a call drew from."""
+    return lambda b: np.random.default_rng(seed)
+
+
 def rand_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (A + A.conj().T) / 2

@@ -22,7 +22,7 @@ from qbands.sampler import (
 from qbands.tightbinding import KPoint, TBParameters, build_s_block, diagonalize_classical
 from qbands.vqe import ExactBackend, OptimizerConfig, full_spectrum, grid_scan
 
-from conftest import kron_word, rand_hermitian, rand_state
+from conftest import kron_word, rand_hermitian, rand_state, seeded
 
 SI = TBParameters.default_silicon()
 
@@ -119,8 +119,8 @@ class TestAcceptance:
                 total = c_ident
                 for wi, (w, c) in enumerate(sampled):
                     total += c * sampled_expectation(
-                        state, w, M, rng=100_000 * mi + 100 * rep + wi
-                    )
+                        state[None], (w,), M, None, seeded(100_000 * mi + 100 * rep + wi)
+                    )[0, 0]
                 vals.append(total)
             variance = float(np.var(vals))
             assert variance <= max_e**2 / M, f"variance bound violated at M={M}"
@@ -137,40 +137,39 @@ class TestAcceptance:
         for trial in range(5):
             state = rand_state(rng, 2)
             z = float(np.real(state.conj() @ np.diag([1.0, -1.0]) @ state))
-            counts = sample(state, M, noise=model1, rng=700 + trial)
-            raw = expectation_from_counts(counts, "Z")
+            counts = sample(state[None, None], M, model1, seeded(700 + trial))[0]
+            raw = expectation_from_counts(counts, ("Z",))[0]
             sigma = np.sqrt(max(1 - (0.9 * z) ** 2, 1e-12) / M)
             assert abs(raw - (1 - p_plus) * z) <= 3 * sigma
-            corrected = mitigate_counts(counts, model1, "Z")
+            corrected = mitigate_counts(counts, model1, ("Z",))[0]
             assert abs(corrected - z) <= 3 * sigma / (1 - p_plus)
         model2 = ReadoutNoiseModel.uniform(2, 0.05, 0.05)
         zz_op = kron_word("ZZ")
         for trial in range(5):
             state = rand_state(rng, 4)
             zz = float(np.real(state.conj() @ zz_op @ state))
-            counts = sample(state, M, noise=model2, rng=800 + trial)
-            raw = expectation_from_counts(counts, "ZZ")
+            counts = sample(state[None, None], M, model2, seeded(800 + trial))[0]
+            raw = expectation_from_counts(counts, ("ZZ",))[0]
             sigma = np.sqrt(max(1 - (0.81 * zz) ** 2, 1e-12) / M)
             assert abs(raw - (1 - p_plus) ** 2 * zz) <= 3 * sigma
-            corrected = mitigate_counts(counts, model2, "ZZ")
+            corrected = mitigate_counts(counts, model2, ("ZZ",))[0]
             assert abs(corrected - zz) <= 3 * sigma / (1 - p_plus) ** 2
         _report(5, "single-qubit and ZZ mitigation within 3σ; bias (1-p+) confirmed")
 
     def test_06_parity_rule_worked_example(self):
-        counts = np.zeros(2**5, dtype=np.int64)
-        counts[0b00101] = 8192
-        value = expectation_from_counts(counts, "IZZIZ")
+        counts = np.zeros((1, 2**5), dtype=np.int64)
+        counts[0, 0b00101] = 8192
+        value = expectation_from_counts(counts, ("IZZIZ",))[0]
         assert value == 1.0
         _report(6, "I5 Z4 Z3 I2 Z1 on |00101> evaluates to exactly +1")
 
     def test_07_basis_change_identity(self):
         worst = 0.0
         for n in (1, 2):
-            for letters in itertools.product("IXYZ", repeat=n):
-                word = "".join(letters)
-                change = basis_change(word)
-                U = change.unitary
-                recovered = U.conj().T @ kron_word(change.diagonal) @ U
+            words = tuple("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
+            change = basis_change(words)
+            for word, diagonal, U in zip(words, change.diagonal, change.unitary):
+                recovered = U.conj().T @ kron_word(diagonal) @ U
                 worst = max(worst, float(np.max(np.abs(recovered - kron_word(word)))))
         assert worst <= 1e-12
         _report(7, f"U†AU reproduces all 1- and 2-qubit words, max dev {worst:.1e}")

@@ -160,6 +160,9 @@ class TestBadInput:
         (["scan", "--theta-steps", str(10**20)], "--theta-steps"),
         (["bands", "--kpath", f"X,G:{10**20}"], "--kpath"),
         (["bands", "--kpath", f"X,G:{2**63}"], "--kpath"),
+        # One grid node and one k-point above the size caps (see TestSizeCaps).
+        (["scan", "--theta-steps", "9", "--phi-steps", "233017"], "--theta-steps"),
+        (["bands", "--kpath", "X,G:262144"], "--kpath"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -262,6 +265,25 @@ class TestBadInput:
 _COMMON_KEYS = {"command", "params", "kpath", "mode", "backend", "shots", "noise",
                 "mitigate", "optimizer", "seed", "workers"}
 
+
+
+class TestSizeCaps:
+    """A scan grid holds at most 2**21 nodes and a k-path at most 2**18
+    points (README); `TestBadInput` refuses one above each cap.  Requests at
+    a cap are only parsed here, never run."""
+
+    def test_refused_requests_are_one_above_the_caps(self):
+        assert qbands.cli._MAX_SCAN_NODES == 2**21 == 9 * 233_017 - 1
+        assert qbands.cli._MAX_KPATH_POINTS == 2**18 == 1 + 262_144 - 1
+
+    def test_kpath_at_the_cap_parses(self):
+        anchors, pps = parse_kpath(f"X,G:{2**18 - 1}")
+        assert 1 + (len(anchors) - 1) * pps == 2**18
+
+    def test_scan_grid_at_the_cap_passes_the_check(self):
+        parser = qbands.cli.build_parser()
+        args = parser.parse_args(["scan", "--theta-steps", "512", "--phi-steps", "4096"])
+        qbands.cli._check_across_flags(parser, args)  # 2**21 nodes: no exit
 
 class TestHeader:
     @pytest.mark.parametrize("argv, out_file, expected", [
@@ -552,6 +574,33 @@ class TestDeterminism:
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "bands.csv").read_bytes() == \
             (tmp_path / "b" / "bands.csv").read_bytes()
+
+    def test_drifting_mitigated_bands_rerun_is_byte_identical(self, tmp_path, monkeypatch):
+        # With a drifting law each energy row is measured alone, under its own
+        # law noise.at(t) and rates freshly estimated under that law.
+        noise_file = tmp_path / "noise.json"
+        drift = {"w01": 0.03, "w10": 0.06, "drift_amplitude": 0.02, "drift_period": 7}
+        noise_file.write_text(json.dumps(drift))
+        args = ["bands", "--mode", "2band", "--kpath", "X,G:1", "--backend",
+                "shots", "--shots", "256", "--noise", str(noise_file),
+                "--mitigate", "--seed", "5"]
+        model = qbands.ReadoutNoiseModel.uniform(1, **drift)
+        laws, row_laws = [], []
+        estimate = qbands.sampler.estimate_transition_rates
+        measure = qbands.vqe.ShotsBackend._measure_words
+
+        def measure_rows(backend, words, states, n_qubits):
+            row_laws.extend(model.at(backend.trial + b) for b in range(len(states)))
+            return measure(backend, words, states, n_qubits)
+
+        monkeypatch.setattr(qbands.sampler, "estimate_transition_rates",
+                            lambda noise, *rest: laws.append(noise) or estimate(noise, *rest))
+        monkeypatch.setattr(qbands.vqe.ShotsBackend, "_measure_words", measure_rows)
+        main(args + ["--out", str(tmp_path / "a")])
+        main(args + ["--out", str(tmp_path / "b")])
+        for name in ("bands.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert laws == row_laws and len(set(laws)) > 2
 
     def test_identical_seed_reproduces_rates_bytes(self, tmp_path):
         noise_file = tmp_path / "noise.json"

@@ -18,7 +18,7 @@ from qbands.sampler import (
     sampled_expectation,
 )
 
-from conftest import SIGMA, kron_word, philox_stream, rand_hermitian, rand_state
+from conftest import SIGMA, kron_word, philox_stream, rand_hermitian, rand_state, seeded
 
 HADAMARD = (SIGMA["X"] + SIGMA["Z"]) / np.sqrt(2)
 PLUS = HADAMARD @ np.array([1, 0], dtype=complex)
@@ -27,11 +27,16 @@ W01, W10 = (0.0, 0.2), (0.1, 0.0)
 
 
 def _counts(n, entries):
-    """Count array of n qubits from {bitstring value: count}."""
-    out = np.zeros(2**n, dtype=np.int64)
+    """One count row of n qubits from {bitstring value: count}, as the
+    (1, 2**n) count stack of a one-word tuple."""
+    out = np.zeros((1, 2**n), dtype=np.int64)
     for value, c in entries.items():
-        out[value] = c
+        out[0, value] = c
     return out
+
+
+def _no_draws(b):
+    pytest.fail(f"row {b} drew from its stream")
 
 
 def _noisy_law(true_value, n, w01, w10):
@@ -52,20 +57,20 @@ def _noisy_law(true_value, n, w01, w10):
 
 class TestBasisChange:
     def test_z_needs_nothing(self):
-        change = basis_change("Z")
-        assert np.array_equal(change.unitary, np.eye(2))
-        assert change.diagonal == "Z"
+        change = basis_change(("Z",))
+        assert np.array_equal(change.unitary, [np.eye(2)])
+        assert change.diagonal == ("Z",)
 
     def test_x_uses_hadamard(self):
-        change = basis_change("X")
-        assert np.allclose(change.unitary, HADAMARD, atol=1e-15)
+        change = basis_change(("X",))
+        assert np.allclose(change.unitary[0], HADAMARD, atol=1e-15)
         # <X> of |+> measured as a Z expectation after the rotation
-        rotated = change.unitary @ PLUS
+        rotated = change.unitary[0] @ PLUS
         assert qsim.exact_pauli_expectations(rotated)["Z"] == pytest.approx(1.0)
 
     def test_y_gate_product_is_hsz(self):
-        change = basis_change("Y")
-        U = change.unitary
+        change = basis_change(("Y",))
+        U = change.unitary[0]
         Smat = np.diag([1, 1j])
         assert np.allclose(U, HADAMARD @ Smat @ SIGMA["Z"], atol=1e-15)
         assert np.allclose(U.conj().T @ SIGMA["Z"] @ U, SIGMA["Y"], atol=1e-12)
@@ -74,40 +79,50 @@ class TestBasisChange:
         assert qsim.exact_pauli_expectations(U @ y_plus)["Z"] == pytest.approx(1.0)
 
     def test_identity_letters_need_nothing(self):
-        assert np.array_equal(basis_change("IZI").unitary, np.eye(8))
+        assert np.array_equal(basis_change(("IZI",)).unitary, [np.eye(8)])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_conjugation_recovers_word(self, n):
-        for letters in itertools.product("IXYZ", repeat=n):
-            word = "".join(letters)
-            change = basis_change(word)
-            U = change.unitary
-            recovered = U.conj().T @ kron_word(change.diagonal) @ U
+        words = tuple("".join(letters) for letters in itertools.product("IXYZ", repeat=n))
+        change = basis_change(words)
+        assert len(change.diagonal) == len(change.unitary) == len(words)
+        for word, diagonal, U in zip(words, change.diagonal, change.unitary):
+            recovered = U.conj().T @ kron_word(diagonal) @ U
             assert np.max(np.abs(recovered - kron_word(word))) < 1e-12
 
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
-            basis_change("XQ")
+            basis_change(("XQ",))
 
     @pytest.mark.parametrize("word", ["I", "Z", "X", "Y", "XYZ"])
     def test_shared_unitary_is_read_only(self, word):
         with pytest.raises(ValueError, match="read-only"):
-            basis_change(word).unitary[1, 1] = 5
+            basis_change((word,)).unitary[0, 1, 1] = 5
+
+    def test_one_word_string_is_refused(self):
+        # Words come as a tuple; a bare string is not read as its letters.
+        counts = _counts(2, {0: 1})
+        for call in (lambda: basis_change("XY"),
+                     lambda: expectation_from_counts(counts, "ZZ"),
+                     lambda: mitigate_counts(counts, ReadoutNoiseModel.uniform(2), "ZZ"),
+                     lambda: sampled_expectation(np.eye(4)[:1], "ZZ", 10, None, seeded(0))):
+            with pytest.raises(TypeError, match="tuple of words"):
+                call()
 
 
 class TestSample:
     def test_deterministic_zero_state(self):
-        counts = sample(zero_state(1), 1000, rng=1)
-        assert counts.tolist() == [1000, 0]
+        counts = sample(zero_state(1)[None, None], 1000, None, seeded(1))
+        assert counts.tolist() == [[[1000, 0]]]
 
     def test_plus_state_binomial(self):
-        counts = sample(PLUS, 8192, rng=7)
+        counts = sample(PLUS[None, None], 8192, None, seeded(7))[0, 0]
         frac = counts[0] / 8192
         assert abs(frac - 0.5) <= 3 * np.sqrt(0.25 / 8192)
 
     def test_readout_flips_at_injected_rate(self):
         noise = ReadoutNoiseModel.uniform(1, w01=0.03, w10=0.0)
-        counts = sample(zero_state(1), 100_000, noise=noise, rng=3)
+        counts = sample(zero_state(1)[None, None], 100_000, noise, seeded(3))[0, 0]
         frac = counts[1] / 100_000
         assert abs(frac - 0.03) <= 3 * np.sqrt(0.03 * 0.97 / 100_000)
 
@@ -115,16 +130,16 @@ class TestSample:
     def test_integer_counts_over_all_outcomes(self, n):
         state = rand_state(np.random.default_rng(n), 2**n)
         noise = ReadoutNoiseModel.uniform(n, 0.02, 0.05)
-        counts = sample(state, 5000, noise=noise, rng=42)
-        assert counts.shape == (2**n,)
+        counts = sample(state[None, None], 5000, noise, seeded(42))
+        assert counts.shape == (1, 1, 2**n)
         assert np.issubdtype(counts.dtype, np.integer)
         assert counts.sum() == 5000 and counts.min() >= 0
 
     def test_seeded_replay(self):
         state = rand_state(np.random.default_rng(0), 4)
         noise = ReadoutNoiseModel.uniform(2, 0.02, 0.05)
-        a = sample(state, 5000, noise=noise, rng=42)
-        b = sample(state, 5000, noise=noise, rng=42)
+        a = sample(state[None, None], 5000, noise, seeded(42))
+        b = sample(state[None, None], 5000, noise, seeded(42))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n, true_value", [(2, 0b01), (2, 0b10), (3, 0b011), (3, 0b100)])
@@ -134,43 +149,43 @@ class TestSample:
         state = np.zeros(2**n, dtype=complex)
         state[true_value] = 1.0
         M = 1_000_000
-        counts = sample(state, M, noise=ReadoutNoiseModel(w01, w10), rng=17)
+        counts = sample(state[None, None], M, ReadoutNoiseModel(w01, w10), seeded(17))[0, 0]
         law = _noisy_law(true_value, n, w01, w10)
         sigma = np.sqrt(law * (1 - law) / M)
         assert np.all(np.abs(counts / M - law) <= 5 * sigma + 1e-12)
 
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
-            sample(zero_state(1), 0)
+            sample(zero_state(1)[None, None], 0, None, seeded(0))
 
 
 class TestExpectationFromCounts:
     def test_worked_five_qubit_example(self):
         # I5 Z4 Z3 I2 Z1 on |00101>: substring 011, weight two, even parity.
         counts = _counts(5, {0b00101: 8192})
-        assert expectation_from_counts(counts, "IZZIZ") == 1.0
+        assert expectation_from_counts(counts, ("IZZIZ",)).tolist() == [1.0]
 
     def test_single_qubit_two_p_minus_one(self):
         counts = _counts(1, {0: 75, 1: 25})
-        assert expectation_from_counts(counts, "Z") == pytest.approx(0.5)
+        assert expectation_from_counts(counts, ("Z",))[0] == pytest.approx(0.5)
 
     def test_reads_the_named_qubit(self):
         # Qubit 1 reads 1 in every shot, qubit 2 reads 0.
         counts = _counts(2, {0b01: 100})
-        assert expectation_from_counts(counts, "IZ") == -1.0
-        assert expectation_from_counts(counts, "ZI") == 1.0
+        assert expectation_from_counts(counts, ("IZ",)).tolist() == [-1.0]
+        assert expectation_from_counts(counts, ("ZI",)).tolist() == [1.0]
 
     def test_identity_word_is_one(self, rng):
         counts = _counts(2, {0b00: 13, 0b01: 5, 0b10: 0, 0b11: 7})
-        assert expectation_from_counts(counts, "II") == 1.0
+        assert expectation_from_counts(counts, ("II",)).tolist() == [1.0]
 
     def test_rejects_undiagonalised_word(self):
         with pytest.raises(ValueError, match="non-diagonal"):
-            expectation_from_counts(_counts(1, {0: 1}), "X")
+            expectation_from_counts(_counts(1, {0: 1}), ("X",))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            expectation_from_counts(_counts(2, {0: 1}), "Z")
+            expectation_from_counts(_counts(2, {0: 1}), ("Z",))
 
     def test_converges_to_exact(self, rng):
         # Estimator consistency at large M, within 4σ (seeded).
@@ -178,8 +193,8 @@ class TestExpectationFromCounts:
             state = rand_state(rng, 2**n)
             for word in ("Z" * n, "ZI" + "Z" * (n - 2)):
                 exact = qsim.exact_pauli_expectations(state)[word]
-                counts = sample(state, 1_000_000, rng=11)
-                est = expectation_from_counts(counts, word)
+                counts = sample(state[None, None], 1_000_000, None, seeded(11))[0]
+                est = expectation_from_counts(counts, (word,))[0]
                 sigma = np.sqrt(max(1 - exact**2, 1e-12) / 1_000_000)
                 assert abs(est - exact) <= 4 * sigma
 
@@ -191,17 +206,18 @@ class TestSampledExpectation:
         exact = qsim.exact_pauli_expectations(state)
         M = 100_000
         for i, word in enumerate(pauli_words(n)):
-            est = sampled_expectation(state, word, M, rng=100 + i)
+            est = sampled_expectation(state[None], (word,), M, None, seeded(100 + i))[0, 0]
             sigma = np.sqrt(max(1 - exact[word] ** 2, 1e-12) / M)
             assert abs(est - exact[word]) <= 4 * sigma + 1e-12
 
     def test_identity_needs_no_shots(self):
-        assert sampled_expectation(zero_state(2), "II", 10) == 1.0
+        assert sampled_expectation(zero_state(2)[None], ("II",), 10, None,
+                                   _no_draws).tolist() == [[1.0]]
 
 
 class TestStacks:
-    """A (B, 2**n) stack drawn from streams first..first+B-1 of a family is B
-    one-row calls, each on its own fresh stream."""
+    """A (B, 2**n) stack whose row b draws from stream first + b of a family
+    is B one-row calls, each on its own fresh stream."""
 
     N, ROWS, SHOTS = 3, 5, 500
     NOISE = ReadoutNoiseModel((0.02, 0.05, 0.1), (0.04, 0.0, 0.07))
@@ -211,62 +227,141 @@ class TestStacks:
     def _states(self, rng):
         return np.array([rand_state(rng, 2**self.N) for _ in range(self.ROWS)])
 
+    def _family_rows(self, start=FIRST):
+        """Row b's stream: stream ``start + b`` of one family."""
+        family = StreamFamily(*self.FAMILY)
+        return lambda b: family.stream(start + b)
+
     def _streams(self):
         """Row b's stream, built alone."""
         return [philox_stream(self.FAMILY, self.FIRST + b) for b in range(self.ROWS)]
 
     def test_sample_rows_are_one_row_calls(self, rng):
-        states = self._states(rng)
-        counts = sample(states, self.SHOTS, self.NOISE, StreamFamily(*self.FAMILY), self.FIRST)
-        assert counts.shape == (self.ROWS, 2**self.N)
-        assert counts.tolist() == [sample(state, self.SHOTS, self.NOISE, g).tolist()
+        states = self._states(rng)[:, None]  # (B, 1, 2**n)
+        counts = sample(states, self.SHOTS, self.NOISE, self._family_rows())
+        assert counts.shape == (self.ROWS, 1, 2**self.N)
+        assert counts.tolist() == [sample(state[None], self.SHOTS, self.NOISE,
+                                          lambda b, g=g: g)[0].tolist()
                                    for g, state in zip(self._streams(), states)]
-        # A single row takes a family too: stream ``first``.
-        assert sample(states[2], self.SHOTS, self.NOISE, StreamFamily(*self.FAMILY),
-                      first=self.FIRST + 2).tolist() == counts[2].tolist()
+        # A stack of one row from the family: stream ``first``.
+        assert sample(states[2:3], self.SHOTS, self.NOISE,
+                      self._family_rows(self.FIRST + 2)).tolist() == counts[2:3].tolist()
 
     @pytest.mark.parametrize("word", ["XYZ", "IZX", "ZZZ", "YII", "III"])
     @pytest.mark.parametrize("mitigate", [False, True])
     def test_sampled_expectation_rows_are_one_row_calls(self, word, mitigate, rng):
         states = self._states(rng)
         rates = self.RATES if mitigate else None
-        stacked = sampled_expectation(states, word, self.SHOTS, self.NOISE,
-                                      StreamFamily(*self.FAMILY), mitigation=rates,
-                                      first=self.FIRST)
-        alone = [sampled_expectation(state, word, self.SHOTS, self.NOISE, g,
-                                     mitigation=rates)
+        stacked = sampled_expectation(states, (word,), self.SHOTS, self.NOISE,
+                                      self._family_rows(), mitigation=rates)
+        alone = [sampled_expectation(state[None], (word,), self.SHOTS, self.NOISE,
+                                     lambda b, g=g: g, mitigation=rates)[0].tolist()
                  for g, state in zip(self._streams(), states)]
         assert stacked.tolist() == alone
 
     def test_estimators_of_count_rows_are_one_row_calls(self, rng):
-        counts = sample(self._states(rng), self.SHOTS, self.NOISE, StreamFamily(*self.FAMILY))
+        counts = sample(self._states(rng)[:, None], self.SHOTS, self.NOISE,
+                        self._family_rows(0))  # (B, 1, 2**n)
         for word in ("ZZZ", "IZI", "ZIZ", "III"):
-            assert expectation_from_counts(counts, word).tolist() == [
-                expectation_from_counts(row, word) for row in counts]
-            assert mitigate_counts(counts, self.RATES, word).tolist() == [
-                mitigate_counts(row, self.RATES, word) for row in counts]
+            assert expectation_from_counts(counts, (word,)).tolist() == [
+                expectation_from_counts(row, (word,)).tolist() for row in counts]
+            assert mitigate_counts(counts, self.RATES, (word,)).tolist() == [
+                mitigate_counts(row, self.RATES, (word,)).tolist() for row in counts]
 
     @pytest.mark.parametrize("rng_arg", [None, 7, np.random.default_rng(7), [1, 2], [1, 2, 3, 4]],
                              ids=["none", "seed", "generator", "too-few", "too-many"])
     def test_generator_count_must_match_rows(self, rng_arg):
-        # A stack of several rows draws one stream per row from a family; one
-        # generator, a seed, None or a list of generators is refused.
+        # Row b's generator is ``stream(b)``, asked for once per row, in row
+        # order; a seed, None, a generator or a list of them is no stream.
         states = np.array([zero_state(1)] * 3)
-        with pytest.raises(ValueError, match="one stream per row"):
-            sample(states, 10, rng=rng_arg)
-        with pytest.raises(ValueError, match="one stream per row"):
-            sampled_expectation(states, "X", 10, rng=rng_arg)
-        # Checked even when no word needs a draw.
-        with pytest.raises(ValueError, match="one stream per row"):
-            sampled_expectation(states, ["I", "I"], 10, rng=rng_arg)
-        # A stack of one row is a single row: it may take a generator.
-        assert sample(states[:1], 10, rng=np.random.default_rng(7)).tolist() == \
-            sample(states[0], 10, rng=np.random.default_rng(7))[None].tolist()
+        with pytest.raises(TypeError, match="not callable"):
+            sample(states[:, None], 10, None, rng_arg)
+        with pytest.raises(TypeError, match="not callable"):
+            sampled_expectation(states, ("X",), 10, None, rng_arg)
+        asked = []
+
+        def stream(b):
+            asked.append(b)
+            return np.random.default_rng(7)
+
+        sampled_expectation(states, ("X", "Z"), 10, None, stream)
+        assert asked == [0, 1, 2]
+        # No draw, no stream, when every word is the identity.
+        sampled_expectation(states, ("I", "I"), 10, None, _no_draws)
 
     def test_rejects_stacks_above_rank_three(self):
-        # (B, M, 2**n) is the highest rank: M word rotations per row.
+        # (B, M, 2**n) is the only rank `sample` takes: M states per row.
         with pytest.raises(ValueError, match="stack"):
-            sample(np.ones((2, 2, 2, 2)), 10, rng=StreamFamily(1))
+            sample(np.ones((2, 2, 2, 2)), 10, None, seeded(1))
+
+    def test_rejects_one_state_and_lower_ranks(self):
+        # One state is a stack of one row: `sample` takes (B, M, 2**n) only
+        # and `sampled_expectation` (B, 2**n) only.
+        for shape in [(2,), (1, 2)]:
+            with pytest.raises(ValueError, match=r"\(B, M, 2\*\*n\) stack"):
+                sample(np.ones(shape), 10, None, seeded(1))
+        for shape in [(2,), (1, 1, 2)]:
+            with pytest.raises(ValueError, match=r"\(B, 2\*\*n\) stack"):
+                sampled_expectation(np.ones(shape), ("Z",), 10, None, seeded(1))
+
+
+class TestDrawContract:
+    """Row b of `sampled_expectation` is a hand computation: each measured
+    word's outcome law from the test-local matrices, one multinomial draw
+    per word from stream t + b of the family, then the mitigated parity."""
+
+    SEED, FIRST, SHOTS = 11, 6, 700
+    NOISE = TestStacks.NOISE
+    RATES = TestStacks.RATES
+    WORDS = ("XYZ", "III", "ZIY", "IZI", "YXX")
+    # Per-letter rotation onto Z, from the test-local matrices: H·S·Z for Y.
+    ROTATION = {"I": SIGMA["I"], "Z": SIGMA["I"], "X": HADAMARD,
+                "Y": HADAMARD @ np.diag([1, 1j]) @ SIGMA["Z"]}
+
+    def _law(self, state, word):
+        U = functools.reduce(np.kron, [self.ROTATION[letter] for letter in word])
+        ideal = np.abs(U @ state) ** 2
+        noisy = sum(p * _noisy_law(v, 3, self.NOISE.w01, self.NOISE.w10)
+                    for v, p in enumerate(ideal))
+        return noisy / noisy.sum()
+
+    def _mitigated(self, counts, word):
+        """sum_z p(z) prod over the Z positions of ((-1)^bit - p-) / (1 - p+)."""
+        total = 0.0
+        for z, c in enumerate(counts):
+            weight = 1.0
+            for j, letter in enumerate(word):
+                q = len(word) - 1 - j  # leftmost letter on the highest qubit
+                if letter != "I":
+                    a, b = self.RATES.w01[q], self.RATES.w10[q]
+                    weight *= ((-1) ** ((z >> q) & 1) - (b - a)) / (1 - (b + a))
+            total += c * weight
+        return min(1.0, max(-1.0, total / counts.sum()))
+
+    def test_rows_are_hand_draws_from_their_streams(self, rng):
+        states = np.array([rand_state(rng, 8) for _ in range(3)])
+        family = StreamFamily(self.SEED, 1)
+        values = sampled_expectation(states, self.WORDS, self.SHOTS, self.NOISE,
+                                     lambda b: family.stream(self.FIRST + b),
+                                     mitigation=self.RATES)
+        for b, state in enumerate(states):
+            g = StreamFamily(self.SEED, 1).stream(self.FIRST + b)
+            expected = [self._mitigated(g.multinomial(self.SHOTS, self._law(state, w)), w)
+                        if w.strip("I") else 1.0 for w in self.WORDS]
+            assert values[b] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rates_are_two_successive_draws(self, n):
+        w01, w10 = (0.02, 0.1, 0.05)[:n], (0.07, 0.0, 0.15)[:n]
+        trials = 5000
+        est = estimate_transition_rates(ReadoutNoiseModel(w01, w10), n, trials,
+                                        np.random.default_rng(21))
+        g = np.random.default_rng(21)
+        zeros = g.multinomial(trials, _noisy_law(0, n, w01, w10))
+        ones = g.multinomial(trials, _noisy_law(2**n - 1, n, w01, w10))
+        bits = [[(z >> q) & 1 for q in range(n)] for z in range(2**n)]
+        assert est.w01 == tuple(float(v) for v in zeros @ bits / trials)
+        assert est.w10 == tuple(float(1.0 - v) for v in ones @ bits / trials)
 
 
 class TestAllWords:
@@ -277,7 +372,7 @@ class TestAllWords:
     NOISE = TestStacks.NOISE
     RATES = TestStacks.RATES
     # Three measured words and all 63.
-    WORD_LISTS = {"few": ["XYZ", "III", "IZX", "ZZI"], "all": pauli_words(3)}
+    WORD_LISTS = {"few": ("XYZ", "III", "IZX", "ZZI"), "all": pauli_words(3)}
 
     @pytest.mark.parametrize("words", WORD_LISTS.values(), ids=WORD_LISTS.keys())
     @pytest.mark.parametrize("mitigate", [False, True])
@@ -287,15 +382,18 @@ class TestAllWords:
         # stream.
         states = np.array([rand_state(rng, 2**self.N) for _ in range(self.ROWS)])
         rates = self.RATES if mitigate else None
+        family = StreamFamily(3, 1)
         stacked = sampled_expectation(states, words, self.SHOTS, self.NOISE,
-                                      StreamFamily(3, 1), mitigation=rates, first=10)
+                                      lambda b: family.stream(10 + b), mitigation=rates)
         assert stacked.shape == (self.ROWS, len(words))
         for b, (state, row) in enumerate(zip(states, stacked)):
-            alone = sampled_expectation(state, words, self.SHOTS, self.NOISE,
-                                        philox_stream((3, 1), 10 + b), mitigation=rates)
+            alone = sampled_expectation(state[None], words, self.SHOTS, self.NOISE,
+                                        lambda _: philox_stream((3, 1), 10 + b),
+                                        mitigation=rates)[0]
             g = philox_stream((3, 1), 10 + b)
-            successive = [sampled_expectation(state, word, self.SHOTS, self.NOISE, g,
-                                              mitigation=rates) for word in words]
+            successive = [sampled_expectation(state[None], (word,), self.SHOTS, self.NOISE,
+                                              lambda _: g, mitigation=rates)[0, 0]
+                          for word in words]
             assert row.tolist() == alone.tolist() == successive
 
     @pytest.mark.parametrize("mitigate", [False, True])
@@ -317,7 +415,8 @@ class TestAllWords:
             record(name)
         rates = ReadoutNoiseModel.uniform(2, 0.1, 0.1) if mitigate else None
         states = np.array([zero_state(2)] * 3)
-        sampled_expectation(states, ["ZZ", "II", "XI", "YX"], 10, rng=StreamFamily(1),
+        family = StreamFamily(1)
+        sampled_expectation(states, ("ZZ", "II", "XI", "YX"), 10, None, family.stream,
                             mitigation=rates)
         estimator = "mitigate_counts" if mitigate else "expectation_from_counts"
         assert calls == [("sample", (3, 3, 4)), (estimator, (3, 3, 4))]
@@ -325,20 +424,21 @@ class TestAllWords:
     def test_ill_posed_rates_raise(self):
         model = ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5))  # qubit 2 ill-posed
         states = np.array([zero_state(2)] * 2)
-        assert sampled_expectation(states, ["IZ", "IX"], 10, rng=StreamFamily(1),
+        assert sampled_expectation(states, ("IZ", "IX"), 10, None, StreamFamily(1).stream,
                                    mitigation=model).shape == (2, 2)
         with pytest.raises(ValueError, match="ill-posed"):
-            sampled_expectation(states, ["IZ", "ZI"], 10, rng=StreamFamily(1),
+            sampled_expectation(states, ("IZ", "ZI"), 10, None, StreamFamily(1).stream,
                                 mitigation=model)
 
     def test_estimators_of_word_lists_are_one_word_calls(self, rng):
-        words = ["ZZI", "IIZ", "III"]
-        counts = np.array([[sample(rand_state(rng, 8), 50, rng=10 * b + m) for m in range(3)]
+        words = ("ZZI", "IIZ", "III")
+        counts = np.array([[sample(rand_state(rng, 8)[None, None], 50, None,
+                                   seeded(10 * b + m))[0, 0] for m in range(3)]
                            for b in range(2)])  # (B, M, 2**n)
         for estimate, extra in ((expectation_from_counts, ()),
                                 (mitigate_counts, (self.RATES,))):
             stacked = estimate(counts, *extra, words)
-            assert stacked.tolist() == [[estimate(counts[b, m], *extra, word)
+            assert stacked.tolist() == [[estimate(counts[b, m][None], *extra, (word,))[0]
                                          for m, word in enumerate(words)] for b in range(2)]
         with pytest.raises(ValueError, match="count stack"):
             expectation_from_counts(counts[:, :2], words)
@@ -346,18 +446,18 @@ class TestAllWords:
 
 class TestTransitionRates:
     def test_noiseless_rates_are_exactly_zero(self):
-        est = estimate_transition_rates(None, 1, 10_000, rng=5)
+        est = estimate_transition_rates(None, 1, 10_000, np.random.default_rng(5))
         assert est.w01 == (0.0,) and est.w10 == (0.0,)
 
     def test_recovers_injected_rates(self):
         noise = ReadoutNoiseModel.uniform(1, w01=0.03, w10=0.08)
-        est = estimate_transition_rates(noise, 1, 100_000, rng=9)
+        est = estimate_transition_rates(noise, 1, 100_000, np.random.default_rng(9))
         assert abs(est.w01[0] - 0.03) <= 3 * np.sqrt(0.03 * 0.97 / 100_000)
         assert abs(est.w10[0] - 0.08) <= 3 * np.sqrt(0.08 * 0.92 / 100_000)
 
     def test_per_qubit_rates(self):
         noise = ReadoutNoiseModel((0.02, 0.1), (0.05, 0.0))
-        est = estimate_transition_rates(noise, 2, 200_000, rng=2)
+        est = estimate_transition_rates(noise, 2, 200_000, np.random.default_rng(2))
         assert est.w01 == pytest.approx((0.02, 0.1), abs=0.005)
         assert est.w10 == pytest.approx((0.05, 0.0), abs=0.005)
 
@@ -369,7 +469,8 @@ class TestTransitionRates:
         trials = 200_000
         sigma = np.sqrt(0.06 * 0.94 / trials)
         for t in range(0, 36, 3):
-            est = estimate_transition_rates(noise.at(t), 1, trials, rng=50 + t)
+            est = estimate_transition_rates(noise.at(t), 1, trials,
+                                            np.random.default_rng(50 + t))
             truth = base + amp * np.sin(2 * np.pi * t / period)
             assert abs(est.w10[0] - truth) <= 4 * sigma
 
@@ -435,40 +536,40 @@ class TestReadoutLaw:
 class TestMitigation:
     def test_noiseless_passthrough(self):
         model = ReadoutNoiseModel.uniform(1, 0.0, 0.0)
-        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, "Z") == 0.5
+        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, ("Z",)).tolist() == [0.5]
 
     def test_symmetric_rates_example(self):
         model = ReadoutNoiseModel.uniform(1, 0.1, 0.1)
-        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, "Z") == pytest.approx(0.625)
+        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, ("Z",))[0] == pytest.approx(0.625)
 
     def test_monte_carlo_bias_inversion(self, rng):
         # Sample a known state through readout flips, then undo the bias.
         model = ReadoutNoiseModel.uniform(1, 0.1, 0.1)
         state = qsim.MEAN_FIELD.prepare(np.array([1.1, 0.0]))
         z_true = qsim.exact_pauli_expectations(state)["Z"]
-        counts = sample(state, 200_000, noise=model, rng=6)
-        raw = expectation_from_counts(counts, "Z")
+        counts = sample(state[None, None], 200_000, model, seeded(6))[0]
+        raw = expectation_from_counts(counts, ("Z",))[0]
         sigma = np.sqrt(1.0 / 200_000)
         assert abs(raw - 0.8 * z_true) <= 3 * sigma  # attenuated by 1 - p+
-        corrected = mitigate_counts(counts, model, "Z")
+        corrected = mitigate_counts(counts, model, ("Z",))[0]
         assert abs(corrected - z_true) <= 3 * sigma / 0.8
 
     def test_clamped_to_physical_range(self):
         model = ReadoutNoiseModel.uniform(1, 0.15, 0.02)
-        assert mitigate_counts(_counts(1, {0: 1, 1: 1999}), model, "Z") >= -1.0  # raw -0.999
-        assert mitigate_counts(_counts(1, {0: 19999, 1: 1}), model, "Z") <= 1.0  # raw 0.9999
+        assert mitigate_counts(_counts(1, {0: 1, 1: 1999}), model, ("Z",))[0] >= -1.0  # raw -0.999
+        assert mitigate_counts(_counts(1, {0: 19999, 1: 1}), model, ("Z",))[0] <= 1.0  # raw 0.9999
 
     def test_ill_posed_rates_rejected(self):
         model = ReadoutNoiseModel.uniform(1, 0.6, 0.5)
         with pytest.raises(ValueError, match="ill-posed"):
-            mitigate_counts(_counts(1, {0: 11, 1: 9}), model, "Z")  # raw 0.1
+            mitigate_counts(_counts(1, {0: 11, 1: 9}), model, ("Z",))  # raw 0.1
 
     def test_ill_posed_only_on_measured_qubits(self):
         model = ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5))  # qubit 2 ill-posed
         counts = _counts(2, {0b00: 6, 0b01: 2, 0b10: 1, 0b11: 1})
-        assert mitigate_counts(counts, model, "IZ") == pytest.approx(0.4 / 0.8)  # raw 0.4, p+ 0.2
+        assert mitigate_counts(counts, model, ("IZ",))[0] == pytest.approx(0.4 / 0.8)  # raw 0.4, p+ 0.2
         with pytest.raises(ValueError, match="ill-posed"):
-            mitigate_counts(counts, model, "ZI")
+            mitigate_counts(counts, model, ("ZI",))
 
     def test_drifting_model_checked_under_its_trial_0_law(self):
         # Well-posed at trial 0 (p+ 0.9), ill-posed at the drift peak (p+
@@ -476,9 +577,9 @@ class TestMitigation:
         model = ReadoutNoiseModel.uniform(1, 0.4, 0.5, drift_amplitude=0.15, drift_period=4)
         counts = _counts(1, {0: 23, 1: 17})  # raw 0.15, p- 0.1
         assert model.ill_posed.tolist() == [True]
-        assert mitigate_counts(counts, model, "Z") == pytest.approx(0.5)
+        assert mitigate_counts(counts, model, ("Z",))[0] == pytest.approx(0.5)
         with pytest.raises(ValueError, match="ill-posed"):
-            mitigate_counts(counts, model.at(1), "Z")
+            mitigate_counts(counts, model.at(1), ("Z",))
 
     def test_weights_are_per_word_kronecker_products(self):
         # The stacked weights of every I/Z word equal the word-by-word
@@ -498,28 +599,28 @@ class TestMitigation:
     def test_counts_reduces_to_single_qubit_formula(self, rng):
         model = ReadoutNoiseModel.uniform(1, 0.07, 0.12)
         counts = _counts(1, {0: 6200, 1: 3800})
-        raw = expectation_from_counts(counts, "Z")
+        raw = expectation_from_counts(counts, ("Z",))[0]
         p_minus, p_plus = 0.12 - 0.07, 0.12 + 0.07
-        assert mitigate_counts(counts, model, "Z") == pytest.approx(
+        assert mitigate_counts(counts, model, ("Z",))[0] == pytest.approx(
             (raw - p_minus) / (1 - p_plus), abs=1e-12
         )
 
     def test_zero_model_equals_parity_estimator(self, rng):
         model = ReadoutNoiseModel.uniform(2, 0.0, 0.0)
         state = rand_state(rng, 4)
-        counts = sample(state, 20_000, rng=8)
+        counts = sample(state[None, None], 20_000, None, seeded(8))[0]
         for word in ("ZZ", "IZ", "ZI", "II"):
-            assert mitigate_counts(counts, model, word) == pytest.approx(
-                expectation_from_counts(counts, word), abs=1e-12
+            assert mitigate_counts(counts, model, (word,))[0] == pytest.approx(
+                expectation_from_counts(counts, (word,))[0], abs=1e-12
             )
 
     def test_two_qubit_zz_recovery(self):
         model = ReadoutNoiseModel.uniform(2, 0.05, 0.05)
-        counts = sample(zero_state(2), 100_000, noise=model, rng=12)
-        raw = expectation_from_counts(counts, "ZZ")
+        counts = sample(zero_state(2)[None, None], 100_000, model, seeded(12))[0]
+        raw = expectation_from_counts(counts, ("ZZ",))[0]
         sigma_raw = np.sqrt((1 - 0.81**2) / 100_000)
         assert abs(raw - 0.81) <= 3 * sigma_raw  # (1 - 2w)^2 attenuation
-        corrected = mitigate_counts(counts, model, "ZZ")
+        corrected = mitigate_counts(counts, model, ("ZZ",))[0]
         assert abs(corrected - 1.0) <= 3 * sigma_raw / 0.81
 
     @pytest.mark.parametrize("word, qubit", [("ZI", 2), ("IZ", 1)])
@@ -528,9 +629,9 @@ class TestMitigation:
         state = rand_state(rng, 4)
         exact = qsim.exact_pauli_expectations(state)[word]
         M = 200_000
-        counts = sample(state, M, noise=model, rng=31)
+        counts = sample(state[None, None], M, model, seeded(31))[0]
         sigma = np.sqrt(1.0 / M) / (1 - (W01[qubit - 1] + W10[qubit - 1]))
-        assert abs(mitigate_counts(counts, model, word) - exact) <= 4 * sigma
+        assert abs(mitigate_counts(counts, model, (word,))[0] - exact) <= 4 * sigma
 
     def test_unbiased_for_random_rates(self, rng):
         # Mitigated estimates agree with the exact value for any rates
@@ -541,8 +642,8 @@ class TestMitigation:
             model = ReadoutNoiseModel.uniform(1, w01, w10)
             state = rand_state(rng, 2)
             z = qsim.exact_pauli_expectations(state)["Z"]
-            counts = sample(state, M, noise=model, rng=300 + trial)
-            corrected = mitigate_counts(counts, model, "Z")
+            counts = sample(state[None, None], M, model, seeded(300 + trial))[0]
+            corrected = mitigate_counts(counts, model, ("Z",))[0]
             sigma = np.sqrt(1.0 / M) / (1 - (w01 + w10))
             assert abs(corrected - z) <= 3 * sigma
 
@@ -562,8 +663,8 @@ class TestShotNoiseScaling:
                 total = c_ident
                 for wi, (w, c) in enumerate(sampled_words):
                     total += c * sampled_expectation(
-                        state, w, M, rng=1000 * mi + 10 * rep + wi
-                    )
+                        state[None], (w,), M, None, seeded(1000 * mi + 10 * rep + wi)
+                    )[0, 0]
                 vals.append(total)
             stds.append(np.std(vals))
         slope = np.polyfit(np.log(ms), np.log(stds), 1)[0]
