@@ -94,9 +94,8 @@ def cli_set(kpath: str, seeds: list[int], restarts: int) -> Tally:
         args.optimizer = OptimizerConfig(restarts=restarts)
         path = make_kpath(*cli.parse_kpath(kpath))
         for i, kp in enumerate(path.points):
-            try:
-                r = cli._solve_kpoint((args, i, kp.components, float(path.coords[i])))
-            except ZeroCaptureError:
+            r = cli._solve_kpoint((args, i, kp.components, float(path.coords[i])))
+            if r["failed"]:  # a ZeroCaptureError, written as NaN
                 tally.capture()
                 continue
             tally.add(r["energies"], np.array(r["oracle"]), r["converged"], r["evaluations"])

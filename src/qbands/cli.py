@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -30,7 +32,8 @@ from .tightbinding import (
     diagonalize_classical,
     make_kpath,
 )
-from .vqe import ExactBackend, OptimizerConfig, ShotsBackend, full_spectrum, grid_scan
+from .vqe import (STOPS, ExactBackend, OptimizerConfig, ShotsBackend, ZeroCaptureError,
+                  full_spectrum, grid_scan)
 
 # Seed fan-out roles under the master seed (see README).
 _STREAM_OPT = 1
@@ -131,7 +134,11 @@ def _make_backend(args: argparse.Namespace, n_qubits: int, k_index: int):
 
 
 def _solve_kpoint(job: tuple) -> dict:
-    """Worker: solve one k-point; returns the flat band record."""
+    """Worker: solve one k-point; returns the flat band record.
+
+    A `ZeroCaptureError` ends the k-point, named on stderr: the failed level
+    and every later one are written with NaN energy and residual,
+    unconverged, and 0 evaluations after the failed level's own."""
     args, k_index, components, coord = job
     k = KPoint(components)
     if args.mode == "2band":
@@ -144,21 +151,31 @@ def _solve_kpoint(job: tuple) -> dict:
     backend = _make_backend(args, n_qubits, k_index)
     opt_seed_root = args.optimizer.seed if args.optimizer.seed is not None else args.seed
     opt = replace(args.optimizer, seed=spawn_seed(opt_seed_root, _STREAM_OPT, k_index))
-    spectrum = full_spectrum(dec, 2**n_qubits, ansatz_for(n_qubits), backend, opt)
+    levels, failed = 2**n_qubits, None
+    try:
+        spectrum = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, opt)
+    except ZeroCaptureError as exc:
+        print(f"qbands: k-point {k_index}: {exc}; written as NaN from band "
+              f"{exc.level + 1}", file=sys.stderr)
+        spectrum, failed = exc.found, exc
     bands = spectrum.sorted_levels()
+    results = [b[1] for b in bands] + ([failed.result] if failed else [])
+    nan = [math.nan] * (levels - len(bands))
     return {
         "k_index": k_index,
         "k": components,
         "coord": coord,
-        "energies": [b[0] for b in bands],
+        "energies": [b[0] for b in bands] + nan,
         "oracle": list(oracle),
-        "evaluations": [b[1].evaluations for b in bands],
-        "converged": [b[1].converged for b in bands],
-        "residuals": [b[2] for b in bands],
+        "evaluations": [r.evaluations for r in results] + [0] * (levels - len(results)),
+        "converged": [b[1].converged for b in bands] + [False] * len(nan),
+        "residuals": [b[2] for b in bands] + nan,
+        "stops": Counter(res.stop for r in results for res in r.restarts),
+        "failed": failed is not None,
     }
 
 
-def run_bands(args: argparse.Namespace, out_dir: Path) -> Path:
+def run_bands(args: argparse.Namespace, out_dir: Path) -> int:
     anchors, pps = parse_kpath(args.kpath)
     path = make_kpath(anchors, pps)
     jobs = [
@@ -209,7 +226,7 @@ def run_bands(args: argparse.Namespace, out_dir: Path) -> Path:
     if summary["non_converged_entries"]:
         print(f"non-converged entries excluded: {summary['non_converged_entries']}")
     print(f"wrote {out}")
-    return out
+    return 1 if summary["failed_kpoints"] else 0
 
 
 def _band_summary(records: list[dict], n_bands: int) -> dict:
@@ -230,10 +247,13 @@ def _band_summary(records: list[dict], n_bands: int) -> dict:
                 "entries": len(errs),
             }
         )
-    return {"bands": per_band, "non_converged_entries": excluded}
+    stops = sum((r["stops"] for r in records), Counter())
+    return {"bands": per_band, "non_converged_entries": excluded,
+            "failed_kpoints": [r["k_index"] for r in records if r["failed"]],
+            "stops": {name: stops[name] for name in STOPS}}
 
 
-def run_scan(args: argparse.Namespace, out_dir: Path) -> Path:
+def run_scan(args: argparse.Namespace, out_dir: Path) -> int:
     H = build_s_block(args.params, parse_kpoint(args.kpoint))
     dec = decompose(H)
     backend = _make_backend(args, 1, 0)
@@ -260,10 +280,10 @@ def run_scan(args: argparse.Namespace, out_dir: Path) -> Path:
         f"theta={scan.argmin[0]:.4f}, phi={scan.argmin[1]:.4f}"
     )
     print(f"wrote {out}")
-    return out
+    return 0
 
 
-def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
+def run_rates(args: argparse.Namespace, out_dir: Path) -> int:
     n_qubits = args.qubits
     noise = _noise_model(args, n_qubits)
     columns = ["sample_index"]
@@ -279,7 +299,7 @@ def run_rates(args: argparse.Namespace, out_dir: Path) -> Path:
     out = out_dir / "rates.csv"
     _write_csv(out, _header(args), columns, rows)
     print(f"wrote {out}")
-    return out
+    return 0
 
 
 def _json_entry(e) -> float | complex:
@@ -330,7 +350,7 @@ def _read_matrix(path: str) -> np.ndarray:
     return matrix
 
 
-def run_decompose(args: argparse.Namespace, out_dir: Path) -> Path:
+def run_decompose(args: argparse.Namespace, out_dir: Path) -> int:
     dec = decompose(args.matrix.matrix)
     rows = [
         [word, dec.coeffs[word]]
@@ -340,7 +360,7 @@ def run_decompose(args: argparse.Namespace, out_dir: Path) -> Path:
     out = out_dir / "decompose.csv"
     _write_csv(out, _header(args), ["word", "coefficient"], rows)
     print(f"wrote {out} ({len(rows)} nonzero of {4**dec.n_qubits} words)")
-    return out
+    return 0
 
 
 def _arg(parse):
@@ -491,8 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         "rates": run_rates,
         "decompose": run_decompose,
     }
-    runners[args.command](args, out_dir)
-    return 0
+    return runners[args.command](args, out_dir)
 
 
 if __name__ == "__main__":

@@ -41,16 +41,18 @@ _STREAM_LEVEL = 3
 ZERO_CAPTURE_TOL = 0.5
 
 class ZeroCaptureError(RuntimeError):
-    """A deflation level converged onto the projected-out zero eigenvalue."""
+    """A deflation level converged onto the projected-out zero eigenvalue.
 
-    def __init__(self, level: int, energy: float, energies_found: list[float]):
+    ``level`` counts from 0 in the order found; ``result`` is that level's
+    minimisation and ``found`` the spectrum of the levels before it."""
+
+    def __init__(self, level: int, result: "VQEResult", found: "SpectrumResult"):
         super().__init__(
-            f"level {level} converged to {energy:.6g} on the shifted axis, "
+            f"deflation level {level + 1} converged to {result.energy:.6g} on the shifted axis, "
             "closer to the deflated zero than to any remaining eigenvalue"
         )
-        self.level = level
-        self.energy = energy
-        self.energies_found = energies_found
+        self.level, self.result, self.found = level, result, found
+        self.energies_found = [lv.energy + found.shift for lv in found.levels]
 
 
 @dataclass(frozen=True)
@@ -88,15 +90,22 @@ class OptimizerConfig:
         return from_json_object(cls, data)
 
 
+# Why a restart stopped: BFGS's gradient and noise tests, a line search
+# failed from the identity, the iteration cap; and COBYLA's own end.
+STOPS = ("gradient", "noise", "precision", "max_iter", "cobyla")
+
+
 @dataclass(frozen=True)
 class OptimizeResult:
-    """One restart's end point, its energy and what reaching it cost."""
+    """One restart's end point, its energy, what reaching it cost and why it
+    stopped (one of ``STOPS``)."""
 
     x: np.ndarray
     energy: float
     evaluations: int
     iterations: int
     converged: bool
+    stop: str
 
 
 # Armijo sufficient-decrease constant and the halvings a line search may
@@ -121,6 +130,7 @@ def optimize_quasinewton(
     x0: np.ndarray,
     config: OptimizerConfig,
     gradient_evaluations: int = 1,
+    energy_noise: float = 0.0,
 ) -> list[OptimizeResult]:
     """BFGS from every row of the (R, d) ``x0`` at once, in lock step.
 
@@ -141,6 +151,12 @@ def optimize_quasinewton(
     counts as converged.  A row also converges when max|g| <= ``tol_ev``;
     hitting ``max_iter`` accepted steps returns it unconverged.
 
+    ``energy_noise`` > 0 bounds the standard deviation of one energy row
+    (σ̄_E) and adds two rules (cf. iCANS, arXiv:1909.09083): a row converges
+    ("noise") once max|g| <= 2 σ̄_E/√2, twice the bound on a parameter-shift
+    component's noise; and a line search takes no halving whose trial's
+    predicted decrease step·|slope| is below σ̄_E/4, so it fails as above.
+
     ``evaluations`` counts energy rows: one per line-search trial and
     ``gradient_evaluations`` per gradient row.
     """
@@ -152,7 +168,14 @@ def optimize_quasinewton(
     eye = np.eye(d)
     nfev = np.full(R, 1 + gradient_evaluations)
     nit = np.zeros(R, dtype=int)
-    converged = np.max(np.abs(G), axis=1) <= config.tol_ev
+    gtol = max(config.tol_ev, 2 * energy_noise / np.sqrt(2))
+
+    def gradient_stops(g):  # indices into STOPS; "max_iter" while above gtol
+        gmax = np.max(np.abs(g), axis=1)
+        return np.where(gmax <= config.tol_ev, 0, np.where(gmax <= gtol, 1, 3))
+
+    why = gradient_stops(G)
+    converged = why < 2
     # The rows still searching (their indices a) keep their state in compact
     # arrays: point, energy, gradient, inverse Hessian, whether that is the
     # identity (start, or after a reset), evaluations and iterations.  A row
@@ -184,6 +207,10 @@ def optimize_quasinewton(
         if not accepted.all():  # backtrack the rows whose first trial failed
             for _ in range(_MAX_HALVINGS):
                 s = np.flatnonzero(~accepted)
+                if energy_noise:  # no trial whose decrease is lost in the noise
+                    s = s[0.5 * step[s] * -slope[s] >= energy_noise / 4]
+                    if not len(s):
+                        break
                 step[s] *= 0.5
                 sk[s] = step[s, None] * p[s]
                 trial[s] = x[s] + sk[s]
@@ -225,17 +252,18 @@ def optimize_quasinewton(
             Hinv[u] = Hu + (-rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1))
                             + (rho * (1.0 + rho * yHy))[:, None, None]
                             * sk[:, :, None] * sk[:, None, :])
-            stop[moved] = np.maximum.reduce(np.abs(G_new), axis=1) <= config.tol_ev
+            stop[moved] = np.maximum.reduce(np.abs(G_new), axis=1) <= gtol
         done = stop | (its >= max_iter)
         if done.any():
             rows = a[done]
             X[rows], F[rows], nfev[rows], nit[rows] = x[done], f[done], evals[done], its[done]
             converged[rows] = stop[done]
+            why[rows] = np.where(accepted[done], gradient_stops(g[done]), 2)
             keep = ~done
             a, x, f, g, Hinv, identity, evals, its = (
                 v[keep] for v in (a, x, f, g, Hinv, identity, evals, its))
     return [OptimizeResult(X[r].copy(), float(F[r]), int(nfev[r]), int(nit[r]),
-                           bool(converged[r])) for r in range(R)]
+                           bool(converged[r]), STOPS[why[r]]) for r in range(R)]
 
 
 def optimize_direct(
@@ -259,7 +287,7 @@ def optimize_direct(
         f, x0, method="COBYLA", tol=config.tol_ev,
         options={"maxiter": max_iter},
     )
-    return OptimizeResult(res.x, float(res.fun), nfev, nfev, bool(res.success))
+    return OptimizeResult(res.x, float(res.fun), nfev, nfev, bool(res.success), "cobyla")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +362,10 @@ class ExactBackend:
 
         return grad_batch, 1
 
+    def energy_noise(self, decomp: SpectralDecomposition) -> float:
+        """An exact energy carries no noise."""
+        return 0.0
+
     def pauli_expectations(self, state: np.ndarray) -> dict[str, float]:
         return qsim.exact_pauli_expectations(state)
 
@@ -345,7 +377,7 @@ class ShotsBackend:
     shot budget.  When mitigation is on, transition rates are estimated from
     ``RATE_TRIALS`` readouts of prepared basis states; with a drifting noise
     model they are re-estimated before every energy evaluation, otherwise
-    once, at the first evaluation, and cached.  Each energy evaluation, one
+    once, from trial 0's rate stream, and cached.  Each energy evaluation, one
     row of an objective batch, is measured under the law ``noise.at(trial)``
     and advances the trial counter that drives the drift.  A batch is one
     `sampler.sampled_expectation` call over all its rows and words (one per
@@ -371,8 +403,37 @@ class ShotsBackend:
         self.mitigate = mitigate
         self.seed = seed
         self.trial = 0
-        self._rates: sampler.ReadoutNoiseModel | None = None
+        self._rates: tuple[int, sampler.ReadoutNoiseModel] | None = None  # (t, estimate)
+        self._drifts = noise is not None and bool(noise.drift_amplitude)
         self._word_streams = StreamFamily(seed, _STREAM_WORDS)
+
+    def _mitigation_rates(self, trial: int, n_qubits: int) -> sampler.ReadoutNoiseModel | None:
+        """The rates that correct the row at ``trial`` (None unmitigated): an
+        estimate under the law at t from stream (seed, _STREAM_RATES, t), kept
+        until t moves; t = ``trial`` for a drifting law and 0 for a static one."""
+        if not self.mitigate:
+            return None
+        t = trial if self._drifts else 0
+        if self._rates is None or self._rates[0] != t:
+            law = None if self.noise is None else self.noise.at(t)
+            self._rates = (t, sampler.estimate_transition_rates(
+                law, n_qubits, RATE_TRIALS, spawn_rng(self.seed, _STREAM_RATES, t)))
+        return self._rates[1]
+
+    def energy_noise(self, decomp: SpectralDecomposition) -> float:
+        """σ̄_E, a bound on the standard deviation of one energy evaluation of
+        ``decomp`` at any state: sqrt(Σ_w c_w² v_w / shots) over the measured
+        words (drawn independently), v_w = max_z W_w(z)² of the word's parity
+        weights, which bounds shots × Var(W_w·counts/shots); clipping only
+        shrinks it.  The weights are those of the next trial's rates: a static
+        law's one estimate, or a drifting law's estimate at that trial."""
+        words = tuple(w for w in decomp.coeffs if w.strip("I"))
+        if not words:
+            return 0.0
+        rates = self._mitigation_rates(self.trial, decomp.n_qubits)
+        weights = sampler._parity_weights(sampler.basis_change(words).diagonal, rates)
+        c2 = np.array([decomp.coeffs[w] for w in words]) ** 2
+        return float(np.sqrt(c2 @ np.max(weights**2, axis=1) / self.shots))
 
     def _measure_words(
         self,
@@ -387,20 +448,15 @@ class ShotsBackend:
         # A drifting model's law differs at every trial, so each row is measured
         # alone under its own law and re-estimated rates; a static law measures
         # the whole stack, with rates estimated once.
-        drifts = self.noise is not None and bool(self.noise.drift_amplitude)
-        groups = ([(first + b, slice(b, b + 1)) for b in range(len(states))] if drifts
-                  else [(first, slice(None))])
+        groups = ([(first + b, slice(b, b + 1)) for b in range(len(states))]
+                  if self._drifts else [(first, slice(None))])
         out = np.empty((len(states), len(words)))
         for trial, rows in groups:
-            law = None if self.noise is None else self.noise.at(trial)
-            if self.mitigate and (self._rates is None or drifts):
-                rng = spawn_rng(self.seed, _STREAM_RATES, trial)
-                self._rates = sampler.estimate_transition_rates(law, n_qubits, RATE_TRIALS, rng)
-            rates = self._rates if self.mitigate else None
             out[rows] = sampler.sampled_expectation(
-                states[rows], words, self.shots, law,
+                states[rows], words, self.shots,
+                None if self.noise is None else self.noise.at(trial),
                 lambda b: self._word_streams.stream(trial + b),
-                mitigation=rates,
+                mitigation=self._mitigation_rates(trial, n_qubits),
             )
         return out
 
@@ -504,7 +560,8 @@ def minimize(
         results = [optimize_direct(f, x, config) for x in x0]
     else:
         grad_batch, grad_evaluations = backend.make_gradient(decomp, ansatz)
-        results = optimize_quasinewton(f_batch, grad_batch, x0, config, grad_evaluations)
+        results = optimize_quasinewton(f_batch, grad_batch, x0, config, grad_evaluations,
+                                       energy_noise=backend.energy_noise(decomp))
     best = min(results, key=lambda res: (res.energy, res.evaluations))
     energy = f(best.x)
     return VQEResult(
@@ -588,7 +645,8 @@ def full_spectrum(
     minimisation finds the following eigenvalue.  Each level's state is
     prepared once and serves both its residual and its deflation (the
     backend's Pauli expectations of it).  A level converging near
-    zero on the shifted axis raises ZeroCaptureError.  ``shift`` overrides
+    zero on the shifted axis raises ZeroCaptureError, which carries the
+    levels found before it.  ``shift`` overrides
     the automatic bound (diagnostics only).
     """
     dim = 2**decomp.n_qubits
@@ -604,9 +662,9 @@ def full_spectrum(
         level_config = replace(config, seed=spawn_seed(seed, _STREAM_LEVEL, level))
         res = minimize(work, ansatz, backend, level_config)
         if res.energy > -ZERO_CAPTURE_TOL:
-            raise ZeroCaptureError(
-                level, res.energy, [r.energy + shift for r in results]
-            )
+            raise ZeroCaptureError(level, res, SpectrumResult(
+                np.sort([r.energy + shift for r in results]), tuple(results),
+                tuple(residuals), float(shift)))
         psi = ansatz.prepare(res.theta)
         residuals.append(float(np.linalg.norm(work.matrix @ psi - res.energy * psi)))
         results.append(res)

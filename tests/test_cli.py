@@ -416,6 +416,48 @@ class TestBands:
         assert abs(col(columns, rows[:1], "e_oracle_2")[0]) < 1e-12
         assert abs(col(columns, rows[:1], "e_vqe_2")[0]) <= 0.09
 
+    def test_failed_kpoint_is_written_and_exits_one(self, tmp_path, capsys):
+        # At 8 mitigated shots, noise 0.1/0.15, seed 1 captures the deflated
+        # zero at level 2 of k-point 6 of X,G,L:5.  That used to end the run
+        # in a ZeroCaptureError traceback, with no bands.csv.
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.1, "w10": 0.15}))
+        out = tmp_path / "out"
+        code = main(["bands", "--backend", "shots", "--shots", "8", "--mitigate",
+                     "--noise", str(noise_file), "--kpath", "X,G,L:5", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "k-point 6: deflation level 2 converged" in capsys.readouterr().err
+        _, columns, rows = read_csv(out / "bands.csv")
+        assert col(columns, rows, "k_index", int) == list(range(11))
+        failed = rows.pop(6)
+        assert [failed[columns.index(c)] for c in ("e_vqe_2", "converged_2", "residual_2")] \
+            == ["nan", "0", "nan"]
+        assert failed[columns.index("converged_1")] == "1"
+        assert np.isfinite(col(columns, [failed], "e_vqe_1")).all()
+        assert int(failed[columns.index("evaluations_2")]) > 0  # the rejected level's
+        for name in ("e_vqe_1", "e_vqe_2", "residual_1", "residual_2"):
+            assert np.isfinite(col(columns, rows, name)).all()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_kpoints"] == [6]
+        assert summary["non_converged_entries"] == 1
+        assert sum(summary["stops"].values()) == 11 * 2 * 3  # k-points, levels, restarts
+
+    def test_summary_counts_why_restarts_stopped(self, tmp_path):
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.05, "w10": 0.08}))
+        main(["bands", "--kpath", "X,G:1", "--out", str(tmp_path / "exact"), "--seed", "4"])
+        assert main(["bands", "--kpath", "X,G:1", "--backend", "shots", "--mitigate",
+                     "--noise", str(noise_file), "--seed", "4",
+                     "--out", str(tmp_path / "shots")]) == 0
+        exact, shots = (json.loads((tmp_path / d / "summary.json").read_text())
+                        for d in ("exact", "shots"))
+        for summary in (exact, shots):
+            assert set(summary["stops"]) == set(qbands.vqe.STOPS)
+            assert sum(summary["stops"].values()) == 2 * 2 * 3
+            assert summary["failed_kpoints"] == []
+        assert exact["stops"]["noise"] == 0 and shots["stops"]["noise"] > 0
+
     def test_eight_band_sorted_energies(self, tmp_path):
         main(["bands", "--mode", "8band", "--kpath", "G,L:1",
               "--out", str(tmp_path), "--seed", "2"])

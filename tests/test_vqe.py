@@ -725,3 +725,163 @@ class TestShotsBackendDriver:
         f, f_batch = backend.make_objective(SpectralDecomposition(1, {}), MEAN_FIELD)
         assert f_batch(np.zeros((3, 2))).tolist() == [0.0, 0.0, 0.0]
         assert f(np.zeros(2)) == 0.0
+
+
+def _noisy_quadratic(sigma, seed=7):
+    """(f_batch, grad_batch) of |x|^2 / 2 with Gaussian noise: sd ``sigma``
+    on each energy row and sigma/√2 on each gradient component, as on a
+    parameter-shift gradient of such energies."""
+    rng = np.random.default_rng(seed)
+
+    def fb(X):
+        return 0.5 * np.sum(X**2, axis=1) + sigma * rng.standard_normal(len(X))
+
+    def gb(X):
+        return X + sigma / np.sqrt(2) * rng.standard_normal(X.shape)
+
+    return fb, gb
+
+
+class TestEnergyNoiseBound:
+    NOISE_1Q = ReadoutNoiseModel.uniform(1, 0.05, 0.08)
+    NOISE_3Q = ReadoutNoiseModel.uniform(3, 0.05, 0.08)
+
+    @pytest.mark.parametrize("ansatz, build, k, noise", [
+        (MEAN_FIELD, build_s_block, KPoint((0.2, 0.2, 0.2)), NOISE_1Q),
+        (THREE_QUBIT, build_full_hamiltonian, KPoint.high_symmetry("X"), NOISE_3Q),
+        (THREE_QUBIT, build_full_hamiltonian, KPoint.high_symmetry("X"), None),
+    ], ids=["mean-field-mitigated", "three-qubit-mitigated", "three-qubit-plain"])
+    def test_bound_covers_energy_and_gradient_spread(self, ansatz, build, k, noise):
+        # 800 energy rows and 800 gradient rows at one θ, each row its own
+        # stream: the spread of Ê and of every ĝ_j stays within the bounds
+        # σ̄_E and σ̄_E/√2 (the sample std reads 0.59-1.01 of them here).
+        dec = decompose(build(SI, k))
+        backend = ShotsBackend(shots=1024, noise=noise, mitigate=noise is not None, seed=3)
+        bound = backend.energy_noise(dec)
+        _, f_batch = backend.make_objective(dec, ansatz)
+        grad_batch, _ = backend.make_gradient(dec, ansatz)
+        rows = np.repeat(ansatz.random_parameters(np.random.default_rng(0))[None], 800, 0)
+        assert np.std(f_batch(rows), ddof=1) <= 1.1 * bound
+        assert np.all(np.std(grad_batch(rows), axis=0, ddof=1) <= 1.1 * bound / np.sqrt(2))
+
+    def test_closed_forms(self):
+        dec = decompose(build_s_block(SI, KPoint((0.2, 0.2, 0.2))))
+        c2 = sum(c**2 for w, c in dec.coeffs.items() if w != "I")
+        assert ExactBackend().energy_noise(dec) == 0.0
+        assert ShotsBackend(shots=512).energy_noise(dec) == pytest.approx(np.sqrt(c2 / 512))
+        # Mitigated: every measured one-qubit word reads Z, whose weights are
+        # (±1 - p⁻) / (1 - p⁺) under the rate estimate the backend corrects with.
+        backend = ShotsBackend(shots=512, noise=self.NOISE_1Q, mitigate=True, seed=4)
+        bound = backend.energy_noise(dec)
+        [[_, rates]] = [backend._rates]
+        pm, pp = rates.w10[0] - rates.w01[0], rates.w10[0] + rates.w01[0]
+        v = ((1 + abs(pm)) / (1 - pp)) ** 2
+        assert bound == pytest.approx(np.sqrt(c2 * v / 512))
+        assert ShotsBackend(shots=512).energy_noise(SpectralDecomposition(1, {"I": 2.0})) == 0.0
+
+    @pytest.mark.parametrize("drift", [0.0, 0.02])
+    def test_bound_draws_nothing_the_rows_do_not(self, drift, monkeypatch):
+        # The bound uses the rate estimate of the next trial, from the same
+        # stream the row at that trial estimates from: every energy and every
+        # estimate is the one the backend makes without the bound.
+        dec = decompose(build_s_block(SI, GAMMA))
+        noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06, drift_amplitude=drift,
+                                          drift_period=5)
+        rows = np.random.default_rng(2).uniform(0, 3, size=(4, 2))
+        laws = []
+        estimate = sampler.estimate_transition_rates
+        monkeypatch.setattr(sampler, "estimate_transition_rates",
+                            lambda law, *rest: laws.append(law) or estimate(law, *rest))
+        energies = []
+        for bounded in (False, True):
+            backend = ShotsBackend(shots=256, noise=noise, mitigate=True, seed=5)
+            _, f_batch = backend.make_objective(dec, MEAN_FIELD)
+            if bounded:
+                assert backend.energy_noise(dec) > 0
+            energies.append(f_batch(rows).tolist() + f_batch(rows[:1]).tolist())
+        assert energies[0] == energies[1]
+        assert laws[:len(laws) // 2] == laws[len(laws) // 2:]
+
+    def test_minimize_passes_the_backend_bound(self, monkeypatch):
+        seen = []
+        quasinewton = vqe.optimize_quasinewton
+        monkeypatch.setattr(vqe, "optimize_quasinewton", lambda *a, energy_noise:
+                            seen.append(energy_noise) or quasinewton(*a, energy_noise=energy_noise))
+        dec = decompose(build_s_block(SI, GAMMA))
+        shots = ShotsBackend(shots=256, seed=6)
+        for backend in (EXACT, shots):
+            minimize(dec, MEAN_FIELD, backend, OptimizerConfig(seed=1, restarts=1))
+        assert seen == [0.0, ShotsBackend(shots=256).energy_noise(dec)] and seen[1] > 0
+
+
+class TestNoiseAwareStop:
+    X0 = np.random.default_rng(3).uniform(-2, 2, size=(4, 3))
+
+    def test_zero_noise_path_is_unchanged(self):
+        # (energy, evaluations, iterations, converged, x) of each row, as the
+        # optimiser returned them before the noise rules existed.
+        before = [
+            (-0.01700845799006162, 72, 4, True,
+             [0.02288429295225397, -0.005225612347518756, 0.018815303320005618]),
+            (-0.019971149121821696, 78, 5, True,
+             [0.0018921187531985636, -0.002931413616360509, -0.0006740291769033887]),
+            (-0.0210871238467819, 102, 8, True,
+             [-0.002569866145009438, -0.0037367737673708015, 0.0021894525420750235]),
+            (-0.021200647188128138, 58, 4, True,
+             [0.01168976399763331, -0.005670386379466222, -0.0011147179794975504]),
+        ]
+        results = optimize_quasinewton(*_noisy_quadratic(1e-2), self.X0, OptimizerConfig(), 6,
+                                       energy_noise=0.0)
+        assert [(r.energy, r.evaluations, r.iterations, r.converged, r.x.tolist())
+                for r in results] == before
+        assert {r.stop for r in results} == {"precision"}
+
+    def test_noise_bound_stops_sooner(self):
+        sigma = 1e-2
+        chasing = optimize_quasinewton(*_noisy_quadratic(sigma), self.X0, OptimizerConfig(), 6)
+        bounded = optimize_quasinewton(*_noisy_quadratic(sigma), self.X0, OptimizerConfig(), 6,
+                                       energy_noise=sigma)
+        stops = [r.stop for r in bounded]
+        assert "noise" in stops and set(stops) <= {"noise", "precision"}
+        assert all(r.converged for r in bounded)
+        assert all(b.evaluations < c.evaluations for b, c in zip(bounded, chasing))
+        assert {r.stop for r in chasing} == {"precision"}
+
+    def test_line_search_takes_no_halving_below_the_noise(self):
+        # Every trial is uphill.  From g = (10, 10) the first trial step is
+        # 1/|g| and its slope -200; a halving to step s predicts a decrease of
+        # 200 s, so with σ̄_E = 1 the halvings stop before 200 s < 1/4: the
+        # search tries 1/|g| and 5 halvings (of 8; 200/(|g| 2^6) < 1/4), then
+        # fails from the identity.  |g| = 10 stays above the noise stop, 2/√2.
+        def fb(X):
+            return np.where(np.all(X == 1.0, axis=1), 0.0, 1.0)
+
+        def gb(X):
+            return np.full_like(X, 10.0)
+
+        x0 = np.array([[1.0, 1.0]])
+        [noisy] = optimize_quasinewton(fb, gb, x0, OptimizerConfig(), 5, energy_noise=1.0)
+        [exact] = optimize_quasinewton(fb, gb, x0, OptimizerConfig(), 5)
+        assert (noisy.stop, noisy.iterations, noisy.evaluations) == ("precision", 0, 1 + 5 + 6)
+        assert (exact.stop, exact.iterations, exact.evaluations) == ("precision", 0, 1 + 5 + 9)
+
+    def test_stop_reasons(self):
+        def quadratic(X):
+            return np.sum((X - 2.0) ** 2, axis=1)
+
+        def grad(X):
+            return 2 * (X - 2.0)
+
+        cfg = OptimizerConfig(tol_ev=1e-10)
+        [gradient] = optimize_quasinewton(quadratic, grad, np.array([[0.0]]), cfg)
+        [noise] = optimize_quasinewton(quadratic, grad, np.array([[2.1]]), cfg,
+                                       energy_noise=0.5)
+        [capped] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
+                                        OptimizerConfig(max_iter=2))
+        direct = optimize_direct(lambda x: float(quadratic(x[None])[0]), np.array([0.0]), cfg)
+        assert (gradient.stop, gradient.converged) == ("gradient", True)
+        # |g| = 0.2 at the start is within 2·0.5/√2: no iteration is taken.
+        assert (noise.stop, noise.converged, noise.iterations) == ("noise", True, 0)
+        assert (capped.stop, capped.converged) == ("max_iter", False)
+        assert direct.stop == "cobyla"
+        assert set(vqe.STOPS) == {"gradient", "noise", "precision", "max_iter", "cobyla"}
