@@ -28,6 +28,7 @@ from .qsim import (
     zero_state,
 )
 from .sampler import (
+    IllPosedMitigationError,
     MeasurementBasisChange,
     ReadoutNoiseModel,
     basis_change,

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .pauli import decompose, from_json_object, is_real, pauli_words, require_hermitian
 from .qsim import ansatz_for
-from .sampler import ReadoutNoiseModel, estimate_transition_rates
+from .sampler import IllPosedMitigationError, ReadoutNoiseModel, estimate_transition_rates
 from .seeding import spawn_rng, spawn_seed
 from .tightbinding import (
     KPoint,
@@ -122,24 +122,26 @@ def _noise_model(args: argparse.Namespace, n_qubits: int) -> ReadoutNoiseModel |
     return from_json_object(ReadoutNoiseModel.uniform, args.noise, n_qubits)
 
 
-def _make_backend(args: argparse.Namespace, n_qubits: int, k_index: int):
+def _make_backend(args: argparse.Namespace, noise: ReadoutNoiseModel | None, k_index: int):
     if args.backend == "exact":
         return ExactBackend()
     return ShotsBackend(
         shots=args.shots,
-        noise=_noise_model(args, n_qubits),
+        noise=noise,
         mitigate=args.mitigate,
         seed=spawn_seed(args.seed, _STREAM_BACKEND, k_index),
     )
 
 
 def _solve_kpoint(job: tuple) -> dict:
-    """Worker: solve one k-point; returns the flat band record.
+    """Worker: solve one k-point; returns the flat band record.  ``noise``
+    is the `--noise` file's model, parsed once per run.
 
-    A `ZeroCaptureError` ends the k-point, named on stderr: the failed level
-    and every later one are written with NaN energy and residual,
+    A `ZeroCaptureError` or `IllPosedMitigationError` ends the k-point,
+    named on stderr: the failed level (band 1 for an ill-posed rate
+    estimate) and every later one are written with NaN energy and residual,
     unconverged, and 0 evaluations after the failed level's own."""
-    args, k_index, components, coord = job
+    args, noise, k_index, components, coord = job
     k = KPoint(components)
     if args.mode == "2band":
         H = build_s_block(args.params, k)
@@ -148,18 +150,20 @@ def _solve_kpoint(job: tuple) -> dict:
     oracle = diagonalize_classical(H)
     dec = decompose(H)
     n_qubits = _MODE_QUBITS[args.mode]
-    backend = _make_backend(args, n_qubits, k_index)
+    backend = _make_backend(args, noise, k_index)
     opt_seed_root = args.optimizer.seed if args.optimizer.seed is not None else args.seed
     opt = replace(args.optimizer, seed=spawn_seed(opt_seed_root, _STREAM_OPT, k_index))
-    levels, failed = 2**n_qubits, None
+    levels, failed, rejected = 2**n_qubits, None, []
     try:
-        spectrum = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, opt)
+        bands = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, opt).sorted_levels()
     except ZeroCaptureError as exc:
-        print(f"qbands: k-point {k_index}: {exc}; written as NaN from band "
-              f"{exc.level + 1}", file=sys.stderr)
-        spectrum, failed = exc.found, exc
-    bands = spectrum.sorted_levels()
-    results = [b[1] for b in bands] + ([failed.result] if failed else [])
+        bands, failed, rejected = exc.found.sorted_levels(), exc, [exc.result]
+    except IllPosedMitigationError as exc:
+        bands, failed = [], exc
+    if failed:
+        print(f"qbands: k-point {k_index}: {failed}; written as NaN from band "
+              f"{len(bands) + 1}", file=sys.stderr)
+    results = [b[1] for b in bands] + rejected
     nan = [math.nan] * (levels - len(bands))
     return {
         "k_index": k_index,
@@ -178,8 +182,9 @@ def _solve_kpoint(job: tuple) -> dict:
 def run_bands(args: argparse.Namespace, out_dir: Path) -> int:
     anchors, pps = parse_kpath(args.kpath)
     path = make_kpath(anchors, pps)
+    noise = _noise_model(args, _MODE_QUBITS[args.mode])
     jobs = [
-        (args, i, kp.components, float(path.coords[i]))
+        (args, noise, i, kp.components, float(path.coords[i]))
         for i, kp in enumerate(path.points)
     ]
     # A pool forks all its workers up front, so it is no larger than the path.
@@ -256,7 +261,7 @@ def _band_summary(records: list[dict], n_bands: int) -> dict:
 def run_scan(args: argparse.Namespace, out_dir: Path) -> int:
     H = build_s_block(args.params, parse_kpoint(args.kpoint))
     dec = decompose(H)
-    backend = _make_backend(args, 1, 0)
+    backend = _make_backend(args, _noise_model(args, 1), 0)
     scan = grid_scan(
         dec,
         theta_steps=args.theta_steps,

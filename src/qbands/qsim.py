@@ -144,10 +144,11 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
     Each layer is RY then RZ on every qubit (angles ordered RY on qubits
     1..n, then RZ on qubits 1..n); the CNOT chain entangler separates the
     layers.  Layer 0 acts on |0...0>, so it is the product of the first
-    columns of its per-qubit RZ·RY matrices.  Every later layer is one
-    (N, 2**n, 2**n) Kronecker product applied by batched matmul after the
-    entangler permutation.  Returns the state after every layer and those
-    Kronecker products (N, n_layers - 1, 2**n, 2**n), highest qubit first.
+    columns (a, b) of its per-qubit RZ·RY matrices, which are never built.
+    Every later layer is one (N, 2**n, 2**n) Kronecker product applied by
+    batched matmul after the entangler permutation.  Returns the state after
+    every layer and those Kronecker products (N, n_layers - 1, 2**n, 2**n),
+    highest qubit first.
     Each layered ansatz keeps its last result in one read-only slot, which
     its ``prepare_batch`` and gradient share (`_layered_ansatz`).
     """
@@ -156,18 +157,22 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
     ez = np.exp(-1j * half[:, :, 1])
     a = ez * np.cos(half[:, :, 0])
     b = ez.conj() * np.sin(half[:, :, 0])
-    u = np.empty((B, n_layers, n_qubits, 2, 2), dtype=complex)  # RZ @ RY = [[a, -b*], [b, a*]]
-    u[..., 0, 0] = a
-    u[..., 1, 0] = b
-    u[..., 0, 1] = -b.conj()
-    u[..., 1, 1] = a.conj()
-    first = u[:, 0, :, :, 0]  # (B, qubit, 2): each qubit's RZ·RY|0>
+    first = np.empty((B, n_qubits, 2), dtype=complex)  # each qubit's RZ·RY|0> = (a, b)
+    first[..., 0] = a[:, 0]
+    first[..., 1] = b[:, 0]
+    u = np.empty((B, n_layers - 1, n_qubits, 2, 2), dtype=complex)  # layers 1..
+    if n_layers > 1:  # RZ @ RY = [[a, -b*], [b, a*]]
+        a, b = a[:, 1:], b[:, 1:]
+        u[..., 0, 0] = a
+        u[..., 1, 0] = b
+        u[..., 0, 1] = -b.conj()
+        u[..., 1, 1] = a.conj()
     psi = first[:, -1]
-    kron = u[:, 1:, -1]
+    kron = u[:, :, -1]
     for q in range(n_qubits - 2, -1, -1):
         dim = 2 * psi.shape[-1]
         psi = (psi[:, :, None] * first[:, q, None, :]).reshape(B, dim)
-        kron = (kron[..., :, None, :, None] * u[:, 1:, q, None, :, None, :]
+        kron = (kron[..., :, None, :, None] * u[:, :, q, None, :, None, :]
                 ).reshape(B, n_layers - 1, dim, dim)
     gather = _register_maps(n_qubits)[2]
     states = [psi]

@@ -44,6 +44,10 @@ def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
     return tuple(float(r) for r in rates)
 
 
+class IllPosedMitigationError(ValueError):
+    """Mitigation under a rate model with w01 + w10 >= 1 on a measured qubit."""
+
+
 @dataclass(frozen=True)
 class ReadoutNoiseModel:
     """Per-qubit readout flip rates, with optional drift on w10."""
@@ -236,7 +240,7 @@ def _parity_weights(words: tuple[str, ...], model: ReadoutNoiseModel | None) -> 
             raise ValueError("noise model qubit count mismatch")
         law = model.at(0)
         if (is_z & law.ill_posed[::-1]).any():
-            raise ValueError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
+            raise IllPosedMitigationError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
         w01, w10 = np.array(law.w01[::-1]), np.array(law.w10[::-1])
     z_factors = (_PARITY - (w10 - w01)[:, None]) / (1.0 - (w10 + w01))[:, None]
     factors = np.where(is_z[..., None], z_factors, 1.0)  # (M, n, 2)
@@ -296,7 +300,7 @@ def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel,
     clamped to [-1, 1].  Counts and words are read as by
     `expectation_from_counts`.  A drifting ``model`` acts as its trial-0 law;
     mitigation ill-posed under that law on a measured qubit raises
-    ValueError."""
+    `IllPosedMitigationError`."""
     return np.clip(_parity_estimates(counts, words, model), -1.0, 1.0)
 
 

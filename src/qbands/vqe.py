@@ -41,7 +41,8 @@ _STREAM_LEVEL = 3
 ZERO_CAPTURE_TOL = 0.5
 
 class ZeroCaptureError(RuntimeError):
-    """A deflation level converged onto the projected-out zero eigenvalue.
+    """A deflation level converged onto the projected-out zero eigenvalue,
+    on its retry too (see `full_spectrum`).
 
     ``level`` counts from 0 in the order found; ``result`` is that level's
     minimisation and ``found`` the spectrum of the levels before it."""
@@ -138,7 +139,10 @@ def optimize_quasinewton(
     Hessian; the rows only share the calls: each backtracking round is one
     ``objective_batch`` call on the rows still searching, and each
     iteration's new gradients are one ``gradient_batch`` call on the rows
-    that moved.  A row's path is the one it would take alone.
+    that moved.  A row's path is the one it would take alone.  Per-row
+    scalars (energy, slope, step, flags, counters) are Python numbers;
+    numpy holds the points, gradients and inverse Hessians, so a round in
+    which every row accepts its first trial gathers no rows.
 
     Line search: Armijo backtracking (Nocedal & Wright, Alg. 3.1) along
     -H g, halving up to 8 times; the first trial step is 1, or min(1, 1/|g|)
@@ -163,88 +167,106 @@ def optimize_quasinewton(
     X = np.array(x0, dtype=float, ndmin=2)
     R, d = X.shape
     max_iter = config.max_iter if config.max_iter is not None else 200
-    F = np.asarray(objective_batch(X), dtype=float)
+    F = np.asarray(objective_batch(X), dtype=float).tolist()
     G = np.asarray(gradient_batch(X), dtype=float)
     eye = np.eye(d)
-    nfev = np.full(R, 1 + gradient_evaluations)
-    nit = np.zeros(R, dtype=int)
-    gtol = max(config.tol_ev, 2 * energy_noise / np.sqrt(2))
+    tol = config.tol_ev
+    gtol = float(max(tol, 2 * energy_noise / np.sqrt(2)))
+    floor = energy_noise / 4
 
-    def gradient_stops(g):  # indices into STOPS; "max_iter" while above gtol
-        gmax = np.max(np.abs(g), axis=1)
-        return np.where(gmax <= config.tol_ev, 0, np.where(gmax <= gtol, 1, 3))
+    def gradient_stop(gmax):  # index into STOPS; "max_iter" while above gtol
+        return 0 if gmax <= tol else 1 if gmax <= gtol else 3
 
-    why = gradient_stops(G)
-    converged = why < 2
-    # The rows still searching (their indices a) keep their state in compact
-    # arrays: point, energy, gradient, inverse Hessian, whether that is the
-    # identity (start, or after a reset), evaluations and iterations.  A row
-    # writes its end state back to X, F, nfev, nit and converged when it stops.
-    a = np.flatnonzero(~converged)
-    x, f, g = X[a], F[a], G[a]
+    why = [gradient_stop(v) for v in np.max(np.abs(G), axis=1).tolist()]
+    nit, lost, halvings = [0] * R, [0] * R, [0] * R
+    # The rows still searching (their indices a) keep their point, gradient
+    # and inverse Hessian in compact arrays, and in lists their energy and
+    # whether H is the identity (start, or after a reset).  Every row takes
+    # one trial per round, so after k rounds row i has made k - lost[i]
+    # iterations (lost: failed searches).  A row writes its end state back
+    # to X, F, nit and why when it stops.
+    a = [r for r in range(R) if why[r] == 3]
+    x, g, f = X[a], G[a], [F[r] for r in a]
     Hinv = np.tile(eye, (len(a), 1, 1))
-    identity = np.ones(len(a), dtype=bool)
-    evals, its = nfev[a], nit[a]
-    while len(a):
+    identity = [True] * len(a)
+    k = 0
+    while a:
+        n = len(a)
+        k += 1
         p = -np.einsum("rij,rj->ri", Hinv, g)
-        slope = np.einsum("ri,ri->r", g, p)
-        uphill = slope >= 0
-        if uphill.any():  # H lost positive definiteness to round-off
+        slope = np.einsum("ri,ri->r", g, p).tolist()
+        uphill = [r for r in range(n) if slope[r] >= 0]
+        if uphill:  # H lost positive definiteness to round-off
             Hinv[uphill] = eye
-            identity[uphill] = True
             p[uphill] = -g[uphill]
-            slope[uphill] = -np.einsum("ri,ri->r", g[uphill], g[uphill])
-        step = np.ones(len(a))
-        if identity.any():
-            step[identity] = np.minimum(1.0, 1.0 / _row_norms(g[identity]))
-        sk = step[:, None] * p
+            for r, gg in zip(uphill, np.einsum("ri,ri->r", g[uphill], g[uphill]).tolist()):
+                slope[r], identity[r] = -gg, True
+        step = [1.0] * n
+        if True in identity:
+            fresh = [r for r in range(n) if identity[r]]
+            for r, st in zip(fresh, np.minimum(1.0, 1.0 / _row_norms(g[fresh])).tolist()):
+                step[r] = st
+        sk = np.array(step)[:, None] * p
         trial = x + sk
-        f_new = np.array(objective_batch(trial), dtype=float)
-        evals += 1
-        accepted = f_new <= f + _ARMIJO_C1 * step * slope
-        stop = np.zeros(len(a), dtype=bool)  # converged this round
-        moved = slice(None)  # every row, without a gather
-        if not accepted.all():  # backtrack the rows whose first trial failed
+        f_new = np.asarray(objective_batch(trial), dtype=float).tolist()
+        accepted = [fn <= fr + _ARMIJO_C1 * st * sl
+                    for fn, fr, st, sl in zip(f_new, f, step, slope)]
+        ends = {}  # position: index into STOPS, for the rows that stop this round
+        moved, sel = range(n), slice(None)  # every row, without a gather
+        if False in accepted:  # backtrack the rows whose first trial failed
+            back = [r for r in range(n) if not accepted[r]]
             for _ in range(_MAX_HALVINGS):
-                s = np.flatnonzero(~accepted)
+                s = back
                 if energy_noise:  # no trial whose decrease is lost in the noise
-                    s = s[0.5 * step[s] * -slope[s] >= energy_noise / 4]
-                    if not len(s):
+                    s = [r for r in back if 0.5 * step[r] * -slope[r] >= floor]
+                    if not s:
                         break
-                step[s] *= 0.5
-                sk[s] = step[s, None] * p[s]
+                for r in s:
+                    step[r] *= 0.5
+                    halvings[a[r]] += 1
+                sk[s] = np.array([step[r] for r in s])[:, None] * p[s]
                 trial[s] = x[s] + sk[s]
-                f_new[s] = objective_batch(trial[s])
-                evals[s] += 1
-                accepted[s] = f_new[s] <= f[s] + _ARMIJO_C1 * step[s] * slope[s]
-                if accepted.all():
+                for r, fn in zip(s, np.asarray(objective_batch(trial[s]), dtype=float).tolist()):
+                    f_new[r] = fn
+                    accepted[r] = fn <= f[r] + _ARMIJO_C1 * step[r] * slope[r]
+                back = [r for r in back if not accepted[r]]
+                if not back:
                     break
-            failed = ~accepted
-            stop = failed & identity  # precision loss
-            Hinv[failed] = eye
-            identity[failed] = True
-            moved = np.flatnonzero(accepted)
+            if back:  # failed searches: the row stays and H is reset
+                Hinv[back] = eye
+                trial[back] = x[back]
+                for r in back:
+                    f_new[r] = f[r]
+                    lost[a[r]] += 1
+                    if identity[r]:
+                        ends[r] = 2  # precision loss
+                    identity[r] = True
+                moved = sel = [r for r in range(n) if accepted[r]]
+        x, f = trial, f_new
 
-        if accepted.any():
-            x[moved] = trial[moved]
-            f[moved] = f_new[moved]
-            G_new = np.asarray(gradient_batch(x[moved]), dtype=float)
-            evals[moved] += gradient_evaluations
-            yk = G_new - g[moved]
-            g[moved] = G_new
-            its[moved] += 1
-            sk = sk[moved]
+        if moved:
+            G_new = np.asarray(gradient_batch(x[sel]), dtype=float)
+            yk = G_new - g[sel]
+            g[sel] = G_new
+            sk = sk[sel]
+            for r, gmax in zip(moved, np.maximum.reduce(np.abs(G_new), axis=1).tolist()):
+                if gmax <= gtol or k - lost[a[r]] >= max_iter:
+                    ends[r] = gradient_stop(gmax)
             ys = np.einsum("ri,ri->r", yk, sk)
-            upd = ys > _MIN_CURVATURE * _row_norms(yk) * _row_norms(sk)
-            u = moved
-            if not upd.all():
-                u, sk, yk, ys = np.arange(len(a))[moved][upd], sk[upd], yk[upd], ys[upd]
+            cut = (_MIN_CURVATURE * _row_norms(yk) * _row_norms(sk)).tolist()
+            upd = [i for i, (v, c) in enumerate(zip(ys.tolist(), cut)) if v > c]
+            u = sel
+            if len(upd) < len(moved):
+                u = [moved[i] for i in upd]
+                sk, yk, ys = sk[upd], yk[upd], ys[upd]
             Hu = Hinv[u]
-            first = identity[u]
-            if first.any():
+            if True in identity:
+                rows = moved if u is sel else u
+                first = [i for i, r in enumerate(rows) if identity[r]]
                 Hu[first] *= (ys[first] / np.einsum("ri,ri->r", yk[first], yk[first])
                               )[:, None, None]
-                identity[u] = False
+                for r in rows:
+                    identity[r] = False
             rho = 1.0 / ys
             Hy = np.einsum("rij,rj->ri", Hu, yk)
             yHy = np.einsum("ri,ri->r", yk, Hy)
@@ -252,18 +274,19 @@ def optimize_quasinewton(
             Hinv[u] = Hu + (-rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1))
                             + (rho * (1.0 + rho * yHy))[:, None, None]
                             * sk[:, :, None] * sk[:, None, :])
-            stop[moved] = np.maximum.reduce(np.abs(G_new), axis=1) <= gtol
-        done = stop | (its >= max_iter)
-        if done.any():
-            rows = a[done]
-            X[rows], F[rows], nfev[rows], nit[rows] = x[done], f[done], evals[done], its[done]
-            converged[rows] = stop[done]
-            why[rows] = np.where(accepted[done], gradient_stops(g[done]), 2)
-            keep = ~done
-            a, x, f, g, Hinv, identity, evals, its = (
-                v[keep] for v in (a, x, f, g, Hinv, identity, evals, its))
-    return [OptimizeResult(X[r].copy(), float(F[r]), int(nfev[r]), int(nit[r]),
-                           bool(converged[r]), STOPS[why[r]]) for r in range(R)]
+        if ends:
+            done = list(ends)
+            X[[a[r] for r in done]] = x[done]
+            for r, stop in ends.items():
+                F[a[r]], nit[a[r]], why[a[r]] = f[r], k - lost[a[r]], stop
+            keep = [r for r in range(n) if r not in ends]
+            a, f, identity = ([v[r] for r in keep] for v in (a, f, identity))
+            x, g, Hinv = x[keep], g[keep], Hinv[keep]
+    # Evaluations: the start, one per round and halving, a gradient per iteration.
+    nfev = [(1 + gradient_evaluations) * (1 + i) + lost[r] + halvings[r]
+            for r, i in enumerate(nit)]
+    return [OptimizeResult(X[r].copy(), F[r], nfev[r], nit[r], why[r] != 3, STOPS[why[r]])
+            for r in range(R)]
 
 
 def optimize_direct(
@@ -517,17 +540,24 @@ def _with_defaults(config: OptimizerConfig, ansatz: Ansatz, backend: Backend
                    ) -> OptimizerConfig:
     """``config`` with unset ``restarts`` and ``max_iter`` filled in.
 
-    The three-qubit circuit with BFGS on the exact backend gets 2 restarts
-    of up to 1000 iterations: the smallest restart count with no missed and
-    no unconverged level in the sweep of ``scripts/restart_sweep.py`` (the
-    41-point X,G,L path at 10 CLI seeds, L and Γ at 1200, 100 random 8x8
-    spectra); no level of that sweep stopped at the cap.  Elsewhere, none
-    of it swept: 3 restarts for the mean-field circuit, 20 for the
-    three-qubit one, and the optimisers' own caps (200 BFGS iterations,
-    4000 COBYLA evaluations).
+    BFGS restart counts come from the sweeps of ``scripts/restart_sweep.py``:
+    the smallest count with no missed and no unconverged level, and at one
+    restart also no restart stopped at the iteration cap.
+    - Three-qubit circuit, exact backend: 2 restarts of up to 1000
+      iterations (the 41-point X,G,L path at 10 CLI seeds, L and Γ at 1200,
+      100 random 8x8 spectra; no level stopped at the cap).
+    - Mean-field circuit, exact backend: 2 (the X,G,L:20 path at 100 CLI
+      seeds and X,G,L:5 at 1000, where 1 restart left a level unconverged
+      at the cap, a restart stalled at a pole, and 2 absorbed every stall).
+    - Mean-field circuit, shots backend: 3 (the benchmark's 2-band shots
+      command at 4000 seeds: 2 restarts failed 4 runs, where both restarts
+      stopped at the noise floor next to a pole or short of the level).
+    Unswept: 20 restarts for the three-qubit circuit on the shots backend;
+    COBYLA keeps 3 (mean-field) and 20 (three-qubit); and the optimisers'
+    own caps (200 BFGS iterations, 4000 COBYLA evaluations).
     """
-    if ansatz.n_params > 2 and isinstance(backend, ExactBackend) and config.method == "bfgs":
-        restarts, max_iter = 2, 1000
+    if config.method == "bfgs" and isinstance(backend, ExactBackend):
+        restarts, max_iter = 2, (None if ansatz.n_params == 2 else 1000)
     else:
         restarts, max_iter = (3 if ansatz.n_params == 2 else 20), None
     return replace(
@@ -644,10 +674,12 @@ def full_spectrum(
     state is then projected to zero via the coefficient update and the next
     minimisation finds the following eigenvalue.  Each level's state is
     prepared once and serves both its residual and its deflation (the
-    backend's Pauli expectations of it).  A level converging near
-    zero on the shifted axis raises ZeroCaptureError, which carries the
-    levels found before it.  ``shift`` overrides
-    the automatic bound (diagnostics only).
+    backend's Pauli expectations of it).  A level converging near zero on
+    the shifted axis is solved once more from fresh restarts, drawn from
+    the optimiser seed ``spawn_seed(seed, _STREAM_LEVEL, level, 1)``, and
+    keeps the cost and restarts of both attempts; when that converges near
+    zero too it raises ZeroCaptureError, which carries the levels found
+    before it.  ``shift`` overrides the automatic bound (diagnostics only).
     """
     dim = 2**decomp.n_qubits
     if not 1 <= levels <= dim:
@@ -661,6 +693,13 @@ def full_spectrum(
     for level in range(levels):
         level_config = replace(config, seed=spawn_seed(seed, _STREAM_LEVEL, level))
         res = minimize(work, ansatz, backend, level_config)
+        if res.energy > -ZERO_CAPTURE_TOL:
+            # Typically every restart started on the flat cap around the
+            # deflated state, where noise or round-off ends the search.
+            retry = minimize(work, ansatz, backend, replace(
+                level_config, seed=spawn_seed(seed, _STREAM_LEVEL, level, 1)))
+            res = replace(retry, evaluations=res.evaluations + retry.evaluations,
+                          restarts=res.restarts + retry.restarts)
         if res.energy > -ZERO_CAPTURE_TOL:
             raise ZeroCaptureError(level, res, SpectrumResult(
                 np.sort([r.energy + shift for r in results]), tuple(results),

@@ -119,6 +119,83 @@ def jacobi_eigenvalues(H: np.ndarray, sweeps: int = 100) -> np.ndarray:
     return evals[::2]  # doubled spectrum: take one of each pair
 
 
+def bfgs_row(f, grad, x0, max_iter=200, tol=1e-6, gradient_evaluations=1,
+             energy_noise=0.0):
+    """One BFGS restart, alone, written plainly from the algorithm that
+    `vqe.optimize_quasinewton` documents: Armijo backtracking (c1 = 1e-4)
+    along -H g with up to 8 halvings, the first trial step 1, or
+    min(1, 1/|g|) while H is the identity; the first update from the
+    identity scales H by y.s / y.y; a pair with y.s <= 1e-8 |y||s| leaves H
+    as it is; a failed search resets H to the identity, or, from the
+    identity, ends the restart ("precision").  It stops at max|g| <= tol
+    ("gradient"), at max|g| <= max(tol, 2σ/√2) ("noise"), or after
+    ``max_iter`` accepted steps ("max_iter"); with σ = ``energy_noise`` > 0
+    no halving is taken whose predicted decrease step·|slope| is below σ/4.
+
+    ``f`` and ``grad`` take one point.  Products are 1-D ``einsum`` and
+    norms sqrt(Σ v²), the arithmetic each lock-step row does, so equal
+    paths give equal bits.  Returns (x, energy, evaluations, iterations,
+    stop).
+    """
+    x = np.array(x0, dtype=float)
+    fx, g = f(x), grad(x)
+    evaluations, iterations = 1 + gradient_evaluations, 0
+    noise_tol = max(tol, 2 * energy_noise / np.sqrt(2))
+
+    def gradient_stop():
+        gmax = np.max(np.abs(g))
+        return "gradient" if gmax <= tol else "noise" if gmax <= noise_tol else None
+
+    def norm(v):
+        return np.sqrt(np.add.reduce(v * v))
+
+    H, identity = np.eye(len(x)), True
+    stop = gradient_stop()
+    while stop is None:
+        p = -np.einsum("ij,j->i", H, g)
+        slope = np.einsum("i,i->", g, p)
+        if slope >= 0:  # not a descent direction: start again from the identity
+            H, identity = np.eye(len(x)), True
+            p = -g
+            slope = -np.einsum("i,i->", g, g)
+        step = min(1.0, 1.0 / norm(g)) if identity else 1.0
+        for halving in range(9):
+            if halving:
+                if energy_noise and 0.5 * step * -slope < energy_noise / 4:
+                    break
+                step *= 0.5
+            s = step * p
+            trial = x + s
+            f_trial = f(trial)
+            evaluations += 1
+            accepted = f_trial <= fx + 1e-4 * step * slope
+            if accepted:
+                break
+        if not accepted:
+            if identity:
+                return x, fx, evaluations, iterations, "precision"
+            H, identity = np.eye(len(x)), True
+            continue
+        g_new = grad(trial)
+        evaluations += gradient_evaluations
+        iterations += 1
+        x, fx, y, g = trial, f_trial, g_new - g, g_new
+        ys = np.einsum("i,i->", y, s)
+        if ys > 1e-8 * norm(y) * norm(s):
+            if identity:
+                H = H * (ys / np.einsum("i,i->", y, y))
+                identity = False
+            rho = 1.0 / ys
+            Hy = np.einsum("ij,j->i", H, y)
+            yHy = np.einsum("i,i->", y, Hy)
+            sHy = s[:, None] * Hy[None, :]
+            H = H + (-rho * (sHy + sHy.T) + rho * (1.0 + rho * yHy) * s[:, None] * s[None, :])
+        stop = gradient_stop()
+        if stop is None and iterations >= max_iter:
+            stop = "max_iter"
+    return x, fx, evaluations, iterations, stop
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)

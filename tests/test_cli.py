@@ -337,13 +337,19 @@ class TestBands:
         assert summary["non_converged_entries"] == 0
 
     def test_worker_pool_rows_match_serial(self, tmp_path):
-        main(["bands", "--mode", "2band", "--kpath", "X,G:2",
-              "--out", str(tmp_path / "serial"), "--seed", "4"])
-        main(["bands", "--mode", "2band", "--kpath", "X,G:2", "--workers", "2",
-              "--out", str(tmp_path / "pool"), "--seed", "4"])
-        serial = (tmp_path / "serial" / "bands.csv").read_text().splitlines()
-        pool = (tmp_path / "pool" / "bands.csv").read_text().splitlines()
-        assert serial[1:] == pool[1:]  # headers differ only in the workers field
+        # The pool's workers get the noise model parsed once in the parent.
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.05, "w10": 0.08}))
+        shots = ["--backend", "shots", "--shots", "512", "--mitigate", "--noise",
+                 str(noise_file)]
+        for name, backend in (("exact", []), ("shots", shots)):
+            main(["bands", "--mode", "2band", "--kpath", "X,G:2", *backend,
+                  "--out", str(tmp_path / name / "serial"), "--seed", "4"])
+            main(["bands", "--mode", "2band", "--kpath", "X,G:2", "--workers", "2", *backend,
+                  "--out", str(tmp_path / name / "pool"), "--seed", "4"])
+            serial = (tmp_path / name / "serial" / "bands.csv").read_text().splitlines()
+            pool = (tmp_path / name / "pool" / "bands.csv").read_text().splitlines()
+            assert serial[1:] == pool[1:]  # headers differ only in the workers field
 
     def test_worker_pool_no_larger_than_path(self, tmp_path, monkeypatch):
         sizes = []
@@ -417,20 +423,21 @@ class TestBands:
         assert abs(col(columns, rows[:1], "e_vqe_2")[0]) <= 0.09
 
     def test_failed_kpoint_is_written_and_exits_one(self, tmp_path, capsys):
-        # At 8 mitigated shots, noise 0.1/0.15, seed 1 captures the deflated
-        # zero at level 2 of k-point 6 of X,G,L:5.  That used to end the run
-        # in a ZeroCaptureError traceback, with no bands.csv.
+        # At 8 mitigated shots, noise 0.1/0.15, seed 39 captures the deflated
+        # zero at level 2 of k-point 10 of X,G,L:5, on the retry too.  That
+        # used to end the run in a ZeroCaptureError traceback, with no
+        # bands.csv.
         noise_file = tmp_path / "noise.json"
         noise_file.write_text(json.dumps({"w01": 0.1, "w10": 0.15}))
         out = tmp_path / "out"
         code = main(["bands", "--backend", "shots", "--shots", "8", "--mitigate",
-                     "--noise", str(noise_file), "--kpath", "X,G,L:5", "--seed", "1",
+                     "--noise", str(noise_file), "--kpath", "X,G,L:5", "--seed", "39",
                      "--out", str(out)])
         assert code == 1
-        assert "k-point 6: deflation level 2 converged" in capsys.readouterr().err
+        assert "k-point 10: deflation level 2 converged" in capsys.readouterr().err
         _, columns, rows = read_csv(out / "bands.csv")
         assert col(columns, rows, "k_index", int) == list(range(11))
-        failed = rows.pop(6)
+        failed = rows.pop(10)
         assert [failed[columns.index(c)] for c in ("e_vqe_2", "converged_2", "residual_2")] \
             == ["nan", "0", "nan"]
         assert failed[columns.index("converged_1")] == "1"
@@ -439,9 +446,55 @@ class TestBands:
         for name in ("e_vqe_1", "e_vqe_2", "residual_1", "residual_2"):
             assert np.isfinite(col(columns, rows, name)).all()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["failed_kpoints"] == [6]
+        assert summary["failed_kpoints"] == [10]
         assert summary["non_converged_entries"] == 1
-        assert sum(summary["stops"].values()) == 11 * 2 * 3  # k-points, levels, restarts
+        # k-points x levels x restarts, and the failed level's retry.
+        assert sum(summary["stops"].values()) == 11 * 2 * 3 + 3
+
+    def test_captured_level_is_solved_again(self, tmp_path):
+        # At seed 207019 and 2 restarts, both restarts of level 2 at X start
+        # next to the deflated state, where the noise stop ends them at the
+        # deflated zero; the retry's restarts find the level.
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.05, "w10": 0.08}))
+        optimizer_file = tmp_path / "optimizer.json"
+        optimizer_file.write_text(json.dumps({"restarts": 2}))
+        assert main(["bands", "--backend", "shots", "--shots", "8192", "--mitigate",
+                     "--noise", str(noise_file), "--optimizer", str(optimizer_file),
+                     "--kpath", "X,G:1", "--seed", "207019", "--out", str(tmp_path)]) == 0
+        _, columns, rows = read_csv(tmp_path / "bands.csv")
+        assert col(columns, rows, "converged_2", int) == [1, 1]
+        assert np.isfinite(col(columns, rows, "e_vqe_2")).all()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["failed_kpoints"] == []
+        assert sum(summary["stops"].values()) == 2 * 2 * 2 + 2
+
+    def test_ill_posed_rate_estimate_fails_only_its_kpoint(self, tmp_path, capsys):
+        # w01 + w10 = 0.9995 passes the boundary check, but at seed 1 the
+        # rates estimated for Γ reach w01 + w10 >= 1, so mitigation there is
+        # ill-posed.  That used to end the run in a ValueError traceback,
+        # with no bands.csv.
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.5, "w10": 0.4995}))
+        out = tmp_path / "out"
+        code = main(["bands", "--mode", "2band", "--backend", "shots", "--shots", "64",
+                     "--mitigate", "--noise", str(noise_file), "--kpath", "G,X:1",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert ("k-point 0: mitigation ill-posed: w01 + w10 >= 1 on some qubit; "
+                "written as NaN from band 1") in capsys.readouterr().err
+        _, columns, rows = read_csv(out / "bands.csv")
+        assert col(columns, rows, "k_index", int) == [0, 1]
+        failed, kept = rows
+        for band in ("1", "2"):
+            assert [failed[columns.index(c + band)] for c in
+                    ("e_vqe_", "converged_", "residual_", "evaluations_")] \
+                == ["nan", "0", "nan", "0"]
+            assert kept[columns.index("converged_" + band)] == "1"
+        assert np.isfinite(col(columns, [kept], "e_vqe_1") + col(columns, [kept], "e_vqe_2")).all()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_kpoints"] == [0]
+        assert summary["non_converged_entries"] == 2
 
     def test_summary_counts_why_restarts_stopped(self, tmp_path):
         noise_file = tmp_path / "noise.json"
@@ -452,9 +505,9 @@ class TestBands:
                      "--out", str(tmp_path / "shots")]) == 0
         exact, shots = (json.loads((tmp_path / d / "summary.json").read_text())
                         for d in ("exact", "shots"))
-        for summary in (exact, shots):
+        for summary, restarts in ((exact, 2), (shots, 3)):
             assert set(summary["stops"]) == set(qbands.vqe.STOPS)
-            assert sum(summary["stops"].values()) == 2 * 2 * 3
+            assert sum(summary["stops"].values()) == 2 * 2 * restarts  # k-points, levels
             assert summary["failed_kpoints"] == []
         assert exact["stops"]["noise"] == 0 and shots["stops"]["noise"] > 0
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbands import sampler, vqe
+from qbands import cli, sampler, vqe
 from qbands.pauli import (
     SpectralDecomposition,
     decompose,
@@ -12,7 +12,7 @@ from qbands.pauli import (
 )
 from qbands.qsim import MEAN_FIELD, THREE_QUBIT
 from qbands.sampler import ReadoutNoiseModel
-from qbands.seeding import StreamFamily, spawn_rng
+from qbands.seeding import StreamFamily, spawn_rng, spawn_seed
 from qbands.tightbinding import (
     KPoint,
     TBParameters,
@@ -34,7 +34,7 @@ from qbands.vqe import (
     optimize_quasinewton,
 )
 
-from conftest import layered_state, pauli_sum_expectation, rand_hermitian, rand_state
+from conftest import bfgs_row, layered_state, pauli_sum_expectation, rand_hermitian, rand_state
 
 SI = TBParameters.default_silicon()
 GAMMA = KPoint((0.0, 0.0, 0.0))
@@ -42,12 +42,16 @@ EXACT = ExactBackend()
 
 
 def rosen(X):
-    return (1 - X[:, 0]) ** 2 + 100 * (X[:, 1] - X[:, 0] ** 2) ** 2
+    """The Rosenbrock function of each row, in any dimension."""
+    return np.sum(100.0 * (X[:, 1:] - X[:, :-1] ** 2) ** 2 + (1 - X[:, :-1]) ** 2, axis=1)
 
 
 def rosen_grad(X):
-    x, y = X[:, 0], X[:, 1]
-    return np.column_stack([-2 * (1 - x) - 400 * x * (y - x**2), 200 * (y - x**2)])
+    grad = np.zeros_like(X)
+    d = X[:, 1:] - X[:, :-1] ** 2
+    grad[:, :-1] = -400.0 * X[:, :-1] * d - 2 * (1 - X[:, :-1])
+    grad[:, 1:] += 200.0 * d
+    return grad
 
 
 def _deflated_full_hamiltonian(params, k):
@@ -289,6 +293,69 @@ class TestOptimizers:
         assert np.max(np.abs(res.x)) < 0.1
 
 
+def _row_noise(X, sigma, salt, shape=()):
+    """Gaussian values of sd ``sigma``, each a pure function of its row's
+    bytes, so a row gets the same value in any batch."""
+    return sigma * np.array([
+        np.random.default_rng([salt, *np.ascontiguousarray(row).view(np.uint32)])
+        .standard_normal(shape) for row in X])
+
+
+class TestAgainstOneRowOracle:
+    """Every lock-step row equals `conftest.bfgs_row` run alone, to the bit:
+    the same point, energy, evaluations, iterations and stop."""
+
+    @staticmethod
+    def assert_rows_match(f_batch, grad_batch, x0, config, gradient_evaluations=1,
+                          energy_noise=0.0):
+        results = optimize_quasinewton(f_batch, grad_batch, x0, config, gradient_evaluations,
+                                       energy_noise=energy_noise)
+        for res, x in zip(results, x0):
+            ox, energy, evaluations, iterations, stop = bfgs_row(
+                lambda v: float(f_batch(v[None])[0]), lambda v: grad_batch(v[None])[0], x,
+                config.max_iter or 200, config.tol_ev, gradient_evaluations, energy_noise)
+            assert res.x.tobytes() == ox.tobytes()
+            assert (res.energy, res.evaluations, res.iterations, res.stop) == \
+                (energy, evaluations, iterations, stop)
+            assert res.converged == (stop != "max_iter")
+        return results
+
+    @pytest.mark.parametrize("label, k_index", [("L", 0), ("G", 1)])
+    def test_exact_three_qubit_first_level(self, label, k_index):
+        # Level 1 of `bands --mode 8band --kpath L,G:1 --seed 1` at this
+        # k-point: the operator full_spectrum minimises first, and the
+        # restarts the CLI's seed fan-out draws for it.
+        H = build_full_hamiltonian(SI, KPoint.high_symmetry(label))
+        work = shift_identity(decompose(H), gershgorin_upper_bound(H) + 1.0)
+        seed = spawn_seed(spawn_seed(1, cli._STREAM_OPT, k_index), vqe._STREAM_LEVEL, 0)
+        config = _with_defaults(OptimizerConfig(seed=seed), THREE_QUBIT, EXACT)
+        x0 = np.array([THREE_QUBIT.random_parameters(spawn_rng(seed, vqe._STREAM_RESTART, r))
+                       for r in range(config.restarts)])
+        _, f_batch = EXACT.make_objective(work, THREE_QUBIT)
+        grad, cost = EXACT.make_gradient(work, THREE_QUBIT)
+        results = self.assert_rows_match(f_batch, grad, x0, config, cost)
+        assert all(r.converged for r in results)
+
+    def test_rosenbrock_18_parameters_in_3_rows(self):
+        x0 = np.random.default_rng(18).uniform(-2, 2, size=(3, 18))
+        results = self.assert_rows_match(rosen, rosen_grad, x0, OptimizerConfig())
+        assert sum(r.iterations for r in results) > 100
+
+    def test_noisy_quadratic_with_noise_rules(self):
+        sigma = 1e-2
+
+        def f_batch(X):
+            return 0.5 * np.sum(X**2, axis=1) + _row_noise(X, sigma, 0)
+
+        def grad_batch(X):
+            return X + _row_noise(X, sigma / np.sqrt(2), 1, X.shape[1:])
+
+        x0 = np.random.default_rng(3).uniform(-2, 2, size=(4, 3))
+        results = self.assert_rows_match(f_batch, grad_batch, x0, OptimizerConfig(), 6,
+                                         energy_noise=sigma)
+        assert {r.stop for r in results} <= {"noise", "precision"}
+
+
 class TestGradients:
     @pytest.mark.parametrize("ansatz, n_layers", [(MEAN_FIELD, 1), (THREE_QUBIT, 3)],
                              ids=["mean-field", "three-qubit"])
@@ -403,13 +470,14 @@ class TestMinimize:
         assert defaults(THREE_QUBIT, EXACT, "bfgs") == (2, 1000)
         assert defaults(THREE_QUBIT, EXACT, "cobyla") == (20, None)
         assert defaults(THREE_QUBIT, shots, "bfgs") == (20, None)
+        assert defaults(MEAN_FIELD, EXACT, "bfgs") == (2, None)
+        assert defaults(MEAN_FIELD, shots, "bfgs") == (3, None)
         for backend in (EXACT, shots):
-            for method in ("bfgs", "cobyla"):
-                assert defaults(MEAN_FIELD, backend, method) == (3, None)
+            assert defaults(MEAN_FIELD, backend, "cobyla") == (3, None)
         explicit = OptimizerConfig(restarts=5, max_iter=7)
         assert _with_defaults(explicit, THREE_QUBIT, EXACT) == explicit
         res = minimize(decompose(build_s_block(SI, GAMMA)), MEAN_FIELD, EXACT)
-        assert len(res.restarts) == 3
+        assert len(res.restarts) == 2
 
 
 class TestGridScan:
