@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .pauli import decompose, from_json_object, is_real, pauli_words, require_hermitian
+from .pauli import SpectralDecomposition, decompose, from_json_object, is_real, pauli_words
 from .qsim import ansatz_for
 from .sampler import IllPosedMitigationError, ReadoutNoiseModel, estimate_transition_rates
 from .seeding import spawn_rng, spawn_seed
@@ -49,6 +49,13 @@ _MAX_COUNT = 2**63 - 1
 # record and CSV row on the 8-band model, budgeted at 4 KiB.
 _MAX_SCAN_NODES = 2**30 // 512  # 2**21
 _MAX_KPATH_POINTS = 2**30 // 4096  # 2**18
+# Decomposing an n-qubit `--matrix` peaks at 2·16**n·16 B (tracemalloc at n = 3-5),
+# 512 MiB at 6 qubits; `rates --noise` holds the 2**n x 2**n confusion product,
+# 1.25·4**n·8 B (n = 8-10), 640 MiB at 13 qubits, and a sample about 1.2 KB of
+# CSV row there, budgeted at 2 KiB.
+_MAX_MATRIX_DIM = 2**6
+_MAX_RATES_QUBITS = 13
+_MAX_RATES_SAMPLES = 2**30 // 2048  # 2**19
 
 
 def _header(args: argparse.Namespace) -> dict:
@@ -325,10 +332,9 @@ def _json_rows(matrix) -> list[list]:
 
 
 def _read_matrix(path: str) -> np.ndarray:
-    """Square matrix of power-of-two dimension from JSON
-    ({'matrix': [[[re, im], ...], ...]}, read as every config file is, or the
-    bare nested list) or CSV rows of interleaved re,im values, finite and
-    Hermitian within ``pauli.HERM_TOL``."""
+    """Square matrix from JSON ({'matrix': [[[re, im], ...], ...]}, read as
+    every config file is, or the bare nested list) or CSV rows of
+    interleaved re,im values, of dimension at most ``_MAX_MATRIX_DIM``."""
     if path.endswith(".json"):
         data = _load_json(path)
         rows = (from_json_object(_json_rows, data) if isinstance(data, dict)
@@ -347,16 +353,13 @@ def _read_matrix(path: str) -> np.ndarray:
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"expected a square matrix, got {len(rows)} rows of "
                          f"lengths {sorted({len(row) for row in rows})}")
-    dim = len(rows)
-    if dim & (dim - 1):
-        raise ValueError(f"matrix dimension {dim} is not a power of two")
-    matrix = np.array(rows, dtype=complex)
-    require_hermitian(matrix)
-    return matrix
+    if len(rows) > _MAX_MATRIX_DIM:
+        raise ValueError(f"matrix dimension {len(rows)} exceeds the cap of {_MAX_MATRIX_DIM}")
+    return np.array(rows, dtype=complex)
 
 
 def run_decompose(args: argparse.Namespace, out_dir: Path) -> int:
-    dec = decompose(args.matrix.matrix)
+    dec = args.matrix.decomposition
     rows = [
         [word, dec.coeffs[word]]
         for word in pauli_words(dec.n_qubits)
@@ -406,14 +409,14 @@ def _as_written(parse):
 
 class _MatrixFile(str):
     """A `--matrix` path as written (the header records it), carrying the
-    matrix read from it."""
+    decomposition of the matrix read from it."""
 
-    matrix: np.ndarray
+    decomposition: SpectralDecomposition
 
 
 def _matrix_file(path: str) -> _MatrixFile:
     file = _MatrixFile(path)
-    file.matrix = _read_matrix(path)
+    file.decomposition = decompose(_read_matrix(path))
     return file
 
 
@@ -473,8 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=_arg(_load_json), help="readout-noise JSON file")
     p.add_argument("--trials", type=_at_least(1), default=100_000,
                    help="preparations per state per estimate")
-    p.add_argument("--samples", type=_at_least(1), default=50, help="series length")
-    p.add_argument("--qubits", type=_at_least(1), default=1)
+    p.add_argument("--samples", type=_at_least(1, _MAX_RATES_SAMPLES), default=50,
+                   help="series length")
+    p.add_argument("--qubits", type=_at_least(1, _MAX_RATES_QUBITS), default=1)
     _add_common(p)
 
     p = sub.add_parser("decompose", help="Pauli coefficient table of a matrix")

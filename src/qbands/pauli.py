@@ -148,15 +148,17 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition c_w = Tr(H† σ_w) / 2**n of a Hermitian matrix.
 
     Raises ValueError if the matrix is not square with dimension a power of
-    two, or is not Hermitian within HERM_TOL (real coefficients cannot
-    represent an anti-Hermitian part).  Coefficients with magnitude below
-    COEFF_PRUNE_TOL are omitted.
+    two and at least 2 (one qubit), or is not Hermitian within HERM_TOL
+    (real coefficients cannot represent an anti-Hermitian part).
+    Coefficients with magnitude below COEFF_PRUNE_TOL are omitted.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    require_hermitian(H)
     dim = H.shape[0]
+    if dim < 2:
+        raise ValueError(f"matrix dimension {dim} acts on no qubit; at least one is needed")
+    require_hermitian(H)
     n = dim.bit_length() - 1
     if dim != 2**n:
         raise ValueError(f"matrix dimension {dim} is not a power of two")
@@ -170,19 +172,15 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(n, _prune(coeffs))
 
 
-@lru_cache(maxsize=8)
-def _word_index(n_qubits: int) -> dict[str, int]:
-    return {w: i for i, w in enumerate(pauli_words(n_qubits))}
+def _coefficient_vector(decomp: SpectralDecomposition) -> np.ndarray:
+    """(4**n,) coefficients in pauli_words order, absent words zero."""
+    return np.array([decomp.coeffs.get(w, 0.0) for w in pauli_words(decomp.n_qubits)])
 
 
 def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
     """Dense matrix sum(c_w σ_w); inverse of decompose up to pruning."""
-    n = decomp.n_qubits
-    index = _word_index(n)
-    weights = np.zeros(4**n)
-    for word, c in decomp.coeffs.items():
-        weights[index[word]] = c
-    return np.tensordot(weights, word_matrix_stack(n), axes=1)
+    return np.tensordot(_coefficient_vector(decomp), word_matrix_stack(decomp.n_qubits),
+                        axes=1)
 
 
 def shift_identity(decomp: SpectralDecomposition, s: float) -> SpectralDecomposition:
@@ -200,38 +198,29 @@ def shift_identity(decomp: SpectralDecomposition, s: float) -> SpectralDecomposi
 def deflate(
     decomp: SpectralDecomposition,
     eps0: float,
-    expectations: Mapping[str, float],
+    expectations: np.ndarray,
 ) -> SpectralDecomposition:
     """Remove a found eigenstate: c_w -> c_w - eps0 * <σ_w> / 2**n.
 
-    ``expectations`` holds the Pauli expectations of the state that achieved
-    energy ``eps0``; the update realises H' = H - eps0 |ψ><ψ| so that the
-    found eigenvalue moves to zero.  All 4**n expectations are required for
-    an exact update.  A word with a nonzero coefficient and no expectation
-    raises ValueError; a missing identity expectation defaults to 1 (exact
-    for any normalised state) and any other missing word is assumed to have
-    zero expectation.
+    ``expectations`` is the (4**n,) array of the Pauli expectations, in
+    pauli_words order, of the state that achieved energy ``eps0``; the
+    update realises H' = H - eps0 |ψ><ψ| so that the found eigenvalue moves
+    to zero.  Raises ValueError for another shape, or for a value that is
+    not finite or exceeds 1 in magnitude (beyond 1e-9 of round-off).  The
+    result holds its words in pauli_words order.
     """
-    if eps0 == 0.0:
-        return SpectralDecomposition(decomp.n_qubits, dict(decomp.coeffs))
     n = decomp.n_qubits
-    dim = 2**n
-    ident = decomp.identity_word
-    coeffs = {}
-    for word in pauli_words(n):
-        c = decomp.coeffs.get(word, 0.0)
-        if word in expectations:
-            ev = float(expectations[word])
-        elif word == ident:
-            ev = 1.0
-        elif c != 0.0:
-            raise ValueError(f"missing expectation for word {word!r} with c={c}")
-        else:
-            ev = 0.0
-        if abs(ev) > 1.0 + 1e-9:
-            raise ValueError(f"expectation for {word!r} out of range: {ev}")
-        coeffs[word] = c - eps0 * ev / dim
-    return SpectralDecomposition(n, _prune(coeffs))
+    words = pauli_words(n)
+    ev = np.asarray(expectations)
+    if ev.shape != (len(words),):
+        raise ValueError(f"expected the {len(words)} expectations of {n}-qubit words "
+                         f"in pauli_words order, got shape {ev.shape}")
+    bad = ~(np.abs(ev) <= 1.0 + 1e-9)  # NaN compares False
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"expectation for {words[i]!r} out of range: {ev[i]}")
+    coeffs = _coefficient_vector(decomp) - eps0 * ev / 2**n
+    return SpectralDecomposition(n, _prune(dict(zip(words, coeffs.tolist()))))
 
 
 def gershgorin_upper_bound(H: np.ndarray) -> float:

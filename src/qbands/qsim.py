@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import pauli_words, word_matrix_stack
+from .pauli import word_matrix_stack
 
 
 def _ry_matrix(t: float) -> np.ndarray:
@@ -325,9 +325,8 @@ def ansatz_for(n_qubits: int) -> Ansatz:
 # Analytic expectation values
 
 
-def exact_pauli_expectations(state: np.ndarray) -> dict[str, float]:
-    """All 4**n word expectations <ψ|σ_w|ψ> of a statevector."""
-    n = num_qubits(state)
-    stack = word_matrix_stack(n)
-    vals = np.real(np.einsum("i,wij,j->w", state.conj(), stack, state))
-    return {w: float(v) for w, v in zip(pauli_words(n), vals)}
+def exact_pauli_expectations(state: np.ndarray) -> np.ndarray:
+    """All 4**n word expectations <ψ|σ_w|ψ> of a statevector, as a (4**n,)
+    array in pauli_words order."""
+    stack = word_matrix_stack(num_qubits(state))
+    return np.real(np.einsum("i,wij,j->w", state.conj(), stack, state))

@@ -34,23 +34,14 @@ from . import qsim
 from .pauli import is_real
 
 
-def _as_rates(value, n_qubits: int, name: str) -> tuple[float, ...]:
-    rates = (value,) * n_qubits if np.isscalar(value) else tuple(value)
-    if len(rates) != n_qubits:
-        raise ValueError(f"{name} needs {n_qubits} per-qubit entries")
-    for r in rates:
-        if not (is_real(r) and 0.0 <= r <= 1.0):
-            raise ValueError(f"{name} rate {r!r} is not a real number in [0, 1]")
-    return tuple(float(r) for r in rates)
-
-
 class IllPosedMitigationError(ValueError):
     """Mitigation under a rate model with w01 + w10 >= 1 on a measured qubit."""
 
 
 @dataclass(frozen=True)
 class ReadoutNoiseModel:
-    """Per-qubit readout flip rates, with optional drift on w10."""
+    """Per-qubit readout flip rates, with optional drift on w10: equally many
+    of each, for at least one qubit, every rate a real number in [0, 1]."""
 
     w01: tuple[float, ...]
     w10: tuple[float, ...]
@@ -58,6 +49,14 @@ class ReadoutNoiseModel:
     drift_period: float | None = None
 
     def __post_init__(self):
+        for name in ("w01", "w10"):
+            rates = tuple(getattr(self, name))
+            for r in rates:
+                if not (is_real(r) and 0.0 <= r <= 1.0):
+                    raise ValueError(f"{name} rate {r!r} is not a real number in [0, 1]")
+            object.__setattr__(self, name, tuple(float(r) for r in rates))
+        if not self.w01:
+            raise ValueError("need rates for at least one qubit")
         if len(self.w01) != len(self.w10):
             raise ValueError("w01 and w10 must have the same length")
         amplitude, period = self.drift_amplitude, self.drift_period
@@ -76,12 +75,10 @@ class ReadoutNoiseModel:
                 drift_amplitude: float = 0.0,
                 drift_period: float | None = None) -> "ReadoutNoiseModel":
         """Rates from scalars (every qubit) or per-qubit lists; a noise file's keys."""
-        return cls(
-            _as_rates(w01, n_qubits, "w01"),
-            _as_rates(w10, n_qubits, "w10"),
-            drift_amplitude,
-            drift_period,
-        )
+        w01, w10 = ((v,) * n_qubits if np.isscalar(v) else tuple(v) for v in (w01, w10))
+        if not len(w01) == len(w10) == n_qubits:
+            raise ValueError(f"w01 and w10 need {n_qubits} per-qubit entries each")
+        return cls(w01, w10, drift_amplitude, drift_period)
 
     def at(self, trial: int) -> "ReadoutNoiseModel":
         """The drift-free law in force at a trial: w10 moved by the drift and
@@ -286,7 +283,8 @@ def estimate_transition_rates(noise: ReadoutNoiseModel | None, n_qubits: int, tr
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dim = 2**n_qubits
-    basis = np.eye(dim)[[0, -1]]  # |0...0>, |1...1>
+    basis = np.zeros((2, dim))
+    basis[0, 0] = basis[1, -1] = 1.0  # |0...0>, |1...1>
     bits = (np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q
     ones_read = sample(basis[None], trials, noise, lambda b: rng)[0] @ bits / trials
     return ReadoutNoiseModel(tuple(float(v) for v in ones_read[0]),

@@ -389,7 +389,8 @@ class ExactBackend:
         """An exact energy carries no noise."""
         return 0.0
 
-    def pauli_expectations(self, state: np.ndarray) -> dict[str, float]:
+    def pauli_expectations(self, state: np.ndarray) -> np.ndarray:
+        """Every word's expectation at ``state``, (4**n,) in pauli_words order."""
         return qsim.exact_pauli_expectations(state)
 
 
@@ -505,11 +506,10 @@ class ShotsBackend:
         _, f_batch = self.make_objective(decomp, ansatz)
         return _parameter_shift(f_batch, ansatz.n_params), 2 * ansatz.n_params
 
-    def pauli_expectations(self, state: np.ndarray) -> dict[str, float]:
+    def pauli_expectations(self, state: np.ndarray) -> np.ndarray:
+        """One evaluation's estimates of every word, (4**n,) in pauli_words order."""
         n_qubits = qsim.num_qubits(state)
-        words = pauli_words(n_qubits)
-        measured = self._measure_words(words, state[None], n_qubits)[0]
-        return dict(zip(words, measured.tolist()))
+        return self._measure_words(pauli_words(n_qubits), state[None], n_qubits)[0]
 
 
 Backend = ExactBackend | ShotsBackend

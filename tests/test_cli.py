@@ -163,6 +163,9 @@ class TestBadInput:
         # One grid node and one k-point above the size caps (see TestSizeCaps).
         (["scan", "--theta-steps", "9", "--phi-steps", "233017"], "--theta-steps"),
         (["bands", "--kpath", "X,G:262144"], "--kpath"),
+        # One qubit and one sample above the `rates` caps (see TestSizeCaps).
+        (["rates", "--qubits", "14"], "--qubits"),
+        (["rates", "--samples", str(2**19 + 1)], "--samples"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -284,6 +287,34 @@ class TestSizeCaps:
         parser = qbands.cli.build_parser()
         args = parser.parse_args(["scan", "--theta-steps", "512", "--phi-steps", "4096"])
         qbands.cli._check_across_flags(parser, args)  # 2**21 nodes: no exit
+
+    def test_rates_and_matrix_caps_fit_the_budget(self):
+        # Peaks measured by tracemalloc (README): 1.25·4**n·8 B for the rates
+        # confusion product, 2·16**n·16 B for decomposing an n-qubit matrix.
+        n = qbands.cli._MAX_RATES_QUBITS
+        assert n == 13 and 1.25 * 4**n * 8 <= 2**30 < 1.25 * 4 ** (n + 1) * 8
+        assert qbands.cli._MAX_RATES_SAMPLES == 2**19
+        assert qbands.cli._MAX_MATRIX_DIM == 2**6 and 2 * 16**6 * 16 <= 2**30 < 2 * 16**7 * 16
+
+    def test_rates_at_the_caps_parse(self):
+        args = qbands.cli.build_parser().parse_args(
+            ["rates", "--qubits", "13", "--samples", str(2**19)])
+        assert (args.qubits, args.samples) == (13, 2**19)
+
+    def test_matrix_above_the_cap_is_refused_before_decomposing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def refuse(n_qubits):
+            raise AssertionError(f"word_matrix_stack({n_qubits}) built for a capped matrix")
+
+        monkeypatch.setattr(qbands.pauli, "word_matrix_stack", refuse)
+        mat_file = tmp_path / "m.json"
+        mat_file.write_text(json.dumps(np.eye(128).tolist()))  # 7 qubits, cap + 1
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--matrix", str(mat_file), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--matrix" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestHeader:
     @pytest.mark.parametrize("argv, out_file, expected", [
@@ -648,6 +679,20 @@ class TestDecompose:
         main(["decompose", "--matrix", str(mat_file), "--out", str(tmp_path)])
         _, _, rows = read_csv(tmp_path / "decompose.csv")
         assert {r[0]: float(r[1]) for r in rows} == {"Z": 1.0}
+
+    @pytest.mark.parametrize("content, name", [
+        ('{"matrix": [[1.0]]}', "m.json"), ("[[[1.0, 0.0]]]", "m.json"), ("1.0,0.0\n", "m.csv"),
+    ], ids=["object", "bare-list", "csv"])
+    def test_matrix_on_no_qubit_is_refused(self, content, name, tmp_path, capsys):
+        mat_file = tmp_path / name
+        mat_file.write_text(content)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--matrix", str(mat_file), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--matrix" in err and "matrix dimension 1 acts on no qubit" in err
+        assert not out.exists()
 
     def test_csv_matrix_input(self, tmp_path):
         mat_file = tmp_path / "m.csv"

@@ -15,7 +15,7 @@ from qbands.pauli import (
     word_matrix_stack,
 )
 
-from conftest import kron_word, rand_hermitian
+from conftest import kron_word, rand_hermitian, rand_state
 
 
 class TestWords:
@@ -112,6 +112,11 @@ class TestDecompose:
         with pytest.raises(ValueError, match="square"):
             decompose(np.ones((2, 4)))
 
+    def test_rejects_a_matrix_on_no_qubit(self):
+        for H in (np.ones((1, 1)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="at least one is needed"):
+                decompose(H)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -197,28 +202,29 @@ class TestGershgorin:
         assert gershgorin_upper_bound(np.diag([2.0, -1.0])) == 2.0
 
 
+def _oracle_expectations(state, n):
+    """<ψ|σ_w|ψ> of every word in pauli_words order, from the test-local
+    matrices."""
+    return np.array([np.vdot(state, kron_word(w) @ state).real for w in pauli_words(n)])
+
+
 class TestDeflate:
     def test_hand_worked_single_qubit(self):
-        # H' = Z - (-1)|1><1| = diag(1, 0)
+        # H' = Z - (-1)|1><1| = diag(1, 0); |1> has <I, X, Y, Z> = (1, 0, 0, -1).
         d = SpectralDecomposition(1, {"Z": 1.0})
-        out = deflate(d, -1.0, {"I": 1.0, "Z": -1.0})
-        assert out.coeffs == {"I": 0.5, "Z": 0.5}
+        out = deflate(d, -1.0, np.array([1.0, 0.0, 0.0, -1.0]))
+        assert list(out.coeffs.items()) == [("I", 0.5), ("Z", 0.5)]
         assert np.array_equal(reconstruct(out), np.diag([1.0 + 0j, 0.0]))
 
     def test_zero_weight_is_identity(self, rng):
         d = decompose(rand_hermitian(rng, 4))
-        assert deflate(d, 0.0, {}).coeffs == d.coeffs
+        assert deflate(d, 0.0, _oracle_expectations(rand_state(rng, 4), 2)).coeffs == d.coeffs
 
     def test_exact_pair_moves_eigenvalue_to_zero(self, rng):
         H = rand_hermitian(rng, 4, scale=2.0)
         H -= (gershgorin_upper_bound(H) + 1.0) * np.eye(4)
         evals, evecs = np.linalg.eigh(H)
-        ground = evecs[:, 0]
-        expectations = {
-            w: float(np.real(ground.conj() @ kron_word(w) @ ground))
-            for w in pauli_words(2)
-        }
-        deflated = deflate(decompose(H), evals[0], expectations)
+        deflated = deflate(decompose(H), evals[0], _oracle_expectations(evecs[:, 0], 2))
         spectrum = np.linalg.eigvalsh(reconstruct(deflated))
         expected = np.sort(np.concatenate([[0.0], evals[1:]]))
         assert np.max(np.abs(spectrum - expected)) < 1e-10
@@ -229,22 +235,21 @@ class TestDeflate:
         evals, evecs = np.linalg.eigh(H)
         work = decompose(H)
         for level in range(3):
-            vec = evecs[:, level]
-            exps = {
-                w: float(np.real(vec.conj() @ kron_word(w) @ vec))
-                for w in pauli_words(3)
-            }
-            work = deflate(work, evals[level], exps)
+            work = deflate(work, evals[level], _oracle_expectations(evecs[:, level], 3))
         spectrum = np.linalg.eigvalsh(reconstruct(work))
         expected = np.sort(np.concatenate([[0.0] * 3, evals[3:]]))
         assert np.max(np.abs(spectrum - expected)) < 1e-10
 
-    def test_missing_expectation_for_active_word(self):
+    def test_rejects_expectations_of_wrong_shape(self):
+        # A dict, a missing word, a stack of one row, another qubit count.
         d = SpectralDecomposition(1, {"Z": 1.0})
-        with pytest.raises(ValueError, match="missing expectation"):
-            deflate(d, -1.0, {"I": 1.0})
+        for expectations in ({"I": 1.0, "Z": -1.0}, np.array([1.0, 0.0, 0.0]),
+                             np.array([[1.0, 0.0, 0.0, -1.0]]), np.ones(16)):
+            with pytest.raises(ValueError, match="expected the 4 expectations"):
+                deflate(d, -1.0, expectations)
 
     def test_rejects_out_of_range_expectation(self):
         d = SpectralDecomposition(1, {"Z": 1.0})
-        with pytest.raises(ValueError, match="out of range"):
-            deflate(d, -1.0, {"I": 1.0, "Z": -1.5})
+        for bad in (-1.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="expectation for 'Z' out of range"):
+                deflate(d, -1.0, np.array([1.0, 0.0, 0.0, bad]))

@@ -279,28 +279,29 @@ class TestExactExpectation:
 class TestPauliExpectations:
     def test_vacuum_state(self):
         exps = exact_pauli_expectations(zero_state(3))
-        for word, val in exps.items():
+        assert exps.shape == (64,)
+        for word, val in zip(pauli_words(3), exps):
             if set(word) <= {"I", "Z"}:
                 assert val == pytest.approx(1.0)
             else:
                 assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_plus_state(self):
-        exps = exact_pauli_expectations(PLUS)
-        assert exps["I"] == pytest.approx(1.0)
-        assert exps["X"] == pytest.approx(1.0)
-        assert exps["Y"] == pytest.approx(0.0, abs=1e-15)
-        assert exps["Z"] == pytest.approx(0.0, abs=1e-15)
+        i, x, y, z = exact_pauli_expectations(PLUS)  # pauli_words(1) order
+        assert i == pytest.approx(1.0)
+        assert x == pytest.approx(1.0)
+        assert y == pytest.approx(0.0, abs=1e-15)
+        assert z == pytest.approx(0.0, abs=1e-15)
 
     def test_density_matrix_roundtrip(self, rng):
         state = rand_state(rng, 8)
         exps = exact_pauli_expectations(state)
-        rho = sum(exps[w] * kron_word(w) for w in pauli_words(3)) / 8
+        rho = sum(e * kron_word(w) for w, e in zip(pauli_words(3), exps)) / 8
         assert np.max(np.abs(rho - np.outer(state, state.conj()))) < 1e-10
 
     def test_values_in_unit_interval(self, rng):
         exps = exact_pauli_expectations(rand_state(rng, 4))
-        assert all(-1 - 1e-12 <= v <= 1 + 1e-12 for v in exps.values())
+        assert exps.shape == (16,) and np.all(np.abs(exps) <= 1 + 1e-12)
 
 
 def test_cached_register_maps_are_read_only():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ def _noisy_law(true_value, n, w01, w10):
     return law
 
 
+def _exact(state, word):
+    """<ψ|σ_word|ψ> from `exact_pauli_expectations`, read at the word's
+    position in pauli_words order."""
+    return qsim.exact_pauli_expectations(state)[pauli_words(len(word)).index(word)]
+
+
 class TestBasisChange:
     def test_z_needs_nothing(self):
         change = basis_change(("Z",))
@@ -66,7 +73,7 @@ class TestBasisChange:
         assert np.allclose(change.unitary[0], HADAMARD, atol=1e-15)
         # <X> of |+> measured as a Z expectation after the rotation
         rotated = change.unitary[0] @ PLUS
-        assert qsim.exact_pauli_expectations(rotated)["Z"] == pytest.approx(1.0)
+        assert _exact(rotated, "Z") == pytest.approx(1.0)
 
     def test_y_gate_product_is_hsz(self):
         change = basis_change(("Y",))
@@ -76,7 +83,7 @@ class TestBasisChange:
         assert np.allclose(U.conj().T @ SIGMA["Z"] @ U, SIGMA["Y"], atol=1e-12)
         # The +1 eigenstate of Y lands on <Z> = +1
         y_plus = np.array([1, 1j]) / np.sqrt(2)
-        assert qsim.exact_pauli_expectations(U @ y_plus)["Z"] == pytest.approx(1.0)
+        assert _exact(U @ y_plus, "Z") == pytest.approx(1.0)
 
     def test_identity_letters_need_nothing(self):
         assert np.array_equal(basis_change(("IZI",)).unitary, [np.eye(8)])
@@ -192,7 +199,7 @@ class TestExpectationFromCounts:
         for n in (2, 3):
             state = rand_state(rng, 2**n)
             for word in ("Z" * n, "ZI" + "Z" * (n - 2)):
-                exact = qsim.exact_pauli_expectations(state)[word]
+                exact = _exact(state, word)
                 counts = sample(state[None, None], 1_000_000, None, seeded(11))[0]
                 est = expectation_from_counts(counts, (word,))[0]
                 sigma = np.sqrt(max(1 - exact**2, 1e-12) / 1_000_000)
@@ -207,8 +214,8 @@ class TestSampledExpectation:
         M = 100_000
         for i, word in enumerate(pauli_words(n)):
             est = sampled_expectation(state[None], (word,), M, None, seeded(100 + i))[0, 0]
-            sigma = np.sqrt(max(1 - exact[word] ** 2, 1e-12) / M)
-            assert abs(est - exact[word]) <= 4 * sigma + 1e-12
+            sigma = np.sqrt(max(1 - exact[i] ** 2, 1e-12) / M)
+            assert abs(est - exact[i]) <= 4 * sigma + 1e-12
 
     def test_identity_needs_no_shots(self):
         assert sampled_expectation(zero_state(2)[None], ("II",), 10, None,
@@ -489,6 +496,34 @@ class TestTransitionRates:
                                       drift_period=period)
 
 
+class TestNoiseModelRates:
+    @pytest.mark.parametrize("w01, w10, message", [
+        ((1.5,), (0.0,), "w01 rate 1.5"),
+        ((0.0,), (-0.1,), "w10 rate -0.1"),
+        ((float("nan"),), (0.0,), "w01 rate nan"),
+        ((0.0,), (float("inf"),), "w10 rate inf"),
+        ((True,), (0.0,), "w01 rate True"),
+        ((0.0,), ("0.1",), "w10 rate '0.1'"),
+        ((), (), "at least one qubit"),
+        ((0.1, 0.2), (0.1,), "same length"),
+    ])
+    def test_rejected_at_construction(self, w01, w10, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReadoutNoiseModel(w01, w10)
+
+    def test_rates_are_kept_as_float_tuples(self):
+        model = ReadoutNoiseModel([0, 1], np.array([0.5, 0.25]))
+        assert model.w01 == (0.0, 1.0) and model.w10 == (0.5, 0.25)
+        assert all(type(r) is float for r in model.w01 + model.w10)
+
+    def test_uniform_broadcasts_scalars_only_to_its_qubit_count(self):
+        assert ReadoutNoiseModel.uniform(3, 0.1, (0.0, 0.1, 0.2)).w01 == (0.1,) * 3
+        with pytest.raises(ValueError, match="w01 and w10 need 3 per-qubit entries each"):
+            ReadoutNoiseModel.uniform(3, 0.1, (0.0, 0.1))
+        with pytest.raises(ValueError, match="at least one qubit"):
+            ReadoutNoiseModel.uniform(0)
+
+
 class TestReadoutLaw:
     def test_without_drift_is_its_own_law(self):
         model = ReadoutNoiseModel((0.02, 0.1), (0.05, 0.0))
@@ -546,7 +581,7 @@ class TestMitigation:
         # Sample a known state through readout flips, then undo the bias.
         model = ReadoutNoiseModel.uniform(1, 0.1, 0.1)
         state = qsim.MEAN_FIELD.prepare(np.array([1.1, 0.0]))
-        z_true = qsim.exact_pauli_expectations(state)["Z"]
+        z_true = _exact(state, "Z")
         counts = sample(state[None, None], 200_000, model, seeded(6))[0]
         raw = expectation_from_counts(counts, ("Z",))[0]
         sigma = np.sqrt(1.0 / 200_000)
@@ -627,7 +662,7 @@ class TestMitigation:
     def test_unbiased_per_qubit_with_asymmetric_rates(self, word, qubit, rng):
         model = ReadoutNoiseModel(W01, W10)
         state = rand_state(rng, 4)
-        exact = qsim.exact_pauli_expectations(state)[word]
+        exact = _exact(state, word)
         M = 200_000
         counts = sample(state[None, None], M, model, seeded(31))[0]
         sigma = np.sqrt(1.0 / M) / (1 - (W01[qubit - 1] + W10[qubit - 1]))
@@ -641,7 +676,7 @@ class TestMitigation:
             w01, w10 = rng.uniform(0.0, 0.2, 2)
             model = ReadoutNoiseModel.uniform(1, w01, w10)
             state = rand_state(rng, 2)
-            z = qsim.exact_pauli_expectations(state)["Z"]
+            z = _exact(state, "Z")
             counts = sample(state[None, None], M, model, seeded(300 + trial))[0]
             corrected = mitigate_counts(counts, model, ("Z",))[0]
             sigma = np.sqrt(1.0 / M) / (1 - (w01 + w10))

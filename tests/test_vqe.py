@@ -7,6 +7,7 @@ from qbands.pauli import (
     decompose,
     deflate,
     gershgorin_upper_bound,
+    pauli_words,
     reconstruct,
     shift_identity,
 )
@@ -34,7 +35,8 @@ from qbands.vqe import (
     optimize_quasinewton,
 )
 
-from conftest import bfgs_row, layered_state, pauli_sum_expectation, rand_hermitian, rand_state
+from conftest import (bfgs_row, kron_word, layered_state, pauli_sum_expectation,
+                      rand_hermitian, rand_state)
 
 SI = TBParameters.default_silicon()
 GAMMA = KPoint((0.0, 0.0, 0.0))
@@ -61,6 +63,41 @@ def _deflated_full_hamiltonian(params, k):
     deflated = build_full_hamiltonian(params, k) - 5.0 * np.outer(psi, psi.conj())
     assert len(decompose(deflated).coeffs) == 64
     return deflated
+
+
+class TestWordOrder:
+    """Coefficients and expectations pair up by position, so every array
+    holds its words in pauli_words order.  Each word gets its own value,
+    checked against the test-local Pauli matrices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_array_is_in_pauli_words_order(self, n, rng):
+        words = pauli_words(n)
+        values = np.arange(1.0, 4**n + 1) / 4**n  # distinct, one per word
+        H = sum(c * kron_word(w) for w, c in zip(words, values))
+        dec = decompose(H)
+        assert list(dec.coeffs) == list(words)
+        assert np.allclose(list(dec.coeffs.values()), values, atol=1e-14, rtol=0)
+        # The coefficient dict's own order does not matter.
+        scrambled = SpectralDecomposition(n, dict(reversed(list(zip(words, values)))))
+        assert np.allclose(reconstruct(scrambled), H, atol=1e-14)
+
+        state = rand_state(rng, 2**n)
+        oracle = np.array([np.vdot(state, kron_word(w) @ state).real for w in words])
+        assert np.allclose(EXACT.pauli_expectations(state), oracle, atol=1e-14)
+
+        shots = 1_000_000
+        sampled = ShotsBackend(shots=shots, seed=n).pauli_expectations(state)
+        sigma = np.sqrt(np.maximum(1 - oracle**2, 1e-12) / shots)
+        assert sampled.shape == (4**n,)
+        assert np.all(np.abs(sampled - oracle) <= 5 * sigma + 1e-12)
+
+        eps0 = -2.5
+        deflated = deflate(scrambled, eps0, oracle)
+        assert list(deflated.coeffs) == list(words)
+        assert list(deflated.coeffs.values()) == (values - eps0 * oracle / 2**n).tolist()
+        rho = np.outer(state, state.conj())
+        assert np.allclose(reconstruct(deflated), H - eps0 * rho, atol=1e-13)
 
 
 class TestOptimizerConfig:
