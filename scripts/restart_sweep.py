@@ -132,7 +132,7 @@ def cli_set(argv: list[str], seeds: list[int], restarts: int, points: int | None
         args.params = TBParameters.default_silicon()
         args.optimizer = OptimizerConfig(restarts=restarts)
         noise = cli._noise_model(args, cli._MODE_QUBITS[args.mode])
-        path = make_kpath(*cli.parse_kpath(args.kpath))
+        path = make_kpath(*args.kpath.value)
         for i, kp in enumerate(path.points[:points]):
             with contextlib.redirect_stderr(io.StringIO()):
                 r = cli._solve_kpoint((args, noise, i, kp.components, float(path.coords[i])))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .pauli import SpectralDecomposition, decompose, from_json_object, is_real, pauli_words
+from .pauli import decompose, from_json_object, is_real, pauli_words
 from .qsim import ansatz_for
 from .sampler import IllPosedMitigationError, ReadoutNoiseModel, estimate_transition_rates
 from .seeding import spawn_rng, spawn_seed
@@ -56,6 +56,13 @@ _MAX_KPATH_POINTS = 2**30 // 4096  # 2**18
 _MAX_MATRIX_DIM = 2**6
 _MAX_RATES_QUBITS = 13
 _MAX_RATES_SAMPLES = 2**30 // 2048  # 2**19
+# A pool forks every worker up front.  A worker of an 8-band run peaks at
+# 32.0-32.5 MiB RSS (ru_maxrss and smaps, 2-worker pool), 7.6 MiB of it
+# private and the rest shared with the parent, budgeted at 32 MiB.
+_MAX_WORKERS = 2**30 // 2**25  # 32
+# The largest legal input, a 64x64 `--matrix` of [re, im] pairs, is 177 KB
+# as json.dumps writes it and 416 KB at indent=4.
+_MAX_INPUT_BYTES = 2**20
 
 
 def _header(args: argparse.Namespace) -> dict:
@@ -101,9 +108,18 @@ def parse_kpath(spec: str) -> tuple[list[KPoint], int]:
     return anchors, points_per_segment
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _read_input(path: str) -> bytes:
+    """An input file's bytes; a file above ``_MAX_INPUT_BYTES`` is refused
+    after reading one byte past the cap."""
+    with open(path, "rb") as fh:
+        data = fh.read(_MAX_INPUT_BYTES + 1)
+    if len(data) > _MAX_INPUT_BYTES:
+        raise ValueError(f"file exceeds the cap of {_MAX_INPUT_BYTES} bytes")
+    return data
+
+
+def _load_json(path: str):
+    return json.loads(_read_input(path))
 
 
 def _fmt(value) -> str:
@@ -187,8 +203,7 @@ def _solve_kpoint(job: tuple) -> dict:
 
 
 def run_bands(args: argparse.Namespace, out_dir: Path) -> int:
-    anchors, pps = parse_kpath(args.kpath)
-    path = make_kpath(anchors, pps)
+    path = make_kpath(*args.kpath.value)
     noise = _noise_model(args, _MODE_QUBITS[args.mode])
     jobs = [
         (args, noise, i, kp.components, float(path.coords[i]))
@@ -266,7 +281,7 @@ def _band_summary(records: list[dict], n_bands: int) -> dict:
 
 
 def run_scan(args: argparse.Namespace, out_dir: Path) -> int:
-    H = build_s_block(args.params, parse_kpoint(args.kpoint))
+    H = build_s_block(args.params, args.kpoint.value)
     dec = decompose(H)
     backend = _make_backend(args, _noise_model(args, 1), 0)
     scan = grid_scan(
@@ -341,15 +356,22 @@ def _read_matrix(path: str) -> np.ndarray:
                 else _json_rows(data))
     else:
         rows = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                vals = [float(v) for v in line.split(",")]
-                if len(vals) % 2:
-                    raise ValueError("CSV matrix rows must hold re,im pairs")
-                rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
+        for line in _read_input(path).decode().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            # Refused before a row past the cap is parsed.
+            if len(rows) == _MAX_MATRIX_DIM:
+                raise ValueError(f"more than {_MAX_MATRIX_DIM} rows exceed the cap of "
+                                 f"{_MAX_MATRIX_DIM}")
+            vals = line.split(",")
+            if len(vals) > 2 * _MAX_MATRIX_DIM:
+                raise ValueError(f"a row of {len(vals)} values exceeds the cap of "
+                                 f"{2 * _MAX_MATRIX_DIM} ({_MAX_MATRIX_DIM} re,im pairs)")
+            vals = [float(v) for v in vals]
+            if len(vals) % 2:
+                raise ValueError("CSV matrix rows must hold re,im pairs")
+            rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError(f"expected a square matrix, got {len(rows)} rows of "
                          f"lengths {sorted({len(row) for row in rows})}")
@@ -359,7 +381,7 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def run_decompose(args: argparse.Namespace, out_dir: Path) -> int:
-    dec = args.matrix.decomposition
+    dec = args.matrix.value
     rows = [
         [word, dec.coeffs[word]]
         for word in pauli_words(dec.n_qubits)
@@ -397,31 +419,27 @@ def _at_least(least: int, most: int | None = _MAX_COUNT):
     return _arg(parse)
 
 
+class _Written(str):
+    """A flag's text as written, which the header records, carrying
+    ``value``, what the flag's parser made of it."""
+
+    value: object
+
+
 def _as_written(parse):
-    """``parse`` as a check only: the flag keeps its text, which the header
-    records."""
-    def check(text: str) -> str:
-        parse(text)
-        return text
+    """The ``type`` of a flag whose text the header records: a `_Written`
+    with ``parse(text)`` as its value, so the text is parsed once."""
+    def read(text: str) -> _Written:
+        written = _Written(text)
+        written.value = parse(text)
+        return written
 
-    return _arg(check)
-
-
-class _MatrixFile(str):
-    """A `--matrix` path as written (the header records it), carrying the
-    decomposition of the matrix read from it."""
-
-    decomposition: SpectralDecomposition
+    return _arg(read)
 
 
-def _matrix_file(path: str) -> _MatrixFile:
-    file = _MatrixFile(path)
-    file.decomposition = decompose(_read_matrix(path))
-    return file
-
-
-def _read_optimizer(path: str) -> OptimizerConfig:
-    return OptimizerConfig.from_dict(_load_json(path))
+def _config_file(make):
+    """The ``type`` of a JSON config flag: ``make`` called on the file's object."""
+    return _arg(lambda path: from_json_object(make, _load_json(path)))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -431,7 +449,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--params", type=_arg(TBParameters.from_json),
+    p.add_argument("--params", type=_config_file(TBParameters),
                    help="TB parameter JSON (default: bundled silicon)")
     p.add_argument("--backend", choices=["exact", "shots"], default="exact")
     p.add_argument("--shots", type=_at_least(1), default=8192,
@@ -439,8 +457,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", type=_arg(_load_json), help="readout-noise JSON file")
     p.add_argument("--mitigate", action="store_true",
                    help="apply readout-error mitigation")
-    p.add_argument("--optimizer", type=_arg(_read_optimizer), default=OptimizerConfig(),
-                   help="optimizer config JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,10 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="band energies along a k-path")
     _add_model_args(p)
+    p.add_argument("--optimizer", type=_config_file(OptimizerConfig), default=OptimizerConfig(),
+                   help="optimizer config JSON")
     p.add_argument("--kpath", type=_as_written(parse_kpath), default="X,G,L:20",
                    help="anchors and points per segment, e.g. 'X,G,L:20'")
     p.add_argument("--mode", choices=["2band", "8band"], default="2band")
-    p.add_argument("--workers", type=_at_least(1), default=1,
+    p.add_argument("--workers", type=_at_least(1, _MAX_WORKERS), default=1,
                    help="k-point worker pool size")
     _add_common(p)
 
@@ -482,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("decompose", help="Pauli coefficient table of a matrix")
-    p.add_argument("--matrix", type=_arg(_matrix_file), required=True,
-                   help="Hermitian matrix JSON or CSV")
+    p.add_argument("--matrix", type=_as_written(lambda path: decompose(_read_matrix(path))),
+                   required=True, help="Hermitian matrix JSON or CSV")
     _add_common(p)
     return parser
 

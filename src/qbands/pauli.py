@@ -75,9 +75,6 @@ class SpectralDecomposition:
     def identity_word(self) -> str:
         return "I" * self.n_qubits
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense reconstruction, built on first use and then shared

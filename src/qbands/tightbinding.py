@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass, fields
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -67,14 +66,10 @@ class TBParameters:
             raise ValueError("lattice_constant must be positive")
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "TBParameters":
-        with open(path) as fh:
-            return from_json_object(cls, json.load(fh))
-
-    @classmethod
     def default_silicon(cls) -> "TBParameters":
         """Reference silicon values shipped with the package (data/silicon.json)."""
-        return cls.from_json(resources.files("qbands.data").joinpath("silicon.json"))
+        text = resources.files("qbands.data").joinpath("silicon.json").read_text()
+        return from_json_object(cls, json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,6 @@ class KPoint:
     """Reciprocal-space point, components in units of 2π/a."""
 
     components: tuple[float, float, float]
-    label: str | None = None
 
     def __post_init__(self):
         comps = tuple(float(c) for c in self.components)
@@ -98,7 +92,7 @@ class KPoint:
         key = {"GAMMA": "G", "Γ": "G"}.get(label.upper(), label.upper())
         if key not in HIGH_SYMMETRY_POINTS:
             raise ValueError(f"unknown high-symmetry label {label!r}")
-        return cls(HIGH_SYMMETRY_POINTS[key], label=key)
+        return cls(HIGH_SYMMETRY_POINTS[key])
 
 
 @dataclass(frozen=True)
@@ -106,16 +100,11 @@ class KPath:
     """Sampled path through reciprocal space.
 
     ``coords`` is the cumulative Euclidean path length (units of 2π/a),
-    starting at zero and non-decreasing.  ``segment_starts`` holds the index
-    of each anchor within ``points``.
+    starting at zero and non-decreasing.
     """
 
     points: tuple[KPoint, ...]
     coords: np.ndarray
-    segment_starts: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def make_kpath(anchors: list[KPoint], points_per_segment: int) -> KPath:
@@ -129,20 +118,16 @@ def make_kpath(anchors: list[KPoint], points_per_segment: int) -> KPath:
     if points_per_segment < 1:
         raise ValueError("points_per_segment must be >= 1")
     points = [anchors[0]]
-    starts = [0]
     for a, b in zip(anchors[:-1], anchors[1:]):
         va, vb = a.as_array(), b.as_array()
         for j in range(1, points_per_segment + 1):
             frac = j / points_per_segment
-            comps = tuple((1 - frac) * va + frac * vb)
-            label = b.label if j == points_per_segment else None
-            points.append(KPoint(comps, label=label))
-        starts.append(len(points) - 1)
+            points.append(KPoint(tuple((1 - frac) * va + frac * vb)))
     coords = np.zeros(len(points))
     for i in range(1, len(points)):
         step = np.linalg.norm(points[i].as_array() - points[i - 1].as_array())
         coords[i] = coords[i - 1] + step
-    return KPath(tuple(points), coords, tuple(starts))
+    return KPath(tuple(points), coords)
 
 
 def structure_factors(k: KPoint) -> np.ndarray:

@@ -11,7 +11,7 @@ driving.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from . import qsim, sampler
 from .pauli import (
     SpectralDecomposition,
     deflate,
-    from_json_object,
     gershgorin_upper_bound,
     is_int,
     is_real,
@@ -53,7 +52,6 @@ class ZeroCaptureError(RuntimeError):
             "closer to the deflated zero than to any remaining eigenvalue"
         )
         self.level, self.result, self.found = level, result, found
-        self.energies_found = [lv.energy + found.shift for lv in found.levels]
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,6 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.seed is not None and not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OptimizerConfig":
-        return from_json_object(cls, data)
 
 
 # Why a restart stopped: BFGS's gradient and noise tests, a line search
@@ -174,8 +168,8 @@ def optimize_quasinewton(
     gtol = float(max(tol, 2 * energy_noise / np.sqrt(2)))
     floor = energy_noise / 4
 
-    def gradient_stop(gmax):  # index into STOPS; "max_iter" while above gtol
-        return 0 if gmax <= tol else 1 if gmax <= gtol else 3
+    def gradient_stop(gmax):  # "max_iter" while above gtol
+        return "gradient" if gmax <= tol else "noise" if gmax <= gtol else "max_iter"
 
     why = [gradient_stop(v) for v in np.max(np.abs(G), axis=1).tolist()]
     nit, lost, halvings = [0] * R, [0] * R, [0] * R
@@ -185,7 +179,7 @@ def optimize_quasinewton(
     # one trial per round, so after k rounds row i has made k - lost[i]
     # iterations (lost: failed searches).  A row writes its end state back
     # to X, F, nit and why when it stops.
-    a = [r for r in range(R) if why[r] == 3]
+    a = [r for r in range(R) if why[r] == "max_iter"]
     x, g, f = X[a], G[a], [F[r] for r in a]
     Hinv = np.tile(eye, (len(a), 1, 1))
     identity = [True] * len(a)
@@ -211,7 +205,7 @@ def optimize_quasinewton(
         f_new = np.asarray(objective_batch(trial), dtype=float).tolist()
         accepted = [fn <= fr + _ARMIJO_C1 * st * sl
                     for fn, fr, st, sl in zip(f_new, f, step, slope)]
-        ends = {}  # position: index into STOPS, for the rows that stop this round
+        ends = {}  # position: stop, for the rows that stop this round
         moved, sel = range(n), slice(None)  # every row, without a gather
         if False in accepted:  # backtrack the rows whose first trial failed
             back = [r for r in range(n) if not accepted[r]]
@@ -239,7 +233,7 @@ def optimize_quasinewton(
                     f_new[r] = f[r]
                     lost[a[r]] += 1
                     if identity[r]:
-                        ends[r] = 2  # precision loss
+                        ends[r] = "precision"
                     identity[r] = True
                 moved = sel = [r for r in range(n) if accepted[r]]
         x, f = trial, f_new
@@ -285,7 +279,7 @@ def optimize_quasinewton(
     # Evaluations: the start, one per round and halving, a gradient per iteration.
     nfev = [(1 + gradient_evaluations) * (1 + i) + lost[r] + halvings[r]
             for r, i in enumerate(nit)]
-    return [OptimizeResult(X[r].copy(), F[r], nfev[r], nit[r], why[r] != 3, STOPS[why[r]])
+    return [OptimizeResult(X[r].copy(), F[r], nfev[r], nit[r], why[r] != "max_iter", why[r])
             for r in range(R)]
 
 
@@ -641,16 +635,19 @@ def grid_scan(
 class SpectrumResult:
     """Eigenvalue estimates from iterative deflation.
 
-    ``energies`` is ascending with the identity shift removed; ``levels``
-    and ``residuals`` are in the order found.  The residual of a level is
-    the eigenpair defect ||(H_level - ε)ψ|| of its converged state against
-    the (shifted, deflated) operator it minimised.
+    ``levels`` and ``residuals`` are in the order found.  The residual of a
+    level is the eigenpair defect ||(H_level - ε)ψ|| of its converged state
+    against the (shifted, deflated) operator it minimised.
     """
 
-    energies: np.ndarray
     levels: tuple[VQEResult, ...]
     residuals: tuple[float, ...]
     shift: float
+
+    @property
+    def energies(self) -> np.ndarray:
+        """The levels' energies, ascending, with the identity shift removed."""
+        return np.sort([lv.energy + self.shift for lv in self.levels])
 
     def sorted_levels(self):
         """(energy, VQEResult, residual) triples in ascending energy order."""
@@ -702,12 +699,10 @@ def full_spectrum(
                           restarts=res.restarts + retry.restarts)
         if res.energy > -ZERO_CAPTURE_TOL:
             raise ZeroCaptureError(level, res, SpectrumResult(
-                np.sort([r.energy + shift for r in results]), tuple(results),
-                tuple(residuals), float(shift)))
+                tuple(results), tuple(residuals), float(shift)))
         psi = ansatz.prepare(res.theta)
         residuals.append(float(np.linalg.norm(work.matrix @ psi - res.energy * psi)))
         results.append(res)
         if level + 1 < levels:
             work = deflate(work, res.energy, backend.pauli_expectations(psi))
-    energies = np.sort([r.energy + shift for r in results])
-    return SpectrumResult(energies, tuple(results), tuple(residuals), float(shift))
+    return SpectrumResult(tuple(results), tuple(residuals), float(shift))

@@ -70,6 +70,28 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_kpoint("0.1/0.2")
 
+    @pytest.mark.parametrize("argv, calls", [
+        (["bands", "--kpath", "X,G:1"], {"parse_kpath": 1, "parse_kpoint": 2}),
+        (["bands"], {"parse_kpath": 1, "parse_kpoint": 3}),  # the default X,G,L:20
+        (["scan", "--kpoint", "L", "--theta-steps", "2", "--phi-steps", "2"],
+         {"parse_kpoint": 1}),
+        (["decompose", "--matrix", "m.json"], {"_read_matrix": 1}),
+    ], ids=["bands", "bands-default-kpath", "scan", "decompose"])
+    def test_each_flag_is_parsed_once(self, argv, calls, tmp_path, monkeypatch):
+        # A flag's text is parsed while arguments are parsed, and the run
+        # reads the parsed value (one k-point parse per k-path anchor).
+        (tmp_path / "m.json").write_text('{"matrix": [[1, 0], [0, -1]]}')
+        counts = dict.fromkeys(("parse_kpath", "parse_kpoint", "_read_matrix"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _f=getattr(qbands.cli, name)):
+                counts[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(qbands.cli, name, counted)
+        argv = [str(tmp_path / a) if a == "m.json" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert counts == {**dict.fromkeys(counts, 0), **calls}
+
 
 class File:
     """An input file argument, written to the test's tmp directory as
@@ -166,6 +188,10 @@ class TestBadInput:
         # One qubit and one sample above the `rates` caps (see TestSizeCaps).
         (["rates", "--qubits", "14"], "--qubits"),
         (["rates", "--samples", str(2**19 + 1)], "--samples"),
+        # One worker above the pool cap (see TestSizeCaps); no pool starts.
+        (["bands", "--workers", "33"], "--workers"),
+        # `scan` reads no optimiser settings, so it takes no `--optimizer`.
+        (["scan", "--optimizer", File("{}")], "--optimizer"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -300,6 +326,56 @@ class TestSizeCaps:
         args = qbands.cli.build_parser().parse_args(
             ["rates", "--qubits", "13", "--samples", str(2**19)])
         assert (args.qubits, args.samples) == (13, 2**19)
+
+    def test_workers_cap_fits_the_budget_and_parses(self):
+        # A worker peaks at about 32 MiB (README), so the pool stays within 1 GiB.
+        assert qbands.cli._MAX_WORKERS == 32 and 32 * 2**25 <= 2**30
+        assert qbands.cli.build_parser().parse_args(["bands", "--workers", "32"]).workers == 32
+
+    def test_largest_legal_input_fits_the_file_cap(self):
+        # A 64x64 matrix of [re, im] pairs, every value at full repr width.
+        entry = [-1.2345678901234567e-100, -1.2345678901234567e-100]
+        text = json.dumps({"matrix": [[entry] * 64] * 64}, indent=4)
+        assert len(text) < qbands.cli._MAX_INPUT_BYTES == 2**20
+
+    def test_json_file_above_the_cap_is_refused_unparsed(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cap = qbands.cli._MAX_INPUT_BYTES
+        at_cap, above = tmp_path / "at_cap.json", tmp_path / "above.json"
+        at_cap.write_text('{"w01": 0.05}'.ljust(cap))
+        above.write_text('{"w01": 0.05}'.ljust(cap + 1))
+        args = qbands.cli.build_parser().parse_args(["bands", "--noise", str(at_cap)])
+        assert args.noise == {"w01": 0.05}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file above the cap was parsed")
+
+        monkeypatch.setattr(json, "load", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bands", "--backend", "shots", "--noise", str(above), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--noise" in err and f"exceeds the cap of {cap} bytes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ([",".join(["1", "0"] * 64)] * 64 + ["x,y"] * 3, "more than 64 rows exceed the cap of 64"),
+        ([",".join(["1", "0"] * 64), ",".join(["x"] * 130)],
+         "a row of 130 values exceeds the cap of 128"),
+    ], ids=["65th-row", "long-row"])
+    def test_csv_rows_past_the_cap_are_not_parsed(self, rows, message, tmp_path, capsys):
+        # The rows past a cap are malformed, so parsing one would fail otherwise.
+        mat_file = tmp_path / "m.csv"
+        mat_file.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--matrix", str(mat_file), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--matrix" in err and message in err and "could not convert" not in err
+        assert not out.exists()
 
     def test_matrix_above_the_cap_is_refused_before_decomposing(self, tmp_path, capsys,
                                                                monkeypatch):

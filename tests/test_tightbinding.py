@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qbands.pauli import from_json_object
 from qbands.tightbinding import (
     KPoint,
     TBParameters,
@@ -16,9 +17,9 @@ from qbands.tightbinding import (
 from conftest import jacobi_eigenvalues, rand_hermitian
 
 SI = TBParameters.default_silicon()
-GAMMA = KPoint((0.0, 0.0, 0.0), "G")
-X = KPoint((1.0, 0.0, 0.0), "X")
-L = KPoint((0.5, 0.5, 0.5), "L")
+GAMMA = KPoint((0.0, 0.0, 0.0))
+X = KPoint((1.0, 0.0, 0.0))
+L = KPoint((0.5, 0.5, 0.5))
 
 # Primitive reciprocal lattice vectors of the FCC lattice, units of 2π/a.
 RECIPROCAL = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
@@ -56,14 +57,14 @@ class TestParameters:
             "lattice_constant": 5.0, "E_s": -1.0, "E_p": 6.0,
             "V_ss": -8.0, "V_sp": 5.0, "V_xx": 3.0, "V_xy": 7.0,
         }))
-        p = TBParameters.from_json(path)
+        p = from_json_object(TBParameters, json.loads(path.read_text()))
         assert p.E_s == -1.0 and p.V_xy == 7.0
 
     def test_from_json_missing_key(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"lattice_constant": 5.0}))
         with pytest.raises(ValueError, match="missing"):
-            TBParameters.from_json(path)
+            from_json_object(TBParameters, json.loads(path.read_text()))
 
     @pytest.mark.parametrize("field, value", [("E_s", True), ("E_p", "7.20"),
                                               ("lattice_constant", None)])
@@ -168,23 +169,24 @@ class TestSBlock:
 class TestKPath:
     def test_degenerate_segment(self):
         path = make_kpath([GAMMA, GAMMA], 5)
-        assert len(path) == 6
+        assert len(path.points) == 6
         assert np.allclose(path.coords, 0.0)
         for p in path.points:
             assert p.components == GAMMA.components
 
     def test_three_anchor_path(self):
         path = make_kpath([X, GAMMA, L], 20)
-        assert len(path) == 41
+        assert len(path.points) == 41
         assert np.all(np.diff(path.coords) > 0)
         assert path.coords[0] == 0.0
-        assert path.segment_starts == (0, 20, 40)
+        # Each anchor sits at the start of its segment.
+        assert [path.points[i] for i in (0, 20, 40)] == [X, GAMMA, L]
         # The second segment is sqrt(3)/2 long in units of 2π/a.
         assert path.coords[-1] == pytest.approx(1.0 + np.sqrt(3) / 2)
 
     def test_single_point_segments(self):
         path = make_kpath([GAMMA, X], 1)
-        assert len(path) == 2
+        assert len(path.points) == 2
         assert path.points[0].components == GAMMA.components
         assert path.points[1].components == X.components
 

@@ -6,6 +6,7 @@ from qbands.pauli import (
     SpectralDecomposition,
     decompose,
     deflate,
+    from_json_object,
     gershgorin_upper_bound,
     pauli_words,
     reconstruct,
@@ -136,7 +137,8 @@ class TestOptimizerConfig:
         assert cfg.max_iter == 5 and cfg.restarts == 2 and cfg.seed == 3
 
     def test_from_dict(self):
-        cfg = OptimizerConfig.from_dict(
+        cfg = from_json_object(
+            OptimizerConfig,
             {"method": "cobyla", "max_iter": 77, "tol_ev": 1e-6, "restarts": 4, "seed": 9}
         )
         assert cfg.method == "cobyla" and cfg.max_iter == 77 and cfg.seed == 9
@@ -147,10 +149,10 @@ class TestOptimizerConfig:
     ])
     def test_from_dict_names_unknown_keys(self, data, named):
         with pytest.raises(ValueError, match=named):
-            OptimizerConfig.from_dict(data)
+            from_json_object(OptimizerConfig, data)
 
     def test_from_dict_skips_comment_keys(self):
-        cfg = OptimizerConfig.from_dict({"_comment": "fast", "restarts": 2})
+        cfg = from_json_object(OptimizerConfig, {"_comment": "fast", "restarts": 2})
         assert cfg == OptimizerConfig(restarts=2)
 
 
@@ -645,7 +647,7 @@ class TestFullSpectrum:
             full_spectrum(dec, 2, MEAN_FIELD, EXACT, OptimizerConfig(seed=13),
                           shift=0.0)
         assert err.value.level == 1
-        assert err.value.energies_found == pytest.approx([-3.0], abs=1e-7)
+        assert err.value.found.energies == pytest.approx([-3.0], abs=1e-7)
 
     def test_level_count_validated(self):
         dec = decompose(np.diag([-1.0, -2.0]))
