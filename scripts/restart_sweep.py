@@ -128,10 +128,11 @@ def cli_set(argv: list[str], seeds: list[int], restarts: int, points: int | None
     tally = Tally()
     start = time.perf_counter()
     for seed in seeds:
-        args = cli.build_parser().parse_args(["bands", *argv, "--seed", str(seed)])
+        parser = cli.build_parser()
+        args = parser.parse_args(["bands", *argv, "--seed", str(seed)])
+        noise = cli._check_across_flags(parser, args)
         args.params = TBParameters.default_silicon()
         args.optimizer = OptimizerConfig(restarts=restarts)
-        noise = cli._noise_model(args, cli._MODE_QUBITS[args.mode])
         path = make_kpath(*args.kpath.value)
         for i, kp in enumerate(path.points[:points]):
             with contextlib.redirect_stderr(io.StringIO()):

@@ -32,9 +32,11 @@ from .sampler import (
     MeasurementBasisChange,
     ReadoutNoiseModel,
     basis_change,
+    confusion,
     estimate_transition_rates,
     expectation_from_counts,
     mitigate_counts,
+    parity_table,
     sample,
     sampled_expectation,
 )

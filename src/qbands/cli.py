@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .pauli import decompose, from_json_object, is_real, pauli_words
 from .qsim import ansatz_for
-from .sampler import IllPosedMitigationError, ReadoutNoiseModel, estimate_transition_rates
+from .sampler import (IllPosedMitigationError, ReadoutNoiseModel, confusion,
+                      estimate_transition_rates)
 from .seeding import spawn_rng, spawn_seed
 from .tightbinding import (
     KPoint,
@@ -138,13 +139,6 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _noise_model(args: argparse.Namespace, n_qubits: int) -> ReadoutNoiseModel | None:
-    """The `--noise` file's model on ``n_qubits`` qubits, or None."""
-    if args.noise is None:
-        return None
-    return from_json_object(ReadoutNoiseModel.uniform, args.noise, n_qubits)
-
-
 def _make_backend(args: argparse.Namespace, noise: ReadoutNoiseModel | None, k_index: int):
     if args.backend == "exact":
         return ExactBackend()
@@ -202,9 +196,8 @@ def _solve_kpoint(job: tuple) -> dict:
     }
 
 
-def run_bands(args: argparse.Namespace, out_dir: Path) -> int:
+def run_bands(args: argparse.Namespace, out_dir: Path, noise: ReadoutNoiseModel | None) -> int:
     path = make_kpath(*args.kpath.value)
-    noise = _noise_model(args, _MODE_QUBITS[args.mode])
     jobs = [
         (args, noise, i, kp.components, float(path.coords[i]))
         for i, kp in enumerate(path.points)
@@ -280,10 +273,10 @@ def _band_summary(records: list[dict], n_bands: int) -> dict:
             "stops": {name: stops[name] for name in STOPS}}
 
 
-def run_scan(args: argparse.Namespace, out_dir: Path) -> int:
+def run_scan(args: argparse.Namespace, out_dir: Path, noise: ReadoutNoiseModel | None) -> int:
     H = build_s_block(args.params, args.kpoint.value)
     dec = decompose(H)
-    backend = _make_backend(args, _noise_model(args, 1), 0)
+    backend = _make_backend(args, noise, 0)
     scan = grid_scan(
         dec,
         theta_steps=args.theta_steps,
@@ -310,19 +303,20 @@ def run_scan(args: argparse.Namespace, out_dir: Path) -> int:
     return 0
 
 
-def run_rates(args: argparse.Namespace, out_dir: Path) -> int:
+def run_rates(args: argparse.Namespace, out_dir: Path, noise: ReadoutNoiseModel | None) -> int:
     n_qubits = args.qubits
-    noise = _noise_model(args, n_qubits)
     columns = ["sample_index"]
     columns += [f"w01_q{q}" for q in range(1, n_qubits + 1)]
     columns += [f"w10_q{q}" for q in range(1, n_qubits + 1)]
     rows = []
+    # One confusion product at a time (512 MiB at 13 qubits); a static one once.
+    drifts = noise is not None and bool(noise.drift_amplitude)
+    static = None if noise is None or drifts else confusion(noise.laws([0]))
     for t in range(args.samples):
-        est = estimate_transition_rates(
-            None if noise is None else noise.at(t), n_qubits, args.trials,
-            spawn_rng(args.seed, _STREAM_RATES_DEMO, t),
-        )
-        rows.append([t, *est.w01, *est.w10])
+        [(w01, w10)] = estimate_transition_rates(
+            confusion(noise.laws([t])) if drifts else static, n_qubits, args.trials,
+            lambda b: spawn_rng(args.seed, _STREAM_RATES_DEMO, t))
+        rows.append([t, *w01, *w10])
     out = out_dir / "rates.csv"
     _write_csv(out, _header(args), columns, rows)
     print(f"wrote {out}")
@@ -506,39 +500,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_across_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+def _check_across_flags(parser: argparse.ArgumentParser,
+                        args: argparse.Namespace) -> ReadoutNoiseModel | None:
     """The checks across flags: the scan grid size, and the noise file
-    against the qubit count and `--mitigate` (exit 2, before any work)."""
+    against the qubit count and `--mitigate` (exit 2, before any work);
+    returns the checked `--noise` model."""
     if args.command == "scan" and args.theta_steps * args.phi_steps > _MAX_SCAN_NODES:
         parser.error(f"--theta-steps x --phi-steps: {args.theta_steps * args.phi_steps} "
                      f"grid nodes exceed the cap of {_MAX_SCAN_NODES}")
     if args.noise is None:
-        return
+        return None
     n_qubits = args.qubits if args.command == "rates" else _MODE_QUBITS[args.mode]
     try:
-        noise = _noise_model(args, n_qubits)
+        noise = from_json_object(ReadoutNoiseModel.uniform, args.noise, n_qubits)
     except ValueError as exc:
         parser.error(f"--noise: {exc} ({n_qubits} qubits)")
     if args.mitigate and noise.ill_posed.any():
         parser.error("--mitigate is ill-posed: w01 + w10 >= 1 on some qubit "
                      "(w10 at its drift peak)")
+    return noise
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_across_flags(parser, args)
+    # Kept out of ``args``: every key there lands in the output header.
+    noise = _check_across_flags(parser, args)
     if args.command in ("bands", "scan") and args.params is None:
         args.params = TBParameters.default_silicon()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runners = {
-        "bands": run_bands,
-        "scan": run_scan,
-        "rates": run_rates,
-        "decompose": run_decompose,
-    }
-    return runners[args.command](args, out_dir)
+    if args.command == "decompose":
+        return run_decompose(args, out_dir)
+    runners = {"bands": run_bands, "scan": run_scan, "rates": run_rates}
+    return runners[args.command](args, out_dir, noise)
 
 
 if __name__ == "__main__":

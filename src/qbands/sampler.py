@@ -7,9 +7,10 @@ bitstring value, with qubit 1 as the least significant bit.
 Readout noise is modelled as independent classical bit flips at measurement
 time, with per-qubit rates w01 (|0> read as |1>) and w10 (|1> read as |0>).
 An optional sinusoidal drift modulates w10 as a function of a trial counter,
-never of wall-clock time, so runs stay reproducible.  `ReadoutNoiseModel.at`
-gives the drift-free law in force at a trial; everything below it measures
-and corrects under such a law.
+never of wall-clock time, so runs stay reproducible.  Laws are plain data:
+(L, 2, n) stacks of [w01, w10] per qubit, which `confusion` and
+`parity_table` turn into the (L, 2**n, 2**n) stacks that `sample` and
+`mitigate_counts` read, one law for every row or one per row.
 
 Every function takes stacks of one shape.  `sample` draws a (B, M, 2**n)
 stack of states, M per row, into (B, M, 2**n) counts.  `sampled_expectation`
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qsim
 from .pauli import is_real
 
 
@@ -66,10 +66,6 @@ class ReadoutNoiseModel:
             raise ValueError("drift_amplitude requires a finite real drift_period > 0, "
                              f"got {period!r}")
 
-    @property
-    def n_qubits(self) -> int:
-        return len(self.w01)
-
     @classmethod
     def uniform(cls, n_qubits: int, w01: float = 0.0, w10: float = 0.0,
                 drift_amplitude: float = 0.0,
@@ -80,14 +76,15 @@ class ReadoutNoiseModel:
             raise ValueError(f"w01 and w10 need {n_qubits} per-qubit entries each")
         return cls(w01, w10, drift_amplitude, drift_period)
 
-    def at(self, trial: int) -> "ReadoutNoiseModel":
-        """The drift-free law in force at a trial: w10 moved by the drift and
-        clipped to [0, 1].  A model without drift is its own law."""
+    def laws(self, trials) -> np.ndarray:
+        """The (T, 2, n) laws in force at an array of T trials: w10 moved by
+        the drift A·sin(2πt/P) and clipped to [0, 1].  A model without drift
+        has one law, (1, 2, n), whatever the trials."""
         if not self.drift_amplitude:
-            return self
-        mod = self.drift_amplitude * np.sin(2 * np.pi * trial / self.drift_period)
-        w10 = np.clip(np.array(self.w10) + mod, 0.0, 1.0)
-        return ReadoutNoiseModel(self.w01, tuple(float(v) for v in w10))
+            return np.array([[self.w01, self.w10]])
+        mod = self.drift_amplitude * np.sin(2 * np.pi * np.asarray(trials) / self.drift_period)
+        w10 = np.clip(np.array(self.w10) + mod[:, None], 0.0, 1.0)
+        return np.stack([np.broadcast_to(self.w01, w10.shape), w10], axis=1)
 
     @functools.cached_property
     def ill_posed(self) -> np.ndarray:
@@ -95,15 +92,6 @@ class ReadoutNoiseModel:
         w10 at its drift peak.  Computed once; read-only."""
         w10_peak = np.minimum(np.array(self.w10) + abs(self.drift_amplitude), 1.0)
         return _read_only(np.array(self.w01) + w10_peak >= 1.0)
-
-    @functools.cached_property
-    def confusion(self) -> np.ndarray:
-        """The 2**n x 2**n map from true to read outcome probabilities of the
-        trial-0 law: the Kronecker product of the per-qubit confusion matrices
-        [[1-w01, w10], [w01, 1-w10]], leftmost factor on the highest qubit.
-        Computed once; read-only."""
-        return _read_only(_kron([np.array([[1 - a, b], [a, 1 - b]])
-                                 for a, b in zip(self.w01[::-1], self.w10[::-1])]))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -120,11 +108,35 @@ _LETTER_BASIS = {"I": ("I", _I2), "Z": ("Z", _I2), "X": ("Z", _H),
                  "Y": ("Z", _H @ np.diag([1, -1j]))}
 
 
-def _kron(factors: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of per-qubit factors, the first on the highest qubit."""
-    if not factors:
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """(L, 2**n, 2**n): the Kronecker products of an (L, n, 2, 2) stack of
+    per-qubit factors, the first on the highest qubit, as by `np.kron`."""
+    if not factors.shape[1]:
         raise ValueError("need at least one qubit")
-    return functools.reduce(np.kron, factors)
+    product = factors[:, 0]
+    for factor in factors.transpose(1, 0, 2, 3)[1:]:
+        product = (product[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(
+            len(product), 2 * product.shape[-1], -1)
+    return product
+
+
+def confusion(laws: np.ndarray) -> np.ndarray:
+    """(L, 2**n, 2**n) maps from true to read outcome probabilities of L laws:
+    the Kronecker products of per-qubit [[1-w01, w10], [w01, 1-w10]]."""
+    w01, w10 = laws[:, 0, ::-1], laws[:, 1, ::-1]
+    return _kron(np.stack([np.stack([1 - w01, w10], -1), np.stack([w01, 1 - w10], -1)], -2))
+
+
+def parity_table(laws: np.ndarray) -> np.ndarray:
+    """(L, 2**n, 2**n) parity weights of L rate laws: row r, dotted with the
+    counts over the shots, estimates the all-I/Z word with Z on r's set bits.
+    Per law, the Kronecker product of per-qubit [[1, 1], [z(0), z(1)]],
+    z(bit) = ((-1)^bit - p⁻) / (1 - p⁺), p± = w10 ± w01, NaN where
+    w01 + w10 >= 1 (ill-posed); zero rates give the plain parities ±1."""
+    w01, w10 = laws[:, 0, ::-1, None], laws[:, 1, ::-1, None]
+    p_plus = w10 + w01
+    z = (_PARITY - (w10 - w01)) / np.where(p_plus >= 1.0, np.nan, 1.0 - p_plus)
+    return _kron(np.stack([np.ones_like(z), z], -2))
 
 
 def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -145,18 +157,6 @@ class MeasurementBasisChange:
     unitary: np.ndarray
 
 
-@functools.lru_cache(maxsize=256)
-def _word_change(word: str) -> tuple[str, np.ndarray]:
-    """(all-I/Z word, rotation) of one Pauli word: the Kronecker product of
-    one fixed 2x2 matrix per letter, leftmost letter on the highest qubit; a
-    Hadamard for X, H·S·Z for Y, the identity for I and Z."""
-    for letter in word:
-        if letter not in _LETTER_BASIS:
-            raise ValueError(f"bad Pauli letter {letter!r} in {word!r}")
-    return ("".join(_LETTER_BASIS[letter][0] for letter in word),
-            _kron([_LETTER_BASIS[letter][1] for letter in word]))
-
-
 def _word_tuple(words: tuple[str, ...]) -> tuple[str, ...]:
     """``words``, refused when it is one word rather than a tuple of them."""
     if isinstance(words, str):
@@ -167,14 +167,21 @@ def _word_tuple(words: tuple[str, ...]) -> tuple[str, ...]:
 @functools.lru_cache(maxsize=256)
 def basis_change(words: tuple[str, ...]) -> MeasurementBasisChange:
     """The stacked pre-measurement rotations of a tuple of Pauli words (one
-    operator's measured words).  Built once per tuple and shared, so the
-    unitary is read-only."""
-    changes = [_word_change(word) for word in _word_tuple(words)]
-    return MeasurementBasisChange(tuple(d for d, _ in changes),
-                                  _read_only(np.array([u for _, u in changes])))
+    operator's measured words): per word, the Kronecker product of one fixed
+    2x2 matrix per letter, leftmost letter on the highest qubit; a Hadamard
+    for X, H·S·Z for Y, the identity for I and Z.  Built once per tuple and
+    shared, so the unitary is read-only."""
+    for word in _word_tuple(words):
+        for letter in word:
+            if letter not in _LETTER_BASIS:
+                raise ValueError(f"bad Pauli letter {letter!r} in {word!r}")
+    return MeasurementBasisChange(
+        tuple("".join(_LETTER_BASIS[letter][0] for letter in word) for word in words),
+        _read_only(_kron(np.array([[_LETTER_BASIS[letter][1] for letter in word]
+                                   for word in words]))))
 
 
-def sample(states: np.ndarray, shots: int, noise: ReadoutNoiseModel | None,
+def sample(states: np.ndarray, shots: int, confusion: np.ndarray | None,
            stream: Callable[[int], np.random.Generator]) -> np.ndarray:
     """Counts of ``shots`` measurements of every state of a (B, M, 2**n)
     stack (M states per row, such as one operator's word rotations), as a
@@ -182,9 +189,9 @@ def sample(states: np.ndarray, shots: int, noise: ReadoutNoiseModel | None,
     the generator ``stream(b)``; deterministic for fixed streams.
 
     Readout flips are independent per shot and qubit, so the noisy outcome
-    law is |amplitude|^2 under ``noise.confusion``; one multinomial draw per
-    state over it gives the counts.  A drifting ``noise`` acts as its
-    trial-0 law.
+    law is |amplitude|^2 under a `confusion` stack of one law for every row
+    or one per row (None: no noise); one multinomial draw per state over it
+    gives the counts.
 
     numpy's multinomial draws each outcome through a binomial, which takes
     another branch once a probability crosses 1/2 in its last bit: a change
@@ -197,10 +204,10 @@ def sample(states: np.ndarray, shots: int, noise: ReadoutNoiseModel | None,
     if states.ndim != 3:
         raise ValueError(f"expected a (B, M, 2**n) stack of states, got shape {states.shape}")
     probs = np.abs(states) ** 2
-    if noise is not None:
-        if noise.n_qubits != qsim.num_qubits(probs[0, 0]):
+    if confusion is not None:
+        if confusion.shape[-1] != probs.shape[-1]:
             raise ValueError("noise model qubit count mismatch")
-        probs = _rowwise(noise.confusion, probs)
+        probs = _rowwise(confusion[:, None], probs)
     probs = probs / probs.sum(axis=-1, keepdims=True)
     counts = np.empty(probs.shape, dtype=np.int64)
     for b, (laws, row) in enumerate(zip(probs, counts)):
@@ -210,16 +217,11 @@ def sample(states: np.ndarray, shots: int, noise: ReadoutNoiseModel | None,
     return counts
 
 
-@functools.lru_cache(maxsize=256)
-def _parity_weights(words: tuple[str, ...], model: ReadoutNoiseModel | None) -> np.ndarray:
-    """(M, 2**n) weights of M all-I/Z words: a word's estimate is its row's
-    dot with the counts over the shots.  A row is the Kronecker product over
-    the word, leftmost letter on the highest qubit, of [1, 1] for I and, for
-    Z, the corrected parity ((-1)^bit - p⁻) / (1 - p⁺), p± = w10 ± w01 of its
-    qubit under ``model.at(0)``; without a model p± = 0, the plain parity ±1.
-    Built once per model and word tuple, where the trial-0 law's
-    ``ill_posed`` is checked; read-only."""
-    if not words:
+def _word_weights(words: tuple[str, ...], table: np.ndarray | None) -> np.ndarray:
+    """M all-I/Z words' rows of a parity table (None: the plain parities),
+    (M, 2**n) for one law and (L, M, 2**n) for L.  A word on a qubit whose
+    correction is ill-posed raises `IllPosedMitigationError`."""
+    if not _word_tuple(words):
         raise ValueError("need at least one word")
     n = len(words[0])
     for word in words:
@@ -228,32 +230,39 @@ def _parity_weights(words: tuple[str, ...], model: ReadoutNoiseModel | None) -> 
         for letter in word:
             if letter not in "IZ":
                 raise ValueError(f"word {word!r} contains non-diagonal letter {letter!r}")
-    # Column j is the word's j-th letter, on qubit n - j: rates reversed.
-    is_z = np.array([[letter == "Z" for letter in word] for word in words])
-    if model is None:
-        w01 = w10 = np.zeros(n)
-    else:
-        if model.n_qubits != n:
-            raise ValueError("noise model qubit count mismatch")
-        law = model.at(0)
-        if (is_z & law.ill_posed[::-1]).any():
-            raise IllPosedMitigationError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
-        w01, w10 = np.array(law.w01[::-1]), np.array(law.w10[::-1])
-    z_factors = (_PARITY - (w10 - w01)[:, None]) / (1.0 - (w10 + w01))[:, None]
-    factors = np.where(is_z[..., None], z_factors, 1.0)  # (M, n, 2)
-    # The Kronecker product of vectors is their flattened outer product.
-    weights = factors[:, 0]
-    for j in range(1, n):
-        weights = (weights[:, :, None] * factors[:, j, None, :]).reshape(len(words), -1)
-    return _read_only(weights)
+    if table is None:
+        table = parity_table(np.zeros((1, 2, n)))
+    elif table.shape[-1] != 2**n:
+        raise ValueError("noise model qubit count mismatch")
+    weights = table[:, [int(word.replace("I", "0").replace("Z", "1"), 2) for word in words]]
+    if np.isnan(weights).any():
+        raise IllPosedMitigationError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
+    return weights[0] if len(weights) == 1 else weights
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_weights(words: tuple[str, ...], table: tuple[bytes, tuple] | None) -> np.ndarray:
+    """`_word_weights` of the plain parities or of a read-only table given
+    as (bytes, shape), built once per word tuple and table; read-only."""
+    if table is not None:
+        table = np.frombuffer(table[0]).reshape(table[1])
+    return _read_only(_word_weights(words, table))
+
+
+def _parity_weights(words: tuple[str, ...], table: np.ndarray | None) -> np.ndarray:
+    """`_word_weights`, shared for the plain parities and a read-only table
+    (a static law's) and built per call for one law per row."""
+    if table is not None and table.flags.writeable:
+        return _word_weights(words, table)
+    return _shared_weights(words, None if table is None else (table.tobytes(), table.shape))
 
 
 def _parity_estimates(counts: np.ndarray, words: tuple[str, ...],
-                      model: ReadoutNoiseModel | None) -> np.ndarray:
+                      table: np.ndarray | None) -> np.ndarray:
     """(..., M) estimates of M words from (..., M, 2**n) counts, one count
     row per word: the stacked dot of each count row with its word's
     weights, over its shots."""
-    weights = _parity_weights(_word_tuple(words), model)
+    weights = _parity_weights(words, table)
     counts = np.asarray(counts)
     if counts.shape[-1] != weights.shape[-1]:
         raise ValueError("word length does not match counts")
@@ -271,50 +280,48 @@ def expectation_from_counts(counts: np.ndarray, words: tuple[str, ...]) -> np.nd
     return _parity_estimates(counts, words, None)
 
 
-def estimate_transition_rates(noise: ReadoutNoiseModel | None, n_qubits: int, trials: int,
-                              rng: np.random.Generator) -> ReadoutNoiseModel:
-    """Empirical flip rates from repeated readout of prepared |0> and |1>.
-
-    Reads the all-zeros state ``trials`` times and counts per-qubit ones
-    (giving w01), then the all-ones state (giving w10): one `sample` row of
-    the two states, both drawn from ``rng`` in that order."""
+def estimate_transition_rates(confusion: np.ndarray | None, n_qubits: int, trials: int,
+                              stream: Callable[[int], np.random.Generator]) -> np.ndarray:
+    """(L, 2, n) laws estimated under each of L confusion matrices (None: one
+    noiseless estimate).  Estimate l reads |0...0> ``trials`` times and counts
+    per-qubit ones (giving w01), then |1...1> (giving w10): one `sample` row
+    of the two states, drawn from ``stream(l)`` in that order."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     dim = 2**n_qubits
-    basis = np.zeros((2, dim))
-    basis[0, 0] = basis[1, -1] = 1.0  # |0...0>, |1...1>
+    basis = np.zeros((1 if confusion is None else len(confusion), 2, dim))
+    basis[:, 0, 0] = basis[:, 1, -1] = 1.0  # |0...0>, |1...1>
     bits = (np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q
-    ones_read = sample(basis[None], trials, noise, lambda b: rng)[0] @ bits / trials
-    return ReadoutNoiseModel(tuple(float(v) for v in ones_read[0]),
-                             tuple(float(v) for v in 1.0 - ones_read[1]))
+    ones_read = sample(basis, trials, confusion, stream) @ bits / trials
+    return np.stack([ones_read[:, 0], 1.0 - ones_read[:, 1]], axis=1)
 
 
-def mitigate_counts(counts: np.ndarray, model: ReadoutNoiseModel,
+def mitigate_counts(counts: np.ndarray, table: np.ndarray,
                     words: tuple[str, ...]) -> np.ndarray:
     """Multi-qubit readout correction of each of M all-I/Z words:
     sum_z p(z) prod_i ((-1)^{z_i} - p⁻_i) / (1 - p⁺_i) over the Z positions,
-    clamped to [-1, 1].  Counts and words are read as by
-    `expectation_from_counts`.  A drifting ``model`` acts as its trial-0 law;
-    mitigation ill-posed under that law on a measured qubit raises
-    `IllPosedMitigationError`."""
-    return np.clip(_parity_estimates(counts, words, model), -1.0, 1.0)
+    clamped to [-1, 1], under a `parity_table` of one law or one per row.
+    Counts and words are read as by `expectation_from_counts`.  Mitigation
+    ill-posed on a measured qubit raises `IllPosedMitigationError`."""
+    return np.clip(_parity_estimates(counts, words, table), -1.0, 1.0)
 
 
 def sampled_expectation(states: np.ndarray, words: tuple[str, ...], shots: int,
-                        noise: ReadoutNoiseModel | None,
+                        confusion: np.ndarray | None,
                         stream: Callable[[int], np.random.Generator],
-                        mitigation: ReadoutNoiseModel | None = None) -> np.ndarray:
+                        mitigation: np.ndarray | None = None) -> np.ndarray:
     """(B, M) estimates <σ_w> of a tuple of M words on every row of a
     (B, 2**n) stack of states, by basis change, sampling and the parity rule.
 
-    ``noise`` is the readout law the counts are drawn under; ``mitigation``
-    is the rate model used for correction (usually an estimate, not the
-    true injected noise); None disables correction.  An identity word needs
-    no measurement and gives exactly 1.  Every other word is measured with
-    ``shots`` shots, all in one `sample` call and one estimator call; row b
-    draws its measured words, in order, from ``stream(b)`` (see `sample`).
+    ``confusion`` is the readout law the counts are drawn under (see
+    `sample`); ``mitigation`` is the `parity_table` that corrects them
+    (usually of estimated rates, not the true injected noise); None
+    disables correction.  An identity word needs no measurement and gives
+    exactly 1.  Every other word is measured with ``shots`` shots, all
+    in one `sample` call and one estimator call; row b draws its measured
+    words, in order, from ``stream(b)`` (see `sample`).
     """
     states = np.asarray(states)
     if states.ndim != 2:
@@ -324,7 +331,7 @@ def sampled_expectation(states: np.ndarray, words: tuple[str, ...], shots: int,
     if measured:
         change = basis_change(tuple(words[i] for i in measured))
         rotated = _rowwise(change.unitary, states[:, None])  # (B, M, 2**n)
-        counts = sample(rotated, shots, noise, stream)
+        counts = sample(rotated, shots, confusion, stream)
         if mitigation is not None:
             values[:, measured] = mitigate_counts(counts, mitigation, change.diagonal)
         else:

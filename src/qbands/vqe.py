@@ -392,14 +392,14 @@ class ShotsBackend:
     """Measurement-sampled expectation values with optional readout noise.
 
     Every Pauli word is measured in its own circuit execution with the full
-    shot budget.  When mitigation is on, transition rates are estimated from
-    ``RATE_TRIALS`` readouts of prepared basis states; with a drifting noise
-    model they are re-estimated before every energy evaluation, otherwise
-    once, from trial 0's rate stream, and cached.  Each energy evaluation, one
-    row of an objective batch, is measured under the law ``noise.at(trial)``
-    and advances the trial counter that drives the drift.  A batch is one
-    `sampler.sampled_expectation` call over all its rows and words (one per
-    row with a drifting law); the row at trial t draws every word, in word
+    shot budget.  Each energy evaluation, one row of an objective batch,
+    advances the trial counter that drives the drift and is measured under
+    the law at its trial t.  Mitigation corrects it with transition rates
+    estimated from ``RATE_TRIALS`` readouts of prepared basis states under
+    that law, from stream (seed, _STREAM_RATES, t); a static law's
+    confusion matrix and rates (t = 0) are built once.  A batch is one
+    `sampler.sampled_expectation` call over all its rows and words, under
+    one law or one per row; the row at trial t draws every word, in word
     order, from stream t of the backend's word-stream family
     ``seeding.StreamFamily(seed, _STREAM_WORDS)``, built once with the
     backend and re-keyed per row.  So every row gets the value it would get
@@ -421,22 +421,27 @@ class ShotsBackend:
         self.mitigate = mitigate
         self.seed = seed
         self.trial = 0
-        self._rates: tuple[int, sampler.ReadoutNoiseModel] | None = None  # (t, estimate)
         self._drifts = noise is not None and bool(noise.drift_amplitude)
+        self._static_laws = None  # a static law's _row_laws, once built
         self._word_streams = StreamFamily(seed, _STREAM_WORDS)
 
-    def _mitigation_rates(self, trial: int, n_qubits: int) -> sampler.ReadoutNoiseModel | None:
-        """The rates that correct the row at ``trial`` (None unmitigated): an
-        estimate under the law at t from stream (seed, _STREAM_RATES, t), kept
-        until t moves; t = ``trial`` for a drifting law and 0 for a static one."""
-        if not self.mitigate:
-            return None
-        t = trial if self._drifts else 0
-        if self._rates is None or self._rates[0] != t:
-            law = None if self.noise is None else self.noise.at(t)
-            self._rates = (t, sampler.estimate_transition_rates(
-                law, n_qubits, RATE_TRIALS, spawn_rng(self.seed, _STREAM_RATES, t)))
-        return self._rates[1]
+    def _row_laws(self, first: int, rows: int, n_qubits: int):
+        """(confusion, parity table) stacks of the rows at trials first, ...:
+        one law per row if the noise drifts, else one (None: no noise, no
+        mitigation).  All rows' rates come from one estimate call."""
+        if self._static_laws is not None:
+            return self._static_laws
+        trials = np.arange(first, first + rows) if self._drifts else np.zeros(1, dtype=int)
+        confusion = None if self.noise is None else sampler.confusion(self.noise.laws(trials))
+        table = None
+        if self.mitigate:
+            rates = sampler.estimate_transition_rates(
+                confusion, n_qubits, RATE_TRIALS,
+                lambda b: spawn_rng(self.seed, _STREAM_RATES, trials[b]))
+            table = sampler.parity_table(rates)
+        if not self._drifts:  # read-only: its words' weights are built once
+            self._static_laws = (confusion, table if table is None else sampler._read_only(table))
+        return self._static_laws or (confusion, table)
 
     def energy_noise(self, decomp: SpectralDecomposition) -> float:
         """σ̄_E, a bound on the standard deviation of one energy evaluation of
@@ -448,8 +453,8 @@ class ShotsBackend:
         words = tuple(w for w in decomp.coeffs if w.strip("I"))
         if not words:
             return 0.0
-        rates = self._mitigation_rates(self.trial, decomp.n_qubits)
-        weights = sampler._parity_weights(sampler.basis_change(words).diagonal, rates)
+        _, table = self._row_laws(self.trial, 1, decomp.n_qubits)
+        weights = sampler._parity_weights(sampler.basis_change(words).diagonal, table)
         c2 = np.array([decomp.coeffs[w] for w in words]) ** 2
         return float(np.sqrt(c2 @ np.max(weights**2, axis=1) / self.shots))
 
@@ -463,20 +468,10 @@ class ShotsBackend:
         stack; the rows are the energy evaluations at the next B trials."""
         first = self.trial
         self.trial += len(states)
-        # A drifting model's law differs at every trial, so each row is measured
-        # alone under its own law and re-estimated rates; a static law measures
-        # the whole stack, with rates estimated once.
-        groups = ([(first + b, slice(b, b + 1)) for b in range(len(states))]
-                  if self._drifts else [(first, slice(None))])
-        out = np.empty((len(states), len(words)))
-        for trial, rows in groups:
-            out[rows] = sampler.sampled_expectation(
-                states[rows], words, self.shots,
-                None if self.noise is None else self.noise.at(trial),
-                lambda b: self._word_streams.stream(trial + b),
-                mitigation=self._mitigation_rates(trial, n_qubits),
-            )
-        return out
+        confusion, table = self._row_laws(first, len(states), n_qubits)
+        return sampler.sampled_expectation(
+            states, words, self.shots, confusion,
+            lambda b: self._word_streams.stream(first + b), mitigation=table)
 
     def make_objective(self, decomp: SpectralDecomposition, ansatz: Ansatz):
         """(f, f_batch): sum_w c_w <σ_w> of every row of the ansatz's batched

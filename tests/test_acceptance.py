@@ -14,8 +14,10 @@ from qbands.qsim import THREE_QUBIT
 from qbands.sampler import (
     ReadoutNoiseModel,
     basis_change,
+    confusion,
     expectation_from_counts,
     mitigate_counts,
+    parity_table,
     sample,
     sampled_expectation,
 )
@@ -133,26 +135,26 @@ class TestAcceptance:
         rng = np.random.default_rng(5)
         M = 100_000
         p_plus = 0.1
-        model1 = ReadoutNoiseModel.uniform(1, 0.05, 0.05)
+        law1 = ReadoutNoiseModel.uniform(1, 0.05, 0.05).laws([0])
         for trial in range(5):
             state = rand_state(rng, 2)
             z = float(np.real(state.conj() @ np.diag([1.0, -1.0]) @ state))
-            counts = sample(state[None, None], M, model1, seeded(700 + trial))[0]
+            counts = sample(state[None, None], M, confusion(law1), seeded(700 + trial))[0]
             raw = expectation_from_counts(counts, ("Z",))[0]
             sigma = np.sqrt(max(1 - (0.9 * z) ** 2, 1e-12) / M)
             assert abs(raw - (1 - p_plus) * z) <= 3 * sigma
-            corrected = mitigate_counts(counts, model1, ("Z",))[0]
+            corrected = mitigate_counts(counts, parity_table(law1), ("Z",))[0]
             assert abs(corrected - z) <= 3 * sigma / (1 - p_plus)
-        model2 = ReadoutNoiseModel.uniform(2, 0.05, 0.05)
+        law2 = ReadoutNoiseModel.uniform(2, 0.05, 0.05).laws([0])
         zz_op = kron_word("ZZ")
         for trial in range(5):
             state = rand_state(rng, 4)
             zz = float(np.real(state.conj() @ zz_op @ state))
-            counts = sample(state[None, None], M, model2, seeded(800 + trial))[0]
+            counts = sample(state[None, None], M, confusion(law2), seeded(800 + trial))[0]
             raw = expectation_from_counts(counts, ("ZZ",))[0]
             sigma = np.sqrt(max(1 - (0.81 * zz) ** 2, 1e-12) / M)
             assert abs(raw - (1 - p_plus) ** 2 * zz) <= 3 * sigma
-            corrected = mitigate_counts(counts, model2, ("ZZ",))[0]
+            corrected = mitigate_counts(counts, parity_table(law2), ("ZZ",))[0]
             assert abs(corrected - zz) <= 3 * sigma / (1 - p_plus) ** 2
         _report(5, "single-qubit and ZZ mitigation within 3σ; bias (1-p+) confirmed")
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -91,6 +92,28 @@ class TestParsing:
         argv = [str(tmp_path / a) if a == "m.json" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert counts == {**dict.fromkeys(counts, 0), **calls}
+
+    @pytest.mark.parametrize("argv", [
+        ["bands", "--backend", "shots", "--mitigate", "--shots", "64", "--kpath", "X,G:1"],
+        ["scan", "--backend", "shots", "--shots", "64", "--theta-steps", "2",
+         "--phi-steps", "2"],
+        ["rates", "--samples", "2", "--trials", "100"],
+    ], ids=["bands", "scan", "rates"])
+    def test_noise_model_is_built_once(self, argv, tmp_path, monkeypatch):
+        # The model checked against the qubit count is the one the run uses.
+        (tmp_path / "noise.json").write_text('{"w01": 0.02, "w10": 0.04}')
+        built = []
+        uniform = qbands.ReadoutNoiseModel.uniform
+
+        @functools.wraps(uniform)  # the noise file's keys are read off its signature
+        def counted(*args, **kwargs):
+            built.append(args)
+            return uniform(*args, **kwargs)
+
+        monkeypatch.setattr(qbands.ReadoutNoiseModel, "uniform", staticmethod(counted))
+        assert main(argv + ["--noise", str(tmp_path / "noise.json"),
+                            "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
 
 
 class File:
@@ -792,8 +815,9 @@ class TestDeterminism:
             (tmp_path / "b" / "bands.csv").read_bytes()
 
     def test_drifting_mitigated_bands_rerun_is_byte_identical(self, tmp_path, monkeypatch):
-        # With a drifting law each energy row is measured alone, under its own
-        # law noise.at(t) and rates freshly estimated under that law.
+        # With a drifting law every energy row is measured under its own law
+        # at its trial t and corrected with rates estimated under that law:
+        # one estimate per measured batch, of the stack of its rows' laws.
         noise_file = tmp_path / "noise.json"
         drift = {"w01": 0.03, "w10": 0.06, "drift_amplitude": 0.02, "drift_period": 7}
         noise_file.write_text(json.dumps(drift))
@@ -801,22 +825,33 @@ class TestDeterminism:
                 "shots", "--shots", "256", "--noise", str(noise_file),
                 "--mitigate", "--seed", "5"]
         model = qbands.ReadoutNoiseModel.uniform(1, **drift)
-        laws, row_laws = [], []
+        batches, measuring = [], []  # (row trials, confusion stacks estimated under)
         estimate = qbands.sampler.estimate_transition_rates
         measure = qbands.vqe.ShotsBackend._measure_words
 
         def measure_rows(backend, words, states, n_qubits):
-            row_laws.extend(model.at(backend.trial + b) for b in range(len(states)))
-            return measure(backend, words, states, n_qubits)
+            measuring.append([])
+            trials = range(backend.trial, backend.trial + len(states))
+            try:
+                return measure(backend, words, states, n_qubits)
+            finally:
+                batches.append((trials, measuring.pop()))
 
-        monkeypatch.setattr(qbands.sampler, "estimate_transition_rates",
-                            lambda noise, *rest: laws.append(noise) or estimate(noise, *rest))
+        def estimate_rows(confusion, *rest):
+            if measuring:
+                measuring[-1].append(confusion.tolist())
+            return estimate(confusion, *rest)
+
+        monkeypatch.setattr(qbands.sampler, "estimate_transition_rates", estimate_rows)
         monkeypatch.setattr(qbands.vqe.ShotsBackend, "_measure_words", measure_rows)
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
         for name in ("bands.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        assert laws == row_laws and len(set(laws)) > 2
+        for trials, estimated in batches:
+            assert estimated == [qbands.confusion(model.laws(trials)).tolist()]
+        assert len({float(model.laws([t])[0, 1, 0]) for trials, _ in batches
+                    for t in trials}) > 2
 
     def test_identical_seed_reproduces_rates_bytes(self, tmp_path):
         noise_file = tmp_path / "noise.json"

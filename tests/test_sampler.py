@@ -12,9 +12,11 @@ from qbands.seeding import StreamFamily
 from qbands.sampler import (
     ReadoutNoiseModel,
     basis_change,
+    confusion,
     estimate_transition_rates,
     expectation_from_counts,
     mitigate_counts,
+    parity_table,
     sample,
     sampled_expectation,
 )
@@ -34,6 +36,16 @@ def _counts(n, entries):
     for value, c in entries.items():
         out[0, value] = c
     return out
+
+
+def _confusion(model):
+    """The one-law confusion stack of a model's trial-0 law."""
+    return confusion(model.laws([0]))
+
+
+def _table(model):
+    """The one-law parity table of a model's trial-0 law."""
+    return parity_table(model.laws([0]))
 
 
 def _no_draws(b):
@@ -111,7 +123,7 @@ class TestBasisChange:
         counts = _counts(2, {0: 1})
         for call in (lambda: basis_change("XY"),
                      lambda: expectation_from_counts(counts, "ZZ"),
-                     lambda: mitigate_counts(counts, ReadoutNoiseModel.uniform(2), "ZZ"),
+                     lambda: mitigate_counts(counts, _table(ReadoutNoiseModel.uniform(2)), "ZZ"),
                      lambda: sampled_expectation(np.eye(4)[:1], "ZZ", 10, None, seeded(0))):
             with pytest.raises(TypeError, match="tuple of words"):
                 call()
@@ -129,7 +141,7 @@ class TestSample:
 
     def test_readout_flips_at_injected_rate(self):
         noise = ReadoutNoiseModel.uniform(1, w01=0.03, w10=0.0)
-        counts = sample(zero_state(1)[None, None], 100_000, noise, seeded(3))[0, 0]
+        counts = sample(zero_state(1)[None, None], 100_000, _confusion(noise), seeded(3))[0, 0]
         frac = counts[1] / 100_000
         assert abs(frac - 0.03) <= 3 * np.sqrt(0.03 * 0.97 / 100_000)
 
@@ -137,7 +149,7 @@ class TestSample:
     def test_integer_counts_over_all_outcomes(self, n):
         state = rand_state(np.random.default_rng(n), 2**n)
         noise = ReadoutNoiseModel.uniform(n, 0.02, 0.05)
-        counts = sample(state[None, None], 5000, noise, seeded(42))
+        counts = sample(state[None, None], 5000, _confusion(noise), seeded(42))
         assert counts.shape == (1, 1, 2**n)
         assert np.issubdtype(counts.dtype, np.integer)
         assert counts.sum() == 5000 and counts.min() >= 0
@@ -145,8 +157,8 @@ class TestSample:
     def test_seeded_replay(self):
         state = rand_state(np.random.default_rng(0), 4)
         noise = ReadoutNoiseModel.uniform(2, 0.02, 0.05)
-        a = sample(state[None, None], 5000, noise, seeded(42))
-        b = sample(state[None, None], 5000, noise, seeded(42))
+        a = sample(state[None, None], 5000, _confusion(noise), seeded(42))
+        b = sample(state[None, None], 5000, _confusion(noise), seeded(42))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n, true_value", [(2, 0b01), (2, 0b10), (3, 0b011), (3, 0b100)])
@@ -156,7 +168,8 @@ class TestSample:
         state = np.zeros(2**n, dtype=complex)
         state[true_value] = 1.0
         M = 1_000_000
-        counts = sample(state[None, None], M, ReadoutNoiseModel(w01, w10), seeded(17))[0, 0]
+        counts = sample(state[None, None], M, _confusion(ReadoutNoiseModel(w01, w10)),
+                        seeded(17))[0, 0]
         law = _noisy_law(true_value, n, w01, w10)
         sigma = np.sqrt(law * (1 - law) / M)
         assert np.all(np.abs(counts / M - law) <= 5 * sigma + 1e-12)
@@ -229,6 +242,7 @@ class TestStacks:
     N, ROWS, SHOTS = 3, 5, 500
     NOISE = ReadoutNoiseModel((0.02, 0.05, 0.1), (0.04, 0.0, 0.07))
     RATES = ReadoutNoiseModel((0.03, 0.04, 0.09), (0.05, 0.01, 0.06))
+    CONFUSION, TABLE = _confusion(NOISE), _table(RATES)
     FAMILY, FIRST = (7, 1), 4
 
     def _states(self, rng):
@@ -245,35 +259,71 @@ class TestStacks:
 
     def test_sample_rows_are_one_row_calls(self, rng):
         states = self._states(rng)[:, None]  # (B, 1, 2**n)
-        counts = sample(states, self.SHOTS, self.NOISE, self._family_rows())
+        counts = sample(states, self.SHOTS, self.CONFUSION, self._family_rows())
         assert counts.shape == (self.ROWS, 1, 2**self.N)
-        assert counts.tolist() == [sample(state[None], self.SHOTS, self.NOISE,
+        assert counts.tolist() == [sample(state[None], self.SHOTS, self.CONFUSION,
                                           lambda b, g=g: g)[0].tolist()
                                    for g, state in zip(self._streams(), states)]
         # A stack of one row from the family: stream ``first``.
-        assert sample(states[2:3], self.SHOTS, self.NOISE,
+        assert sample(states[2:3], self.SHOTS, self.CONFUSION,
                       self._family_rows(self.FIRST + 2)).tolist() == counts[2:3].tolist()
 
     @pytest.mark.parametrize("word", ["XYZ", "IZX", "ZZZ", "YII", "III"])
     @pytest.mark.parametrize("mitigate", [False, True])
     def test_sampled_expectation_rows_are_one_row_calls(self, word, mitigate, rng):
         states = self._states(rng)
-        rates = self.RATES if mitigate else None
-        stacked = sampled_expectation(states, (word,), self.SHOTS, self.NOISE,
-                                      self._family_rows(), mitigation=rates)
-        alone = [sampled_expectation(state[None], (word,), self.SHOTS, self.NOISE,
-                                     lambda b, g=g: g, mitigation=rates)[0].tolist()
+        table = self.TABLE if mitigate else None
+        stacked = sampled_expectation(states, (word,), self.SHOTS, self.CONFUSION,
+                                      self._family_rows(), mitigation=table)
+        alone = [sampled_expectation(state[None], (word,), self.SHOTS, self.CONFUSION,
+                                     lambda b, g=g: g, mitigation=table)[0].tolist()
                  for g, state in zip(self._streams(), states)]
         assert stacked.tolist() == alone
 
     def test_estimators_of_count_rows_are_one_row_calls(self, rng):
-        counts = sample(self._states(rng)[:, None], self.SHOTS, self.NOISE,
+        counts = sample(self._states(rng)[:, None], self.SHOTS, self.CONFUSION,
                         self._family_rows(0))  # (B, 1, 2**n)
         for word in ("ZZZ", "IZI", "ZIZ", "III"):
             assert expectation_from_counts(counts, (word,)).tolist() == [
                 expectation_from_counts(row, (word,)).tolist() for row in counts]
-            assert mitigate_counts(counts, self.RATES, (word,)).tolist() == [
-                mitigate_counts(row, self.RATES, (word,)).tolist() for row in counts]
+            assert mitigate_counts(counts, self.TABLE, (word,)).tolist() == [
+                mitigate_counts(row, self.TABLE, (word,)).tolist() for row in counts]
+
+    def _row_laws(self):
+        """One readout law and one rate law per row: a drifting model's
+        laws at trials FIRST, FIRST + 1, ..., and per-row rates around RATES."""
+        drifting = ReadoutNoiseModel(self.NOISE.w01, self.NOISE.w10, 0.03, 3)
+        rates = self.RATES.laws([0]) + np.linspace(0.0, 0.04, self.ROWS)[:, None, None]
+        return drifting.laws(np.arange(self.FIRST, self.FIRST + self.ROWS)), rates
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_per_row_laws_are_one_row_calls(self, mitigate, rng):
+        # A stack of B laws gives row b its own: bit for bit the one-row call
+        # under that row's law alone.
+        laws, rates = self._row_laws()
+        states = self._states(rng)
+        stacked = sampled_expectation(states, ("XYZ", "IZX", "III", "ZZI"), self.SHOTS,
+                                      confusion(laws), self._family_rows(),
+                                      mitigation=parity_table(rates) if mitigate else None)
+        alone = [sampled_expectation(state[None], ("XYZ", "IZX", "III", "ZZI"), self.SHOTS,
+                                     confusion(laws[b:b + 1]), lambda _, g=g: g,
+                                     mitigation=parity_table(rates[b:b + 1]) if mitigate
+                                     else None)[0].tolist()
+                 for b, (g, state) in enumerate(zip(self._streams(), states))]
+        assert stacked.tolist() == alone
+        assert len({tuple(row) for row in laws[:, 1]}) == self.ROWS
+
+    def test_stacked_rate_estimates_are_one_row_estimates(self):
+        # Row b of a stacked estimate is, bit for bit, the one-law estimate
+        # drawn from the same stream.
+        laws, _ = self._row_laws()
+        stacked = estimate_transition_rates(confusion(laws), self.N, self.SHOTS,
+                                            self._family_rows())
+        assert stacked.shape == (self.ROWS, 2, self.N)
+        assert stacked.tolist() == [
+            estimate_transition_rates(confusion(laws[b:b + 1]), self.N, self.SHOTS,
+                                      lambda _, g=g: g)[0].tolist()
+            for b, g in enumerate(self._streams())]
 
     @pytest.mark.parametrize("rng_arg", [None, 7, np.random.default_rng(7), [1, 2], [1, 2, 3, 4]],
                              ids=["none", "seed", "generator", "too-few", "too-many"])
@@ -320,6 +370,7 @@ class TestDrawContract:
     SEED, FIRST, SHOTS = 11, 6, 700
     NOISE = TestStacks.NOISE
     RATES = TestStacks.RATES
+    CONFUSION, TABLE = TestStacks.CONFUSION, TestStacks.TABLE
     WORDS = ("XYZ", "III", "ZIY", "IZI", "YXX")
     # Per-letter rotation onto Z, from the test-local matrices: H·S·Z for Y.
     ROTATION = {"I": SIGMA["I"], "Z": SIGMA["I"], "X": HADAMARD,
@@ -348,9 +399,9 @@ class TestDrawContract:
     def test_rows_are_hand_draws_from_their_streams(self, rng):
         states = np.array([rand_state(rng, 8) for _ in range(3)])
         family = StreamFamily(self.SEED, 1)
-        values = sampled_expectation(states, self.WORDS, self.SHOTS, self.NOISE,
+        values = sampled_expectation(states, self.WORDS, self.SHOTS, self.CONFUSION,
                                      lambda b: family.stream(self.FIRST + b),
-                                     mitigation=self.RATES)
+                                     mitigation=self.TABLE)
         for b, state in enumerate(states):
             g = StreamFamily(self.SEED, 1).stream(self.FIRST + b)
             expected = [self._mitigated(g.multinomial(self.SHOTS, self._law(state, w)), w)
@@ -361,14 +412,16 @@ class TestDrawContract:
     def test_rates_are_two_successive_draws(self, n):
         w01, w10 = (0.02, 0.1, 0.05)[:n], (0.07, 0.0, 0.15)[:n]
         trials = 5000
-        est = estimate_transition_rates(ReadoutNoiseModel(w01, w10), n, trials,
-                                        np.random.default_rng(21))
+        g = np.random.default_rng(21)
+        est = estimate_transition_rates(_confusion(ReadoutNoiseModel(w01, w10)), n, trials,
+                                        lambda b: g)
         g = np.random.default_rng(21)
         zeros = g.multinomial(trials, _noisy_law(0, n, w01, w10))
         ones = g.multinomial(trials, _noisy_law(2**n - 1, n, w01, w10))
         bits = [[(z >> q) & 1 for q in range(n)] for z in range(2**n)]
-        assert est.w01 == tuple(float(v) for v in zeros @ bits / trials)
-        assert est.w10 == tuple(float(1.0 - v) for v in ones @ bits / trials)
+        assert est.shape == (1, 2, n)
+        assert est[0, 0].tolist() == [float(v) for v in zeros @ bits / trials]
+        assert est[0, 1].tolist() == [float(1.0 - v) for v in ones @ bits / trials]
 
 
 class TestAllWords:
@@ -376,8 +429,7 @@ class TestAllWords:
     draws its words in order from its own stream of the family."""
 
     N, ROWS, SHOTS = 3, 4, 300
-    NOISE = TestStacks.NOISE
-    RATES = TestStacks.RATES
+    CONFUSION, TABLE = TestStacks.CONFUSION, TestStacks.TABLE
     # Three measured words and all 63.
     WORD_LISTS = {"few": ("XYZ", "III", "IZX", "ZZI"), "all": pauli_words(3)}
 
@@ -388,18 +440,18 @@ class TestAllWords:
         # word list is its words measured one after another from its
         # stream.
         states = np.array([rand_state(rng, 2**self.N) for _ in range(self.ROWS)])
-        rates = self.RATES if mitigate else None
+        table = self.TABLE if mitigate else None
         family = StreamFamily(3, 1)
-        stacked = sampled_expectation(states, words, self.SHOTS, self.NOISE,
-                                      lambda b: family.stream(10 + b), mitigation=rates)
+        stacked = sampled_expectation(states, words, self.SHOTS, self.CONFUSION,
+                                      lambda b: family.stream(10 + b), mitigation=table)
         assert stacked.shape == (self.ROWS, len(words))
         for b, (state, row) in enumerate(zip(states, stacked)):
-            alone = sampled_expectation(state[None], words, self.SHOTS, self.NOISE,
+            alone = sampled_expectation(state[None], words, self.SHOTS, self.CONFUSION,
                                         lambda _: philox_stream((3, 1), 10 + b),
-                                        mitigation=rates)[0]
+                                        mitigation=table)[0]
             g = philox_stream((3, 1), 10 + b)
-            successive = [sampled_expectation(state[None], (word,), self.SHOTS, self.NOISE,
-                                              lambda _: g, mitigation=rates)[0, 0]
+            successive = [sampled_expectation(state[None], (word,), self.SHOTS, self.CONFUSION,
+                                              lambda _: g, mitigation=table)[0, 0]
                           for word in words]
             assert row.tolist() == alone.tolist() == successive
 
@@ -420,22 +472,22 @@ class TestAllWords:
 
         for name in ("sample", "mitigate_counts", "expectation_from_counts"):
             record(name)
-        rates = ReadoutNoiseModel.uniform(2, 0.1, 0.1) if mitigate else None
+        table = _table(ReadoutNoiseModel.uniform(2, 0.1, 0.1)) if mitigate else None
         states = np.array([zero_state(2)] * 3)
         family = StreamFamily(1)
         sampled_expectation(states, ("ZZ", "II", "XI", "YX"), 10, None, family.stream,
-                            mitigation=rates)
+                            mitigation=table)
         estimator = "mitigate_counts" if mitigate else "expectation_from_counts"
         assert calls == [("sample", (3, 3, 4)), (estimator, (3, 3, 4))]
 
     def test_ill_posed_rates_raise(self):
-        model = ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5))  # qubit 2 ill-posed
+        table = _table(ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5)))  # qubit 2 ill-posed
         states = np.array([zero_state(2)] * 2)
         assert sampled_expectation(states, ("IZ", "IX"), 10, None, StreamFamily(1).stream,
-                                   mitigation=model).shape == (2, 2)
+                                   mitigation=table).shape == (2, 2)
         with pytest.raises(ValueError, match="ill-posed"):
             sampled_expectation(states, ("IZ", "ZI"), 10, None, StreamFamily(1).stream,
-                                mitigation=model)
+                                mitigation=table)
 
     def test_estimators_of_word_lists_are_one_word_calls(self, rng):
         words = ("ZZI", "IIZ", "III")
@@ -443,7 +495,7 @@ class TestAllWords:
                                    seeded(10 * b + m))[0, 0] for m in range(3)]
                            for b in range(2)])  # (B, M, 2**n)
         for estimate, extra in ((expectation_from_counts, ()),
-                                (mitigate_counts, (self.RATES,))):
+                                (mitigate_counts, (self.TABLE,))):
             stacked = estimate(counts, *extra, words)
             assert stacked.tolist() == [[estimate(counts[b, m][None], *extra, (word,))[0]
                                          for m, word in enumerate(words)] for b in range(2)]
@@ -453,20 +505,22 @@ class TestAllWords:
 
 class TestTransitionRates:
     def test_noiseless_rates_are_exactly_zero(self):
-        est = estimate_transition_rates(None, 1, 10_000, np.random.default_rng(5))
-        assert est.w01 == (0.0,) and est.w10 == (0.0,)
+        est = estimate_transition_rates(None, 1, 10_000, lambda b: np.random.default_rng(5))
+        assert est.tolist() == [[[0.0], [0.0]]]
 
     def test_recovers_injected_rates(self):
         noise = ReadoutNoiseModel.uniform(1, w01=0.03, w10=0.08)
-        est = estimate_transition_rates(noise, 1, 100_000, np.random.default_rng(9))
-        assert abs(est.w01[0] - 0.03) <= 3 * np.sqrt(0.03 * 0.97 / 100_000)
-        assert abs(est.w10[0] - 0.08) <= 3 * np.sqrt(0.08 * 0.92 / 100_000)
+        [[[w01], [w10]]] = estimate_transition_rates(_confusion(noise), 1, 100_000,
+                                                     lambda b: np.random.default_rng(9))
+        assert abs(w01 - 0.03) <= 3 * np.sqrt(0.03 * 0.97 / 100_000)
+        assert abs(w10 - 0.08) <= 3 * np.sqrt(0.08 * 0.92 / 100_000)
 
     def test_per_qubit_rates(self):
         noise = ReadoutNoiseModel((0.02, 0.1), (0.05, 0.0))
-        est = estimate_transition_rates(noise, 2, 200_000, np.random.default_rng(2))
-        assert est.w01 == pytest.approx((0.02, 0.1), abs=0.005)
-        assert est.w10 == pytest.approx((0.05, 0.0), abs=0.005)
+        [(w01, w10)] = estimate_transition_rates(_confusion(noise), 2, 200_000,
+                                                 lambda b: np.random.default_rng(2))
+        assert w01 == pytest.approx((0.02, 0.1), abs=0.005)
+        assert w10 == pytest.approx((0.05, 0.0), abs=0.005)
 
     def test_estimates_trace_injected_drift(self):
         period, amp, base = 18.0, 0.01, 0.05
@@ -475,11 +529,13 @@ class TestTransitionRates:
         )
         trials = 200_000
         sigma = np.sqrt(0.06 * 0.94 / trials)
-        for t in range(0, 36, 3):
-            est = estimate_transition_rates(noise.at(t), 1, trials,
-                                            np.random.default_rng(50 + t))
+        # One stacked estimate, law t drawn from its own generator.
+        ts = range(0, 36, 3)
+        est = estimate_transition_rates(confusion(noise.laws(ts)), 1, trials,
+                                        lambda b: np.random.default_rng(50 + ts[b]))
+        for t, [_, [w10]] in zip(ts, est):
             truth = base + amp * np.sin(2 * np.pi * t / period)
-            assert abs(est.w10[0] - truth) <= 4 * sigma
+            assert abs(w10 - truth) <= 4 * sigma
 
     def test_drift_requires_period(self):
         with pytest.raises(ValueError):
@@ -526,40 +582,46 @@ class TestNoiseModelRates:
 
 class TestReadoutLaw:
     def test_without_drift_is_its_own_law(self):
+        # One law, the model's rates, whatever the trials.
         model = ReadoutNoiseModel((0.02, 0.1), (0.05, 0.0))
-        assert model.at(0) is model and model.at(7) is model
+        assert model.laws([0]).tolist() == model.laws([7, 8]).tolist() == [
+            [[0.02, 0.1], [0.05, 0.0]]]
 
     def test_matches_drift_formula(self):
         base, amp, period = (0.05, 0.3), 0.02, 7.0
         model = ReadoutNoiseModel((0.01, 0.0), base, amp, period)
-        for t in range(40):
-            law = model.at(t)
-            assert law.w01 == model.w01 and law.drift_amplitude == 0.0
-            assert law.w10 == pytest.approx(
+        laws = model.laws(np.arange(40))
+        assert laws.shape == (40, 2, 2)
+        for t, (w01, w10) in enumerate(laws):
+            assert tuple(w01) == model.w01
+            assert w10 == pytest.approx(
                 [b + amp * np.sin(2 * np.pi * t / period) for b in base], abs=1e-15)
+            # Law t is the same alone, bit for bit.
+            assert model.laws([t]).tolist() == [[list(w01), list(w10)]]
 
     def test_clipped_to_unit_interval(self):
         low = ReadoutNoiseModel.uniform(1, 0.0, 0.01, drift_amplitude=0.05, drift_period=4)
-        assert low.at(3).w10 == (0.0,)  # 0.01 - 0.05
+        assert low.laws([3])[0, 1].tolist() == [0.0]  # 0.01 - 0.05
         high = ReadoutNoiseModel.uniform(1, 0.0, 0.98, drift_amplitude=0.05, drift_period=4)
-        assert high.at(1).w10 == (1.0,)  # 0.98 + 0.05
+        assert high.laws([1])[0, 1].tolist() == [1.0]  # 0.98 + 0.05
 
     def test_ill_posed_only_at_drift_peak(self):
         model = ReadoutNoiseModel.uniform(1, 0.45, 0.5, drift_amplitude=0.1, drift_period=4)
         assert model.ill_posed.tolist() == [True]
-        assert [bool(model.at(t).ill_posed[0]) for t in range(8)] == [
+        # Row 1 of a one-qubit table is Z, NaN where the law at t is ill-posed.
+        table = parity_table(model.laws(np.arange(8)))
+        assert np.isnan(table[:, 1]).all(axis=1).tolist() == [
             False, True, False, False, False, True, False, False]
         assert not ReadoutNoiseModel.uniform(1, 0.45, 0.5).ill_posed.any()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_confusion_columns_are_basis_state_laws(self, n):
         w01, w10 = W01 + (0.05,) * (n - 2), W10 + (0.15,) * (n - 2)
-        confusion = ReadoutNoiseModel(w01, w10).confusion
+        [matrix] = _confusion(ReadoutNoiseModel(w01, w10))
         for value in range(2**n):
-            assert np.allclose(confusion[:, value], _noisy_law(value, n, w01, w10),
-                               atol=1e-15)
+            assert np.allclose(matrix[:, value], _noisy_law(value, n, w01, w10), atol=1e-15)
 
-    @pytest.mark.parametrize("name", ["confusion", "ill_posed"])
+    @pytest.mark.parametrize("name", ["ill_posed"])
     def test_cached_arrays_are_read_only(self, name):
         model = ReadoutNoiseModel((0.02, 0.6), (0.05, 0.5))
         cached = getattr(model, name)
@@ -571,40 +633,40 @@ class TestReadoutLaw:
 class TestMitigation:
     def test_noiseless_passthrough(self):
         model = ReadoutNoiseModel.uniform(1, 0.0, 0.0)
-        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, ("Z",)).tolist() == [0.5]
+        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), _table(model), ("Z",)).tolist() == [0.5]
 
     def test_symmetric_rates_example(self):
-        model = ReadoutNoiseModel.uniform(1, 0.1, 0.1)
-        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), model, ("Z",))[0] == pytest.approx(0.625)
+        table = _table(ReadoutNoiseModel.uniform(1, 0.1, 0.1))
+        assert mitigate_counts(_counts(1, {0: 3, 1: 1}), table, ("Z",))[0] == pytest.approx(0.625)
 
     def test_monte_carlo_bias_inversion(self, rng):
         # Sample a known state through readout flips, then undo the bias.
         model = ReadoutNoiseModel.uniform(1, 0.1, 0.1)
         state = qsim.MEAN_FIELD.prepare(np.array([1.1, 0.0]))
         z_true = _exact(state, "Z")
-        counts = sample(state[None, None], 200_000, model, seeded(6))[0]
+        counts = sample(state[None, None], 200_000, _confusion(model), seeded(6))[0]
         raw = expectation_from_counts(counts, ("Z",))[0]
         sigma = np.sqrt(1.0 / 200_000)
         assert abs(raw - 0.8 * z_true) <= 3 * sigma  # attenuated by 1 - p+
-        corrected = mitigate_counts(counts, model, ("Z",))[0]
+        corrected = mitigate_counts(counts, _table(model), ("Z",))[0]
         assert abs(corrected - z_true) <= 3 * sigma / 0.8
 
     def test_clamped_to_physical_range(self):
-        model = ReadoutNoiseModel.uniform(1, 0.15, 0.02)
-        assert mitigate_counts(_counts(1, {0: 1, 1: 1999}), model, ("Z",))[0] >= -1.0  # raw -0.999
-        assert mitigate_counts(_counts(1, {0: 19999, 1: 1}), model, ("Z",))[0] <= 1.0  # raw 0.9999
+        table = _table(ReadoutNoiseModel.uniform(1, 0.15, 0.02))
+        assert mitigate_counts(_counts(1, {0: 1, 1: 1999}), table, ("Z",))[0] >= -1.0  # raw -0.999
+        assert mitigate_counts(_counts(1, {0: 19999, 1: 1}), table, ("Z",))[0] <= 1.0  # raw 0.9999
 
     def test_ill_posed_rates_rejected(self):
         model = ReadoutNoiseModel.uniform(1, 0.6, 0.5)
         with pytest.raises(ValueError, match="ill-posed"):
-            mitigate_counts(_counts(1, {0: 11, 1: 9}), model, ("Z",))  # raw 0.1
+            mitigate_counts(_counts(1, {0: 11, 1: 9}), _table(model), ("Z",))  # raw 0.1
 
     def test_ill_posed_only_on_measured_qubits(self):
-        model = ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5))  # qubit 2 ill-posed
+        table = _table(ReadoutNoiseModel((0.1, 0.6), (0.1, 0.5)))  # qubit 2 ill-posed
         counts = _counts(2, {0b00: 6, 0b01: 2, 0b10: 1, 0b11: 1})
-        assert mitigate_counts(counts, model, ("IZ",))[0] == pytest.approx(0.4 / 0.8)  # raw 0.4, p+ 0.2
+        assert mitigate_counts(counts, table, ("IZ",))[0] == pytest.approx(0.4 / 0.8)  # raw 0.4, p+ 0.2
         with pytest.raises(ValueError, match="ill-posed"):
-            mitigate_counts(counts, model, ("ZI",))
+            mitigate_counts(counts, table, ("ZI",))
 
     def test_drifting_model_checked_under_its_trial_0_law(self):
         # Well-posed at trial 0 (p+ 0.9), ill-posed at the drift peak (p+
@@ -612,31 +674,32 @@ class TestMitigation:
         model = ReadoutNoiseModel.uniform(1, 0.4, 0.5, drift_amplitude=0.15, drift_period=4)
         counts = _counts(1, {0: 23, 1: 17})  # raw 0.15, p- 0.1
         assert model.ill_posed.tolist() == [True]
-        assert mitigate_counts(counts, model, ("Z",))[0] == pytest.approx(0.5)
+        assert mitigate_counts(counts, _table(model), ("Z",))[0] == pytest.approx(0.5)
         with pytest.raises(ValueError, match="ill-posed"):
-            mitigate_counts(counts, model.at(1), ("Z",))
+            mitigate_counts(counts, parity_table(model.laws([1])), ("Z",))
 
     def test_weights_are_per_word_kronecker_products(self):
-        # The stacked weights of every I/Z word equal the word-by-word
+        # The parity-table rows of every I/Z word equal the word-by-word
         # Kronecker product of its per-qubit factors, bit for bit.
         model = ReadoutNoiseModel((0.02, 0.05, 0.1), (0.04, 0.0, 0.07),
                                   drift_amplitude=0.01, drift_period=3)
         words = tuple("".join(w) for w in itertools.product("IZ", repeat=3))
-        law = model.at(0)
+        [(w01, w10)] = model.laws([0])
         expected = []
         for word in words:
             factors = [(np.array([1.0, -1.0]) - (b - a)) / (1.0 - (b + a)) if letter == "Z"
                        else np.ones(2)
-                       for letter, a, b in zip(word, law.w01[::-1], law.w10[::-1])]
+                       for letter, a, b in zip(word, w01[::-1], w10[::-1])]
             expected.append(functools.reduce(lambda u, v: np.outer(u, v).ravel(), factors))
-        assert sampler._parity_weights(words, model).tolist() == np.array(expected).tolist()
+        assert sampler._parity_weights(words, _table(model)).tolist() == \
+            np.array(expected).tolist()
 
     def test_counts_reduces_to_single_qubit_formula(self, rng):
         model = ReadoutNoiseModel.uniform(1, 0.07, 0.12)
         counts = _counts(1, {0: 6200, 1: 3800})
         raw = expectation_from_counts(counts, ("Z",))[0]
         p_minus, p_plus = 0.12 - 0.07, 0.12 + 0.07
-        assert mitigate_counts(counts, model, ("Z",))[0] == pytest.approx(
+        assert mitigate_counts(counts, _table(model), ("Z",))[0] == pytest.approx(
             (raw - p_minus) / (1 - p_plus), abs=1e-12
         )
 
@@ -645,17 +708,17 @@ class TestMitigation:
         state = rand_state(rng, 4)
         counts = sample(state[None, None], 20_000, None, seeded(8))[0]
         for word in ("ZZ", "IZ", "ZI", "II"):
-            assert mitigate_counts(counts, model, (word,))[0] == pytest.approx(
+            assert mitigate_counts(counts, _table(model), (word,))[0] == pytest.approx(
                 expectation_from_counts(counts, (word,))[0], abs=1e-12
             )
 
     def test_two_qubit_zz_recovery(self):
         model = ReadoutNoiseModel.uniform(2, 0.05, 0.05)
-        counts = sample(zero_state(2)[None, None], 100_000, model, seeded(12))[0]
+        counts = sample(zero_state(2)[None, None], 100_000, _confusion(model), seeded(12))[0]
         raw = expectation_from_counts(counts, ("ZZ",))[0]
         sigma_raw = np.sqrt((1 - 0.81**2) / 100_000)
         assert abs(raw - 0.81) <= 3 * sigma_raw  # (1 - 2w)^2 attenuation
-        corrected = mitigate_counts(counts, model, ("ZZ",))[0]
+        corrected = mitigate_counts(counts, _table(model), ("ZZ",))[0]
         assert abs(corrected - 1.0) <= 3 * sigma_raw / 0.81
 
     @pytest.mark.parametrize("word, qubit", [("ZI", 2), ("IZ", 1)])
@@ -664,9 +727,9 @@ class TestMitigation:
         state = rand_state(rng, 4)
         exact = _exact(state, word)
         M = 200_000
-        counts = sample(state[None, None], M, model, seeded(31))[0]
+        counts = sample(state[None, None], M, _confusion(model), seeded(31))[0]
         sigma = np.sqrt(1.0 / M) / (1 - (W01[qubit - 1] + W10[qubit - 1]))
-        assert abs(mitigate_counts(counts, model, (word,))[0] - exact) <= 4 * sigma
+        assert abs(mitigate_counts(counts, _table(model), (word,))[0] - exact) <= 4 * sigma
 
     def test_unbiased_for_random_rates(self, rng):
         # Mitigated estimates agree with the exact value for any rates
@@ -677,8 +740,8 @@ class TestMitigation:
             model = ReadoutNoiseModel.uniform(1, w01, w10)
             state = rand_state(rng, 2)
             z = _exact(state, "Z")
-            counts = sample(state[None, None], M, model, seeded(300 + trial))[0]
-            corrected = mitigate_counts(counts, model, ("Z",))[0]
+            counts = sample(state[None, None], M, _confusion(model), seeded(300 + trial))[0]
+            corrected = mitigate_counts(counts, _table(model), ("Z",))[0]
             sigma = np.sqrt(1.0 / M) / (1 - (w01 + w10))
             assert abs(corrected - z) <= 3 * sigma
 

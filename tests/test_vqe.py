@@ -692,17 +692,47 @@ class TestShotsBackendDriver:
 
     @pytest.mark.parametrize("drift, estimates", [(0.0, 1), (0.02, 3)])
     def test_rates_estimated_once_unless_drifting(self, drift, estimates, monkeypatch):
+        # A static law is estimated once, under its law at trial 0; a drifting
+        # law once per row, under the row's own law.
         laws = []
         estimate = sampler.estimate_transition_rates
-        monkeypatch.setattr(sampler, "estimate_transition_rates",
-                            lambda noise, *rest: laws.append(noise) or estimate(noise, *rest))
+        monkeypatch.setattr(sampler, "estimate_transition_rates", lambda confusion, *rest:
+                            laws.append(confusion.tolist()) or estimate(confusion, *rest))
         noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06, drift_amplitude=drift,
                                           drift_period=5)
         backend = ShotsBackend(shots=64, noise=noise, mitigate=True, seed=37)
         f, _ = backend.make_objective(SpectralDecomposition(1, {"Z": 0.5}), MEAN_FIELD)
         for _ in range(3):
             f(np.array([0.4, 0.0]))
-        assert laws == [noise.at(t) for t in range(estimates)]
+        assert laws == [sampler.confusion(noise.laws([t])).tolist() for t in range(estimates)]
+
+    @pytest.mark.parametrize("drift", [0.0, 0.02])
+    def test_batch_is_one_sampler_call_under_its_row_laws(self, drift, monkeypatch):
+        # Static or drifting, a batch of B rows is one sampled_expectation
+        # call and at most one rate estimate, under one law or a stack of
+        # one law per row, and builds no noise model per row.
+        calls, built = [], []
+        # (function, position of its confusion stack): recorded with the stack's shape.
+        for name, at in (("estimate_transition_rates", 0), ("sampled_expectation", 3)):
+            def counted(*args, _name=name, _at=at, _f=getattr(sampler, name), **kwargs):
+                calls.append((_name, np.shape(args[_at])))
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(sampler, name, counted)
+        noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06, drift_amplitude=drift,
+                                          drift_period=5)
+        post_init = ReadoutNoiseModel.__post_init__
+        monkeypatch.setattr(ReadoutNoiseModel, "__post_init__",
+                            lambda model: built.append(model) or post_init(model))
+        backend = ShotsBackend(shots=64, noise=noise, mitigate=True, seed=42)
+        _, f_batch = backend.make_objective(decompose(build_s_block(SI, GAMMA)), MEAN_FIELD)
+        for first in (0, 5):
+            calls.clear()
+            f_batch(np.zeros((5, 2)))
+            stack = (5 if drift else 1, 2, 2)
+            estimates = [("estimate_transition_rates", stack)] if drift or not first else []
+            assert calls == estimates + [("sampled_expectation", stack)]
+        assert built == []
 
     def test_mitigation_tracks_drifting_rates(self):
         # w10 swings hard between successive trials; re-estimated rates must
@@ -811,13 +841,13 @@ class TestShotsBackendDriver:
         # the batch's first trial, as for any other operator.
         laws = []
         estimate = sampler.estimate_transition_rates
-        monkeypatch.setattr(sampler, "estimate_transition_rates",
-                            lambda noise, *rest: laws.append(noise) or estimate(noise, *rest))
+        monkeypatch.setattr(sampler, "estimate_transition_rates", lambda confusion, *rest:
+                            laws.append(confusion.tolist()) or estimate(confusion, *rest))
         noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06)
         backend = ShotsBackend(shots=64, noise=noise, mitigate=True, seed=40)
         _, f_batch = backend.make_objective(SpectralDecomposition(1, {"I": 0.7}), MEAN_FIELD)
         assert f_batch(np.zeros((3, 2))).tolist() == [0.7, 0.7, 0.7]
-        assert laws == [noise.at(0)]
+        assert laws == [sampler.confusion(noise.laws([0])).tolist()]
         assert backend.trial == 3
 
     def test_ill_posed_rates_raise(self):
@@ -880,34 +910,40 @@ class TestEnergyNoiseBound:
         # (±1 - p⁻) / (1 - p⁺) under the rate estimate the backend corrects with.
         backend = ShotsBackend(shots=512, noise=self.NOISE_1Q, mitigate=True, seed=4)
         bound = backend.energy_noise(dec)
-        [[_, rates]] = [backend._rates]
-        pm, pp = rates.w10[0] - rates.w01[0], rates.w10[0] + rates.w01[0]
+        # The backend's estimate: under the trial-0 law, from the trial-0 rate stream.
+        [[[w01], [w10]]] = sampler.estimate_transition_rates(
+            sampler.confusion(self.NOISE_1Q.laws([0])), 1, vqe.RATE_TRIALS,
+            lambda b: spawn_rng(4, vqe._STREAM_RATES, 0))
+        pm, pp = w10 - w01, w10 + w01
         v = ((1 + abs(pm)) / (1 - pp)) ** 2
         assert bound == pytest.approx(np.sqrt(c2 * v / 512))
         assert ShotsBackend(shots=512).energy_noise(SpectralDecomposition(1, {"I": 2.0})) == 0.0
 
     @pytest.mark.parametrize("drift", [0.0, 0.02])
     def test_bound_draws_nothing_the_rows_do_not(self, drift, monkeypatch):
-        # The bound uses the rate estimate of the next trial, from the same
-        # stream the row at that trial estimates from: every energy and every
-        # estimate is the one the backend makes without the bound.
+        # The bound uses the rate estimate of the next trial, under that
+        # trial's law and from the stream the row at that trial estimates
+        # from: every energy is the one the backend makes without the bound,
+        # and the bound draws from no rate stream the rows do not.  A static
+        # law's one estimate serves both.
         dec = decompose(build_s_block(SI, GAMMA))
         noise = ReadoutNoiseModel.uniform(1, 0.03, 0.06, drift_amplitude=drift,
                                           drift_period=5)
         rows = np.random.default_rng(2).uniform(0, 3, size=(4, 2))
-        laws = []
-        estimate = sampler.estimate_transition_rates
-        monkeypatch.setattr(sampler, "estimate_transition_rates",
-                            lambda law, *rest: laws.append(law) or estimate(law, *rest))
+        streams = [[], []]
         energies = []
         for bounded in (False, True):
+            monkeypatch.setattr(vqe, "spawn_rng", lambda *path, _s=streams[bounded]:
+                                _s.append(path) or spawn_rng(*path))
             backend = ShotsBackend(shots=256, noise=noise, mitigate=True, seed=5)
             _, f_batch = backend.make_objective(dec, MEAN_FIELD)
             if bounded:
                 assert backend.energy_noise(dec) > 0
             energies.append(f_batch(rows).tolist() + f_batch(rows[:1]).tolist())
         assert energies[0] == energies[1]
-        assert laws[:len(laws) // 2] == laws[len(laws) // 2:]
+        rates = (5, vqe._STREAM_RATES)
+        assert streams[0] == [(*rates, t) for t in (range(5) if drift else [0])]
+        assert streams[1] == ([(*rates, 0)] if drift else []) + streams[0]
 
     def test_minimize_passes_the_backend_bound(self, monkeypatch):
         seen = []
