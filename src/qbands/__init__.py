@@ -16,7 +16,6 @@ from .pauli import (
     pauli_words,
     reconstruct,
     shift_identity,
-    word_matrix,
 )
 from .qsim import (
     MEAN_FIELD,
@@ -37,6 +36,7 @@ from .sampler import (
     expectation_from_counts,
     mitigate_counts,
     parity_table,
+    parity_weights,
     sample,
     sampled_expectation,
 )

@@ -6,6 +6,9 @@ A Pauli word is a string over ``{I, X, Y, Z}``; the rightmost letter acts on
 qubit 1, the least significant bit of a basis-state index.  A Hermitian
 matrix H of dimension 2**n is represented by the real coefficients
 c_w = Tr(H† σ_w) / 2**n over all 4**n words.
+
+Every module builds its products over qubits with `kron` (first factor on
+the highest qubit) and its batch-independent mat-vecs with `rowwise`.
 """
 from __future__ import annotations
 
@@ -40,19 +43,36 @@ def pauli_words(n_qubits: int) -> tuple[str, ...]:
     return tuple("".join(p) for p in product("IXYZ", repeat=n_qubits))
 
 
-def word_matrix(word: str) -> np.ndarray:
-    """Dense matrix of a Pauli word (rightmost letter = least significant qubit)."""
-    mat = PAULI_MATRICES[word[0]].copy()
-    for letter in word[1:]:
-        mat = np.kron(mat, PAULI_MATRICES[letter])
-    return mat
+def kron(factors: np.ndarray) -> np.ndarray:
+    """(..., r**n, c**n) Kronecker products of an (..., n, r, c) stack of
+    per-qubit factors, the first on the highest qubit: bit for bit numpy's
+    ``kron`` applied factor by factor.  One qubit gives a view."""
+    if not factors.shape[-3]:
+        raise ValueError("need at least one qubit")
+    product = factors[..., 0, :, :]
+    for q in range(1, factors.shape[-3]):
+        factor = factors[..., q, :, :]
+        rows, cols = product.shape[-2] * factor.shape[-2], product.shape[-1] * factor.shape[-1]
+        product = (product[..., :, None, :, None] * factor[..., None, :, None, :]).reshape(
+            *product.shape[:-2], rows, cols)
+    return product
+
+
+def rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row of a (..., dim) stack, as one stacked
+    mat-vec; ``matrix`` may itself be a stack that broadcasts against the
+    rows.  Row b's product is the same for every batch size; ``rows @
+    matrix.T`` is not (BLAS rounds a one-row product differently), so every
+    product that must not depend on its batch goes through here."""
+    return np.matmul(matrix, rows[..., None])[..., 0]
 
 
 @lru_cache(maxsize=8)
 def word_matrix_stack(n_qubits: int) -> np.ndarray:
-    """(4**n, 2**n, 2**n) stack of all word matrices, in pauli_words order;
-    cached, so read-only."""
-    stack = np.array([word_matrix(w) for w in pauli_words(n_qubits)])
+    """(4**n, 2**n, 2**n) stack of all word matrices, in pauli_words order,
+    leftmost letter on the highest qubit; cached, so read-only."""
+    stack = kron(np.array([[PAULI_MATRICES[letter] for letter in word]
+                           for word in pauli_words(n_qubits)]))
     stack.flags.writeable = False
     return stack
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import word_matrix_stack
+from .pauli import kron, rowwise, word_matrix_stack
 
 
 def _ry_matrix(t: float) -> np.ndarray:
@@ -143,12 +143,12 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
 
     Each layer is RY then RZ on every qubit (angles ordered RY on qubits
     1..n, then RZ on qubits 1..n); the CNOT chain entangler separates the
-    layers.  Layer 0 acts on |0...0>, so it is the product of the first
-    columns (a, b) of its per-qubit RZ·RY matrices, which are never built.
-    Every later layer is one (N, 2**n, 2**n) Kronecker product applied by
-    batched matmul after the entangler permutation.  Returns the state after
-    every layer and those Kronecker products (N, n_layers - 1, 2**n, 2**n),
-    highest qubit first.
+    layers.  Every layer is one (N, 2**n, 2**n) Kronecker product of its
+    per-qubit RZ·RY matrices, all layers in one `kron`.  Layer 0 acts on
+    |0...0>, so its state is its product's first column; every later layer
+    is applied by `rowwise` after the entangler permutation.  Returns the
+    state after every layer and the products of layers 1.. (N,
+    n_layers - 1, 2**n, 2**n), highest qubit first.
     Each layered ansatz keeps its last result in one read-only slot, which
     its ``prepare_batch`` and gradient share (`_layered_ansatz`).
     """
@@ -157,35 +157,25 @@ def _rotation_layers(T: np.ndarray, n_qubits: int, n_layers: int):
     ez = np.exp(-1j * half[:, :, 1])
     a = ez * np.cos(half[:, :, 0])
     b = ez.conj() * np.sin(half[:, :, 0])
-    first = np.empty((B, n_qubits, 2), dtype=complex)  # each qubit's RZ·RY|0> = (a, b)
-    first[..., 0] = a[:, 0]
-    first[..., 1] = b[:, 0]
-    u = np.empty((B, n_layers - 1, n_qubits, 2, 2), dtype=complex)  # layers 1..
-    if n_layers > 1:  # RZ @ RY = [[a, -b*], [b, a*]]
-        a, b = a[:, 1:], b[:, 1:]
-        u[..., 0, 0] = a
-        u[..., 1, 0] = b
-        u[..., 0, 1] = -b.conj()
-        u[..., 1, 1] = a.conj()
-    psi = first[:, -1]
-    kron = u[:, :, -1]
-    for q in range(n_qubits - 2, -1, -1):
-        dim = 2 * psi.shape[-1]
-        psi = (psi[:, :, None] * first[:, q, None, :]).reshape(B, dim)
-        kron = (kron[..., :, None, :, None] * u[:, :, q, None, :, None, :]
-                ).reshape(B, n_layers - 1, dim, dim)
+    u = np.empty((B, n_layers, n_qubits, 2, 2), dtype=complex)  # RZ @ RY = [[a, -b*], [b, a*]]
+    u[..., 0, 0] = a
+    u[..., 1, 0] = b
+    u[..., 0, 1] = -b.conj()
+    u[..., 1, 1] = a.conj()
+    # The qubit axis runs from qubit 1; `kron` puts its first factor highest.
+    layers = kron(u[:, :, ::-1])
     gather = _register_maps(n_qubits)[2]
-    states = [psi]
-    for layer in range(n_layers - 1):
-        states.append(np.matmul(kron[:, layer], states[-1][:, gather, None])[..., 0])
-    return states, kron
+    states = [layers[:, 0, :, 0]]
+    for layer in range(1, n_layers):
+        states.append(rowwise(layers[:, layer], states[-1][:, gather]))
+    return states, layers[:, 1:]
 
 
-def rotation_layers_gradient(T: np.ndarray, dense: np.ndarray, states, kron,
+def rotation_layers_gradient(T: np.ndarray, dense: np.ndarray, states, unitaries,
                              n_qubits: int, n_layers: int) -> np.ndarray:
     """Row-wise gradient of <ψ(θ)|H|ψ(θ)> by one batched adjoint sweep.
 
-    ``states`` and ``kron`` are the forward pass of `_rotation_layers` at
+    ``states`` and ``unitaries`` are the forward pass of `_rotation_layers` at
     the (N, n_params) rows ``T``; the ansatz passes its memoised one, so a
     gradient at the rows of the last ``prepare_batch`` builds no state.
     Every angle drives one gate exp(-iθP/2), so ∂E/∂θ = Im<λ|P|φ>, with φ
@@ -201,12 +191,11 @@ def rotation_layers_gradient(T: np.ndarray, dense: np.ndarray, states, kron,
     zsign, flip, _, scatter = _register_maps(n_qubits)
     rz = np.exp(-0.5j * np.einsum("blq,qx->blx", T.reshape(B, n_layers, 2, n_qubits)[:, :, 1],
                                   zsign))
-    # Stacked matvecs and einsum, not 2-D matmul: BLAS rounds the latter
-    # differently for one row, and a row must not depend on its batch.
+    # A row vector times each row's layer, stacked as in `rowwise`.
     mu = np.empty((B, n_layers, 2**n_qubits), dtype=complex)
-    mu[:, -1] = np.matmul(dense, states[-1][..., None])[..., 0].conj()
+    mu[:, -1] = rowwise(dense, states[-1]).conj()
     for layer in range(n_layers - 1, 0, -1):
-        mu[:, layer - 1] = np.matmul(mu[:, layer, None, :], kron[:, layer - 1])[:, 0, scatter]
+        mu[:, layer - 1] = np.matmul(mu[:, layer, None, :], unitaries[:, layer - 1])[:, 0, scatter]
     phi = np.concatenate(states, axis=1).reshape(mu.shape)  # np.stack, without its wrapper
     grad = np.empty((B, n_layers, 2, n_qubits))
     grad[:, :, 1] = np.einsum("blx,qx->blq", (mu * phi).imag, zsign)
@@ -260,7 +249,7 @@ def _layered_ansatz(name: str, n_qubits: int, n_layers: int, ry_low: float) -> A
     """
     n_params = 2 * n_qubits * n_layers
     qubits = range(1, n_qubits + 1)
-    last = None  # ((shape, bytes), (states, kron)): one entry
+    last = None  # ((shape, bytes), (states, unitaries)): one entry
 
     def forward(T: np.ndarray):
         nonlocal last
@@ -270,11 +259,11 @@ def _layered_ansatz(name: str, n_qubits: int, n_layers: int, ry_low: float) -> A
         # Drop the old entry before building the new one: holding both at
         # once raised the measured peak RSS of a `bands` run.
         last = None
-        states, kron = _rotation_layers(T, n_qubits, n_layers)
-        for array in (*states, kron):
+        states, unitaries = _rotation_layers(T, n_qubits, n_layers)
+        for array in (*states, unitaries):
             array.setflags(write=False)
-        last = key, (states, kron)
-        return states, kron
+        last = key, (states, unitaries)
+        return states, unitaries
 
     def prepare(t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -17,11 +17,13 @@ stack of states, M per row, into (B, M, 2**n) counts.  `sampled_expectation`
 measures a tuple of M words on every row of a (B, 2**n) stack, as (B, M)
 estimates: one stacked rotation, one `sample` call and one estimator call.
 `expectation_from_counts` and `mitigate_counts` read (..., M, 2**n) counts
-against a tuple of M all-I/Z words.  Every row-wise product is one stacked
-mat-vec or dot.  Row b draws its M states in order from the generator
-``stream(b)``; with one stream per row, such as
-``lambda b: family.stream(first + b)`` of a `seeding.StreamFamily`, each row
-gets the values it would get alone, bit for bit, whatever B is.
+against a tuple of M all-I/Z words through `parity_weights`, the words' rows
+of a parity table, each tuple checked once.  Every product over qubits is
+one `pauli.kron` and every row-wise product one `pauli.rowwise`.  Row b
+draws its M states in order from the generator ``stream(b)``; with one
+stream per row, such as ``lambda b: family.stream(first + b)`` of a
+`seeding.StreamFamily`, each row gets the values it would get alone, bit
+for bit, whatever B is.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import is_real
+from .pauli import is_real, kron, rowwise
 
 
 class IllPosedMitigationError(ValueError):
@@ -108,23 +110,11 @@ _LETTER_BASIS = {"I": ("I", _I2), "Z": ("Z", _I2), "X": ("Z", _H),
                  "Y": ("Z", _H @ np.diag([1, -1j]))}
 
 
-def _kron(factors: np.ndarray) -> np.ndarray:
-    """(L, 2**n, 2**n): the Kronecker products of an (L, n, 2, 2) stack of
-    per-qubit factors, the first on the highest qubit, as by `np.kron`."""
-    if not factors.shape[1]:
-        raise ValueError("need at least one qubit")
-    product = factors[:, 0]
-    for factor in factors.transpose(1, 0, 2, 3)[1:]:
-        product = (product[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(
-            len(product), 2 * product.shape[-1], -1)
-    return product
-
-
 def confusion(laws: np.ndarray) -> np.ndarray:
     """(L, 2**n, 2**n) maps from true to read outcome probabilities of L laws:
     the Kronecker products of per-qubit [[1-w01, w10], [w01, 1-w10]]."""
     w01, w10 = laws[:, 0, ::-1], laws[:, 1, ::-1]
-    return _kron(np.stack([np.stack([1 - w01, w10], -1), np.stack([w01, 1 - w10], -1)], -2))
+    return kron(np.stack([np.stack([1 - w01, w10], -1), np.stack([w01, 1 - w10], -1)], -2))
 
 
 def parity_table(laws: np.ndarray) -> np.ndarray:
@@ -136,15 +126,7 @@ def parity_table(laws: np.ndarray) -> np.ndarray:
     w01, w10 = laws[:, 0, ::-1, None], laws[:, 1, ::-1, None]
     p_plus = w10 + w01
     z = (_PARITY - (w10 - w01)) / np.where(p_plus >= 1.0, np.nan, 1.0 - p_plus)
-    return _kron(np.stack([np.ones_like(z), z], -2))
-
-
-def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ row`` for every row of a (..., dim) stack, as one stacked
-    mat-vec; ``matrix`` may itself be a stack that broadcasts against the
-    rows.  Row b's product is the same for every B; ``rows @ matrix.T`` is
-    not (BLAS rounds a one-row product differently)."""
-    return np.matmul(matrix, rows[..., None])[..., 0]
+    return kron(np.stack([np.ones_like(z), z], -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +159,15 @@ def basis_change(words: tuple[str, ...]) -> MeasurementBasisChange:
                 raise ValueError(f"bad Pauli letter {letter!r} in {word!r}")
     return MeasurementBasisChange(
         tuple("".join(_LETTER_BASIS[letter][0] for letter in word) for word in words),
-        _read_only(_kron(np.array([[_LETTER_BASIS[letter][1] for letter in word]
-                                   for word in words]))))
+        _read_only(kron(np.array([[_LETTER_BASIS[letter][1] for letter in word]
+                                  for word in words]))))
+
+
+def _check_law_stack(name: str, stack: np.ndarray | None, rows: int) -> None:
+    """Refuse a law stack that is neither one law for every row nor one per row."""
+    if stack is not None and (stack.ndim != 3 or len(stack) not in (1, rows)):
+        raise ValueError(f"{name} stack of shape {stack.shape} for {rows} rows: expected "
+                         f"one law or one per row, shape (1 or {rows}, 2**n, 2**n)")
 
 
 def sample(states: np.ndarray, shots: int, confusion: np.ndarray | None,
@@ -203,11 +192,12 @@ def sample(states: np.ndarray, shots: int, confusion: np.ndarray | None,
     states = np.asarray(states)
     if states.ndim != 3:
         raise ValueError(f"expected a (B, M, 2**n) stack of states, got shape {states.shape}")
+    _check_law_stack("confusion", confusion, len(states))
     probs = np.abs(states) ** 2
     if confusion is not None:
         if confusion.shape[-1] != probs.shape[-1]:
             raise ValueError("noise model qubit count mismatch")
-        probs = _rowwise(confusion[:, None], probs)
+        probs = rowwise(confusion[:, None], probs)
     probs = probs / probs.sum(axis=-1, keepdims=True)
     counts = np.empty(probs.shape, dtype=np.int64)
     for b, (laws, row) in enumerate(zip(probs, counts)):
@@ -217,10 +207,11 @@ def sample(states: np.ndarray, shots: int, confusion: np.ndarray | None,
     return counts
 
 
-def _word_weights(words: tuple[str, ...], table: np.ndarray | None) -> np.ndarray:
-    """M all-I/Z words' rows of a parity table (None: the plain parities),
-    (M, 2**n) for one law and (L, M, 2**n) for L.  A word on a qubit whose
-    correction is ill-posed raises `IllPosedMitigationError`."""
+@functools.lru_cache(maxsize=256)
+def _word_rows(words: tuple[str, ...]) -> np.ndarray:
+    """The `parity_table` row of each of M all-I/Z words of one length, the
+    row with Z on its set bits; checked and built once per tuple, so
+    read-only."""
     if not _word_tuple(words):
         raise ValueError("need at least one word")
     n = len(words[0])
@@ -230,31 +221,30 @@ def _word_weights(words: tuple[str, ...], table: np.ndarray | None) -> np.ndarra
         for letter in word:
             if letter not in "IZ":
                 raise ValueError(f"word {word!r} contains non-diagonal letter {letter!r}")
+    return _read_only(np.array([int(word.replace("I", "0").replace("Z", "1"), 2)
+                                for word in words]))
+
+
+@functools.lru_cache(maxsize=8)
+def _plain_parities(n_qubits: int) -> np.ndarray:
+    """The noiseless `parity_table` of n qubits, entries ±1; read-only."""
+    return _read_only(parity_table(np.zeros((1, 2, n_qubits))))
+
+
+def parity_weights(words: tuple[str, ...], table: np.ndarray | None) -> np.ndarray:
+    """M all-I/Z words' rows of a `parity_table` (None: the plain parities),
+    (M, 2**n) for one law and (L, M, 2**n) for L.  A word on a qubit whose
+    correction is ill-posed raises `IllPosedMitigationError`."""
+    rows = _word_rows(words)
+    n = len(words[0])
     if table is None:
-        table = parity_table(np.zeros((1, 2, n)))
+        table = _plain_parities(n)
     elif table.shape[-1] != 2**n:
         raise ValueError("noise model qubit count mismatch")
-    weights = table[:, [int(word.replace("I", "0").replace("Z", "1"), 2) for word in words]]
+    weights = table[:, rows]
     if np.isnan(weights).any():
         raise IllPosedMitigationError("mitigation ill-posed: w01 + w10 >= 1 on some qubit")
     return weights[0] if len(weights) == 1 else weights
-
-
-@functools.lru_cache(maxsize=256)
-def _shared_weights(words: tuple[str, ...], table: tuple[bytes, tuple] | None) -> np.ndarray:
-    """`_word_weights` of the plain parities or of a read-only table given
-    as (bytes, shape), built once per word tuple and table; read-only."""
-    if table is not None:
-        table = np.frombuffer(table[0]).reshape(table[1])
-    return _read_only(_word_weights(words, table))
-
-
-def _parity_weights(words: tuple[str, ...], table: np.ndarray | None) -> np.ndarray:
-    """`_word_weights`, shared for the plain parities and a read-only table
-    (a static law's) and built per call for one law per row."""
-    if table is not None and table.flags.writeable:
-        return _word_weights(words, table)
-    return _shared_weights(words, None if table is None else (table.tobytes(), table.shape))
 
 
 def _parity_estimates(counts: np.ndarray, words: tuple[str, ...],
@@ -262,15 +252,14 @@ def _parity_estimates(counts: np.ndarray, words: tuple[str, ...],
     """(..., M) estimates of M words from (..., M, 2**n) counts, one count
     row per word: the stacked dot of each count row with its word's
     weights, over its shots."""
-    weights = _parity_weights(words, table)
+    weights = parity_weights(words, table)
     counts = np.asarray(counts)
     if counts.shape[-1] != weights.shape[-1]:
         raise ValueError("word length does not match counts")
     if counts.ndim < 2 or counts.shape[-2] != len(words):
         raise ValueError(f"{len(words)} words need a (..., {len(words)}, 2**n) count "
                          f"stack, got shape {counts.shape}")
-    values = np.matmul(weights[..., None, :], counts[..., None])[..., 0, 0]
-    return values / counts.sum(axis=-1)
+    return rowwise(weights[..., None, :], counts)[..., 0] / counts.sum(axis=-1)
 
 
 def expectation_from_counts(counts: np.ndarray, words: tuple[str, ...]) -> np.ndarray:
@@ -326,11 +315,12 @@ def sampled_expectation(states: np.ndarray, words: tuple[str, ...], shots: int,
     states = np.asarray(states)
     if states.ndim != 2:
         raise ValueError(f"expected a (B, 2**n) stack of states, got shape {states.shape}")
+    _check_law_stack("mitigation", mitigation, len(states))
     values = np.ones((len(states), len(words)))
     measured = [i for i, word in enumerate(_word_tuple(words)) if word.strip("I")]
     if measured:
         change = basis_change(tuple(words[i] for i in measured))
-        rotated = _rowwise(change.unitary, states[:, None])  # (B, M, 2**n)
+        rotated = rowwise(change.unitary, states[:, None])  # (B, M, 2**n)
         counts = sample(rotated, shots, confusion, stream)
         if mitigation is not None:
             values[:, measured] = mitigate_counts(counts, mitigation, change.diagonal)

@@ -23,6 +23,7 @@ from .pauli import (
     is_int,
     is_real,
     pauli_words,
+    rowwise,
     shift_identity,
 )
 from .qsim import MEAN_FIELD, Ansatz
@@ -358,11 +359,7 @@ class ExactBackend:
 
         def f_batch(thetas):
             psi = ansatz.prepare_batch(thetas)
-            # A stacked matvec per row, not one (N, dim) @ (dim, dim) product:
-            # BLAS rounds the latter differently for N = 1, and a restart
-            # must not depend on how many others share its batch.
-            hpsi = np.matmul(dense, psi[..., None])[..., 0]
-            return np.einsum("bi,bi->b", psi.conj(), hpsi).real
+            return np.einsum("bi,bi->b", psi.conj(), rowwise(dense, psi)).real
 
         return _with_scalar(f_batch)
 
@@ -439,9 +436,9 @@ class ShotsBackend:
                 confusion, n_qubits, RATE_TRIALS,
                 lambda b: spawn_rng(self.seed, _STREAM_RATES, trials[b]))
             table = sampler.parity_table(rates)
-        if not self._drifts:  # read-only: its words' weights are built once
-            self._static_laws = (confusion, table if table is None else sampler._read_only(table))
-        return self._static_laws or (confusion, table)
+        if not self._drifts:
+            self._static_laws = confusion, table
+        return confusion, table
 
     def energy_noise(self, decomp: SpectralDecomposition) -> float:
         """σ̄_E, a bound on the standard deviation of one energy evaluation of
@@ -454,7 +451,7 @@ class ShotsBackend:
         if not words:
             return 0.0
         _, table = self._row_laws(self.trial, 1, decomp.n_qubits)
-        weights = sampler._parity_weights(sampler.basis_change(words).diagonal, table)
+        weights = sampler.parity_weights(sampler.basis_change(words).diagonal, table)
         c2 = np.array([decomp.coeffs[w] for w in words]) ** 2
         return float(np.sqrt(c2 @ np.max(weights**2, axis=1) / self.shots))
 

@@ -8,10 +8,10 @@ from qbands.pauli import (
     from_json_object,
     gershgorin_upper_bound,
     is_real,
+    kron,
     pauli_words,
     reconstruct,
     shift_identity,
-    word_matrix,
     word_matrix_stack,
 )
 
@@ -27,18 +27,43 @@ class TestWords:
     def test_orthogonality_trace_inner_product(self):
         # Tr(σ_i† σ_j) = 2^n δ_ij, exhaustively up to three qubits.
         for n in (1, 2, 3):
-            stack = np.array([word_matrix(w) for w in pauli_words(n)])
+            stack = word_matrix_stack(n)
             gram = np.einsum("aij,bij->ab", stack.conj(), stack)
             assert np.allclose(gram, 2**n * np.eye(4**n), atol=1e-12)
 
     def test_matches_independent_kron(self):
-        for word in ("XZ", "IYZ", "ZZY"):
-            assert np.array_equal(word_matrix(word), kron_word(word))
+        # Every word's matrix, in pauli_words order, bit for bit.
+        for n in (1, 2, 3):
+            stack = word_matrix_stack(n)
+            assert stack.shape == (4**n, 2**n, 2**n)
+            for word, matrix in zip(pauli_words(n), stack):
+                assert matrix.tobytes() == kron_word(word).tobytes()
 
     def test_cached_stack_is_read_only(self):
         with pytest.raises(ValueError, match="read-only"):
             word_matrix_stack(1)[3] *= 2
         assert decompose(np.diag([1.0, -1.0])).coeffs == {"Z": 1.0}
+
+
+class TestKron:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["0", "1", "2"])
+    @pytest.mark.parametrize("cols", [2, 1], ids=["matrix", "column"])
+    def test_is_successive_np_kron_bit_for_bit(self, n, lead, cols, rng):
+        # The first factor on the highest qubit, as np.kron(np.kron(f0, f1), ...).
+        factors = (rng.normal(size=(*lead, n, 2, cols))
+                   + 1j * rng.normal(size=(*lead, n, 2, cols)))
+        product = kron(factors)
+        assert product.shape == (*lead, 2**n, cols**n)
+        for index in np.ndindex(*lead):
+            expected = factors[index][0]
+            for factor in factors[index][1:]:
+                expected = np.kron(expected, factor)
+            assert np.ascontiguousarray(product[index]).tobytes() == expected.tobytes()
+
+    def test_needs_a_qubit(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            kron(np.ones((3, 0, 2, 2)))
 
 
 class TestNumberRule:

@@ -346,6 +346,15 @@ class TestStacks:
         # No draw, no stream, when every word is the identity.
         sampled_expectation(states, ("I", "I"), 10, None, _no_draws)
 
+    def test_law_stack_needs_one_law_or_one_per_row(self, rng):
+        # Three laws for two rows are refused by name before any draw.
+        states = self._states(rng)[:2]
+        with pytest.raises(ValueError, match=r"confusion stack of shape \(3, 8, 8\) for 2 rows"):
+            sample(states[:, None], self.SHOTS, np.repeat(self.CONFUSION, 3, axis=0), _no_draws)
+        with pytest.raises(ValueError, match=r"mitigation stack of shape \(3, 8, 8\) for 2 rows"):
+            sampled_expectation(states, ("ZZZ",), self.SHOTS, self.CONFUSION, _no_draws,
+                                mitigation=np.repeat(self.TABLE, 3, axis=0))
+
     def test_rejects_stacks_above_rank_three(self):
         # (B, M, 2**n) is the only rank `sample` takes: M states per row.
         with pytest.raises(ValueError, match="stack"):
@@ -691,7 +700,7 @@ class TestMitigation:
                        else np.ones(2)
                        for letter, a, b in zip(word, w01[::-1], w10[::-1])]
             expected.append(functools.reduce(lambda u, v: np.outer(u, v).ravel(), factors))
-        assert sampler._parity_weights(words, _table(model)).tolist() == \
+        assert sampler.parity_weights(words, _table(model)).tolist() == \
             np.array(expected).tolist()
 
     def test_counts_reduces_to_single_qubit_formula(self, rng):
