@@ -39,11 +39,12 @@ An exact level is compared with `numpy.linalg.eigvalsh`.  Per set and
 restart count the table gives the worst |error| (eV), the misses (an exact
 level more than 1e-3 eV off, a shots level that fails the benchmark's check,
 or a k-point written as failed), the levels that did not converge, the
-restarts stopped at the iteration cap, the energy evaluations and the wall
-time.  The last lines name, per backend, the smallest restart count with no
-miss and no unconverged level, and at one restart also no restart stopped at
-the cap (a lone restart that stalls leaves its level unconverged, so a set
-must be large enough to show the stall): the rule the BFGS defaults of
+restarts stopped at the iteration cap, the levels solved twice (the retry of
+`vqe.full_spectrum`), the energy evaluations and the wall time.  The last
+lines name, per backend, the smallest restart count with no miss and no
+unconverged level, and at one restart also no restart stopped at the cap (a
+lone restart that stalls leaves its level unconverged, so a set must be
+large enough to show the stall): the rule the BFGS defaults of
 `vqe._with_defaults` follow.
 """
 import argparse
@@ -92,11 +93,12 @@ def int_list(text: str) -> list[int]:
 class Tally:
     def __init__(self):
         self.solves = self.levels = self.misses = self.unconverged = self.evaluations = 0
-        self.capped = 0
+        self.capped = self.retried = 0
         self.worst = 0.0
         self.wall = 0.0
 
-    def add(self, energies, oracle, converged, evaluations, capped=0, miss_ev=MISS_EV) -> None:
+    def add(self, energies, oracle, converged, evaluations, capped=0, retried=0,
+            miss_ev=MISS_EV) -> None:
         err = np.abs(np.asarray(energies) - oracle)
         self.solves += 1
         self.levels += len(err)
@@ -105,19 +107,27 @@ class Tally:
         self.unconverged += int(np.sum(~np.asarray(converged)))
         self.evaluations += int(np.sum(evaluations))
         self.capped += capped
+        self.retried += retried
 
-    def capture(self) -> None:
+    def capture(self, retried: int) -> None:
         self.solves += 1
         self.misses += 1
+        self.retried += retried
 
     def merge(self, other: "Tally") -> None:
-        for name in ("solves", "levels", "misses", "unconverged", "capped", "evaluations",
-                     "wall"):
+        for name in ("solves", "levels", "misses", "unconverged", "capped", "retried",
+                     "evaluations", "wall"):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.worst = max(self.worst, other.worst)
 
     def clean(self, restarts: int) -> bool:
         return not (self.misses or self.unconverged or (restarts == 1 and self.capped))
+
+
+def retried(restart_total: int, levels: int, restarts: int) -> int:
+    """Levels solved twice among ``levels`` solved levels that ran
+    ``restart_total`` restarts in all, ``restarts`` per attempt."""
+    return restart_total // restarts - levels
 
 
 def cli_set(argv: list[str], seeds: list[int], restarts: int, points: int | None = None,
@@ -137,11 +147,13 @@ def cli_set(argv: list[str], seeds: list[int], restarts: int, points: int | None
         for i, kp in enumerate(path.points[:points]):
             with contextlib.redirect_stderr(io.StringIO()):
                 r = cli._solve_kpoint((args, noise, i, kp.components, float(path.coords[i])))
+            twice = retried(sum(r["stops"].values()), sum(e > 0 for e in r["evaluations"]),
+                            restarts)
             if r["failed"]:  # written as NaN
-                tally.capture()
+                tally.capture(twice)
                 continue
             tally.add(r["energies"], np.array(r["oracle"]), r["converged"], r["evaluations"],
-                      r["stops"]["max_iter"], miss_ev)
+                      r["stops"]["max_iter"], twice, miss_ev)
     tally.wall = time.perf_counter() - start
     return tally
 
@@ -158,13 +170,16 @@ def matrix_set(count: int, restarts: int) -> Tally:
         config = OptimizerConfig(seed=MATRIX_OPT_SEED + trial, restarts=restarts)
         try:
             spec = full_spectrum(decompose(H), 8, THREE_QUBIT, backend, config)
-        except ZeroCaptureError:
-            tally.capture()
+        except ZeroCaptureError as exc:
+            levels = exc.found.levels + (exc.result,)
+            tally.capture(retried(sum(len(lv.restarts) for lv in levels), len(levels),
+                                  restarts))
             continue
-        levels = [lv for _, lv, _ in spec.sorted_levels()]
+        levels = spec.levels
         tally.add(spec.energies, np.linalg.eigvalsh(H), [lv.converged for lv in levels],
                   [lv.evaluations for lv in levels],
-                  sum(res.stop == "max_iter" for lv in levels for res in lv.restarts))
+                  sum(res.stop == "max_iter" for lv in levels for res in lv.restarts),
+                  retried(sum(len(lv.restarts) for lv in levels), len(levels), restarts))
     tally.wall = time.perf_counter() - start
     return tally
 
@@ -194,8 +209,11 @@ def shots_set(seeds: list[int], restarts: int) -> Tally:
             tally.unconverged += sum(v == "0" for row in rows for c, v in row.items()
                                      if c.startswith("converged_"))
             tally.capped += summary["stops"]["max_iter"]
-            tally.evaluations += sum(int(v) for row in rows for c, v in row.items()
-                                     if c.startswith("evaluations_"))
+            evaluations = [int(v) for row in rows for c, v in row.items()
+                           if c.startswith("evaluations_")]
+            tally.evaluations += sum(evaluations)
+            tally.retried += retried(sum(summary["stops"].values()),
+                                     sum(e > 0 for e in evaluations), restarts)
     tally.wall = time.perf_counter() - start
     return tally
 
@@ -251,14 +269,15 @@ def main() -> int:
 
     print(f"{args.circuit} circuit")
     print("| set | restarts | solves | levels | worst err (eV) | misses | unconverged "
-          "| max_iter stops | evaluations | wall (s) |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| max_iter stops | retried | evaluations | wall (s) |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     totals = {backend: {} for backend in backends.values()}
     for r in sorted(restarts):
         for name, t in sets(r).items():
             totals[backends[name]].setdefault(r, Tally()).merge(t)
             print(f"| {name} | {r} | {t.solves} | {t.levels} | {t.worst:.1e} | {t.misses} "
-                  f"| {t.unconverged} | {t.capped} | {t.evaluations} | {t.wall:.1f} |",
+                  f"| {t.unconverged} | {t.capped} | {t.retried} | {t.evaluations} "
+                  f"| {t.wall:.1f} |",
                   flush=True)
     for backend, by_count in totals.items():
         smallest = next((r for r, t in by_count.items() if t.clean(r)), "none")

@@ -140,20 +140,28 @@ class MeasurementBasisChange:
 
 
 def _word_tuple(words: tuple[str, ...]) -> tuple[str, ...]:
-    """``words``, refused when it is one word rather than a tuple of them."""
+    """``words``, refused unless it is a tuple of words: one word is not read
+    as its letters, and the caches below are keyed by the tuple."""
     if isinstance(words, str):
-        raise TypeError(f"expected a tuple of words, got the string {words!r}")
+        raise TypeError(f"words: expected a tuple of words, got the string {words!r}")
+    if not isinstance(words, tuple):
+        raise TypeError(f"words: expected a tuple of words, got {type(words).__name__} "
+                        f"{words!r}; pass tuple(words)")
     return words
 
 
-@functools.lru_cache(maxsize=256)
 def basis_change(words: tuple[str, ...]) -> MeasurementBasisChange:
     """The stacked pre-measurement rotations of a tuple of Pauli words (one
     operator's measured words): per word, the Kronecker product of one fixed
     2x2 matrix per letter, leftmost letter on the highest qubit; a Hadamard
     for X, H·S·Z for Y, the identity for I and Z.  Built once per tuple and
     shared, so the unitary is read-only."""
-    for word in _word_tuple(words):
+    return _basis_change(_word_tuple(words))
+
+
+@functools.lru_cache(maxsize=256)
+def _basis_change(words: tuple[str, ...]) -> MeasurementBasisChange:
+    for word in words:
         for letter in word:
             if letter not in _LETTER_BASIS:
                 raise ValueError(f"bad Pauli letter {letter!r} in {word!r}")
@@ -212,7 +220,7 @@ def _word_rows(words: tuple[str, ...]) -> np.ndarray:
     """The `parity_table` row of each of M all-I/Z words of one length, the
     row with Z on its set bits; checked and built once per tuple, so
     read-only."""
-    if not _word_tuple(words):
+    if not words:
         raise ValueError("need at least one word")
     n = len(words[0])
     for word in words:
@@ -235,7 +243,7 @@ def parity_weights(words: tuple[str, ...], table: np.ndarray | None) -> np.ndarr
     """M all-I/Z words' rows of a `parity_table` (None: the plain parities),
     (M, 2**n) for one law and (L, M, 2**n) for L.  A word on a qubit whose
     correction is ill-posed raises `IllPosedMitigationError`."""
-    rows = _word_rows(words)
+    rows = _word_rows(_word_tuple(words))
     n = len(words[0])
     if table is None:
         table = _plain_parities(n)

@@ -20,6 +20,7 @@ from qbands.pauli import gershgorin_upper_bound
 from qbands.tightbinding import (
     KPoint,
     TBParameters,
+    build_full_hamiltonian,
     build_s_block,
     diagonalize_classical,
 )
@@ -640,6 +641,22 @@ class TestBands:
             assert sum(summary["stops"].values()) == 2 * 2 * restarts  # k-points, levels
             assert summary["failed_kpoints"] == []
         assert exact["stops"]["noise"] == 0 and shots["stops"]["noise"] > 0
+
+    def test_level_above_residual_bound_is_solved_again(self, tmp_path):
+        # At seed 803175 and 1 restart, the lone restart of Γ's last level
+        # stops as converged 4.45e-2 eV above band 8, with residual 0.206;
+        # the residual retry finds the level.
+        optimizer_file = tmp_path / "optimizer.json"
+        optimizer_file.write_text(json.dumps({"restarts": 1}))
+        assert main(["bands", "--mode", "8band", "--kpath", "L,G:1", "--seed", "803175",
+                     "--optimizer", str(optimizer_file), "--out", str(tmp_path)]) == 0
+        _, columns, rows = read_csv(tmp_path / "bands.csv")
+        gamma = rows[1]
+        assert col(columns, [gamma], "kx") == [0.0]
+        H = build_full_hamiltonian(SI, KPoint((0.0, 0.0, 0.0)))
+        assert abs(col(columns, [gamma], "e_vqe_8")[0] - np.linalg.eigvalsh(H)[7]) <= 1e-5
+        assert col(columns, [gamma], "converged_8", int) == [1]
+        assert col(columns, [gamma], "residual_8")[0] <= qbands.vqe.RESIDUAL_TOL
 
     def test_eight_band_sorted_energies(self, tmp_path):
         main(["bands", "--mode", "8band", "--kpath", "G,L:1",

@@ -17,6 +17,7 @@ from qbands.sampler import (
     expectation_from_counts,
     mitigate_counts,
     parity_table,
+    parity_weights,
     sample,
     sampled_expectation,
 )
@@ -128,6 +129,18 @@ class TestBasisChange:
             with pytest.raises(TypeError, match="tuple of words"):
                 call()
 
+
+    def test_word_list_is_refused_before_the_caches(self):
+        # A list cannot key the word caches; it is refused by name.
+        counts = _counts(1, {0: 3, 1: 1})
+        for call in (lambda: basis_change(["X"]),
+                     lambda: parity_weights(["Z"], None),
+                     lambda: expectation_from_counts(counts, ["Z"]),
+                     lambda: mitigate_counts(counts, _table(ReadoutNoiseModel.uniform(1)), ["Z"])):
+            with pytest.raises(TypeError, match=re.escape("words: expected a tuple of words, "
+                                                          "got list ['")):
+                call()
+        assert expectation_from_counts(counts, ("Z",)).tolist() == [0.5]
 
 class TestSample:
     def test_deterministic_zero_state(self):

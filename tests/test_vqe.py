@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -506,7 +508,7 @@ class TestMinimize:
             config = _with_defaults(OptimizerConfig(method=method), ansatz, backend)
             return config.restarts, config.max_iter
 
-        assert defaults(THREE_QUBIT, EXACT, "bfgs") == (2, 1000)
+        assert defaults(THREE_QUBIT, EXACT, "bfgs") == (1, 1000)
         assert defaults(THREE_QUBIT, EXACT, "cobyla") == (20, None)
         assert defaults(THREE_QUBIT, shots, "bfgs") == (20, None)
         assert defaults(MEAN_FIELD, EXACT, "bfgs") == (2, None)
@@ -598,9 +600,62 @@ class TestFullSpectrum:
     def test_default_restarts_recover_eight_bands(self, k):
         H = build_full_hamiltonian(SI, k)
         spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT, OptimizerConfig())
-        assert all(len(level.restarts) == 2 for level in spec.levels)
+        # 1 restart, or 2 for a level solved once more (see the retry tests).
+        assert all(len(level.restarts) in (1, 2) for level in spec.levels)
         assert all(level.converged for level in spec.levels)
         assert np.max(np.abs(spec.energies - np.linalg.eigvalsh(H))) <= 1e-5
+
+    def _first_level(self, tol, monkeypatch):
+        """Γ's first 8-band level at 1 restart under RESIDUAL_TOL = ``tol``, and
+        the operator it minimised."""
+        monkeypatch.setattr(vqe, "RESIDUAL_TOL", tol)
+        dec = decompose(build_full_hamiltonian(SI, GAMMA))
+        config = OptimizerConfig(seed=5, restarts=1)
+        spec = full_spectrum(dec, 1, THREE_QUBIT, EXACT, config)
+        work = shift_identity(dec, spec.shift)
+        return spec, work, config
+
+    def test_level_above_residual_bound_is_solved_once_more(self, monkeypatch):
+        base, work, config = self._first_level(vqe.RESIDUAL_TOL, monkeypatch)
+        residual = base.residuals[0]
+        assert 0 < residual <= vqe.RESIDUAL_TOL and len(base.levels[0].restarts) == 1
+        below, _, _ = self._first_level(2 * residual, monkeypatch)
+        assert below.levels[0].evaluations == base.levels[0].evaluations
+        assert len(below.levels[0].restarts) == 1
+        above, _, _ = self._first_level(residual / 2, monkeypatch)
+        first = minimize(work, THREE_QUBIT, EXACT, replace(
+            config, seed=spawn_seed(5, vqe._STREAM_LEVEL, 0)))
+        retry = minimize(work, THREE_QUBIT, EXACT, replace(
+            config, seed=spawn_seed(5, vqe._STREAM_LEVEL, 0, 1)))
+        level = above.levels[0]
+        assert level.theta.tolist() == retry.theta.tolist()
+        assert level.evaluations == first.evaluations + retry.evaluations
+        assert [(r.energy, r.evaluations) for r in level.restarts] \
+            == [(r.energy, r.evaluations) for r in first.restarts + retry.restarts]
+
+    def test_residual_retry_runs_once_and_keeps_a_miss_unconverged(self, monkeypatch):
+        # No residual meets a zero bound: every level is solved twice, not
+        # more, and written unconverged although BFGS converged.
+        spec, _, _ = self._first_level(0.0, monkeypatch)
+        assert len(spec.levels[0].restarts) == 2
+        assert spec.levels[0].restarts[1].converged
+        assert not spec.levels[0].converged
+
+    def test_shots_level_is_never_retried_for_its_residual(self, monkeypatch):
+        dec = decompose(build_s_block(SI, GAMMA))
+        config = OptimizerConfig(seed=6, restarts=1)
+
+        def solve():
+            return full_spectrum(dec, 2, MEAN_FIELD, ShotsBackend(shots=256, seed=7), config)
+
+        base = solve()
+        monkeypatch.setattr(vqe, "RESIDUAL_TOL", 0.0)
+        spec = solve()
+        assert min(spec.residuals) > 0
+        assert [len(level.restarts) for level in spec.levels] == [1, 1]
+        assert [level.converged for level in spec.levels] \
+            == [level.converged for level in base.levels]
+        assert spec.energies.tolist() == base.energies.tolist()
 
     def test_zone_centre_p_band_multiplets(self):
         H = build_full_hamiltonian(SI, GAMMA)
