@@ -61,6 +61,10 @@ _MAX_RATES_SAMPLES = 2**30 // 2048  # 2**19
 # 32.0-32.5 MiB RSS (ru_maxrss and smaps, 2-worker pool), 7.6 MiB of it
 # private and the rest shared with the parent, budgeted at 32 MiB.
 _MAX_WORKERS = 2**30 // 2**25  # 32
+# BFGS starts every restart of a level at once.  A mitigated 64-shot 8-band
+# run peaks at 44, 86 and 136 MiB RSS at 8, 64 and 128 restarts (ru_maxrss),
+# about 0.8 MiB per restart, budgeted at 1 MiB.
+_MAX_RESTARTS = 2**30 // 2**20  # 1024
 # The largest legal input, a 64x64 `--matrix` of [re, im] pairs, is 177 KB
 # as json.dumps writes it and 416 KB at indent=4.
 _MAX_INPUT_BYTES = 2**20
@@ -436,6 +440,15 @@ def _config_file(make):
     return _arg(lambda path: from_json_object(make, _load_json(path)))
 
 
+def _read_optimizer(path: str) -> OptimizerConfig:
+    """The `--optimizer` file's config, read as every config file is, with
+    ``restarts`` at most ``_MAX_RESTARTS``."""
+    config = from_json_object(OptimizerConfig, _load_json(path))
+    if config.restarts is not None and config.restarts > _MAX_RESTARTS:
+        raise ValueError(f"restarts {config.restarts} exceed the cap of {_MAX_RESTARTS}")
+    return config
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     # Any size: a seed feeds numpy's SeedSequence, which takes big integers.
     p.add_argument("--seed", type=_at_least(0, most=None), default=0, help="master seed")
@@ -466,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bands", help="band energies along a k-path")
     _add_model_args(p)
-    p.add_argument("--optimizer", type=_config_file(OptimizerConfig), default=OptimizerConfig(),
+    p.add_argument("--optimizer", type=_arg(_read_optimizer), default=OptimizerConfig(),
                    help="optimizer config JSON")
     p.add_argument("--kpath", type=_as_written(parse_kpath), default="X,G,L:20",
                    help="anchors and points per segment, e.g. 'X,G,L:20'")

@@ -534,9 +534,10 @@ def _with_defaults(config: OptimizerConfig, ansatz: Ansatz, backend: Backend
                    ) -> OptimizerConfig:
     """``config`` with unset ``restarts`` and ``max_iter`` filled in.
 
-    BFGS restart counts come from the sweeps of ``scripts/restart_sweep.py``:
-    the smallest count with no missed and no unconverged level, and at one
-    restart also no restart stopped at the iteration cap.
+    BFGS restart counts come from the sweeps of ``scripts/restart_sweep.py``,
+    which runs the `bands` command at each set's master seeds: the smallest
+    count with no missed and no unconverged level, and at one restart also
+    no restart stopped at the iteration cap.
     - Three-qubit circuit, exact backend: 1 restart of up to 1000
       iterations, with `full_spectrum`'s residual retry (the 41-point X,G,L
       path at 10 CLI seeds, L and Γ at 1200, 100 random 8x8 spectra; no
@@ -546,7 +547,9 @@ def _with_defaults(config: OptimizerConfig, ansatz: Ansatz, backend: Backend
       at the cap, a restart stalled at a pole, and 2 absorbed every stall).
     - Mean-field circuit, shots backend: 3 (the benchmark's 2-band shots
       command at 4000 seeds: 2 restarts failed 4 runs, where both restarts
-      stopped at the noise floor next to a pole or short of the level).
+      stopped at the noise floor next to a pole or short of the level; and
+      that command on `X,X:1`, the X point twice, at 10,000 seeds, where no
+      k-point failed at 2 or 3).
     Unswept: 20 restarts for the three-qubit circuit on the shots backend;
     COBYLA keeps 3 (mean-field) and 20 (three-qubit); and the optimisers'
     own caps (200 BFGS iterations, 4000 COBYLA evaluations).

@@ -356,6 +356,25 @@ class TestSizeCaps:
         assert qbands.cli._MAX_WORKERS == 32 and 32 * 2**25 <= 2**30
         assert qbands.cli.build_parser().parse_args(["bands", "--workers", "32"]).workers == 32
 
+    def test_restarts_cap_fits_the_budget_and_parses(self, tmp_path):
+        # A restart peaks at about 0.8 MiB (README), so 1024 stay within 1 GiB.
+        assert qbands.cli._MAX_RESTARTS == 1024 and 1024 * 2**20 <= 2**30
+        at_cap = tmp_path / "at_cap.json"
+        at_cap.write_text('{"restarts": 1024}')
+        args = qbands.cli.build_parser().parse_args(["bands", "--optimizer", str(at_cap)])
+        assert args.optimizer.restarts == 1024
+
+    def test_restarts_above_the_cap_are_refused_before_any_output(self, tmp_path, capsys):
+        above = tmp_path / "above.json"
+        above.write_text('{"restarts": 1025}')
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bands", "--optimizer", str(above), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--optimizer" in err and "restarts 1025 exceed the cap of 1024" in err
+        assert not out.exists()
+
     def test_largest_legal_input_fits_the_file_cap(self):
         # A 64x64 matrix of [re, im] pairs, every value at full repr width.
         entry = [-1.2345678901234567e-100, -1.2345678901234567e-100]
