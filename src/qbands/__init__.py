@@ -60,6 +60,5 @@ from .vqe import (
     full_spectrum,
     grid_scan,
     minimize,
-    optimize_direct,
     optimize_quasinewton,
 )

@@ -195,9 +195,11 @@ def _coefficient_vector(decomp: SpectralDecomposition) -> np.ndarray:
 
 
 def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
-    """Dense matrix sum(c_w σ_w); inverse of decompose up to pruning."""
-    return np.tensordot(_coefficient_vector(decomp), word_matrix_stack(decomp.n_qubits),
-                        axes=1)
+    """Dense matrix sum(c_w σ_w); inverse of decompose up to pruning.  An
+    einsum, not a BLAS product: OpenBLAS runs a 64x64 complex vector-matrix
+    product on a second thread, which then spins beside the solve."""
+    return np.einsum("w,wij->ij", _coefficient_vector(decomp),
+                     word_matrix_stack(decomp.n_qubits))
 
 
 def shift_identity(decomp: SpectralDecomposition, s: float) -> SpectralDecomposition:

@@ -171,6 +171,12 @@ def _basis_change(words: tuple[str, ...]) -> MeasurementBasisChange:
                                   for word in words]))))
 
 
+# A row of at least this many laws is drawn in one 2-D multinomial call: 8
+# and 63 laws took 20.9 and 52.7 us so, against 29.9 and 162.3 us law by law,
+# but 2 and 3 laws took 15.3 and 16.4 us against 7.2 and 9.4 (8192 shots, Philox).
+STACKED_DRAW_LAWS = 8
+
+
 def _check_law_stack(name: str, stack: np.ndarray | None, rows: int) -> None:
     """Refuse a law stack that is neither one law for every row nor one per row."""
     if stack is not None and (stack.ndim != 3 or len(stack) not in (1, rows)):
@@ -188,7 +194,8 @@ def sample(states: np.ndarray, shots: int, confusion: np.ndarray | None,
     Readout flips are independent per shot and qubit, so the noisy outcome
     law is |amplitude|^2 under a `confusion` stack of one law for every row
     or one per row (None: no noise); one multinomial draw per state over it
-    gives the counts.
+    gives the counts.  A row of ``STACKED_DRAW_LAWS`` or more draws them all
+    in one call, which leaves the same counts and generator state.
 
     numpy's multinomial draws each outcome through a binomial, which takes
     another branch once a probability crosses 1/2 in its last bit: a change
@@ -210,8 +217,11 @@ def sample(states: np.ndarray, shots: int, confusion: np.ndarray | None,
     counts = np.empty(probs.shape, dtype=np.int64)
     for b, (laws, row) in enumerate(zip(probs, counts)):
         g = stream(b)
-        for j, law in enumerate(laws):
-            row[j] = g.multinomial(shots, law)
+        if len(laws) >= STACKED_DRAW_LAWS:
+            row[...] = g.multinomial(shots, laws)
+        else:
+            for j, law in enumerate(laws):
+                row[j] = g.multinomial(shots, law)
     return counts
 
 

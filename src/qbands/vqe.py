@@ -1,6 +1,6 @@
-"""Variational driver: classical optimisers, ground-state search, parameter
-surface scans, and full-spectrum extraction via identity shift plus
-iterative deflation.
+"""Variational driver: the lock-step BFGS optimiser, ground-state search,
+parameter surface scans, and full-spectrum extraction via identity shift
+plus iterative deflation.
 
 Two backends evaluate the energy objective sum_w c_w <σ_w> and its
 gradient: an exact statevector backend (adjoint-sweep gradients) and a
@@ -65,24 +65,19 @@ class ZeroCaptureError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Classical optimiser settings.
+    """Settings of the lock-step BFGS optimiser (`optimize_quasinewton`).
 
-    method: "bfgs" (quasi-Newton on the backend's exact gradients, all
-    restarts in lock step) or "cobyla" (direct search).  When None,
-    ``max_iter`` and ``restarts`` default per ansatz, backend and method
+    When None, ``max_iter`` and ``restarts`` default per ansatz and backend
     (see ``_with_defaults``).  ``seed`` None means unset: the CLI then roots the
     optimiser streams at the master seed, and the library draws from seed 0.
     """
 
-    method: str = "bfgs"
     max_iter: int | None = None
     tol_ev: float = 1e-6
     restarts: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("bfgs", "cobyla"):
-            raise ValueError(f"method must be 'bfgs' or 'cobyla', got {self.method!r}")
         tol = self.tol_ev
         if not (is_real(tol) and tol > 0):
             raise ValueError(f"tol_ev must be a positive finite real, got {tol!r}")
@@ -95,8 +90,8 @@ class OptimizerConfig:
 
 
 # Why a restart stopped: BFGS's gradient and noise tests, a line search
-# failed from the identity, the iteration cap; and COBYLA's own end.
-STOPS = ("gradient", "noise", "precision", "max_iter", "cobyla")
+# failed from the identity, or the iteration cap.
+STOPS = ("gradient", "noise", "precision", "max_iter")
 
 
 @dataclass(frozen=True)
@@ -297,23 +292,20 @@ def optimize_direct(
     x0: np.ndarray,
     config: OptimizerConfig,
 ) -> OptimizeResult:
-    """COBYLA direct search: linear-approximation trust region, no gradients."""
+    """COBYLA direct search: linear-approximation trust region, no gradients;
+    its stop is "cobyla", outside ``STOPS``.
+
+    Nothing in the package calls it.  It remains only because the
+    benchmark's span list (`bench/layers.py`) wraps this name, and every
+    wrapped name must exist; it and the scipy dependency go when the
+    benchmark stops patching functions by name."""
     from scipy import optimize  # deferred: scipy costs every start-up ~0.6 s
 
-    x0 = np.asarray(x0, dtype=float)
-    max_iter = config.max_iter if config.max_iter is not None else 4000
-    nfev = 0
-
-    def f(xv):
-        nonlocal nfev
-        nfev += 1
-        return float(objective(xv))
-
-    res = optimize.minimize(
-        f, x0, method="COBYLA", tol=config.tol_ev,
-        options={"maxiter": max_iter},
-    )
-    return OptimizeResult(res.x, float(res.fun), nfev, nfev, bool(res.success), "cobyla")
+    res = optimize.minimize(lambda x: float(objective(x)), np.asarray(x0, dtype=float),
+                            method="COBYLA", tol=config.tol_ev,
+                            options={"maxiter": config.max_iter or 4000})
+    return OptimizeResult(res.x, float(res.fun), res.nfev, res.nfev, bool(res.success),
+                          "cobyla")
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +542,10 @@ def _with_defaults(config: OptimizerConfig, ansatz: Ansatz, backend: Backend
       stopped at the noise floor next to a pole or short of the level; and
       that command on `X,X:1`, the X point twice, at 10,000 seeds, where no
       k-point failed at 2 or 3).
-    Unswept: 20 restarts for the three-qubit circuit on the shots backend;
-    COBYLA keeps 3 (mean-field) and 20 (three-qubit); and the optimisers'
-    own caps (200 BFGS iterations, 4000 COBYLA evaluations).
+    Unswept: 20 restarts for the three-qubit circuit on the shots backend,
+    and BFGS's own cap of 200 iterations.
     """
-    if config.method == "bfgs" and isinstance(backend, ExactBackend):
+    if isinstance(backend, ExactBackend):
         restarts, max_iter = (2, None) if ansatz.n_params == 2 else (1, 1000)
     else:
         restarts, max_iter = (3 if ansatz.n_params == 2 else 20), None
@@ -573,10 +564,9 @@ def minimize(
 ) -> VQEResult:
     """Minimise the reconstructed <H> over the ansatz parameters.
 
-    Runs ``restarts`` optimisations (unset: see ``_with_defaults``) from
-    uniform random angles (BFGS: all in lock step; COBYLA: one after
-    another) and keeps the lowest energy, ties broken by fewest
-    evaluations, then by restart order.
+    Runs ``restarts`` BFGS optimisations (unset: see ``_with_defaults``),
+    all in lock step, from uniform random angles and keeps the lowest
+    energy, ties broken by fewest evaluations, then by restart order.
     """
     config = _with_defaults(config, ansatz, backend)
     seed = config.seed if config.seed is not None else 0
@@ -584,12 +574,9 @@ def minimize(
     f, f_batch = backend.make_objective(decomp, ansatz)
     x0 = np.array([ansatz.random_parameters(spawn_rng(seed, _STREAM_RESTART, r))
                    for r in range(config.restarts)])
-    if config.method == "cobyla":
-        results = [optimize_direct(f, x, config) for x in x0]
-    else:
-        grad_batch, grad_evaluations = backend.make_gradient(decomp, ansatz)
-        results = optimize_quasinewton(f_batch, grad_batch, x0, config, grad_evaluations,
-                                       energy_noise=backend.energy_noise(decomp))
+    grad_batch, grad_evaluations = backend.make_gradient(decomp, ansatz)
+    results = optimize_quasinewton(f_batch, grad_batch, x0, config, grad_evaluations,
+                                   energy_noise=backend.energy_noise(decomp))
     best = min(results, key=lambda res: (res.energy, res.evaluations))
     energy = f(best.x)
     return VQEResult(

@@ -155,7 +155,7 @@ class TestBadInput:
         (["bands", "--optimizer", File(None)], "--optimizer"),
         (["bands", "--optimizer", File("not json")], "--optimizer"),
         (["bands", "--optimizer", File("[1]")], "--optimizer"),
-        (["bands", "--optimizer", File('{"method": "newton"}')], "--optimizer"),
+        (["bands", "--optimizer", File('{"method": "cobyla"}')], "--optimizer"),
         (["scan", "--params", File(None)], "--params"),
         (["bands", "--params", File("{")], "--params"),
         (["bands", "--params", File('{"E_s": 0.0}')], "--params"),
@@ -244,7 +244,12 @@ class TestBadInput:
         (["bands", "--params", params_file(V_zz=1.0)],
          'unknown key "V_zz"; the accepted keys are "lattice_constant", "E_s", "E_p", '
          '"V_ss", "V_sp", "V_xx", "V_xy"'),
-    ], ids=["matrix-wrong-key", "matrix-extra-key", "params-missing", "params-extra"])
+        # BFGS is the only optimiser, so a file that names one is refused.
+        (["bands", "--optimizer", File('{"method": "bfgs", "restarts": 2}')],
+         'unknown key "method"; the accepted keys are "max_iter", "tol_ev", "restarts", '
+         '"seed"'),
+    ], ids=["matrix-wrong-key", "matrix-extra-key", "params-missing", "params-extra",
+            "optimizer-method"])
     def test_key_errors_name_the_keys(self, argv, message, tmp_path, capsys):
         # The message names the unknown and missing keys and the accepted
         # ones, not a Python call signature.
@@ -460,7 +465,8 @@ class TestHeader:
         assert set(config) == _COMMON_KEYS | extra
         assert {k: config[k] for k in expected} == expected
         assert config["command"] == argv[0]
-        assert config["optimizer"]["method"] == "bfgs"
+        assert config["optimizer"] == {"max_iter": None, "tol_ev": 1e-6, "restarts": None,
+                                       "seed": None}
         blob = json.dumps(config, sort_keys=True).encode()
         assert header["digest"] == hashlib.sha256(blob).hexdigest()[:12]
         assert header["seed"] == config["seed"]
@@ -756,26 +762,31 @@ class TestRates:
 
 
 class TestStartup:
-    def test_scipy_stays_off_the_import_path(self):
-        # scipy serves COBYLA only and is imported on its first use.
+    def test_no_command_imports_scipy(self, tmp_path):
+        # Every command runs with scipy blocked: importing it would raise.
+        (tmp_path / "noise.json").write_text('{"w01": 0.05, "w10": 0.08}')
+        (tmp_path / "m.json").write_text('{"matrix": [[1, 0], [0, -1]]}')
+        commands = [
+            ["bands", "--kpath", "X,G:1"],
+            ["bands", "--mode", "8band", "--kpath", "G,L:1"],
+            ["bands", "--backend", "shots", "--shots", "64", "--mitigate",
+             "--noise", "noise.json", "--kpath", "X,G:1"],
+            ["scan", "--theta-steps", "4", "--phi-steps", "4"],
+            ["rates", "--noise", "noise.json", "--samples", "2", "--trials", "100"],
+            ["decompose", "--matrix", "m.json"],
+        ]
         script = (
             "import sys\n"
-            "import qbands\n"
+            "sys.modules['scipy'] = None\n"
             "from qbands.cli import main\n"
-            "try:\n"
-            "    main(['--version'])\n"
-            "except SystemExit:\n"
-            "    pass\n"
-            "assert 'scipy' not in sys.modules, 'scipy imported at start-up'\n"
-            "import numpy as np\n"
-            "res = qbands.optimize_direct(lambda x: float((x[0] - 1) ** 2), np.zeros(1),\n"
-            "                             qbands.OptimizerConfig(method='cobyla'))\n"
-            "assert abs(res.x[0] - 1) < 1e-3 and 'scipy' in sys.modules\n"
+            f"for i, argv in enumerate({commands!r}):\n"
+            "    assert main(argv + ['--out', f'out{i}']) == 0, argv\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(qbands.__file__).resolve().parent.parent)}
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env, timeout=120)
+                              text=True, env=env, timeout=120, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("out*/*.csv"))) == len(commands)
 
     def test_serial_start_up_leaves_out_multiprocessing(self):
         # The process pool is imported only for --workers > 1.

@@ -10,6 +10,7 @@ from qbands.pauli import decompose, pauli_words
 from qbands.qsim import zero_state
 from qbands.seeding import StreamFamily
 from qbands.sampler import (
+    STACKED_DRAW_LAWS,
     ReadoutNoiseModel,
     basis_change,
     confusion,
@@ -190,6 +191,42 @@ class TestSample:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             sample(zero_state(1)[None, None], 0, None, seeded(0))
+
+    class _Recorder:
+        """A generator that records the shape of each multinomial's laws."""
+
+        def __init__(self, g):
+            self.g, self.shapes = g, []
+
+        def multinomial(self, shots, laws):
+            self.shapes.append(np.shape(laws))
+            return self.g.multinomial(shots, laws)
+
+    @pytest.mark.parametrize("m", [2, STACKED_DRAW_LAWS - 1, STACKED_DRAW_LAWS, 63])
+    @pytest.mark.parametrize("noisy", [False, True], ids=["plain", "noisy"])
+    def test_stacked_and_per_law_draws_agree(self, m, noisy, monkeypatch):
+        # One 2-D multinomial call per row and one call per law give the
+        # same counts and leave each row's generator in the same state.
+        rng = np.random.default_rng(m)
+        states = np.array([[rand_state(rng, 8) for _ in range(m)] for _ in range(2)])
+        states[0, 0] = np.eye(8)[5]  # a law with one certain outcome
+        states[1, -1] = (np.eye(8)[0] + np.eye(8)[3]) / np.sqrt(2)  # two halves
+        law = _confusion(TestStacks.NOISE) if noisy else None
+        runs = {}
+        for branch, threshold in (("stacked", 1), ("per-law", m + 1)):
+            monkeypatch.setattr(sampler, "STACKED_DRAW_LAWS", threshold)
+            gens = [self._Recorder(philox_stream((3, 1), b)) for b in range(2)]
+            counts = sample(states, 700, law, lambda b: gens[b])
+            expected = [(m, 8)] if branch == "stacked" else [(8,)] * m
+            assert all(g.shapes == expected for g in gens)
+            runs[branch] = counts, [g.g.bit_generator.random_raw(4).tolist() for g in gens]
+        assert np.array_equal(runs["stacked"][0], runs["per-law"][0])
+        assert runs["stacked"][1] == runs["per-law"][1]
+        monkeypatch.undo()
+        # The default threshold takes the branch its row width selects.
+        gens = [self._Recorder(philox_stream((3, 1), b)) for b in range(2)]
+        assert np.array_equal(sample(states, 700, law, lambda b: gens[b]), runs["stacked"][0])
+        assert gens[0].shapes[0] == ((m, 8) if m >= STACKED_DRAW_LAWS else (8,))
 
 
 class TestExpectationFromCounts:
