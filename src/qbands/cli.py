@@ -146,12 +146,8 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows) -> None:
 def _make_backend(args: argparse.Namespace, noise: ReadoutNoiseModel | None, k_index: int):
     if args.backend == "exact":
         return ExactBackend()
-    return ShotsBackend(
-        shots=args.shots,
-        noise=noise,
-        mitigate=args.mitigate,
-        seed=spawn_seed(args.seed, _STREAM_BACKEND, k_index),
-    )
+    return ShotsBackend(shots=args.shots, noise=noise, mitigate=args.mitigate,
+                        seed=spawn_seed(args.seed, _STREAM_BACKEND, k_index))
 
 
 def _solve_kpoint(job: tuple) -> dict:
@@ -164,10 +160,8 @@ def _solve_kpoint(job: tuple) -> dict:
     unconverged, and 0 evaluations after the failed level's own."""
     args, noise, k_index, components, coord = job
     k = KPoint(components)
-    if args.mode == "2band":
-        H = build_s_block(args.params, k)
-    else:
-        H = build_full_hamiltonian(args.params, k)
+    build = build_s_block if args.mode == "2band" else build_full_hamiltonian
+    H = build(args.params, k)
     oracle = diagonalize_classical(H)
     dec = decompose(H)
     n_qubits = _MODE_QUBITS[args.mode]

@@ -171,9 +171,9 @@ def _basis_change(words: tuple[str, ...]) -> MeasurementBasisChange:
                                   for word in words]))))
 
 
-# A row of at least this many laws is drawn in one 2-D multinomial call: 8
-# and 63 laws took 20.9 and 52.7 us so, against 29.9 and 162.3 us law by law,
-# but 2 and 3 laws took 15.3 and 16.4 us against 7.2 and 9.4 (8192 shots, Philox).
+# A row of at least this many laws is drawn in one 2-D multinomial call.  Over
+# 8 outcomes (Philox, 1024 and 8192 shots) one call wins from 7 laws on (63:
+# 51-64 against 125-132 us) and loses up to 6 (2: 9.5-9.9 against 4.6-4.7 us).
 STACKED_DRAW_LAWS = 8
 
 

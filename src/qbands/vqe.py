@@ -292,20 +292,25 @@ def optimize_direct(
     x0: np.ndarray,
     config: OptimizerConfig,
 ) -> OptimizeResult:
-    """COBYLA direct search: linear-approximation trust region, no gradients;
-    its stop is "cobyla", outside ``STOPS``.
-
-    Nothing in the package calls it.  It remains only because the
-    benchmark's span list (`bench/layers.py`) wraps this name, and every
-    wrapped name must exist; it and the scipy dependency go when the
-    benchmark stops patching functions by name."""
+    """COBYLA direct search; its stop, "cobyla", is outside ``STOPS``.  Nothing
+    calls it: it stays only because `bench/layers.py` wraps this name, and
+    goes with scipy when the benchmark stops patching functions by name."""
     from scipy import optimize  # deferred: scipy costs every start-up ~0.6 s
 
-    res = optimize.minimize(lambda x: float(objective(x)), np.asarray(x0, dtype=float),
-                            method="COBYLA", tol=config.tol_ev,
-                            options={"maxiter": config.max_iter or 4000})
-    return OptimizeResult(res.x, float(res.fun), res.nfev, res.nfev, bool(res.success),
-                          "cobyla")
+    x0 = np.asarray(x0, dtype=float)
+    max_iter = config.max_iter if config.max_iter is not None else 4000
+    nfev = 0
+
+    def f(xv):
+        nonlocal nfev
+        nfev += 1
+        return float(objective(xv))
+
+    res = optimize.minimize(
+        f, x0, method="COBYLA", tol=config.tol_ev,
+        options={"maxiter": max_iter},
+    )
+    return OptimizeResult(res.x, float(res.fun), nfev, nfev, bool(res.success), "cobyla")
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,14 @@ class TestOptimizers:
         cfg = OptimizerConfig(tol_ev=1e-10)
         [bfgs] = optimize_quasinewton(lambda X: (X[:, 0] - 2.0) ** 2,
                                       lambda X: 2 * (X - 2.0), np.array([[0.0]]), cfg)
-        direct = optimize_direct(lambda x: float((x[0] - 2.0) ** 2), np.array([0.0]), cfg)
+        calls = []
+        direct = optimize_direct(lambda x: calls.append(x) or float((x[0] - 2.0) ** 2),
+                                 np.array([0.0]), cfg)
         for res in (bfgs, direct):
             assert res.x[0] == pytest.approx(2.0, abs=1e-6)
             assert res.converged
+        assert direct.stop == "cobyla"
+        assert direct.evaluations == direct.iterations == len(calls) > 0
 
     def test_rosenbrock_quasinewton(self):
         [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
