@@ -56,7 +56,6 @@ from .vqe import (
     ShotsBackend,
     SpectrumResult,
     VQEResult,
-    ZeroCaptureError,
     full_spectrum,
     grid_scan,
     minimize,

@@ -33,8 +33,7 @@ from .tightbinding import (
     diagonalize_classical,
     make_kpath,
 )
-from .vqe import (STOPS, ExactBackend, OptimizerConfig, ShotsBackend, ZeroCaptureError,
-                  full_spectrum, grid_scan)
+from .vqe import STOPS, ExactBackend, OptimizerConfig, ShotsBackend, full_spectrum, grid_scan
 
 # Seed fan-out roles under the master seed (see README).
 _STREAM_OPT = 1
@@ -154,10 +153,11 @@ def _solve_kpoint(job: tuple) -> dict:
     """Worker: solve one k-point; returns the flat band record.  ``noise``
     is the `--noise` file's model, parsed once per run.
 
-    A `ZeroCaptureError` or `IllPosedMitigationError` ends the k-point,
-    named on stderr: the failed level (band 1 for an ill-posed rate
-    estimate) and every later one are written with NaN energy and residual,
-    unconverged, and 0 evaluations after the failed level's own."""
+    A failed level (`SpectrumResult.failure`) ends the k-point, named on
+    stderr: the levels found before it are kept, and it and every later
+    level are written with NaN energy and residual, unconverged, and 0
+    evaluations after the failed level's own (its rejected attempt's, if
+    any)."""
     args, noise, k_index, components, coord = job
     k = KPoint(components)
     build = build_s_block if args.mode == "2band" else build_full_hamiltonian
@@ -168,17 +168,13 @@ def _solve_kpoint(job: tuple) -> dict:
     backend = _make_backend(args, noise, k_index)
     opt_seed_root = args.optimizer.seed if args.optimizer.seed is not None else args.seed
     opt = replace(args.optimizer, seed=spawn_seed(opt_seed_root, _STREAM_OPT, k_index))
-    levels, failed, rejected = 2**n_qubits, None, []
-    try:
-        bands = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, opt).sorted_levels()
-    except ZeroCaptureError as exc:
-        bands, failed, rejected = exc.found.sorted_levels(), exc, [exc.result]
-    except IllPosedMitigationError as exc:
-        bands, failed = [], exc
-    if failed:
-        print(f"qbands: k-point {k_index}: {failed}; written as NaN from band "
+    levels = 2**n_qubits
+    spectrum = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, opt)
+    bands = spectrum.sorted_levels()
+    if spectrum.failure:
+        print(f"qbands: k-point {k_index}: {spectrum.failure}; written as NaN from band "
               f"{len(bands) + 1}", file=sys.stderr)
-    results = [b[1] for b in bands] + rejected
+    results = [b[1] for b in bands] + list(spectrum.rejected)
     nan = [math.nan] * (levels - len(bands))
     return {
         "k_index": k_index,
@@ -190,7 +186,7 @@ def _solve_kpoint(job: tuple) -> dict:
         "converged": [b[1].converged for b in bands] + [False] * len(nan),
         "residuals": [b[2] for b in bands] + nan,
         "stops": Counter(res.stop for r in results for res in r.restarts),
-        "failed": failed is not None,
+        "failed": spectrum.failure is not None,
     }
 
 
@@ -275,12 +271,12 @@ def run_scan(args: argparse.Namespace, out_dir: Path, noise: ReadoutNoiseModel |
     H = build_s_block(args.params, args.kpoint.value)
     dec = decompose(H)
     backend = _make_backend(args, noise, 0)
-    scan = grid_scan(
-        dec,
-        theta_steps=args.theta_steps,
-        phi_steps=args.phi_steps,
-        backend=backend,
-    )
+    try:
+        scan = grid_scan(dec, args.theta_steps, args.phi_steps, backend)
+    except IllPosedMitigationError as exc:
+        # the rates pass the boundary check, but their estimate need not
+        print(f"qbands: {exc}; no scan.csv written", file=sys.stderr)
+        return 1
     header = _header(args)
     header["argmin"] = {
         "theta": scan.argmin[0],

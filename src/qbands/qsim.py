@@ -215,7 +215,7 @@ class Ansatz:
     stack of their one-slot forward-pass memo, shared by every caller at
     the same rows (`_layered_ansatz`).  ``gradient_batch(thetas, H)`` gives
     the (N, n_params) gradients of <ψ|H|ψ> at such a stack, H a dense
-    Hermitian matrix; None when the family has no analytic gradient.
+    Hermitian matrix.
     """
 
     name: str
@@ -225,7 +225,7 @@ class Ansatz:
     highs: tuple[float, ...]
     prepare: Callable[[np.ndarray], np.ndarray]
     prepare_batch: Callable[[np.ndarray], np.ndarray]
-    gradient_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    gradient_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def random_parameters(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lows, self.highs)

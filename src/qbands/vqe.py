@@ -48,21 +48,6 @@ ZERO_CAPTURE_TOL = 0.5
 RESIDUAL_TOL = 1e-2
 
 
-class ZeroCaptureError(RuntimeError):
-    """A deflation level converged onto the projected-out zero eigenvalue,
-    on its retry too (see `full_spectrum`).
-
-    ``level`` counts from 0 in the order found; ``result`` is that level's
-    minimisation and ``found`` the spectrum of the levels before it."""
-
-    def __init__(self, level: int, result: "VQEResult", found: "SpectrumResult"):
-        super().__init__(
-            f"deflation level {level + 1} converged to {result.energy:.6g} on the shifted axis, "
-            "closer to the deflated zero than to any remaining eigenvalue"
-        )
-        self.level, self.result, self.found = level, result, found
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings of the lock-step BFGS optimiser (`optimize_quasinewton`).
@@ -372,8 +357,6 @@ class ExactBackend:
         """(grad_batch, 1): the ansatz's adjoint-sweep gradient of every row,
         each row counted as one energy evaluation."""
         _check_qubits(decomp, ansatz)
-        if ansatz.gradient_batch is None:
-            raise ValueError(f"ansatz {ansatz.name!r} has no analytic gradient")
         dense = decomp.matrix
 
         def grad_batch(thetas):
@@ -634,11 +617,18 @@ class SpectrumResult:
     ``levels`` and ``residuals`` are in the order found.  The residual of a
     level is the eigenpair defect ||(H_level - ε)ψ|| of its converged state
     against the (shifted, deflated) operator it minimised.
+
+    ``failure`` is None when every requested level was found.  Otherwise it
+    says why the extraction stopped, ``levels`` holds the levels found
+    before that, and ``rejected`` the failed level's captured minimisation
+    (empty when the level has none, as for an ill-posed rate estimate).
     """
 
     levels: tuple[VQEResult, ...]
     residuals: tuple[float, ...]
     shift: float
+    failure: str | None
+    rejected: tuple[VQEResult, ...]
 
     @property
     def energies(self) -> np.ndarray:
@@ -675,12 +665,16 @@ def full_spectrum(
     or, on the exact backend, when it stops unconverged or its residual
     exceeds ``RESIDUAL_TOL``.  The retry replaces the first attempt and
     keeps the cost and restarts of both; there is at most one per level.
-    A retry that converges near zero too raises ZeroCaptureError, which
-    carries the levels found before it; an exact level whose retry still
-    exceeds ``RESIDUAL_TOL`` is kept unconverged, so on the exact backend a
-    converged level has an eigenvalue of its operator within
-    ``RESIDUAL_TOL`` of its energy.  ``shift`` overrides the automatic
-    bound (diagnostics only).
+    An exact level whose retry still exceeds ``RESIDUAL_TOL`` is kept
+    unconverged, so on the exact backend a converged level has an
+    eigenvalue of its operator within ``RESIDUAL_TOL`` of its energy.
+    ``shift`` overrides the automatic bound (diagnostics only).
+
+    A failed level ends the extraction but raises nothing: the result then
+    holds the levels found before it and sets ``failure`` (see
+    `SpectrumResult`).  A level fails when its retry converges near zero
+    too (``rejected`` holds that retry) or when a rate estimate turns out
+    ill-posed while it is solved or deflated (`IllPosedMitigationError`).
     """
     dim = 2**decomp.n_qubits
     if not 1 <= levels <= dim:
@@ -698,25 +692,32 @@ def full_spectrum(
         psi = ansatz.prepare(res.theta)
         return res, psi, float(np.linalg.norm(work.matrix @ psi - res.energy * psi))
 
-    for level in range(levels):
-        level_config = replace(config, seed=spawn_seed(seed, _STREAM_LEVEL, level))
-        res, psi, residual = solve(level_config)
-        # A capture typically starts every restart on the flat cap around the
-        # deflated state, where noise or round-off ends the search.
-        captured = res.energy > -ZERO_CAPTURE_TOL
-        if captured or exact and not (res.converged and residual <= RESIDUAL_TOL):
-            first = res
-            res, psi, residual = solve(replace(
-                level_config, seed=spawn_seed(seed, _STREAM_LEVEL, level, 1)))
-            res = replace(res, evaluations=first.evaluations + res.evaluations,
-                          restarts=first.restarts + res.restarts)
-        if res.energy > -ZERO_CAPTURE_TOL:
-            raise ZeroCaptureError(level, res, SpectrumResult(
-                tuple(results), tuple(residuals), float(shift)))
-        if exact and residual > RESIDUAL_TOL:
-            res = replace(res, converged=False)
-        residuals.append(residual)
-        results.append(res)
-        if level + 1 < levels:
-            work = deflate(work, res.energy, backend.pauli_expectations(psi))
-    return SpectrumResult(tuple(results), tuple(residuals), float(shift))
+    failure, rejected = None, ()
+    try:
+        for level in range(levels):
+            level_config = replace(config, seed=spawn_seed(seed, _STREAM_LEVEL, level))
+            res, psi, residual = solve(level_config)
+            # A capture typically starts every restart on the flat cap around
+            # the deflated state, where noise or round-off ends the search.
+            captured = res.energy > -ZERO_CAPTURE_TOL
+            if captured or exact and not (res.converged and residual <= RESIDUAL_TOL):
+                first = res
+                res, psi, residual = solve(replace(
+                    level_config, seed=spawn_seed(seed, _STREAM_LEVEL, level, 1)))
+                res = replace(res, evaluations=first.evaluations + res.evaluations,
+                              restarts=first.restarts + res.restarts)
+            if res.energy > -ZERO_CAPTURE_TOL:
+                failure = (f"deflation level {level + 1} converged to {res.energy:.6g} on the "
+                           "shifted axis, closer to the deflated zero than to any remaining "
+                           "eigenvalue")
+                rejected = (res,)
+                break
+            if exact and residual > RESIDUAL_TOL:
+                res = replace(res, converged=False)
+            residuals.append(residual)
+            results.append(res)
+            if level + 1 < levels:
+                work = deflate(work, res.energy, backend.pauli_expectations(psi))
+    except sampler.IllPosedMitigationError as exc:
+        failure = str(exc)
+    return SpectrumResult(tuple(results), tuple(residuals), float(shift), failure, rejected)

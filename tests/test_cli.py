@@ -581,8 +581,7 @@ class TestBands:
     def test_failed_kpoint_is_written_and_exits_one(self, tmp_path, capsys):
         # At 8 mitigated shots, noise 0.1/0.15, seed 39 captures the deflated
         # zero at level 2 of k-point 10 of X,G,L:5, on the retry too.  That
-        # used to end the run in a ZeroCaptureError traceback, with no
-        # bands.csv.
+        # used to end the run in a traceback, with no bands.csv.
         noise_file = tmp_path / "noise.json"
         noise_file.write_text(json.dumps({"w01": 0.1, "w10": 0.15}))
         out = tmp_path / "out"
@@ -717,6 +716,21 @@ class TestScan:
         # Grid argmin sits within one node of the true minimum.
         assert header["argmin"]["energy"] >= oracle - 1e-12
         assert header["argmin"]["energy"] - oracle < 0.05
+
+    def test_ill_posed_rate_estimate_is_one_line_and_exit_one(self, tmp_path, capsys):
+        # As in the `bands` case: the rates pass the boundary check, but at
+        # seed 1 their estimate is ill-posed.  That used to end the command
+        # in a traceback.
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.5, "w10": 0.4995}))
+        out = tmp_path / "out"
+        assert main(["scan", "--backend", "shots", "--shots", "64", "--mitigate",
+                     "--noise", str(noise_file), "--seed", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("qbands: mitigation ill-posed: w01 + w10 >= 1 on some qubit; "
+                                "no scan.csv written\n")
+        assert list(out.iterdir()) == []
 
 
 class TestRates:

@@ -30,7 +30,8 @@ def _backend_expectation(state, decomp):
     ansatz that prepares ``state``."""
     fixed = Ansatz("fixed", qsim.num_qubits(state), 0, (), (),
                    prepare=lambda t: state,
-                   prepare_batch=lambda T: np.tile(state, (len(T), 1)))
+                   prepare_batch=lambda T: np.tile(state, (len(T), 1)),
+                   gradient_batch=lambda T, H: np.zeros((len(T), 0)))
     f, _ = ExactBackend().make_objective(decomp, fixed)
     return f(np.zeros(0))
 

@@ -29,7 +29,6 @@ from qbands.vqe import (
     ExactBackend,
     OptimizerConfig,
     ShotsBackend,
-    ZeroCaptureError,
     _with_defaults,
     full_spectrum,
     grid_scan,
@@ -585,6 +584,7 @@ class TestFullSpectrum:
         spec = full_spectrum(decompose(np.diag([-3.0, -1.0])), 2, MEAN_FIELD,
                              EXACT, OptimizerConfig(seed=6))
         assert np.allclose(spec.energies, [-3.0, -1.0], atol=1e-7)
+        assert spec.failure is None and spec.rejected == ()
 
     def test_degenerate_levels_reported_with_multiplicity(self):
         spec = full_spectrum(decompose(np.diag([-3.0, -3.0])), 2, MEAN_FIELD,
@@ -699,13 +699,31 @@ class TestFullSpectrum:
 
     def test_zero_capture_flagged(self):
         # A positive eigenvalue with the automatic shift suppressed is
-        # indistinguishable from a deflated zero and must be refused.
+        # indistinguishable from a deflated zero and must be refused: the
+        # result keeps the level before it and the rejected retry.
         dec = decompose(np.diag([1.0, -3.0]))
-        with pytest.raises(ZeroCaptureError) as err:
-            full_spectrum(dec, 2, MEAN_FIELD, EXACT, OptimizerConfig(seed=13),
-                          shift=0.0)
-        assert err.value.level == 1
-        assert err.value.found.energies == pytest.approx([-3.0], abs=1e-7)
+        spec = full_spectrum(dec, 2, MEAN_FIELD, EXACT, OptimizerConfig(seed=13), shift=0.0)
+        assert spec.failure.startswith("deflation level 2 converged to ")
+        assert spec.energies == pytest.approx([-3.0], abs=1e-7)
+        assert len(spec.residuals) == 1
+        [rejected] = spec.rejected
+        assert rejected.energy > -vqe.ZERO_CAPTURE_TOL
+        assert len(rejected.restarts) == 4  # 2 restarts, and 2 more on the retry
+
+    def test_ill_posed_deflation_keeps_the_levels_found(self):
+        # IIZ measures qubit 1 alone, so the first level is solved under
+        # well-posed rates; its deflation measures every word, qubit 3's
+        # too, whose estimated rates (0.6/0.6 injected) are ill-posed.
+        dec = decompose(np.diag([-1.0, 1.0] * 4))
+        assert list(dec.coeffs) == ["IIZ"]
+        noise = ReadoutNoiseModel((0.0, 0.0, 0.6), (0.0, 0.0, 0.6))
+        backend = ShotsBackend(shots=256, noise=noise, mitigate=True, seed=1)
+        spec = full_spectrum(dec, 8, THREE_QUBIT, backend, OptimizerConfig(seed=2, restarts=2))
+        assert spec.failure == "mitigation ill-posed: w01 + w10 >= 1 on some qubit"
+        assert len(spec.levels) == len(spec.residuals) == 1
+        assert spec.rejected == ()
+        # 4σ of one 256-shot estimate of a ±1 word
+        assert spec.energies == pytest.approx([-1.0], abs=4 / 16)
 
     def test_level_count_validated(self):
         dec = decompose(np.diag([-1.0, -2.0]))
