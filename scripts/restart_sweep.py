@@ -189,8 +189,8 @@ def matrix_set(count: int, restarts: int) -> Tally:
     for trial in range(count):
         A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         H = 1.5 * (A + A.conj().T) / 2
-        config = OptimizerConfig(seed=MATRIX_OPT_SEED + trial, restarts=restarts)
-        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, backend, config)
+        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, backend,
+                             OptimizerConfig(restarts=restarts), seed=MATRIX_OPT_SEED + trial)
         err = np.full((1, 8), np.nan)  # NaN from a failed level, as `bands` writes it
         found = len(spec.levels)
         err[0, :found] = np.abs(spec.energies - np.linalg.eigvalsh(H)[:found])

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -166,10 +166,9 @@ def _solve_kpoint(job: tuple) -> dict:
     dec = decompose(H)
     n_qubits = _MODE_QUBITS[args.mode]
     backend = _make_backend(args, noise, k_index)
-    opt_seed_root = args.optimizer.seed if args.optimizer.seed is not None else args.seed
-    opt = replace(args.optimizer, seed=spawn_seed(opt_seed_root, _STREAM_OPT, k_index))
     levels = 2**n_qubits
-    spectrum = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, opt)
+    spectrum = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, args.optimizer,
+                             seed=spawn_seed(args.seed, _STREAM_OPT, k_index))
     bands = spectrum.sorted_levels()
     if spectrum.failure:
         print(f"qbands: k-point {k_index}: {spectrum.failure}; written as NaN from band "
@@ -532,7 +531,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("bands", "scan") and args.params is None:
         args.params = TBParameters.default_silicon()
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        parser.error(f"--out: cannot make directory {args.out!r}: {exc.strerror}")
     if args.command == "decompose":
         return run_decompose(args, out_dir)
     runners = {"bands": run_bands, "scan": run_scan, "rates": run_rates}

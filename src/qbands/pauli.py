@@ -158,7 +158,8 @@ def require_hermitian(H: np.ndarray) -> None:
 
 
 def _prune(coeffs: dict[str, float]) -> dict[str, float]:
-    return {w: c for w, c in coeffs.items() if abs(c) >= COEFF_PRUNE_TOL}
+    """``coeffs`` without the dust; a NaN is kept, so that it shows."""
+    return {w: c for w, c in coeffs.items() if not abs(c) < COEFF_PRUNE_TOL}
 
 
 def decompose(H: np.ndarray) -> SpectralDecomposition:
@@ -166,7 +167,8 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
 
     Raises ValueError if the matrix is not square with dimension a power of
     two and at least 2 (one qubit), or is not Hermitian within HERM_TOL
-    (real coefficients cannot represent an anti-Hermitian part).
+    (real coefficients cannot represent an anti-Hermitian part), or if a
+    coefficient is not finite (finite entries whose trace sum overflows).
     Coefficients with magnitude below COEFF_PRUNE_TOL are omitted.
     """
     H = np.asarray(H, dtype=complex)
@@ -182,6 +184,10 @@ def decompose(H: np.ndarray) -> SpectralDecomposition:
     stack = word_matrix_stack(n)
     # Tr(H† σ) = vdot(H, σ) summed entrywise; real for Hermitian H.
     traces = np.einsum("ij,wij->w", H.conj(), stack)
+    overflow = ~np.isfinite(traces)  # finite entries whose sum overflows
+    if overflow.any():
+        raise ValueError(f"the coefficient of {pauli_words(n)[overflow.argmax()]!r} is not "
+                         "finite: the trace sum of the matrix's entries overflows")
     coeffs = {
         w: float(t.real)
         for w, t in zip(pauli_words(n), traces / dim)

@@ -64,8 +64,11 @@ class ReadoutNoiseModel:
         amplitude, period = self.drift_amplitude, self.drift_period
         if not is_real(amplitude):
             raise ValueError(f"drift_amplitude must be a finite real, got {amplitude!r}")
-        if amplitude and not (is_real(period) and period > 0):
-            raise ValueError("drift_amplitude requires a finite real drift_period > 0, "
+        # The drift is read once per trial, so a period under one trial has
+        # no meaning; from 1 on the phase 2πt/P is finite at every trial
+        # (at P = 1e-320 it is inf from t = 1).
+        if amplitude and not (is_real(period) and period >= 1):
+            raise ValueError("drift_amplitude requires a finite real drift_period >= 1, "
                              f"got {period!r}")
 
     @classmethod

@@ -17,17 +17,27 @@ stream:
   generator.  Used for the one stream per energy evaluation of the shots
   backend.
 
+Each entry point refuses a master that is not a non-negative integer
+(numpy and big integers accepted; floats and bools refused, never rounded).
 The path components used by the CLI are documented in the README.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .pauli import is_int
+
+
+def _sequence(master, path) -> np.random.SeedSequence:
+    """``SeedSequence([master, *path])``, the master checked first."""
+    if not (is_int(master) and master >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {master!r}")
+    return np.random.SeedSequence([master, *path])
+
 
 def spawn_rng(master: int, *path: int) -> np.random.Generator:
     """Generator for the sub-stream identified by ``(master, *path)``."""
-    ss = np.random.SeedSequence([int(master), *[int(p) for p in path]])
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_sequence(master, path)))
 
 
 class StreamFamily:
@@ -42,8 +52,8 @@ class StreamFamily:
     """
 
     def __init__(self, master: int, *path: int):
-        self.path = (int(master), *[int(p) for p in path])
-        key = np.random.SeedSequence(list(self.path)).generate_state(2, dtype=np.uint64)
+        self.path = (master, *path)
+        key = _sequence(master, path).generate_state(2, dtype=np.uint64)
         self._key = tuple(int(k) for k in key)
         self._philox = np.random.Philox(key=key)
         self._generator = np.random.Generator(self._philox)
@@ -61,5 +71,4 @@ class StreamFamily:
 
 def spawn_seed(master: int, *path: int) -> int:
     """Stable integer sub-seed, usable as the master of a nested fan-out."""
-    ss = np.random.SeedSequence([int(master), *[int(p) for p in path]])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_sequence(master, path).generate_state(1, dtype=np.uint64)[0])

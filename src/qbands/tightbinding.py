@@ -34,6 +34,15 @@ _G_SIGNS = np.array(
     [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float
 )
 
+# The largest |energy| a parameter may take (eV).  The solve squares numbers
+# of the spectrum's size (eigenpair residual norms, BFGS's |g|² and y·y, the
+# shots noise bound's c_w²), and a float squares to inf above about 1.3e154.
+# With silicon's energies scaled up, `bands` (2- and 8-band, exact and
+# mitigated shots) wrote finite rows while the largest, |V_ss|, was 8.1e152;
+# at 8.1e153 the shots noise bound overflowed, and at 2.4e154 rows were NaN.
+# At the cap every parameter may sit at ±1e150 and no operation overflows.
+MAX_ENERGY_EV = 1e150
+
 HIGH_SYMMETRY_POINTS = {
     "G": (0.0, 0.0, 0.0),
     "X": (1.0, 0.0, 0.0),
@@ -46,7 +55,8 @@ HIGH_SYMMETRY_POINTS = {
 
 @dataclass(frozen=True)
 class TBParameters:
-    """On-site energies and four-neighbour hopping integrals (eV, Å)."""
+    """On-site energies and four-neighbour hopping integrals (eV, Å), every
+    energy at most ``MAX_ENERGY_EV`` in magnitude."""
 
     lattice_constant: float
     E_s: float
@@ -61,6 +71,9 @@ class TBParameters:
             value = getattr(self, f.name)
             if not is_real(value):
                 raise ValueError(f"{f.name} must be a finite real, got {value!r}")
+            if f.name != "lattice_constant" and abs(value) > MAX_ENERGY_EV:
+                raise ValueError(f"{f.name} = {value!r} exceeds the cap of "
+                                 f"{MAX_ENERGY_EV:g} eV in magnitude")
             object.__setattr__(self, f.name, float(value))
         if not self.lattice_constant > 0:
             raise ValueError("lattice_constant must be positive")

@@ -53,14 +53,13 @@ class OptimizerConfig:
     """Settings of the lock-step BFGS optimiser (`optimize_quasinewton`).
 
     When None, ``max_iter`` and ``restarts`` default per ansatz and backend
-    (see ``_with_defaults``).  ``seed`` None means unset: the CLI then roots the
-    optimiser streams at the master seed, and the library draws from seed 0.
+    (see ``_with_defaults``).  The seed of the restarts is no setting: it is
+    an argument of `minimize` and `full_spectrum`.
     """
 
     max_iter: int | None = None
     tol_ev: float = 1e-6
     restarts: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         tol = self.tol_ev
@@ -70,8 +69,6 @@ class OptimizerConfig:
             value = getattr(self, name)
             if value is not None and not (is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.seed is not None and not (is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 # Why a restart stopped: BFGS's gradient and noise tests, a line search
@@ -549,16 +546,17 @@ def minimize(
     ansatz: Ansatz,
     backend: Backend,
     config: OptimizerConfig = OptimizerConfig(),
+    seed: int = 0,
 ) -> VQEResult:
     """Minimise the reconstructed <H> over the ansatz parameters.
 
     Runs ``restarts`` BFGS optimisations (unset: see ``_with_defaults``),
-    all in lock step, from uniform random angles and keeps the lowest
-    energy, ties broken by fewest evaluations, then by restart order.
+    all in lock step, from uniform random angles, restart r's drawn from
+    ``spawn_rng(seed, _STREAM_RESTART, r)``, and keeps the lowest energy,
+    ties broken by fewest evaluations, then by restart order.  A result
+    whose energy is not finite is never converged.
     """
     config = _with_defaults(config, ansatz, backend)
-    seed = config.seed if config.seed is not None else 0
-
     f, f_batch = backend.make_objective(decomp, ansatz)
     x0 = np.array([ansatz.random_parameters(spawn_rng(seed, _STREAM_RESTART, r))
                    for r in range(config.restarts)])
@@ -571,7 +569,7 @@ def minimize(
         energy=float(energy),
         theta=np.asarray(best.x, dtype=float),
         evaluations=sum(res.evaluations for res in results) + 1,
-        converged=best.converged,
+        converged=best.converged and bool(np.isfinite(energy)),
         restarts=tuple(results),
     )
 
@@ -649,6 +647,7 @@ def full_spectrum(
     backend: Backend,
     config: OptimizerConfig = OptimizerConfig(),
     shift: float | None = None,
+    seed: int = 0,
 ) -> SpectrumResult:
     """Extract ``levels`` eigenvalues by repeated minimise-and-deflate.
 
@@ -659,8 +658,9 @@ def full_spectrum(
     prepared once per attempt and serves both its residual and its
     deflation (the backend's Pauli expectations of it).
 
-    A level is solved once more from fresh restarts, drawn from the
-    optimiser seed ``spawn_seed(seed, _STREAM_LEVEL, level, 1)``, when it
+    Level l (from 0) is minimised at the seed
+    ``spawn_seed(seed, _STREAM_LEVEL, l)``, and solved once more from fresh
+    restarts, at ``spawn_seed(seed, _STREAM_LEVEL, l, 1)``, when it
     converges near zero on the shifted axis (it captured a deflated state)
     or, on the exact backend, when it stops unconverged or its residual
     exceeds ``RESIDUAL_TOL``.  The retry replaces the first attempt and
@@ -685,25 +685,22 @@ def full_spectrum(
     exact = isinstance(backend, ExactBackend)
     results = []
     residuals = []
-    seed = config.seed if config.seed is not None else 0
 
-    def solve(level_config):
-        res = minimize(work, ansatz, backend, level_config)
+    def solve(*path):
+        res = minimize(work, ansatz, backend, config, spawn_seed(seed, _STREAM_LEVEL, *path))
         psi = ansatz.prepare(res.theta)
         return res, psi, float(np.linalg.norm(work.matrix @ psi - res.energy * psi))
 
     failure, rejected = None, ()
     try:
         for level in range(levels):
-            level_config = replace(config, seed=spawn_seed(seed, _STREAM_LEVEL, level))
-            res, psi, residual = solve(level_config)
+            res, psi, residual = solve(level)
             # A capture typically starts every restart on the flat cap around
             # the deflated state, where noise or round-off ends the search.
             captured = res.energy > -ZERO_CAPTURE_TOL
             if captured or exact and not (res.converged and residual <= RESIDUAL_TOL):
                 first = res
-                res, psi, residual = solve(replace(
-                    level_config, seed=spawn_seed(seed, _STREAM_LEVEL, level, 1)))
+                res, psi, residual = solve(level, 1)
                 res = replace(res, evaluations=first.evaluations + res.evaluations,
                               restarts=first.restarts + res.restarts)
             if res.energy > -ZERO_CAPTURE_TOL:

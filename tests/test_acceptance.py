@@ -99,7 +99,7 @@ class TestAcceptance:
             oracle = np.linalg.eigvalsh(H)
             spec = full_spectrum(
                 decompose(H), 8, THREE_QUBIT, backend,
-                OptimizerConfig(seed=trial, restarts=8),
+                OptimizerConfig(restarts=8), seed=trial,
             )
             worst = max(worst, float(np.max(np.abs(spec.energies - oracle))))
         assert worst <= 1e-2

@@ -216,6 +216,13 @@ class TestBadInput:
         (["bands", "--workers", "33"], "--workers"),
         # `scan` reads no optimiser settings, so it takes no `--optimizer`.
         (["scan", "--optimizer", File("{}")], "--optimizer"),
+        # Finite entries whose coefficients overflow (decompose's trace sums),
+        # and energies past the tight-binding cap of 1e150 eV.
+        (["decompose", "--matrix",
+          File(json.dumps({"matrix": [[1e308, 1e308], [1e308, 1e308]]}))], "--matrix"),
+        (["bands", "--kpath", "X,G:1", "--params", params_file(E_s=1e308, V_ss=1e308)],
+         "--params"),
+        (["bands", "--kpath", "X,G:1", "--params", params_file(V_xy=-1.01e150)], "--params"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -225,6 +232,20 @@ class TestBadInput:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, out", [
+        (["bands", "--kpath", "X,G:1"], "a_file"),
+        (["bands", "--kpath", "X,G:1"], "a_file/sub"),
+        (["decompose", "--matrix", File('{"matrix": [[1, 0], [0, -1]]}')], "a_file"),
+    ], ids=["bands-file", "bands-under-file", "decompose-file"])
+    def test_out_that_cannot_be_a_directory(self, argv, out, tmp_path, capsys):
+        (tmp_path / "a_file").write_text("kept")
+        argv = [a.path(tmp_path) if isinstance(a, File) else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("qbands: error: --out: ")
+        assert (tmp_path / "a_file").read_text() == "kept"
 
     def test_seed_takes_any_size(self, tmp_path):
         # A seed is no count: numpy's SeedSequence takes big integers.
@@ -246,8 +267,8 @@ class TestBadInput:
          '"V_ss", "V_sp", "V_xx", "V_xy"'),
         # BFGS is the only optimiser, so a file that names one is refused.
         (["bands", "--optimizer", File('{"method": "bfgs", "restarts": 2}')],
-         'unknown key "method"; the accepted keys are "max_iter", "tol_ev", "restarts", '
-         '"seed"'),
+         'unknown key "method"; the accepted keys are "max_iter", "tol_ev", "restarts" '
+         '(keys starting with "_" are comments)'),
     ], ids=["matrix-wrong-key", "matrix-extra-key", "params-missing", "params-extra",
             "optimizer-method"])
     def test_key_errors_name_the_keys(self, argv, message, tmp_path, capsys):
@@ -307,6 +328,13 @@ class TestBadInput:
          "--noise"),
         (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
          {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 10**400},
+         "--noise"),
+        # A period under one trial: at 1e-320 the phase 2πt/P is inf from t = 1.
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 1e-320},
+         "--noise"),
+        (["rates", "--samples", "3", "--trials", "100"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 1e-320},
          "--noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
@@ -465,8 +493,7 @@ class TestHeader:
         assert set(config) == _COMMON_KEYS | extra
         assert {k: config[k] for k in expected} == expected
         assert config["command"] == argv[0]
-        assert config["optimizer"] == {"max_iter": None, "tol_ev": 1e-6, "restarts": None,
-                                       "seed": None}
+        assert config["optimizer"] == {"max_iter": None, "tol_ev": 1e-6, "restarts": None}
         blob = json.dumps(config, sort_keys=True).encode()
         assert header["digest"] == hashlib.sha256(blob).hexdigest()[:12]
         assert header["seed"] == config["seed"]
@@ -924,16 +951,19 @@ class TestDeterminism:
         assert (tmp_path / "a" / "rates.csv").read_bytes() == \
             (tmp_path / "b" / "rates.csv").read_bytes()
 
-    def test_explicit_optimizer_seed_zero_replaces_master(self, tmp_path):
+    def test_optimizer_file_seed_is_refused(self, tmp_path, capsys):
+        # `--seed` is the one root of every stream: an optimiser file's seed,
+        # which once replaced it for the optimiser streams, is an unknown key.
         opt_file = tmp_path / "opt.json"
         opt_file.write_text(json.dumps({"seed": 0}))
-        args = ["bands", "--mode", "2band", "--kpath", "X,G:2",
-                "--optimizer", str(opt_file)]
-        main(args + ["--seed", "1", "--out", str(tmp_path / "a")])
-        main(args + ["--seed", "2", "--out", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "bands.csv").read_text().splitlines()[1:]
-        b = (tmp_path / "b" / "bands.csv").read_text().splitlines()[1:]
-        assert a == b
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["bands", "--mode", "2band", "--kpath", "X,G:2", "--optimizer", str(opt_file),
+                  "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert ('unknown key "seed"; the accepted keys are "max_iter", "tol_ev", "restarts" '
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_different_seed_changes_shots_output(self, tmp_path):
         args = ["bands", "--mode", "2band", "--kpath", "X,G:1", "--backend",

@@ -170,6 +170,11 @@ class TestDecompose:
         d = decompose(np.diag([1e-16, -1e-16]))
         assert d.coeffs == {}
 
+    def test_rejects_coefficients_that_overflow(self):
+        # Finite entries whose trace sums overflow: c_I and c_X would be inf.
+        with pytest.raises(ValueError, match="coefficient of 'I' is not finite"):
+            decompose(np.full((2, 2), 1e308))
+
 
 class TestReconstruct:
     def test_z(self):
@@ -264,6 +269,12 @@ class TestDeflate:
         spectrum = np.linalg.eigvalsh(reconstruct(work))
         expected = np.sort(np.concatenate([[0.0] * 3, evals[3:]]))
         assert np.max(np.abs(spectrum - expected)) < 1e-10
+
+    def test_nan_is_kept_not_pruned_as_dust(self):
+        d = deflate(SpectralDecomposition(1, {"Z": 1.0}), float("nan"),
+                    np.array([1.0, 0.0, 0.0, 1.0]))
+        assert list(d.coeffs) == list(pauli_words(1))
+        assert np.isnan(list(d.coeffs.values())).all()
 
     def test_rejects_expectations_of_wrong_shape(self):
         # A dict, a missing word, a stack of one row, another qubit count.

@@ -413,7 +413,7 @@ class TestForwardMemo:
         ansatz = dataclasses.replace(THREE_QUBIT, prepare_batch=prepare_batch,
                                      gradient_batch=gradient_batch)
         H = build_full_hamiltonian(TBParameters.default_silicon(), KPoint.high_symmetry("L"))
-        minimize(decompose(H), ansatz, ExactBackend(), OptimizerConfig(seed=3))
+        minimize(decompose(H), ansatz, ExactBackend(), seed=3)
         hits = misses = 0
         for (kind, rows, _), (next_kind, next_rows, passes) in zip(events, events[1:]):
             if next_kind == "gradient":

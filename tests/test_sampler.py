@@ -603,12 +603,17 @@ class TestTransitionRates:
     @pytest.mark.parametrize("amplitude, period", [
         (float("nan"), 18), (float("inf"), 18), ("0.01", 18), (None, 18),
         (0.01, "18"), (0.01, float("nan")), (0.01, float("inf")), (0.01, 0),
-        (0.01, -18), (0.01, True),
+        (0.01, -18), (0.01, True), (0.01, 1e-320), (0.01, 0.999),
     ])
     def test_drift_fields_must_be_finite_reals(self, amplitude, period):
+        # A period is at least one trial: at 1e-320 the phase was inf from t = 1.
         with pytest.raises(ValueError, match="drift"):
             ReadoutNoiseModel.uniform(1, 0.0, 0.05, drift_amplitude=amplitude,
                                       drift_period=period)
+
+    def test_drift_period_of_one_trial_is_finite(self):
+        model = ReadoutNoiseModel.uniform(1, 0.0, 0.05, drift_amplitude=0.01, drift_period=1)
+        assert np.isfinite(model.laws(np.array([0, 1, 2**62]))).all()
 
 
 class TestNoiseModelRates:

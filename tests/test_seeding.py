@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbands.seeding import StreamFamily, spawn_rng
+from qbands.seeding import StreamFamily, spawn_rng, spawn_seed
 
 from conftest import philox_stream
 
@@ -54,3 +54,21 @@ def test_streams_differ_by_counter_and_family():
              for family, t in (((5, 1), 0), ((5, 1), 1), ((5, 2), 0), ((6, 1), 0))]
     draws.append(spawn_rng(5, 1, 1).random(4).tolist())
     assert len({tuple(d) for d in draws}) == len(draws)
+
+
+@pytest.mark.parametrize("make", [spawn_rng, spawn_seed, StreamFamily],
+                         ids=["spawn_rng", "spawn_seed", "StreamFamily"])
+@pytest.mark.parametrize("master", [1.0, "7", True, -1],
+                         ids=["float", "str", "bool", "negative"])
+def test_master_must_be_a_non_negative_integer(make, master):
+    # Refused, not rounded: 1.0 and True once ran as seed 1.
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        make(master, 1)
+
+
+def test_numpy_and_big_integer_masters_are_accepted():
+    assert spawn_seed(np.uint64(3), 1) == spawn_seed(3, 1)
+    assert StreamFamily(np.uint64(3), 1).stream(2).random(3).tolist() == \
+        StreamFamily(3, 1).stream(2).random(3).tolist()
+    # SeedSequence takes the whole integer, not its low 64 bits.
+    assert spawn_rng(2**80, 1).random(3).tolist() != spawn_rng(0, 1).random(3).tolist()

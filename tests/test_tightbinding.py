@@ -5,6 +5,7 @@ import pytest
 
 from qbands.pauli import from_json_object
 from qbands.tightbinding import (
+    MAX_ENERGY_EV,
     KPoint,
     TBParameters,
     build_full_hamiltonian,
@@ -71,6 +72,12 @@ class TestParameters:
     def test_rejects_bool_and_string_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             _params(**{field: value})
+
+    @pytest.mark.parametrize("field", ["E_s", "E_p", "V_ss", "V_sp", "V_xx", "V_xy"])
+    def test_energies_are_capped(self, field):
+        assert getattr(_params(**{field: -MAX_ENERGY_EV}), field) == -MAX_ENERGY_EV
+        with pytest.raises(ValueError, match=f"{field} = .* exceeds the cap of 1e\\+150 eV"):
+            _params(**{field: 1.01 * MAX_ENERGY_EV})
 
     def test_stores_integers_as_floats(self):
         p = _params(E_s=0, lattice_constant=5)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from qbands.qsim import MEAN_FIELD, THREE_QUBIT
 from qbands.sampler import ReadoutNoiseModel
 from qbands.seeding import StreamFamily, spawn_rng, spawn_seed
 from qbands.tightbinding import (
+    MAX_ENERGY_EV,
     KPoint,
     TBParameters,
     build_full_hamiltonian,
@@ -112,10 +112,17 @@ class TestOptimizerConfig:
 
     def test_rejects_unknown_method(self):
         # An optimiser file that still names a method is refused, and the
-        # message names the key and the four accepted ones.
+        # message names the key and the three accepted ones.
         with pytest.raises(ValueError, match='unknown key "method"; the accepted keys are '
-                           '"max_iter", "tol_ev", "restarts", "seed"'):
+                           '"max_iter", "tol_ev", "restarts" '):
             from_json_object(OptimizerConfig, {"method": "bfgs", "restarts": 2})
+
+    def test_rejects_seed_key(self):
+        # The master seed roots every stream: an optimiser file's seed, which
+        # once replaced it, is an unknown key like any other.
+        with pytest.raises(ValueError, match='unknown key "seed"; the accepted keys are '
+                           '"max_iter", "tol_ev", "restarts" '):
+            from_json_object(OptimizerConfig, {"seed": 0})
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -129,26 +136,26 @@ class TestOptimizerConfig:
         {"max_iter": "x"}, {"max_iter": 2.0}, {"max_iter": True}, {"max_iter": 0},
         {"restarts": 2.5}, {"restarts": False}, {"restarts": "3"},
         {"tol_ev": "1e-6"}, {"tol_ev": True}, {"tol_ev": float("inf")},
-        {"tol_ev": float("nan")}, {"seed": 1.0}, {"seed": "7"}, {"seed": True},
-        {"seed": -1}, {"tol_ev": -1e-6},
+        {"tol_ev": float("nan")}, {"seed": 0}, {"max_iter": -3},
+        {"restarts": np.float64(3.0)}, {"tol_ev": 1j}, {"tol_ev": -1e-6},
     ])
     def test_rejects_wrong_types(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             OptimizerConfig(**kwargs)
 
     def test_accepts_numpy_integers(self):
-        cfg = OptimizerConfig(max_iter=np.int64(5), restarts=np.int32(2), seed=np.uint64(3))
-        assert cfg.max_iter == 5 and cfg.restarts == 2 and cfg.seed == 3
+        cfg = OptimizerConfig(max_iter=np.int64(5), restarts=np.int32(2))
+        assert cfg.max_iter == 5 and cfg.restarts == 2
 
     def test_from_dict(self):
         cfg = from_json_object(
-            OptimizerConfig, {"max_iter": 77, "tol_ev": 1e-5, "restarts": 4, "seed": 9}
+            OptimizerConfig, {"max_iter": 77, "tol_ev": 1e-5, "restarts": 4}
         )
-        assert cfg == OptimizerConfig(max_iter=77, tol_ev=1e-5, restarts=4, seed=9)
+        assert cfg == OptimizerConfig(max_iter=77, tol_ev=1e-5, restarts=4)
 
     @pytest.mark.parametrize("data, named", [
         ({"fd_step": 1e-4}, "fd_step"),
-        ({"max_iters": 5, "seed": 1}, "max_iters"),
+        ({"max_iters": 5, "restarts": 1}, "max_iters"),
     ])
     def test_from_dict_names_unknown_keys(self, data, named):
         with pytest.raises(ValueError, match=named):
@@ -374,7 +381,7 @@ class TestAgainstOneRowOracle:
         H = build_full_hamiltonian(SI, KPoint.high_symmetry(label))
         work = shift_identity(decompose(H), gershgorin_upper_bound(H) + 1.0)
         seed = spawn_seed(spawn_seed(1, cli._STREAM_OPT, k_index), vqe._STREAM_LEVEL, 0)
-        config = _with_defaults(OptimizerConfig(seed=seed), THREE_QUBIT, EXACT)
+        config = _with_defaults(OptimizerConfig(), THREE_QUBIT, EXACT)
         x0 = np.array([THREE_QUBIT.random_parameters(spawn_rng(seed, vqe._STREAM_RESTART, r))
                        for r in range(config.restarts)])
         _, f_batch = EXACT.make_objective(work, THREE_QUBIT)
@@ -462,14 +469,14 @@ class TestExactObjective:
 class TestMinimize:
     def test_single_z_ground_state(self):
         res = minimize(SpectralDecomposition(1, {"Z": 1.0}), MEAN_FIELD, EXACT,
-                       OptimizerConfig(seed=3))
+                       seed=3)
         assert res.energy == pytest.approx(-1.0, abs=1e-10)
         state = MEAN_FIELD.prepare(res.theta)
         assert abs(state[1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_s_block_zone_centre(self):
         dec = decompose(build_s_block(SI, GAMMA))
-        res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(seed=5))
+        res = minimize(dec, MEAN_FIELD, EXACT, seed=5)
         assert res.energy == pytest.approx(SI.E_s - abs(SI.V_ss), abs=1e-8)
         assert res.converged
 
@@ -478,7 +485,7 @@ class TestMinimize:
         shift = gershgorin_upper_bound(H) + 1.0
         dec = shift_identity(decompose(H), shift)
         res = minimize(dec, THREE_QUBIT, EXACT,
-                       OptimizerConfig(seed=2, restarts=20))
+                       OptimizerConfig(restarts=20), seed=2)
         oracle = diagonalize_classical(H)[0] - shift
         assert res.energy == pytest.approx(oracle, abs=1e-3)
 
@@ -486,12 +493,12 @@ class TestMinimize:
         for _ in range(4):
             H = rand_hermitian(rng, 2, scale=2.0)
             dec = decompose(H)
-            res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(seed=11))
+            res = minimize(dec, MEAN_FIELD, EXACT, seed=11)
             assert res.energy >= np.linalg.eigvalsh(H)[0] - 1e-9
 
     def test_energy_is_reevaluated_backend_expectation(self):
         dec = decompose(build_s_block(SI, GAMMA))
-        res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(seed=1))
+        res = minimize(dec, MEAN_FIELD, EXACT, seed=1)
         assert res.energy == pytest.approx(
             pauli_sum_expectation(dec.coeffs, layered_state(res.theta, 1, 1)), abs=1e-12
         )
@@ -500,9 +507,18 @@ class TestMinimize:
         with pytest.raises(ValueError, match="qubits"):
             minimize(SpectralDecomposition(3, {"III": 1.0}), MEAN_FIELD, EXACT)
 
+    def test_non_finite_energy_is_never_converged(self):
+        # Every energy is NaN, so every line search fails from the identity:
+        # a "precision" stop, which alone would count as converged.
+        res = minimize(SpectralDecomposition(1, {"Z": float("nan")}), MEAN_FIELD, EXACT,
+                       seed=1)
+        assert np.isnan(res.energy)
+        assert [r.stop for r in res.restarts] == ["precision"] * 2
+        assert not res.converged
+
     def test_restart_traces_recorded(self):
         dec = decompose(build_s_block(SI, GAMMA))
-        res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(seed=1, restarts=4))
+        res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(restarts=4), seed=1)
         assert len(res.restarts) == 4
         assert res.evaluations >= sum(t.evaluations for t in res.restarts)
 
@@ -556,7 +572,7 @@ class TestGridScan:
         k = KPoint((0.3, 0.1, -0.2))
         dec = decompose(build_s_block(SI, k))
         scan = grid_scan(dec, 32, 64, EXACT)
-        res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(seed=4))
+        res = minimize(dec, MEAN_FIELD, EXACT, seed=4)
         step = max(
             np.max(np.abs(np.diff(scan.energies, axis=0))),
             np.max(np.abs(np.diff(scan.energies, axis=1))),
@@ -582,19 +598,19 @@ class TestGridScan:
 class TestFullSpectrum:
     def test_diagonal_two_level(self):
         spec = full_spectrum(decompose(np.diag([-3.0, -1.0])), 2, MEAN_FIELD,
-                             EXACT, OptimizerConfig(seed=6))
+                             EXACT, seed=6)
         assert np.allclose(spec.energies, [-3.0, -1.0], atol=1e-7)
         assert spec.failure is None and spec.rejected == ()
 
     def test_degenerate_levels_reported_with_multiplicity(self):
         spec = full_spectrum(decompose(np.diag([-3.0, -3.0])), 2, MEAN_FIELD,
-                             EXACT, OptimizerConfig(seed=6))
+                             EXACT, seed=6)
         assert np.allclose(spec.energies, [-3.0, -3.0], atol=1e-7)
 
     def test_random_eight_level_spectrum(self, rng):
         H = rand_hermitian(rng, 8, scale=1.5)
         spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT,
-                             OptimizerConfig(seed=7, restarts=8))
+                             OptimizerConfig(restarts=8), seed=7)
         assert np.max(np.abs(spec.energies - np.linalg.eigvalsh(H))) < 1e-2
         assert len(spec.levels) == 8 and len(spec.residuals) == 8
         assert max(spec.residuals) < 1e-4
@@ -613,8 +629,8 @@ class TestFullSpectrum:
         the operator it minimised."""
         monkeypatch.setattr(vqe, "RESIDUAL_TOL", tol)
         dec = decompose(build_full_hamiltonian(SI, GAMMA))
-        config = OptimizerConfig(seed=5, restarts=1)
-        spec = full_spectrum(dec, 1, THREE_QUBIT, EXACT, config)
+        config = OptimizerConfig(restarts=1)
+        spec = full_spectrum(dec, 1, THREE_QUBIT, EXACT, config, seed=5)
         work = shift_identity(dec, spec.shift)
         return spec, work, config
 
@@ -626,10 +642,9 @@ class TestFullSpectrum:
         assert below.levels[0].evaluations == base.levels[0].evaluations
         assert len(below.levels[0].restarts) == 1
         above, _, _ = self._first_level(residual / 2, monkeypatch)
-        first = minimize(work, THREE_QUBIT, EXACT, replace(
-            config, seed=spawn_seed(5, vqe._STREAM_LEVEL, 0)))
-        retry = minimize(work, THREE_QUBIT, EXACT, replace(
-            config, seed=spawn_seed(5, vqe._STREAM_LEVEL, 0, 1)))
+        first = minimize(work, THREE_QUBIT, EXACT, config, spawn_seed(5, vqe._STREAM_LEVEL, 0))
+        retry = minimize(work, THREE_QUBIT, EXACT, config,
+                         spawn_seed(5, vqe._STREAM_LEVEL, 0, 1))
         level = above.levels[0]
         assert level.theta.tolist() == retry.theta.tolist()
         assert level.evaluations == first.evaluations + retry.evaluations
@@ -646,10 +661,11 @@ class TestFullSpectrum:
 
     def test_shots_level_is_never_retried_for_its_residual(self, monkeypatch):
         dec = decompose(build_s_block(SI, GAMMA))
-        config = OptimizerConfig(seed=6, restarts=1)
+        config = OptimizerConfig(restarts=1)
 
         def solve():
-            return full_spectrum(dec, 2, MEAN_FIELD, ShotsBackend(shots=256, seed=7), config)
+            return full_spectrum(dec, 2, MEAN_FIELD, ShotsBackend(shots=256, seed=7), config,
+                                 seed=6)
 
         base = solve()
         monkeypatch.setattr(vqe, "RESIDUAL_TOL", 0.0)
@@ -663,7 +679,7 @@ class TestFullSpectrum:
     def test_zone_centre_p_band_multiplets(self):
         H = build_full_hamiltonian(SI, GAMMA)
         spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT,
-                             OptimizerConfig(seed=8, restarts=8))
+                             OptimizerConfig(restarts=8), seed=8)
         assert np.max(np.abs(spec.energies - diagonalize_classical(H))) < 1e-3
 
     def test_two_band_path_against_oracle(self):
@@ -673,16 +689,15 @@ class TestFullSpectrum:
         for k in path.points:
             H = build_s_block(SI, k)
             spec = full_spectrum(decompose(H), 2, MEAN_FIELD, EXACT,
-                                 OptimizerConfig(seed=9))
+                                 seed=9)
             assert np.max(np.abs(spec.energies - diagonalize_classical(H))) < 1e-6
 
     def test_shift_covariance(self, rng):
         H = rand_hermitian(rng, 2, scale=2.0)
         dec = decompose(H)
-        cfg = OptimizerConfig(seed=10)
-        base = full_spectrum(dec, 2, MEAN_FIELD, EXACT, cfg)
+        base = full_spectrum(dec, 2, MEAN_FIELD, EXACT, seed=10)
         pre_shifted = full_spectrum(shift_identity(dec, 5.0), 2, MEAN_FIELD,
-                                    EXACT, cfg)
+                                    EXACT, seed=10)
         assert np.allclose(base.energies, pre_shifted.energies + 5.0, atol=1e-9)
 
     def test_deflation_step_exposes_next_eigenvalue(self):
@@ -690,8 +705,7 @@ class TestFullSpectrum:
         oracle = diagonalize_classical(H)
         shift = gershgorin_upper_bound(H) + 1.0
         work = shift_identity(decompose(H), shift)
-        cfg = OptimizerConfig(seed=12)
-        res = minimize(work, MEAN_FIELD, EXACT, cfg)
+        res = minimize(work, MEAN_FIELD, EXACT, seed=12)
         exps = EXACT.pauli_expectations(MEAN_FIELD.prepare(res.theta))
         deflated = deflate(work, res.energy, exps)
         new_ground = np.linalg.eigvalsh(reconstruct(deflated))[0]
@@ -702,7 +716,7 @@ class TestFullSpectrum:
         # indistinguishable from a deflated zero and must be refused: the
         # result keeps the level before it and the rejected retry.
         dec = decompose(np.diag([1.0, -3.0]))
-        spec = full_spectrum(dec, 2, MEAN_FIELD, EXACT, OptimizerConfig(seed=13), shift=0.0)
+        spec = full_spectrum(dec, 2, MEAN_FIELD, EXACT, seed=13, shift=0.0)
         assert spec.failure.startswith("deflation level 2 converged to ")
         assert spec.energies == pytest.approx([-3.0], abs=1e-7)
         assert len(spec.residuals) == 1
@@ -718,12 +732,31 @@ class TestFullSpectrum:
         assert list(dec.coeffs) == ["IIZ"]
         noise = ReadoutNoiseModel((0.0, 0.0, 0.6), (0.0, 0.0, 0.6))
         backend = ShotsBackend(shots=256, noise=noise, mitigate=True, seed=1)
-        spec = full_spectrum(dec, 8, THREE_QUBIT, backend, OptimizerConfig(seed=2, restarts=2))
+        spec = full_spectrum(dec, 8, THREE_QUBIT, backend, OptimizerConfig(restarts=2), seed=2)
         assert spec.failure == "mitigation ill-posed: w01 + w10 >= 1 on some qubit"
         assert len(spec.levels) == len(spec.residuals) == 1
         assert spec.rejected == ()
         # 4σ of one 256-shot estimate of a ±1 word
         assert spec.energies == pytest.approx([-1.0], abs=4 / 16)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, backend", [
+        ("2band", EXACT),
+        ("2band", ShotsBackend(shots=256, noise=ReadoutNoiseModel.uniform(1, 0.05, 0.08),
+                               mitigate=True, seed=3)),
+        ("8band", EXACT),
+    ], ids=["2band-exact", "2band-mitigated-shots", "8band-exact"])
+    def test_energies_at_the_tight_binding_cap_stay_finite(self, mode, backend):
+        # Silicon's signs, every energy at ±MAX_ENERGY_EV: no operation
+        # overflows, and every level and residual is finite.
+        cap = MAX_ENERGY_EV
+        params = TBParameters(5.431, -cap, cap, -cap, cap, cap, cap)
+        build, ansatz = ((build_s_block, MEAN_FIELD) if mode == "2band"
+                         else (build_full_hamiltonian, THREE_QUBIT))
+        H = build(params, KPoint((0.5, 0.5, 0.5)))
+        spec = full_spectrum(decompose(H), len(H), ansatz, backend, seed=1)
+        assert spec.failure is None
+        assert np.isfinite(spec.energies).all() and np.isfinite(spec.residuals).all()
 
     def test_level_count_validated(self):
         dec = decompose(np.diag([-1.0, -2.0]))
@@ -736,7 +769,7 @@ class TestShotsBackendDriver:
         dec = decompose(build_s_block(SI, GAMMA))
         backend = ShotsBackend(shots=4096, seed=31)
         res = minimize(dec, MEAN_FIELD, backend,
-                       OptimizerConfig(seed=14, restarts=2, tol_ev=1e-3))
+                       OptimizerConfig(restarts=2, tol_ev=1e-3), seed=14)
         sigma = np.sqrt(
             sum(c**2 for w, c in dec.coeffs.items() if w != "I") / 4096
         )
@@ -748,11 +781,28 @@ class TestShotsBackendDriver:
         noise = ReadoutNoiseModel.uniform(1, 0.05, 0.05)
         backend = ShotsBackend(shots=4096, noise=noise, mitigate=True, seed=32)
         res = minimize(dec, MEAN_FIELD, backend,
-                       OptimizerConfig(seed=15, restarts=2, tol_ev=1e-3))
+                       OptimizerConfig(restarts=2, tol_ev=1e-3), seed=15)
         sigma = np.sqrt(
             sum(c**2 for w, c in dec.coeffs.items() if w != "I") / 4096
         ) / 0.9
         assert abs(res.energy - (SI.E_s - abs(SI.V_ss))) <= 4 * sigma
+
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_backend_refuses_a_seed_that_is_not_an_integer(self, seed):
+        # Not rounded to seed 1: `seeding` refuses the master of the
+        # backend's word streams.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ShotsBackend(shots=64, seed=seed)
+
+    @pytest.mark.parametrize("solve", [
+        lambda dec, backend: minimize(dec, MEAN_FIELD, backend, seed=-1),
+        lambda dec, backend: full_spectrum(dec, 2, MEAN_FIELD, backend, seed=1.0),
+    ], ids=["minimize", "full_spectrum"])
+    def test_bad_seed_raises_before_any_evaluation(self, solve):
+        backend = ShotsBackend(shots=64, seed=1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            solve(decompose(build_s_block(SI, GAMMA)), backend)
+        assert backend.trial == 0
 
     def test_trial_counter_advances(self):
         backend = ShotsBackend(shots=64, seed=33)
@@ -1027,7 +1077,7 @@ class TestEnergyNoiseBound:
         dec = decompose(build_s_block(SI, GAMMA))
         shots = ShotsBackend(shots=256, seed=6)
         for backend in (EXACT, shots):
-            minimize(dec, MEAN_FIELD, backend, OptimizerConfig(seed=1, restarts=1))
+            minimize(dec, MEAN_FIELD, backend, OptimizerConfig(restarts=1), seed=1)
         assert seen == [0.0, ShotsBackend(shots=256).energy_noise(dec)] and seen[1] > 0
 
 
