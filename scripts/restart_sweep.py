@@ -8,12 +8,11 @@
         [--path-seeds 1-100] [--short-seeds 1000-1999] [--shots-seeds 1-4000]
         [--x-seeds 1-10000]
 
-Run from the repository root.  For each restart count, every set below is
-solved with BFGS and every other optimiser setting at its default.  A set
-of k-points runs the `bands` command as a user does, in this process, once
-per master seed S: `bands ARGS --optimizer FILE --seed S`, with FILE holding
-{"restarts": r}.  It is tallied from the `bands.csv` and `summary.json`
-that run writes and from its exit code.
+Run from the repository root.  For each restart count r, every set below
+is solved with BFGS at each circuit's fixed iteration cap.  A set of
+k-points runs the `bands` command as a user does, in this process, once per
+master seed S: `bands ARGS --restarts r --seed S`.  It is tallied from the
+`bands.csv` and `summary.json` that run writes and from its exit code.
 
 Three-qubit circuit, exact backend (`bands --mode 8band`):
 
@@ -53,7 +52,7 @@ evaluations and restarts are counted as written.  The last lines name, per
 backend, the smallest restart count with no miss and no unconverged level,
 and at one restart also no restart stopped at the cap (a lone restart that
 stalls leaves its level unconverged, so a set must be large enough to show
-the stall): the rule the BFGS defaults of `vqe._with_defaults` follow.
+the stall): the rule the BFGS defaults of `vqe._defaults` follow.
 """
 import argparse
 import contextlib
@@ -79,7 +78,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from qbands import cli  # noqa: E402
 from qbands.pauli import decompose  # noqa: E402
 from qbands.qsim import THREE_QUBIT  # noqa: E402
-from qbands.vqe import ExactBackend, OptimizerConfig, full_spectrum  # noqa: E402
+from qbands.vqe import ExactBackend, full_spectrum  # noqa: E402
 from workloads import WORKLOADS, check_bands  # noqa: E402
 
 MISS_EV = 1e-3
@@ -151,10 +150,8 @@ def bands_set(argv: list[str], seeds: list[int], restarts: int, judge) -> Tally:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        optimizer = out / "optimizer.json"
-        optimizer.write_text(json.dumps({"restarts": restarts}))
         for seed in seeds:
-            command = ["bands", *argv, "--optimizer", str(optimizer), "--seed", str(seed),
+            command = ["bands", *argv, "--restarts", str(restarts), "--seed", str(seed),
                        "--out", tmp]
             log = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(log):
@@ -190,7 +187,7 @@ def matrix_set(count: int, restarts: int) -> Tally:
         A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         H = 1.5 * (A + A.conj().T) / 2
         spec = full_spectrum(decompose(H), 8, THREE_QUBIT, backend,
-                             OptimizerConfig(restarts=restarts), seed=MATRIX_OPT_SEED + trial)
+                             restarts=restarts, seed=MATRIX_OPT_SEED + trial)
         err = np.full((1, 8), np.nan)  # NaN from a failed level, as `bands` writes it
         found = len(spec.levels)
         err[0, :found] = np.abs(spec.energies - np.linalg.eigvalsh(H)[:found])

@@ -52,7 +52,6 @@ from .tightbinding import (
 from .vqe import (
     ExactBackend,
     GridScan,
-    OptimizerConfig,
     ShotsBackend,
     SpectrumResult,
     VQEResult,

@@ -33,7 +33,7 @@ from .tightbinding import (
     diagonalize_classical,
     make_kpath,
 )
-from .vqe import STOPS, ExactBackend, OptimizerConfig, ShotsBackend, full_spectrum, grid_scan
+from .vqe import STOPS, ExactBackend, ShotsBackend, full_spectrum, grid_scan
 
 # Seed fan-out roles under the master seed (see README).
 _STREAM_OPT = 1
@@ -74,7 +74,6 @@ def _header(args: argparse.Namespace) -> dict:
     its digest, the master seed and the code version."""
     config = {key: value for key, value in vars(args).items() if key != "out"}
     config["params"] = asdict(args.params) if args.params else None
-    config["optimizer"] = asdict(args.optimizer)
     blob = json.dumps(config, sort_keys=True).encode()
     return {
         "config": config,
@@ -167,7 +166,7 @@ def _solve_kpoint(job: tuple) -> dict:
     n_qubits = _MODE_QUBITS[args.mode]
     backend = _make_backend(args, noise, k_index)
     levels = 2**n_qubits
-    spectrum = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, args.optimizer,
+    spectrum = full_spectrum(dec, levels, ansatz_for(n_qubits), backend, args.restarts,
                              seed=spawn_seed(args.seed, _STREAM_OPT, k_index))
     bands = spectrum.sorted_levels()
     if spectrum.failure:
@@ -429,15 +428,6 @@ def _config_file(make):
     return _arg(lambda path: from_json_object(make, _load_json(path)))
 
 
-def _read_optimizer(path: str) -> OptimizerConfig:
-    """The `--optimizer` file's config, read as every config file is, with
-    ``restarts`` at most ``_MAX_RESTARTS``."""
-    config = from_json_object(OptimizerConfig, _load_json(path))
-    if config.restarts is not None and config.restarts > _MAX_RESTARTS:
-        raise ValueError(f"restarts {config.restarts} exceed the cap of {_MAX_RESTARTS}")
-    return config
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     # Any size: a seed feeds numpy's SeedSequence, which takes big integers.
     p.add_argument("--seed", type=_at_least(0, most=None), default=0, help="master seed")
@@ -463,13 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     # Every header carries every key; a subcommand's own flags override these.
     parser.set_defaults(params=None, kpath=None, mode=None, backend="exact", shots=8192,
-                        noise=None, mitigate=False, optimizer=OptimizerConfig(), workers=1)
+                        noise=None, mitigate=False, restarts=None, workers=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="band energies along a k-path")
     _add_model_args(p)
-    p.add_argument("--optimizer", type=_arg(_read_optimizer), default=OptimizerConfig(),
-                   help="optimizer config JSON")
+    p.add_argument("--restarts", type=_at_least(1, _MAX_RESTARTS),
+                   help="BFGS restarts per level (default: per circuit and backend)")
     p.add_argument("--kpath", type=_as_written(parse_kpath), default="X,G,L:20",
                    help="anchors and points per segment, e.g. 'X,G,L:20'")
     p.add_argument("--mode", choices=["2band", "8band"], default="2band")
@@ -504,12 +494,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_across_flags(parser: argparse.ArgumentParser,
                         args: argparse.Namespace) -> ReadoutNoiseModel | None:
-    """The checks across flags: the scan grid size, and the noise file
-    against the qubit count and `--mitigate` (exit 2, before any work);
-    returns the checked `--noise` model."""
+    """The checks across flags: the scan grid size, `--noise` and
+    `--mitigate` against the backend, and the noise file against the qubit
+    count and `--mitigate` (exit 2, before any work); returns the checked
+    `--noise` model."""
     if args.command == "scan" and args.theta_steps * args.phi_steps > _MAX_SCAN_NODES:
         parser.error(f"--theta-steps x --phi-steps: {args.theta_steps * args.phi_steps} "
                      f"grid nodes exceed the cap of {_MAX_SCAN_NODES}")
+    if args.command in ("bands", "scan") and args.backend != "shots":
+        # The exact backend reads no counts: a header that recorded these
+        # flags would claim a noisy or mitigated run that never happened.
+        for flag, given in (("--noise", args.noise is not None), ("--mitigate", args.mitigate)):
+            if given:
+                parser.error(f"{flag} needs --backend shots")
     if args.noise is None:
         return None
     n_qubits = args.qubits if args.command == "rates" else _MODE_QUBITS[args.mode]

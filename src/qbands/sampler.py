@@ -66,10 +66,12 @@ class ReadoutNoiseModel:
             raise ValueError(f"drift_amplitude must be a finite real, got {amplitude!r}")
         # The drift is read once per trial, so a period under one trial has
         # no meaning; from 1 on the phase 2πt/P is finite at every trial
-        # (at P = 1e-320 it is inf from t = 1).
-        if amplitude and not (is_real(period) and period >= 1):
-            raise ValueError("drift_amplitude requires a finite real drift_period >= 1, "
-                             f"got {period!r}")
+        # (at P = 1e-320 it is inf from t = 1).  A period is checked with or
+        # without drift, since the header records it either way.
+        if period is not None and not (is_real(period) and period >= 1):
+            raise ValueError(f"drift_period must be null or a finite real >= 1, got {period!r}")
+        if amplitude and period is None:
+            raise ValueError("drift_amplitude requires a drift_period")
 
     @classmethod
     def uniform(cls, n_qubits: int, w01: float = 0.0, w10: float = 0.0,

@@ -21,7 +21,6 @@ from .pauli import (
     deflate,
     gershgorin_upper_bound,
     is_int,
-    is_real,
     pauli_words,
     rowwise,
     shift_identity,
@@ -48,32 +47,12 @@ ZERO_CAPTURE_TOL = 0.5
 RESIDUAL_TOL = 1e-2
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the lock-step BFGS optimiser (`optimize_quasinewton`).
-
-    When None, ``max_iter`` and ``restarts`` default per ansatz and backend
-    (see ``_with_defaults``).  The seed of the restarts is no setting: it is
-    an argument of `minimize` and `full_spectrum`.
-    """
-
-    max_iter: int | None = None
-    tol_ev: float = 1e-6
-    restarts: int | None = None
-
-    def __post_init__(self):
-        tol = self.tol_ev
-        if not (is_real(tol) and tol > 0):
-            raise ValueError(f"tol_ev must be a positive finite real, got {tol!r}")
-        for name in ("max_iter", "restarts"):
-            value = getattr(self, name)
-            if value is not None and not (is_int(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 # Why a restart stopped: BFGS's gradient and noise tests, a line search
 # failed from the identity, or the iteration cap.
 STOPS = ("gradient", "noise", "precision", "max_iter")
+
+# A restart converges ("gradient") once max|g| is at most this (eV per radian).
+GRADIENT_TOL_EV = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,7 +88,7 @@ def optimize_quasinewton(
     objective_batch: Callable[[np.ndarray], np.ndarray],
     gradient_batch: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    config: OptimizerConfig,
+    max_iter: int = 200,
     gradient_evaluations: int = 1,
     energy_noise: float = 0.0,
 ) -> list[OptimizeResult]:
@@ -132,8 +111,9 @@ def optimize_quasinewton(
     resets H to the identity and retries along -g.  A failure that starts
     from the identity is terminal "precision loss": the step fell below
     the resolution of the objective (round-off or shot noise), and the row
-    counts as converged.  A row also converges when max|g| <= ``tol_ev``;
-    hitting ``max_iter`` accepted steps returns it unconverged.
+    counts as converged.  A row also converges when max|g| <=
+    ``GRADIENT_TOL_EV``; hitting ``max_iter`` accepted steps returns it
+    unconverged.
 
     ``energy_noise`` > 0 bounds the standard deviation of one energy row
     (σ̄_E) and adds two rules (cf. iCANS, arXiv:1909.09083): a row converges
@@ -146,16 +126,14 @@ def optimize_quasinewton(
     """
     X = np.array(x0, dtype=float, ndmin=2)
     R, d = X.shape
-    max_iter = config.max_iter if config.max_iter is not None else 200
     F = np.asarray(objective_batch(X), dtype=float).tolist()
     G = np.asarray(gradient_batch(X), dtype=float)
     eye = np.eye(d)
-    tol = config.tol_ev
-    gtol = float(max(tol, 2 * energy_noise / np.sqrt(2)))
+    gtol = float(max(GRADIENT_TOL_EV, 2 * energy_noise / np.sqrt(2)))
     floor = energy_noise / 4
 
     def gradient_stop(gmax):  # "max_iter" while above gtol
-        return "gradient" if gmax <= tol else "noise" if gmax <= gtol else "max_iter"
+        return "gradient" if gmax <= GRADIENT_TOL_EV else "noise" if gmax <= gtol else "max_iter"
 
     why = [gradient_stop(v) for v in np.max(np.abs(G), axis=1).tolist()]
     nit, lost, halvings = [0] * R, [0] * R, [0] * R
@@ -272,15 +250,15 @@ def optimize_quasinewton(
 def optimize_direct(
     objective: Callable[[np.ndarray], float],
     x0: np.ndarray,
-    config: OptimizerConfig,
+    max_iter: int = 4000,
 ) -> OptimizeResult:
-    """COBYLA direct search; its stop, "cobyla", is outside ``STOPS``.  Nothing
+    """COBYLA direct search to a trust radius of 1e-6 in at most ``max_iter``
+    evaluations; its stop, "cobyla", is outside ``STOPS``.  Nothing
     calls it: it stays only because `bench/layers.py` wraps this name, and
     goes with scipy when the benchmark stops patching functions by name."""
     from scipy import optimize  # deferred: scipy costs every start-up ~0.6 s
 
     x0 = np.asarray(x0, dtype=float)
-    max_iter = config.max_iter if config.max_iter is not None else 4000
     nfev = 0
 
     def f(xv):
@@ -289,7 +267,7 @@ def optimize_direct(
         return float(objective(xv))
 
     res = optimize.minimize(
-        f, x0, method="COBYLA", tol=config.tol_ev,
+        f, x0, method="COBYLA", tol=1e-6,
         options={"maxiter": max_iter},
     )
     return OptimizeResult(res.x, float(res.fun), nfev, nfev, bool(res.success), "cobyla")
@@ -507,9 +485,9 @@ class VQEResult:
     restarts: tuple[OptimizeResult, ...] = field(default_factory=tuple)
 
 
-def _with_defaults(config: OptimizerConfig, ansatz: Ansatz, backend: Backend
-                   ) -> OptimizerConfig:
-    """``config`` with unset ``restarts`` and ``max_iter`` filled in.
+def _defaults(ansatz: Ansatz, backend: Backend) -> tuple[int, int]:
+    """(restarts, max_iter): the restart count `minimize` runs when given
+    none, and the iteration cap of each restart.
 
     BFGS restart counts come from the sweeps of ``scripts/restart_sweep.py``,
     which runs the `bands` command at each set's master seeds: the smallest
@@ -531,37 +509,37 @@ def _with_defaults(config: OptimizerConfig, ansatz: Ansatz, backend: Backend
     and BFGS's own cap of 200 iterations.
     """
     if isinstance(backend, ExactBackend):
-        restarts, max_iter = (2, None) if ansatz.n_params == 2 else (1, 1000)
-    else:
-        restarts, max_iter = (3 if ansatz.n_params == 2 else 20), None
-    return replace(
-        config,
-        restarts=config.restarts if config.restarts is not None else restarts,
-        max_iter=config.max_iter if config.max_iter is not None else max_iter,
-    )
+        return (2, 200) if ansatz.n_params == 2 else (1, 1000)
+    return (3 if ansatz.n_params == 2 else 20), 200
 
 
 def minimize(
     decomp: SpectralDecomposition,
     ansatz: Ansatz,
     backend: Backend,
-    config: OptimizerConfig = OptimizerConfig(),
+    restarts: int | None = None,
     seed: int = 0,
 ) -> VQEResult:
     """Minimise the reconstructed <H> over the ansatz parameters.
 
-    Runs ``restarts`` BFGS optimisations (unset: see ``_with_defaults``),
-    all in lock step, from uniform random angles, restart r's drawn from
+    Runs ``restarts`` BFGS optimisations (None: the swept default of
+    ``_defaults``, which also sets each one's iteration cap), all in lock
+    step, from uniform random angles, restart r's drawn from
     ``spawn_rng(seed, _STREAM_RESTART, r)``, and keeps the lowest energy,
     ties broken by fewest evaluations, then by restart order.  A result
-    whose energy is not finite is never converged.
+    whose energy is not finite is never converged.  A ``restarts`` that is
+    not an integer >= 1 (a bool included) is refused before any evaluation.
     """
-    config = _with_defaults(config, ansatz, backend)
+    default_restarts, max_iter = _defaults(ansatz, backend)
+    if restarts is None:
+        restarts = default_restarts
+    elif not (is_int(restarts) and restarts >= 1):
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     f, f_batch = backend.make_objective(decomp, ansatz)
     x0 = np.array([ansatz.random_parameters(spawn_rng(seed, _STREAM_RESTART, r))
-                   for r in range(config.restarts)])
+                   for r in range(restarts)])
     grad_batch, grad_evaluations = backend.make_gradient(decomp, ansatz)
-    results = optimize_quasinewton(f_batch, grad_batch, x0, config, grad_evaluations,
+    results = optimize_quasinewton(f_batch, grad_batch, x0, max_iter, grad_evaluations,
                                    energy_noise=backend.energy_noise(decomp))
     best = min(results, key=lambda res: (res.energy, res.evaluations))
     energy = f(best.x)
@@ -645,11 +623,13 @@ def full_spectrum(
     levels: int,
     ansatz: Ansatz,
     backend: Backend,
-    config: OptimizerConfig = OptimizerConfig(),
+    restarts: int | None = None,
     shift: float | None = None,
     seed: int = 0,
 ) -> SpectrumResult:
-    """Extract ``levels`` eigenvalues by repeated minimise-and-deflate.
+    """Extract ``levels`` eigenvalues by repeated minimise-and-deflate, each
+    attempt at a level one `minimize` of ``restarts`` restarts (None: its
+    swept default).
 
     The identity coefficient is first shifted down by the Gershgorin upper
     bound plus 1 eV so that every eigenvalue is negative; each converged
@@ -687,7 +667,7 @@ def full_spectrum(
     residuals = []
 
     def solve(*path):
-        res = minimize(work, ansatz, backend, config, spawn_seed(seed, _STREAM_LEVEL, *path))
+        res = minimize(work, ansatz, backend, restarts, spawn_seed(seed, _STREAM_LEVEL, *path))
         psi = ansatz.prepare(res.theta)
         return res, psi, float(np.linalg.norm(work.matrix @ psi - res.energy * psi))
 

@@ -22,7 +22,7 @@ from qbands.sampler import (
     sampled_expectation,
 )
 from qbands.tightbinding import KPoint, TBParameters, build_s_block, diagonalize_classical
-from qbands.vqe import ExactBackend, OptimizerConfig, full_spectrum, grid_scan
+from qbands.vqe import ExactBackend, full_spectrum, grid_scan
 
 from conftest import kron_word, rand_hermitian, rand_state, seeded
 
@@ -99,7 +99,7 @@ class TestAcceptance:
             oracle = np.linalg.eigvalsh(H)
             spec = full_spectrum(
                 decompose(H), 8, THREE_QUBIT, backend,
-                OptimizerConfig(restarts=8), seed=trial,
+                restarts=8, seed=trial,
             )
             worst = max(worst, float(np.max(np.abs(spec.energies - oracle))))
         assert worst <= 1e-2

@@ -152,22 +152,24 @@ class TestBadInput:
         (["bands", "--backend", "shots", "--noise", File(None)], "--noise"),
         (["bands", "--backend", "shots", "--noise", File("{w01: 0.1")], "--noise"),
         (["bands", "--backend", "shots", "--noise", File("[0.1]")], "--noise"),
-        (["bands", "--optimizer", File(None)], "--optimizer"),
-        (["bands", "--optimizer", File("not json")], "--optimizer"),
-        (["bands", "--optimizer", File("[1]")], "--optimizer"),
-        (["bands", "--optimizer", File('{"method": "cobyla"}')], "--optimizer"),
+        # The retired optimiser file, even one that was once valid.
+        (["bands", "--optimizer", File('{"restarts": 2}')], "--optimizer"),
+        (["bands", "--restarts", "0"], "--restarts"),
+        (["bands", "--restarts", "x"], "--restarts"),
+        (["bands", "--restarts", "1025"], "--restarts"),
         (["scan", "--params", File(None)], "--params"),
         (["bands", "--params", File("{")], "--params"),
         (["bands", "--params", File('{"E_s": 0.0}')], "--params"),
         (["scan", "--kpoint", "Q"], "--kpoint"),
         (["rates", "--samples", "0"], "--samples"),
-        (["bands", "--optimizer", File('{"max_iter": "x"}')], "--optimizer"),
-        (["bands", "--optimizer", File('{"restarts": 2.5}')], "--optimizer"),
-        (["bands", "--optimizer", File('{"max_iter": true}')], "--optimizer"),
-        (["bands", "--optimizer", File('{"tol_ev": "1e-6"}')], "--optimizer"),
-        (["bands", "--optimizer", File('{"seed": "1"}')], "--optimizer"),
-        (["bands", "--optimizer", File('{"fd_step": 1e-4}')], "--optimizer"),
-        (["bands", "--optimizer", File('{"max_iters": 50}')], "--optimizer"),
+        (["bands", "--restarts", "2.5"], "--restarts"),
+        (["bands", "--restarts", "-1"], "--restarts"),
+        # The exact backend reads no counts, so it takes no noise flags.
+        (["bands", "--noise", File('{"w01": 0.05, "w10": 0.08}')], "--noise"),
+        (["bands", "--mitigate"], "--mitigate"),
+        (["scan", "--noise", File('{"w01": 0.05, "w10": 0.08}')], "--noise"),
+        (["scan", "--backend", "exact", "--mitigate"], "--mitigate"),
+        (["bands", "--mode", "8band", "--noise", File('{"w01": 0.05, "w10": 0.08}'), "--mitigate"], "--noise"),
         (["decompose", "--matrix", File(None)], "--matrix"),
         (["decompose", "--matrix", File("{")], "--matrix"),
         (["decompose", "--matrix", File('{"rows": [[1.0]]}')], "--matrix"),
@@ -181,7 +183,7 @@ class TestBadInput:
         (["decompose", "--matrix", File("1.0,x\n", "m.csv")], "--matrix"),
         (["bands", "--kpath", "X,G:1", "--seed", "-1"], "--seed"),
         (["decompose", "--matrix", File('{"matrix": [[0, 1], [0, 0]]}')], "--matrix"),
-        (["bands", "--optimizer", File('{"method": "quasi-newton"}')], "--optimizer"),
+        (["bands", "--restarts"], "--restarts"),
         (["bands", "--params", params_file(E_s=True)], "--params"),
         (["bands", "--params", params_file(E_p="7.20")], "--params"),
         (["bands", "--params", params_file(V_zz=1.0)], "--params"),
@@ -191,8 +193,7 @@ class TestBadInput:
         (["decompose", "--matrix", File('{"matrix": [[Infinity, 0], [0, 1]]}')],
          "--matrix"),
         (["bands", "--kpath", "X,G:1", "--params", params_file(E_s=10**400)], "--params"),
-        (["bands", "--kpath", "X,G:1", "--optimizer", File(json.dumps({"tol_ev": 10**400}))],
-         "--optimizer"),
+        (["bands", "--kpath", "X,G:1", "--restarts", str(10**400)], "--restarts"),
         (["decompose", "--matrix", File(json.dumps({"matrix": [[10**400, 0], [0, 1]]}))],
          "--matrix"),
         (["decompose", "--matrix",
@@ -214,8 +215,8 @@ class TestBadInput:
         (["rates", "--samples", str(2**19 + 1)], "--samples"),
         # One worker above the pool cap (see TestSizeCaps); no pool starts.
         (["bands", "--workers", "33"], "--workers"),
-        # `scan` reads no optimiser settings, so it takes no `--optimizer`.
-        (["scan", "--optimizer", File("{}")], "--optimizer"),
+        # `scan` runs no optimiser, so it takes no `--restarts`.
+        (["scan", "--restarts", "2"], "--restarts"),
         # Finite entries whose coefficients overflow (decompose's trace sums),
         # and energies past the tight-binding cap of 1e150 eV.
         (["decompose", "--matrix",
@@ -265,12 +266,11 @@ class TestBadInput:
         (["bands", "--params", params_file(V_zz=1.0)],
          'unknown key "V_zz"; the accepted keys are "lattice_constant", "E_s", "E_p", '
          '"V_ss", "V_sp", "V_xx", "V_xy"'),
-        # BFGS is the only optimiser, so a file that names one is refused.
-        (["bands", "--optimizer", File('{"method": "bfgs", "restarts": 2}')],
-         'unknown key "method"; the accepted keys are "max_iter", "tol_ev", "restarts" '
-         '(keys starting with "_" are comments)'),
+        (["bands", "--backend", "shots", "--noise", File('{"w01": 0.05, "w_10": 0.08}')],
+         'unknown key "w_10"; the accepted keys are "w01", "w10", "drift_amplitude", '
+         '"drift_period" (keys starting with "_" are comments)'),
     ], ids=["matrix-wrong-key", "matrix-extra-key", "params-missing", "params-extra",
-            "optimizer-method"])
+            "noise-extra"])
     def test_key_errors_name_the_keys(self, argv, message, tmp_path, capsys):
         # The message names the unknown and missing keys and the accepted
         # ones, not a Python call signature.
@@ -336,6 +336,11 @@ class TestBadInput:
         (["rates", "--samples", "3", "--trials", "100"],
          {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 1e-320},
          "--noise"),
+        # A period without drift is checked too: the header records it.
+        (["rates", "--samples", "2", "--trials", "100"],
+         {"w01": 0.05, "w10": 0.08, "drift_period": "eighteen"}, "--noise"),
+        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0, "drift_period": 0.5}, "--noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"
@@ -349,7 +354,7 @@ class TestBadInput:
 
 
 _COMMON_KEYS = {"command", "params", "kpath", "mode", "backend", "shots", "noise",
-                "mitigate", "optimizer", "seed", "workers"}
+                "mitigate", "restarts", "seed", "workers"}
 
 
 
@@ -389,23 +394,20 @@ class TestSizeCaps:
         assert qbands.cli._MAX_WORKERS == 32 and 32 * 2**25 <= 2**30
         assert qbands.cli.build_parser().parse_args(["bands", "--workers", "32"]).workers == 32
 
-    def test_restarts_cap_fits_the_budget_and_parses(self, tmp_path):
+    def test_restarts_cap_fits_the_budget_and_parses(self):
         # A restart peaks at about 0.8 MiB (README), so 1024 stay within 1 GiB.
         assert qbands.cli._MAX_RESTARTS == 1024 and 1024 * 2**20 <= 2**30
-        at_cap = tmp_path / "at_cap.json"
-        at_cap.write_text('{"restarts": 1024}')
-        args = qbands.cli.build_parser().parse_args(["bands", "--optimizer", str(at_cap)])
-        assert args.optimizer.restarts == 1024
+        args = qbands.cli.build_parser().parse_args(["bands", "--restarts", "1024"])
+        assert args.restarts == 1024
 
     def test_restarts_above_the_cap_are_refused_before_any_output(self, tmp_path, capsys):
-        above = tmp_path / "above.json"
-        above.write_text('{"restarts": 1025}')
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main(["bands", "--optimizer", str(above), "--out", str(out)])
+            main(["bands", "--restarts", "1025", "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--optimizer" in err and "restarts 1025 exceed the cap of 1024" in err
+        assert err.splitlines()[-1] == "qbands bands: error: argument --restarts: " \
+            "'1025': must be <= 1024"
         assert not out.exists()
 
     def test_largest_legal_input_fits_the_file_cap(self):
@@ -493,7 +495,7 @@ class TestHeader:
         assert set(config) == _COMMON_KEYS | extra
         assert {k: config[k] for k in expected} == expected
         assert config["command"] == argv[0]
-        assert config["optimizer"] == {"max_iter": None, "tol_ev": 1e-6, "restarts": None}
+        assert config["restarts"] is None
         blob = json.dumps(config, sort_keys=True).encode()
         assert header["digest"] == hashlib.sha256(blob).hexdigest()[:12]
         assert header["seed"] == config["seed"]
@@ -639,10 +641,8 @@ class TestBands:
         # deflated zero; the retry's restarts find the level.
         noise_file = tmp_path / "noise.json"
         noise_file.write_text(json.dumps({"w01": 0.05, "w10": 0.08}))
-        optimizer_file = tmp_path / "optimizer.json"
-        optimizer_file.write_text(json.dumps({"restarts": 2}))
         assert main(["bands", "--backend", "shots", "--shots", "8192", "--mitigate",
-                     "--noise", str(noise_file), "--optimizer", str(optimizer_file),
+                     "--noise", str(noise_file), "--restarts", "2",
                      "--kpath", "X,G:1", "--seed", "207019", "--out", str(tmp_path)]) == 0
         _, columns, rows = read_csv(tmp_path / "bands.csv")
         assert col(columns, rows, "converged_2", int) == [1, 1]
@@ -697,10 +697,8 @@ class TestBands:
         # At seed 803175 and 1 restart, the lone restart of Γ's last level
         # stops as converged 4.45e-2 eV above band 8, with residual 0.206;
         # the residual retry finds the level.
-        optimizer_file = tmp_path / "optimizer.json"
-        optimizer_file.write_text(json.dumps({"restarts": 1}))
         assert main(["bands", "--mode", "8band", "--kpath", "L,G:1", "--seed", "803175",
-                     "--optimizer", str(optimizer_file), "--out", str(tmp_path)]) == 0
+                     "--restarts", "1", "--out", str(tmp_path)]) == 0
         _, columns, rows = read_csv(tmp_path / "bands.csv")
         gamma = rows[1]
         assert col(columns, [gamma], "kx") == [0.0]
@@ -950,20 +948,6 @@ class TestDeterminism:
         main(args + ["--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "rates.csv").read_bytes() == \
             (tmp_path / "b" / "rates.csv").read_bytes()
-
-    def test_optimizer_file_seed_is_refused(self, tmp_path, capsys):
-        # `--seed` is the one root of every stream: an optimiser file's seed,
-        # which once replaced it for the optimiser streams, is an unknown key.
-        opt_file = tmp_path / "opt.json"
-        opt_file.write_text(json.dumps({"seed": 0}))
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["bands", "--mode", "2band", "--kpath", "X,G:2", "--optimizer", str(opt_file),
-                  "--seed", "1", "--out", str(out)])
-        assert exc.value.code == 2
-        assert ('unknown key "seed"; the accepted keys are "max_iter", "tol_ev", "restarts" '
-                in capsys.readouterr().err)
-        assert not out.exists()
 
     def test_different_seed_changes_shots_output(self, tmp_path):
         args = ["bands", "--mode", "2band", "--kpath", "X,G:1", "--backend",

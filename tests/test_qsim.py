@@ -17,7 +17,7 @@ from qbands.qsim import (
     zero_state,
 )
 from qbands.tightbinding import KPoint, TBParameters, build_full_hamiltonian
-from qbands.vqe import ExactBackend, OptimizerConfig, minimize
+from qbands.vqe import ExactBackend, minimize
 
 from conftest import SIGMA, kron_word, layered_state, rand_hermitian, rand_state
 

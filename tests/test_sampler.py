@@ -604,9 +604,11 @@ class TestTransitionRates:
         (float("nan"), 18), (float("inf"), 18), ("0.01", 18), (None, 18),
         (0.01, "18"), (0.01, float("nan")), (0.01, float("inf")), (0.01, 0),
         (0.01, -18), (0.01, True), (0.01, 1e-320), (0.01, 0.999),
+        (0.0, "18"), (0.0, -18), (0.0, True), (0.0, float("nan")), (0.0, 0.5),
     ])
     def test_drift_fields_must_be_finite_reals(self, amplitude, period):
         # A period is at least one trial: at 1e-320 the phase was inf from t = 1.
+        # It is checked without drift too, since the header records it.
         with pytest.raises(ValueError, match="drift"):
             ReadoutNoiseModel.uniform(1, 0.0, 0.05, drift_amplitude=amplitude,
                                       drift_period=period)

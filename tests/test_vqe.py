@@ -7,7 +7,6 @@ from qbands.pauli import (
     SpectralDecomposition,
     decompose,
     deflate,
-    from_json_object,
     gershgorin_upper_bound,
     pauli_words,
     reconstruct,
@@ -27,9 +26,8 @@ from qbands.tightbinding import (
 )
 from qbands.vqe import (
     ExactBackend,
-    OptimizerConfig,
     ShotsBackend,
-    _with_defaults,
+    _defaults,
     full_spectrum,
     grid_scan,
     minimize,
@@ -102,78 +100,13 @@ class TestWordOrder:
         assert np.allclose(reconstruct(deflated), H - eps0 * rho, atol=1e-13)
 
 
-class TestOptimizerConfig:
-    def test_method_aliases(self):
-        # BFGS is the only optimiser: no spelling names a method, the two
-        # that once did included.
-        for method in ("bfgs", "cobyla", "quasi-newton", "direct", "BFGS", "Cobyla"):
-            with pytest.raises(TypeError):
-                OptimizerConfig(method=method)
-
-    def test_rejects_unknown_method(self):
-        # An optimiser file that still names a method is refused, and the
-        # message names the key and the three accepted ones.
-        with pytest.raises(ValueError, match='unknown key "method"; the accepted keys are '
-                           '"max_iter", "tol_ev", "restarts" '):
-            from_json_object(OptimizerConfig, {"method": "bfgs", "restarts": 2})
-
-    def test_rejects_seed_key(self):
-        # The master seed roots every stream: an optimiser file's seed, which
-        # once replaced it, is an unknown key like any other.
-        with pytest.raises(ValueError, match='unknown key "seed"; the accepted keys are '
-                           '"max_iter", "tol_ev", "restarts" '):
-            from_json_object(OptimizerConfig, {"seed": 0})
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(tol_ev=0.0)
-
-    def test_rejects_bad_restarts(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(restarts=0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_iter": "x"}, {"max_iter": 2.0}, {"max_iter": True}, {"max_iter": 0},
-        {"restarts": 2.5}, {"restarts": False}, {"restarts": "3"},
-        {"tol_ev": "1e-6"}, {"tol_ev": True}, {"tol_ev": float("inf")},
-        {"tol_ev": float("nan")}, {"seed": 0}, {"max_iter": -3},
-        {"restarts": np.float64(3.0)}, {"tol_ev": 1j}, {"tol_ev": -1e-6},
-    ])
-    def test_rejects_wrong_types(self, kwargs):
-        with pytest.raises((ValueError, TypeError)):
-            OptimizerConfig(**kwargs)
-
-    def test_accepts_numpy_integers(self):
-        cfg = OptimizerConfig(max_iter=np.int64(5), restarts=np.int32(2))
-        assert cfg.max_iter == 5 and cfg.restarts == 2
-
-    def test_from_dict(self):
-        cfg = from_json_object(
-            OptimizerConfig, {"max_iter": 77, "tol_ev": 1e-5, "restarts": 4}
-        )
-        assert cfg == OptimizerConfig(max_iter=77, tol_ev=1e-5, restarts=4)
-
-    @pytest.mark.parametrize("data, named", [
-        ({"fd_step": 1e-4}, "fd_step"),
-        ({"max_iters": 5, "restarts": 1}, "max_iters"),
-    ])
-    def test_from_dict_names_unknown_keys(self, data, named):
-        with pytest.raises(ValueError, match=named):
-            from_json_object(OptimizerConfig, data)
-
-    def test_from_dict_skips_comment_keys(self):
-        cfg = from_json_object(OptimizerConfig, {"_comment": "fast", "restarts": 2})
-        assert cfg == OptimizerConfig(restarts=2)
-
-
 class TestOptimizers:
     def test_quadratic_both_methods(self):
-        cfg = OptimizerConfig(tol_ev=1e-10)
         [bfgs] = optimize_quasinewton(lambda X: (X[:, 0] - 2.0) ** 2,
-                                      lambda X: 2 * (X - 2.0), np.array([[0.0]]), cfg)
+                                      lambda X: 2 * (X - 2.0), np.array([[0.0]]))
         calls = []
         direct = optimize_direct(lambda x: calls.append(x) or float((x[0] - 2.0) ** 2),
-                                 np.array([0.0]), cfg)
+                                 np.array([0.0]))
         for res in (bfgs, direct):
             assert res.x[0] == pytest.approx(2.0, abs=1e-6)
             assert res.converged
@@ -181,8 +114,7 @@ class TestOptimizers:
         assert direct.evaluations == direct.iterations == len(calls) > 0
 
     def test_rosenbrock_quasinewton(self):
-        [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
-                                     OptimizerConfig())
+        [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]))
         assert res.energy < 1e-6
         assert res.converged
 
@@ -194,12 +126,11 @@ class TestOptimizers:
             return np.cos(X) + 0.6 * X
 
         x0 = rng.uniform(-3, 3, size=(6, 3))
-        together = optimize_quasinewton(fb, gb, x0, OptimizerConfig())
+        together = optimize_quasinewton(fb, gb, x0)
         x0_rosen = rng.uniform(-2, 2, size=(5, 2))
-        together += optimize_quasinewton(rosen, rosen_grad, x0_rosen, OptimizerConfig())
-        solo = [optimize_quasinewton(fb, gb, x[None], OptimizerConfig())[0] for x in x0]
-        solo += [optimize_quasinewton(rosen, rosen_grad, x[None], OptimizerConfig())[0]
-                 for x in x0_rosen]
+        together += optimize_quasinewton(rosen, rosen_grad, x0_rosen)
+        solo = [optimize_quasinewton(fb, gb, x[None])[0] for x in x0]
+        solo += [optimize_quasinewton(rosen, rosen_grad, x[None])[0] for x in x0_rosen]
         for a, b in zip(together, solo):
             assert a.x.tolist() == b.x.tolist()
             assert (a.energy, a.evaluations, a.iterations, a.converged) == \
@@ -210,10 +141,9 @@ class TestOptimizers:
         _, f_batch = EXACT.make_objective(dec, THREE_QUBIT)
         grad, cost = EXACT.make_gradient(dec, THREE_QUBIT)
         x0 = np.array([THREE_QUBIT.random_parameters(rng) for _ in range(4)])
-        cfg = OptimizerConfig(max_iter=60)
-        together = optimize_quasinewton(f_batch, grad, x0, cfg, cost)
+        together = optimize_quasinewton(f_batch, grad, x0, 60, cost)
         for x, a in zip(x0, together):
-            [b] = optimize_quasinewton(f_batch, grad, x[None], cfg, cost)
+            [b] = optimize_quasinewton(f_batch, grad, x[None], 60, cost)
             assert a.x.tolist() == b.x.tolist()
             assert (a.energy, a.evaluations, a.iterations, a.converged) == \
                 (b.energy, b.evaluations, b.iterations, b.converged)
@@ -260,10 +190,10 @@ class TestOptimizers:
 
         x0 = np.array([[3.0, self.ACCEPT], [1e-3, self.HALVE], [5.0, self.LEARNED],
                        [1.0, self.IDENTITY], [0.0, self.UPHILL]])
-        together = optimize_quasinewton(fb, gb, x0, OptimizerConfig(), gradient_evaluations=3)
+        together = optimize_quasinewton(fb, gb, x0, gradient_evaluations=3)
         seen = {kind: values[1:] for kind, values in trials.items()}  # [0]: the start
         for x, a in zip(x0, together):
-            [b] = optimize_quasinewton(fb, gb, x[None], OptimizerConfig(), gradient_evaluations=3)
+            [b] = optimize_quasinewton(fb, gb, x[None], gradient_evaluations=3)
             assert a.x.tolist() == b.x.tolist()
             assert (a.energy, a.evaluations, a.iterations, a.converged) == \
                 (b.energy, b.evaluations, b.iterations, b.converged)
@@ -291,12 +221,11 @@ class TestOptimizers:
         def noisy(x):
             return float(10 * np.sum((x - target) ** 2) + 0.01 * noise_rng.normal())
 
-        direct = optimize_direct(noisy, np.array([1.7, 0.6]), OptimizerConfig(max_iter=500))
+        direct = optimize_direct(noisy, np.array([1.7, 0.6]), max_iter=500)
         assert np.linalg.norm(direct.x - target) < 0.05
 
     def test_iteration_cap_flags_unconverged(self):
-        [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
-                                     OptimizerConfig(max_iter=2))
+        [res] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]), max_iter=2)
         assert not res.converged
         assert res.iterations == 2
 
@@ -308,7 +237,7 @@ class TestOptimizers:
             return np.where(np.all(X == 1.0, axis=1), 0.0, 1.0)
 
         [res] = optimize_quasinewton(fb, lambda X: np.ones_like(X), np.array([[1.0, 1.0]]),
-                                     OptimizerConfig(), gradient_evaluations=5)
+                                     gradient_evaluations=5)
         assert res.converged and res.iterations == 0
         assert res.evaluations == 1 + 5 + 9
         assert np.all(res.x == 1.0)
@@ -328,7 +257,7 @@ class TestOptimizers:
             return 2 * X
 
         [res] = optimize_quasinewton(lambda X: np.sum(X**2, axis=1), grad,
-                                     np.array([[3.0, 4.0]]), OptimizerConfig())
+                                     np.array([[3.0, 4.0]]))
         assert np.allclose(calls[1], [[2.4, 3.2]])
         assert res.converged and res.iterations > 2
         assert np.max(np.abs(res.x)) < 1e-6
@@ -340,8 +269,7 @@ class TestOptimizers:
         # leaves H = I, which shrinks x by 1e-5 per step.
         a = 1e-5
         [res] = optimize_quasinewton(lambda X: 0.5 * a * np.sum(X**2, axis=1),
-                                     lambda X: a * X, np.array([[1.0, 1.0]]),
-                                     OptimizerConfig())
+                                     lambda X: a * X, np.array([[1.0, 1.0]]))
         assert res.converged and res.iterations <= 3
         assert np.max(np.abs(res.x)) < 0.1
 
@@ -359,14 +287,14 @@ class TestAgainstOneRowOracle:
     the same point, energy, evaluations, iterations and stop."""
 
     @staticmethod
-    def assert_rows_match(f_batch, grad_batch, x0, config, gradient_evaluations=1,
+    def assert_rows_match(f_batch, grad_batch, x0, max_iter=200, gradient_evaluations=1,
                           energy_noise=0.0):
-        results = optimize_quasinewton(f_batch, grad_batch, x0, config, gradient_evaluations,
+        results = optimize_quasinewton(f_batch, grad_batch, x0, max_iter, gradient_evaluations,
                                        energy_noise=energy_noise)
         for res, x in zip(results, x0):
             ox, energy, evaluations, iterations, stop = bfgs_row(
                 lambda v: float(f_batch(v[None])[0]), lambda v: grad_batch(v[None])[0], x,
-                config.max_iter or 200, config.tol_ev, gradient_evaluations, energy_noise)
+                max_iter, vqe.GRADIENT_TOL_EV, gradient_evaluations, energy_noise)
             assert res.x.tobytes() == ox.tobytes()
             assert (res.energy, res.evaluations, res.iterations, res.stop) == \
                 (energy, evaluations, iterations, stop)
@@ -381,17 +309,17 @@ class TestAgainstOneRowOracle:
         H = build_full_hamiltonian(SI, KPoint.high_symmetry(label))
         work = shift_identity(decompose(H), gershgorin_upper_bound(H) + 1.0)
         seed = spawn_seed(spawn_seed(1, cli._STREAM_OPT, k_index), vqe._STREAM_LEVEL, 0)
-        config = _with_defaults(OptimizerConfig(), THREE_QUBIT, EXACT)
+        restarts, max_iter = _defaults(THREE_QUBIT, EXACT)
         x0 = np.array([THREE_QUBIT.random_parameters(spawn_rng(seed, vqe._STREAM_RESTART, r))
-                       for r in range(config.restarts)])
+                       for r in range(restarts)])
         _, f_batch = EXACT.make_objective(work, THREE_QUBIT)
         grad, cost = EXACT.make_gradient(work, THREE_QUBIT)
-        results = self.assert_rows_match(f_batch, grad, x0, config, cost)
+        results = self.assert_rows_match(f_batch, grad, x0, max_iter, cost)
         assert all(r.converged for r in results)
 
     def test_rosenbrock_18_parameters_in_3_rows(self):
         x0 = np.random.default_rng(18).uniform(-2, 2, size=(3, 18))
-        results = self.assert_rows_match(rosen, rosen_grad, x0, OptimizerConfig())
+        results = self.assert_rows_match(rosen, rosen_grad, x0)
         assert sum(r.iterations for r in results) > 100
 
     def test_noisy_quadratic_with_noise_rules(self):
@@ -404,7 +332,7 @@ class TestAgainstOneRowOracle:
             return X + _row_noise(X, sigma / np.sqrt(2), 1, X.shape[1:])
 
         x0 = np.random.default_rng(3).uniform(-2, 2, size=(4, 3))
-        results = self.assert_rows_match(f_batch, grad_batch, x0, OptimizerConfig(), 6,
+        results = self.assert_rows_match(f_batch, grad_batch, x0, gradient_evaluations=6,
                                          energy_noise=sigma)
         assert {r.stop for r in results} <= {"noise", "precision"}
 
@@ -484,8 +412,7 @@ class TestMinimize:
         H = build_full_hamiltonian(SI, GAMMA)
         shift = gershgorin_upper_bound(H) + 1.0
         dec = shift_identity(decompose(H), shift)
-        res = minimize(dec, THREE_QUBIT, EXACT,
-                       OptimizerConfig(restarts=20), seed=2)
+        res = minimize(dec, THREE_QUBIT, EXACT, restarts=20, seed=2)
         oracle = diagonalize_classical(H)[0] - shift
         assert res.energy == pytest.approx(oracle, abs=1e-3)
 
@@ -518,24 +445,35 @@ class TestMinimize:
 
     def test_restart_traces_recorded(self):
         dec = decompose(build_s_block(SI, GAMMA))
-        res = minimize(dec, MEAN_FIELD, EXACT, OptimizerConfig(restarts=4), seed=1)
+        res = minimize(dec, MEAN_FIELD, EXACT, restarts=4, seed=1)
         assert len(res.restarts) == 4
         assert res.evaluations >= sum(t.evaluations for t in res.restarts)
 
     def test_defaults_per_ansatz_and_backend(self):
         shots = ShotsBackend(shots=64)
-
-        def defaults(ansatz, backend):
-            config = _with_defaults(OptimizerConfig(), ansatz, backend)
-            return config.restarts, config.max_iter
-
-        assert defaults(THREE_QUBIT, EXACT) == (1, 1000)
-        assert defaults(THREE_QUBIT, shots) == (20, None)
-        assert defaults(MEAN_FIELD, EXACT) == (2, None)
-        assert defaults(MEAN_FIELD, shots) == (3, None)
-        explicit = OptimizerConfig(restarts=5, max_iter=7)
-        assert _with_defaults(explicit, THREE_QUBIT, EXACT) == explicit
+        assert _defaults(THREE_QUBIT, EXACT) == (1, 1000)
+        assert _defaults(THREE_QUBIT, shots) == (20, 200)
+        assert _defaults(MEAN_FIELD, EXACT) == (2, 200)
+        assert _defaults(MEAN_FIELD, shots) == (3, 200)
         res = minimize(decompose(build_s_block(SI, GAMMA)), MEAN_FIELD, EXACT)
+        assert len(res.restarts) == 2
+
+    @pytest.mark.parametrize("restarts", [0, -3, 2.5, True, False, "3", np.float64(3.0)])
+    def test_rejects_bad_restarts(self, restarts):
+        # Refused before any evaluation: this backend fails on its first use.
+        class Unused(ExactBackend):
+            def make_objective(self, decomp, ansatz):
+                raise AssertionError("the objective was built")
+
+        with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
+            minimize(SpectralDecomposition(1, {"Z": 1.0}), MEAN_FIELD, Unused(), restarts)
+
+    def test_accepts_numpy_integer_restarts(self):
+        dec = decompose(build_s_block(SI, GAMMA))
+        res = minimize(dec, MEAN_FIELD, EXACT, np.int32(2), seed=1)
+        same = minimize(dec, MEAN_FIELD, EXACT, 2, seed=1)
+        assert [(r.energy, r.evaluations) for r in res.restarts] \
+            == [(r.energy, r.evaluations) for r in same.restarts]
         assert len(res.restarts) == 2
 
 
@@ -609,8 +547,7 @@ class TestFullSpectrum:
 
     def test_random_eight_level_spectrum(self, rng):
         H = rand_hermitian(rng, 8, scale=1.5)
-        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT,
-                             OptimizerConfig(restarts=8), seed=7)
+        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT, restarts=8, seed=7)
         assert np.max(np.abs(spec.energies - np.linalg.eigvalsh(H))) < 1e-2
         assert len(spec.levels) == 8 and len(spec.residuals) == 8
         assert max(spec.residuals) < 1e-4
@@ -618,7 +555,7 @@ class TestFullSpectrum:
     @pytest.mark.parametrize("k", [GAMMA, KPoint((0.5, 0.5, 0.5))], ids=["G", "L"])
     def test_default_restarts_recover_eight_bands(self, k):
         H = build_full_hamiltonian(SI, k)
-        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT, OptimizerConfig())
+        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT)
         # 1 restart, or 2 for a level solved once more (see the retry tests).
         assert all(len(level.restarts) in (1, 2) for level in spec.levels)
         assert all(level.converged for level in spec.levels)
@@ -629,22 +566,19 @@ class TestFullSpectrum:
         the operator it minimised."""
         monkeypatch.setattr(vqe, "RESIDUAL_TOL", tol)
         dec = decompose(build_full_hamiltonian(SI, GAMMA))
-        config = OptimizerConfig(restarts=1)
-        spec = full_spectrum(dec, 1, THREE_QUBIT, EXACT, config, seed=5)
-        work = shift_identity(dec, spec.shift)
-        return spec, work, config
+        spec = full_spectrum(dec, 1, THREE_QUBIT, EXACT, restarts=1, seed=5)
+        return spec, shift_identity(dec, spec.shift)
 
     def test_level_above_residual_bound_is_solved_once_more(self, monkeypatch):
-        base, work, config = self._first_level(vqe.RESIDUAL_TOL, monkeypatch)
+        base, work = self._first_level(vqe.RESIDUAL_TOL, monkeypatch)
         residual = base.residuals[0]
         assert 0 < residual <= vqe.RESIDUAL_TOL and len(base.levels[0].restarts) == 1
-        below, _, _ = self._first_level(2 * residual, monkeypatch)
+        below, _ = self._first_level(2 * residual, monkeypatch)
         assert below.levels[0].evaluations == base.levels[0].evaluations
         assert len(below.levels[0].restarts) == 1
-        above, _, _ = self._first_level(residual / 2, monkeypatch)
-        first = minimize(work, THREE_QUBIT, EXACT, config, spawn_seed(5, vqe._STREAM_LEVEL, 0))
-        retry = minimize(work, THREE_QUBIT, EXACT, config,
-                         spawn_seed(5, vqe._STREAM_LEVEL, 0, 1))
+        above, _ = self._first_level(residual / 2, monkeypatch)
+        first = minimize(work, THREE_QUBIT, EXACT, 1, spawn_seed(5, vqe._STREAM_LEVEL, 0))
+        retry = minimize(work, THREE_QUBIT, EXACT, 1, spawn_seed(5, vqe._STREAM_LEVEL, 0, 1))
         level = above.levels[0]
         assert level.theta.tolist() == retry.theta.tolist()
         assert level.evaluations == first.evaluations + retry.evaluations
@@ -654,17 +588,16 @@ class TestFullSpectrum:
     def test_residual_retry_runs_once_and_keeps_a_miss_unconverged(self, monkeypatch):
         # No residual meets a zero bound: every level is solved twice, not
         # more, and written unconverged although BFGS converged.
-        spec, _, _ = self._first_level(0.0, monkeypatch)
+        spec, _ = self._first_level(0.0, monkeypatch)
         assert len(spec.levels[0].restarts) == 2
         assert spec.levels[0].restarts[1].converged
         assert not spec.levels[0].converged
 
     def test_shots_level_is_never_retried_for_its_residual(self, monkeypatch):
         dec = decompose(build_s_block(SI, GAMMA))
-        config = OptimizerConfig(restarts=1)
 
         def solve():
-            return full_spectrum(dec, 2, MEAN_FIELD, ShotsBackend(shots=256, seed=7), config,
+            return full_spectrum(dec, 2, MEAN_FIELD, ShotsBackend(shots=256, seed=7), restarts=1,
                                  seed=6)
 
         base = solve()
@@ -678,8 +611,7 @@ class TestFullSpectrum:
 
     def test_zone_centre_p_band_multiplets(self):
         H = build_full_hamiltonian(SI, GAMMA)
-        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT,
-                             OptimizerConfig(restarts=8), seed=8)
+        spec = full_spectrum(decompose(H), 8, THREE_QUBIT, EXACT, restarts=8, seed=8)
         assert np.max(np.abs(spec.energies - diagonalize_classical(H))) < 1e-3
 
     def test_two_band_path_against_oracle(self):
@@ -732,7 +664,7 @@ class TestFullSpectrum:
         assert list(dec.coeffs) == ["IIZ"]
         noise = ReadoutNoiseModel((0.0, 0.0, 0.6), (0.0, 0.0, 0.6))
         backend = ShotsBackend(shots=256, noise=noise, mitigate=True, seed=1)
-        spec = full_spectrum(dec, 8, THREE_QUBIT, backend, OptimizerConfig(restarts=2), seed=2)
+        spec = full_spectrum(dec, 8, THREE_QUBIT, backend, restarts=2, seed=2)
         assert spec.failure == "mitigation ill-posed: w01 + w10 >= 1 on some qubit"
         assert len(spec.levels) == len(spec.residuals) == 1
         assert spec.rejected == ()
@@ -768,8 +700,7 @@ class TestShotsBackendDriver:
     def test_minimize_with_shots_near_oracle(self):
         dec = decompose(build_s_block(SI, GAMMA))
         backend = ShotsBackend(shots=4096, seed=31)
-        res = minimize(dec, MEAN_FIELD, backend,
-                       OptimizerConfig(restarts=2, tol_ev=1e-3), seed=14)
+        res = minimize(dec, MEAN_FIELD, backend, restarts=2, seed=14)
         sigma = np.sqrt(
             sum(c**2 for w, c in dec.coeffs.items() if w != "I") / 4096
         )
@@ -780,8 +711,7 @@ class TestShotsBackendDriver:
         dec = decompose(build_s_block(SI, GAMMA))
         noise = ReadoutNoiseModel.uniform(1, 0.05, 0.05)
         backend = ShotsBackend(shots=4096, noise=noise, mitigate=True, seed=32)
-        res = minimize(dec, MEAN_FIELD, backend,
-                       OptimizerConfig(restarts=2, tol_ev=1e-3), seed=15)
+        res = minimize(dec, MEAN_FIELD, backend, restarts=2, seed=15)
         sigma = np.sqrt(
             sum(c**2 for w, c in dec.coeffs.items() if w != "I") / 4096
         ) / 0.9
@@ -889,8 +819,7 @@ class TestShotsBackendDriver:
             return ShotsBackend(shots=256, noise=model, mitigate=mitigate, seed=35)
 
         # One lock-step parameter-shift gradient: 2·d rows per restart.
-        rows = 2 * ansatz.n_params * _with_defaults(OptimizerConfig(), ansatz,
-                                                    fresh()).restarts
+        rows = 2 * ansatz.n_params * _defaults(ansatz, fresh())[0]
         scalar, batch = fresh(), fresh()
         f, _ = scalar.make_objective(dec, ansatz)
         _, f_batch = batch.make_objective(dec, ansatz)
@@ -1077,7 +1006,7 @@ class TestEnergyNoiseBound:
         dec = decompose(build_s_block(SI, GAMMA))
         shots = ShotsBackend(shots=256, seed=6)
         for backend in (EXACT, shots):
-            minimize(dec, MEAN_FIELD, backend, OptimizerConfig(restarts=1), seed=1)
+            minimize(dec, MEAN_FIELD, backend, restarts=1, seed=1)
         assert seen == [0.0, ShotsBackend(shots=256).energy_noise(dec)] and seen[1] > 0
 
 
@@ -1097,7 +1026,7 @@ class TestNoiseAwareStop:
             (-0.021200647188128138, 58, 4, True,
              [0.01168976399763331, -0.005670386379466222, -0.0011147179794975504]),
         ]
-        results = optimize_quasinewton(*_noisy_quadratic(1e-2), self.X0, OptimizerConfig(), 6,
+        results = optimize_quasinewton(*_noisy_quadratic(1e-2), self.X0, gradient_evaluations=6,
                                        energy_noise=0.0)
         assert [(r.energy, r.evaluations, r.iterations, r.converged, r.x.tolist())
                 for r in results] == before
@@ -1105,8 +1034,8 @@ class TestNoiseAwareStop:
 
     def test_noise_bound_stops_sooner(self):
         sigma = 1e-2
-        chasing = optimize_quasinewton(*_noisy_quadratic(sigma), self.X0, OptimizerConfig(), 6)
-        bounded = optimize_quasinewton(*_noisy_quadratic(sigma), self.X0, OptimizerConfig(), 6,
+        chasing = optimize_quasinewton(*_noisy_quadratic(sigma), self.X0, gradient_evaluations=6)
+        bounded = optimize_quasinewton(*_noisy_quadratic(sigma), self.X0, gradient_evaluations=6,
                                        energy_noise=sigma)
         stops = [r.stop for r in bounded]
         assert "noise" in stops and set(stops) <= {"noise", "precision"}
@@ -1127,8 +1056,8 @@ class TestNoiseAwareStop:
             return np.full_like(X, 10.0)
 
         x0 = np.array([[1.0, 1.0]])
-        [noisy] = optimize_quasinewton(fb, gb, x0, OptimizerConfig(), 5, energy_noise=1.0)
-        [exact] = optimize_quasinewton(fb, gb, x0, OptimizerConfig(), 5)
+        [noisy] = optimize_quasinewton(fb, gb, x0, gradient_evaluations=5, energy_noise=1.0)
+        [exact] = optimize_quasinewton(fb, gb, x0, gradient_evaluations=5)
         assert (noisy.stop, noisy.iterations, noisy.evaluations) == ("precision", 0, 1 + 5 + 6)
         assert (exact.stop, exact.iterations, exact.evaluations) == ("precision", 0, 1 + 5 + 9)
 
@@ -1139,12 +1068,9 @@ class TestNoiseAwareStop:
         def grad(X):
             return 2 * (X - 2.0)
 
-        cfg = OptimizerConfig(tol_ev=1e-10)
-        [gradient] = optimize_quasinewton(quadratic, grad, np.array([[0.0]]), cfg)
-        [noise] = optimize_quasinewton(quadratic, grad, np.array([[2.1]]), cfg,
-                                       energy_noise=0.5)
-        [capped] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]),
-                                        OptimizerConfig(max_iter=2))
+        [gradient] = optimize_quasinewton(quadratic, grad, np.array([[0.0]]))
+        [noise] = optimize_quasinewton(quadratic, grad, np.array([[2.1]]), energy_noise=0.5)
+        [capped] = optimize_quasinewton(rosen, rosen_grad, np.array([[-1.0, 1.0]]), max_iter=2)
         assert (gradient.stop, gradient.converged) == ("gradient", True)
         # |g| = 0.2 at the start is within 2·0.5/√2: no iteration is taken.
         assert (noise.stop, noise.converged, noise.iterations) == ("noise", True, 0)
