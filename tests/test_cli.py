@@ -139,91 +139,131 @@ def params_file(**changes) -> File:
 
 class TestBadInput:
     @pytest.mark.parametrize("argv, flag", [
-        (["bands", "--shots", "0"], "--shots"),
-        (["scan", "--shots", "-3"], "--shots"),
-        (["bands", "--workers", "0"], "--workers"),
-        (["bands", "--kpath", "X,G:0"], "--kpath"),
-        (["bands", "--kpath", "X,G:-2"], "--kpath"),
-        (["bands", "--kpath", "G:5"], "--kpath"),
-        (["rates", "--trials", "0"], "--trials"),
-        (["rates", "--qubits", "0"], "--qubits"),
-        (["scan", "--theta-steps", "1"], "--theta-steps"),
-        (["scan", "--phi-steps", "1"], "--phi-steps"),
-        (["bands", "--backend", "shots", "--noise", File(None)], "--noise"),
-        (["bands", "--backend", "shots", "--noise", File("{w01: 0.1")], "--noise"),
-        (["bands", "--backend", "shots", "--noise", File("[0.1]")], "--noise"),
+        pytest.param(["bands", "--shots", "0"], "--shots", id="argv0---shots"),
+        pytest.param(["scan", "--shots", "-3"], "--shots", id="argv1---shots"),
+        pytest.param(["bands", "--workers", "0"], "--workers", id="argv2---workers"),
+        pytest.param(["bands", "--kpath", "X,G:0"], "--kpath", id="argv3---kpath"),
+        pytest.param(["bands", "--kpath", "X,G:-2"], "--kpath", id="argv4---kpath"),
+        pytest.param(["bands", "--kpath", "G:5"], "--kpath", id="argv5---kpath"),
+        pytest.param(["rates", "--trials", "0"], "--trials", id="argv6---trials"),
+        pytest.param(["rates", "--qubits", "0"], "--qubits", id="argv7---qubits"),
+        pytest.param(["scan", "--theta-steps", "1"], "--theta-steps", id="argv8---theta-steps"),
+        pytest.param(["scan", "--phi-steps", "1"], "--phi-steps", id="argv9---phi-steps"),
+        pytest.param(["bands", "--backend", "shots", "--noise", File(None)], "--noise",
+                     id="argv10---noise"),
+        pytest.param(["bands", "--backend", "shots", "--noise", File("{w01: 0.1")], "--noise",
+                     id="argv11---noise"),
+        pytest.param(["bands", "--backend", "shots", "--noise", File("[0.1]")], "--noise",
+                     id="argv12---noise"),
         # The retired optimiser file, even one that was once valid.
-        (["bands", "--optimizer", File('{"restarts": 2}')], "--optimizer"),
-        (["bands", "--restarts", "0"], "--restarts"),
-        (["bands", "--restarts", "x"], "--restarts"),
-        (["bands", "--restarts", "1025"], "--restarts"),
-        (["scan", "--params", File(None)], "--params"),
-        (["bands", "--params", File("{")], "--params"),
-        (["bands", "--params", File('{"E_s": 0.0}')], "--params"),
-        (["scan", "--kpoint", "Q"], "--kpoint"),
-        (["rates", "--samples", "0"], "--samples"),
-        (["bands", "--restarts", "2.5"], "--restarts"),
-        (["bands", "--restarts", "-1"], "--restarts"),
+        pytest.param(["bands", "--optimizer", File('{"restarts": 2}')], "--optimizer",
+                     id="argv13---optimizer"),
+        pytest.param(["bands", "--restarts", "0"], "--restarts", id="argv14---restarts"),
+        pytest.param(["bands", "--restarts", "x"], "--restarts", id="argv15---restarts"),
+        pytest.param(["bands", "--restarts", "1025"], "--restarts", id="argv16---restarts"),
+        pytest.param(["scan", "--params", File(None)], "--params", id="argv17---params"),
+        pytest.param(["bands", "--params", File("{")], "--params", id="argv18---params"),
+        pytest.param(["bands", "--params", File('{"E_s": 0.0}')], "--params",
+                     id="argv19---params"),
+        pytest.param(["scan", "--kpoint", "Q"], "--kpoint", id="argv20---kpoint"),
+        pytest.param(["rates", "--samples", "0"], "--samples", id="argv21---samples"),
+        pytest.param(["bands", "--restarts", "2.5"], "--restarts", id="argv22---restarts"),
+        pytest.param(["bands", "--restarts", "-1"], "--restarts", id="argv23---restarts"),
         # The exact backend reads no counts, so it takes no noise flags.
-        (["bands", "--noise", File('{"w01": 0.05, "w10": 0.08}')], "--noise"),
-        (["bands", "--mitigate"], "--mitigate"),
-        (["scan", "--noise", File('{"w01": 0.05, "w10": 0.08}')], "--noise"),
-        (["scan", "--backend", "exact", "--mitigate"], "--mitigate"),
-        (["bands", "--mode", "8band", "--noise", File('{"w01": 0.05, "w10": 0.08}'), "--mitigate"], "--noise"),
-        (["decompose", "--matrix", File(None)], "--matrix"),
-        (["decompose", "--matrix", File("{")], "--matrix"),
-        (["decompose", "--matrix", File('{"rows": [[1.0]]}')], "--matrix"),
-        (["decompose", "--matrix", File('{"matrix": [[1, 0, 0], [0, 1, 0]]}')],
-         "--matrix"),
-        (["decompose", "--matrix", File('{"matrix": [[[1, 0, 0], 0], [0, 1]]}')],
-         "--matrix"),
-        (["decompose", "--matrix",
-          File('{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')], "--matrix"),
-        (["decompose", "--matrix", File("1.0,0.0,0.0,0.0\n", "m.csv")], "--matrix"),
-        (["decompose", "--matrix", File("1.0,x\n", "m.csv")], "--matrix"),
-        (["bands", "--kpath", "X,G:1", "--seed", "-1"], "--seed"),
-        (["decompose", "--matrix", File('{"matrix": [[0, 1], [0, 0]]}')], "--matrix"),
-        (["bands", "--restarts"], "--restarts"),
-        (["bands", "--params", params_file(E_s=True)], "--params"),
-        (["bands", "--params", params_file(E_p="7.20")], "--params"),
-        (["bands", "--params", params_file(V_zz=1.0)], "--params"),
-        (["decompose", "--matrix", File('{"matrix": [[true, 0], [0, 1]]}')], "--matrix"),
-        (["decompose", "--matrix", File('{"matrix": [[1, 0], [0, "1+0j"]]}')], "--matrix"),
-        (["decompose", "--matrix", File("nan,0,0,0\n0,0,1,0\n", "m.csv")], "--matrix"),
-        (["decompose", "--matrix", File('{"matrix": [[Infinity, 0], [0, 1]]}')],
-         "--matrix"),
-        (["bands", "--kpath", "X,G:1", "--params", params_file(E_s=10**400)], "--params"),
-        (["bands", "--kpath", "X,G:1", "--restarts", str(10**400)], "--restarts"),
-        (["decompose", "--matrix", File(json.dumps({"matrix": [[10**400, 0], [0, 1]]}))],
-         "--matrix"),
-        (["decompose", "--matrix",
-          File('{"matrix": [[1, 0], [0, -1]], "matrx_note": "typo"}')], "--matrix"),
+        pytest.param(["bands", "--noise", File('{"w01": 0.05, "w10": 0.08}')], "--noise",
+                     id="argv24---noise"),
+        pytest.param(["bands", "--mitigate"], "--mitigate", id="argv25---mitigate"),
+        pytest.param(["scan", "--noise", File('{"w01": 0.05, "w10": 0.08}')], "--noise",
+                     id="argv26---noise"),
+        pytest.param(["scan", "--backend", "exact", "--mitigate"], "--mitigate",
+                     id="argv27---mitigate"),
+        pytest.param(["bands", "--mode", "8band", "--noise",
+                      File('{"w01": 0.05, "w10": 0.08}'), "--mitigate"], "--noise",
+                     id="argv28---noise"),
+        pytest.param(["decompose", "--matrix", File(None)], "--matrix", id="argv29---matrix"),
+        pytest.param(["decompose", "--matrix", File("{")], "--matrix", id="argv30---matrix"),
+        pytest.param(["decompose", "--matrix", File('{"rows": [[1.0]]}')], "--matrix",
+                     id="argv31---matrix"),
+        pytest.param(
+            ["decompose", "--matrix", File('{"matrix": [[1, 0, 0], [0, 1, 0]]}')],
+            "--matrix", id="argv32---matrix"),
+        pytest.param(
+            ["decompose", "--matrix", File('{"matrix": [[[1, 0, 0], 0], [0, 1]]}')],
+            "--matrix", id="argv33---matrix"),
+        pytest.param(
+            ["decompose", "--matrix", File('{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}')],
+            "--matrix", id="argv34---matrix"),
+        pytest.param(["decompose", "--matrix", File("1.0,0.0,0.0,0.0\n", "m.csv")], "--matrix",
+                     id="argv35---matrix"),
+        pytest.param(["decompose", "--matrix", File("1.0,x\n", "m.csv")], "--matrix",
+                     id="argv36---matrix"),
+        pytest.param(["bands", "--kpath", "X,G:1", "--seed", "-1"], "--seed", id="argv37---seed"),
+        pytest.param(["decompose", "--matrix", File('{"matrix": [[0, 1], [0, 0]]}')], "--matrix",
+                     id="argv38---matrix"),
+        pytest.param(["bands", "--restarts"], "--restarts", id="argv39---restarts"),
+        pytest.param(["bands", "--params", params_file(E_s=True)], "--params",
+                     id="argv40---params"),
+        pytest.param(["bands", "--params", params_file(E_p="7.20")], "--params",
+                     id="argv41---params"),
+        pytest.param(["bands", "--params", params_file(V_zz=1.0)], "--params",
+                     id="argv42---params"),
+        pytest.param(
+            ["decompose", "--matrix", File('{"matrix": [[true, 0], [0, 1]]}')],
+            "--matrix", id="argv43---matrix"),
+        pytest.param(
+            ["decompose", "--matrix", File('{"matrix": [[1, 0], [0, "1+0j"]]}')],
+            "--matrix", id="argv44---matrix"),
+        pytest.param(["decompose", "--matrix", File("nan,0,0,0\n0,0,1,0\n", "m.csv")], "--matrix",
+                     id="argv45---matrix"),
+        pytest.param(
+            ["decompose", "--matrix", File('{"matrix": [[Infinity, 0], [0, 1]]}')],
+            "--matrix", id="argv46---matrix"),
+        pytest.param(
+            ["bands", "--kpath", "X,G:1", "--params", params_file(E_s=10**400)],
+            "--params", id="argv47---params"),
+        pytest.param(["bands", "--kpath", "X,G:1", "--restarts", str(10**400)], "--restarts",
+                     id="argv48---restarts"),
+        pytest.param(
+            ["decompose", "--matrix", File(json.dumps({"matrix": [[10**400, 0], [0, 1]]}))],
+            "--matrix", id="argv49---matrix"),
+        pytest.param(
+            ["decompose", "--matrix", File('{"matrix": [[1, 0], [0, -1]], "matrx_note": "typo"}')],
+            "--matrix", id="argv50---matrix"),
         # Counts numpy cannot hold (above 2**63 - 1).
-        (["bands", "--backend", "shots", "--shots", str(10**20), "--kpath", "X,G:1"],
-         "--shots"),
-        (["bands", "--backend", "shots", "--shots", str(2**63), "--kpath", "X,G:1"],
-         "--shots"),
-        (["rates", "--samples", "1", "--trials", str(10**20)], "--trials"),
-        (["scan", "--theta-steps", str(10**20)], "--theta-steps"),
-        (["bands", "--kpath", f"X,G:{10**20}"], "--kpath"),
-        (["bands", "--kpath", f"X,G:{2**63}"], "--kpath"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", str(10**20), "--kpath", "X,G:1"],
+            "--shots", id="argv51---shots"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", str(2**63), "--kpath", "X,G:1"],
+            "--shots", id="argv52---shots"),
+        pytest.param(["rates", "--samples", "1", "--trials", str(10**20)], "--trials",
+                     id="argv53---trials"),
+        pytest.param(["scan", "--theta-steps", str(10**20)], "--theta-steps",
+                     id="argv54---theta-steps"),
+        pytest.param(["bands", "--kpath", f"X,G:{10**20}"], "--kpath", id="argv55---kpath"),
+        pytest.param(["bands", "--kpath", f"X,G:{2**63}"], "--kpath", id="argv56---kpath"),
         # One grid node and one k-point above the size caps (see TestSizeCaps).
-        (["scan", "--theta-steps", "9", "--phi-steps", "233017"], "--theta-steps"),
-        (["bands", "--kpath", "X,G:262144"], "--kpath"),
+        pytest.param(["scan", "--theta-steps", "9", "--phi-steps", "233017"], "--theta-steps",
+                     id="argv57---theta-steps"),
+        pytest.param(["bands", "--kpath", "X,G:262144"], "--kpath", id="argv58---kpath"),
         # One qubit and one sample above the `rates` caps (see TestSizeCaps).
-        (["rates", "--qubits", "14"], "--qubits"),
-        (["rates", "--samples", str(2**19 + 1)], "--samples"),
+        pytest.param(["rates", "--qubits", "14"], "--qubits", id="argv59---qubits"),
+        pytest.param(["rates", "--samples", str(2**19 + 1)], "--samples", id="argv60---samples"),
         # One worker above the pool cap (see TestSizeCaps); no pool starts.
-        (["bands", "--workers", "33"], "--workers"),
+        pytest.param(["bands", "--workers", "33"], "--workers", id="argv61---workers"),
         # `scan` runs no optimiser, so it takes no `--restarts`.
-        (["scan", "--restarts", "2"], "--restarts"),
+        pytest.param(["scan", "--restarts", "2"], "--restarts", id="argv62---restarts"),
         # Finite entries whose coefficients overflow (decompose's trace sums),
         # and energies past the tight-binding cap of 1e150 eV.
-        (["decompose", "--matrix",
-          File(json.dumps({"matrix": [[1e308, 1e308], [1e308, 1e308]]}))], "--matrix"),
-        (["bands", "--kpath", "X,G:1", "--params", params_file(E_s=1e308, V_ss=1e308)],
-         "--params"),
-        (["bands", "--kpath", "X,G:1", "--params", params_file(V_xy=-1.01e150)], "--params"),
+        pytest.param(["decompose", "--matrix",
+                      File(json.dumps({"matrix": [[1e308, 1e308], [1e308, 1e308]]}))],
+                     "--matrix", id="argv63---matrix"),
+        pytest.param(
+            ["bands", "--kpath", "X,G:1", "--params", params_file(E_s=1e308, V_ss=1e308)],
+            "--params", id="argv64---params"),
+        pytest.param(
+            ["bands", "--kpath", "X,G:1", "--params", params_file(V_xy=-1.01e150)],
+            "--params", id="argv65---params"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -283,64 +323,113 @@ class TestBadInput:
         assert "argument '" not in err and "__init__" not in err
 
     @pytest.mark.parametrize("argv, noise, flag", [
-        (["bands", "--backend", "shots"], {"w01": [0.1, 0.1]}, "--noise"),
-        (["bands", "--mode", "8band", "--backend", "shots"],
-         {"w01": 0.1, "w10": [0.1, 0.1]}, "--noise"),
-        (["scan", "--backend", "shots"], {"w10": [0.1, 0.1, 0.1]}, "--noise"),
-        (["rates", "--qubits", "2"], {"w01": [0.1, 0.1, 0.1]}, "--noise"),
-        (["bands", "--backend", "shots", "--mitigate"],
-         {"w01": 0.5, "w10": 0.5}, "--mitigate"),
-        (["bands", "--mode", "8band", "--backend", "shots", "--mitigate"],
-         {"w01": [0.0, 0.0, 0.6], "w10": [0.1, 0.1, 0.4]}, "--mitigate"),
-        (["bands", "--backend", "shots", "--mitigate", "--kpath", "X,G:1",
-          "--shots", "64"],
-         {"w01": 0.45, "w10": 0.5, "drift_amplitude": 0.1, "drift_period": 4},
-         "--mitigate"),
-        (["bands", "--backend", "shots"], {"w01": None}, "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": "18"},
-         "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": float("nan")},
-         "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": float("nan"), "drift_period": 18},
-         "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": True}, "--noise"),
-        (["scan", "--backend", "shots", "--shots", "64"],
-         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": float("nan")}, "--noise"),
-        (["rates", "--trials", "10", "--samples", "2"],
-         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": "18"}, "--noise"),
-        (["rates", "--trials", "10", "--samples", "2"],
-         {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": -18}, "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": "0.05"}, "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w10": True}, "--noise"),
-        (["rates", "--trials", "10", "--samples", "2"], {"w01": ["0.1"]}, "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w_01": 0.05, "w10": 0.08}, "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": None}, "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 10**400, "drift_period": 5},
-         "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 10**400},
-         "--noise"),
+        pytest.param(["bands", "--backend", "shots"], {"w01": [0.1, 0.1]}, "--noise",
+                     id="argv0-noise0---noise"),
+        pytest.param(
+            ["bands", "--mode", "8band", "--backend", "shots"],
+            {"w01": 0.1, "w10": [0.1, 0.1]}, "--noise", id="argv1-noise1---noise"),
+        pytest.param(["scan", "--backend", "shots"], {"w10": [0.1, 0.1, 0.1]}, "--noise",
+                     id="argv2-noise2---noise"),
+        pytest.param(["rates", "--qubits", "2"], {"w01": [0.1, 0.1, 0.1]}, "--noise",
+                     id="argv3-noise3---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--mitigate"],
+            {"w01": 0.5, "w10": 0.5}, "--mitigate", id="argv4-noise4---mitigate"),
+        pytest.param(
+            ["bands", "--mode", "8band", "--backend", "shots", "--mitigate"],
+            {"w01": [0.0, 0.0, 0.6], "w10": [0.1, 0.1, 0.4]},
+            "--mitigate",
+            id="argv5-noise5---mitigate"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--mitigate", "--kpath", "X,G:1", "--shots", "64"],
+            {"w01": 0.45, "w10": 0.5, "drift_amplitude": 0.1, "drift_period": 4},
+            "--mitigate",
+            id="argv6-noise6---mitigate"),
+        pytest.param(["bands", "--backend", "shots"], {"w01": None}, "--noise",
+                     id="argv7-noise7---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": "18"},
+            "--noise",
+            id="argv8-noise8---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": float("nan")},
+            "--noise",
+            id="argv9-noise9---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": float("nan"), "drift_period": 18},
+            "--noise",
+            id="argv10-noise10---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": True},
+            "--noise",
+            id="argv11-noise11---noise"),
+        pytest.param(
+            ["scan", "--backend", "shots", "--shots", "64"],
+            {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": float("nan")},
+            "--noise",
+            id="argv12-noise12---noise"),
+        pytest.param(
+            ["rates", "--trials", "10", "--samples", "2"],
+            {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": "18"},
+            "--noise",
+            id="argv13-noise13---noise"),
+        pytest.param(
+            ["rates", "--trials", "10", "--samples", "2"],
+            {"w10": 0.08, "drift_amplitude": 0.01, "drift_period": -18},
+            "--noise",
+            id="argv14-noise14---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": "0.05"}, "--noise", id="argv15-noise15---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w10": True}, "--noise", id="argv16-noise16---noise"),
+        pytest.param(["rates", "--trials", "10", "--samples", "2"], {"w01": ["0.1"]}, "--noise",
+                     id="argv17-noise17---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w_01": 0.05, "w10": 0.08}, "--noise", id="argv18-noise18---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": None},
+            "--noise",
+            id="argv19-noise19---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": 10**400, "drift_period": 5},
+            "--noise",
+            id="argv20-noise20---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 10**400},
+            "--noise",
+            id="argv21-noise21---noise"),
         # A period under one trial: at 1e-320 the phase 2πt/P is inf from t = 1.
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 1e-320},
-         "--noise"),
-        (["rates", "--samples", "3", "--trials", "100"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 1e-320},
-         "--noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 1e-320},
+            "--noise",
+            id="argv22-noise22---noise"),
+        pytest.param(
+            ["rates", "--samples", "3", "--trials", "100"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0.01, "drift_period": 1e-320},
+            "--noise",
+            id="argv23-noise23---noise"),
         # A period without drift is checked too: the header records it.
-        (["rates", "--samples", "2", "--trials", "100"],
-         {"w01": 0.05, "w10": 0.08, "drift_period": "eighteen"}, "--noise"),
-        (["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
-         {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0, "drift_period": 0.5}, "--noise"),
+        pytest.param(
+            ["rates", "--samples", "2", "--trials", "100"],
+            {"w01": 0.05, "w10": 0.08, "drift_period": "eighteen"},
+            "--noise",
+            id="argv24-noise24---noise"),
+        pytest.param(
+            ["bands", "--backend", "shots", "--shots", "64", "--kpath", "X,G:1"],
+            {"w01": 0.05, "w10": 0.08, "drift_amplitude": 0, "drift_period": 0.5},
+            "--noise",
+            id="argv25-noise25---noise"),
     ])
     def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"
