@@ -41,6 +41,7 @@ _STREAM_BACKEND = 2
 _STREAM_RATES_DEMO = 3
 
 _MODE_QUBITS = {"2band": 1, "8band": 3}
+_DEFAULT_SHOTS = 8192
 # The largest count numpy holds (int64); counts above it fail deep in numpy.
 _MAX_COUNT = 2**63 - 1
 # Size caps: what a scan grid or a k-path holds per node stays within 1 GiB.
@@ -70,15 +71,16 @@ _MAX_INPUT_BYTES = 2**20
 
 
 def _header(args: argparse.Namespace) -> dict:
-    """The header payload: the run's configuration (every flag but --out),
-    its digest, the master seed and the code version."""
+    """The header payload: its command's flags but --out, their digest, the
+    master seed (None for `decompose`, which draws nothing) and the code version."""
     config = {key: value for key, value in vars(args).items() if key != "out"}
-    config["params"] = asdict(args.params) if args.params else None
+    if args.command in ("bands", "scan"):
+        config["params"] = asdict(args.params)
     blob = json.dumps(config, sort_keys=True).encode()
     return {
         "config": config,
         "digest": hashlib.sha256(blob).hexdigest()[:12],
-        "seed": args.seed,
+        "seed": config.get("seed"),
         "version": __version__,
     }
 
@@ -428,9 +430,10 @@ def _config_file(make):
     return _arg(lambda path: from_json_object(make, _load_json(path)))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # Any size: a seed feeds numpy's SeedSequence, which takes big integers.
-    p.add_argument("--seed", type=_at_least(0, most=None), default=0, help="master seed")
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    if seed:
+        # Any size: a seed feeds numpy's SeedSequence, which takes big integers.
+        p.add_argument("--seed", type=_at_least(0, most=None), default=0, help="master seed")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -438,8 +441,8 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", type=_config_file(TBParameters),
                    help="TB parameter JSON (default: bundled silicon)")
     p.add_argument("--backend", choices=["exact", "shots"], default="exact")
-    p.add_argument("--shots", type=_at_least(1), default=8192,
-                   help="shots per Pauli word (default 8192)")
+    p.add_argument("--shots", type=_at_least(1),
+                   help=f"shots per Pauli word (--backend shots; default {_DEFAULT_SHOTS})")
     p.add_argument("--noise", type=_arg(_load_json), help="readout-noise JSON file")
     p.add_argument("--mitigate", action="store_true",
                    help="apply readout-error mitigation")
@@ -451,9 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Silicon band structure via a simulated hybrid eigensolver.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    # Every header carries every key; a subcommand's own flags override these.
-    parser.set_defaults(params=None, kpath=None, mode=None, backend="exact", shots=8192,
-                        noise=None, mitigate=False, restarts=None, workers=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bands", help="band energies along a k-path")
@@ -488,33 +488,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="Pauli coefficient table of a matrix")
     p.add_argument("--matrix", type=_as_written(lambda path: decompose(_read_matrix(path))),
                    required=True, help="Hermitian matrix JSON or CSV")
-    _add_common(p)
+    _add_common(p, seed=False)
     return parser
 
 
 def _check_across_flags(parser: argparse.ArgumentParser,
                         args: argparse.Namespace) -> ReadoutNoiseModel | None:
-    """The checks across flags: the scan grid size, `--noise` and
-    `--mitigate` against the backend, and the noise file against the qubit
-    count and `--mitigate` (exit 2, before any work); returns the checked
-    `--noise` model."""
+    """The checks across flags, before any work (exit 2): the scan grid size,
+    `--shots`, `--noise` and `--mitigate` against the backend, and the noise
+    file against the qubit count and `--mitigate` (which `rates` lacks: it
+    mitigates nothing); returns the checked `--noise` model."""
     if args.command == "scan" and args.theta_steps * args.phi_steps > _MAX_SCAN_NODES:
         parser.error(f"--theta-steps x --phi-steps: {args.theta_steps * args.phi_steps} "
                      f"grid nodes exceed the cap of {_MAX_SCAN_NODES}")
     if args.command in ("bands", "scan") and args.backend != "shots":
         # The exact backend reads no counts: a header that recorded these
-        # flags would claim a noisy or mitigated run that never happened.
-        for flag, given in (("--noise", args.noise is not None), ("--mitigate", args.mitigate)):
+        # flags would claim a sampled, noisy or mitigated run that never happened.
+        for flag, given in (("--shots", args.shots is not None),
+                            ("--noise", args.noise is not None), ("--mitigate", args.mitigate)):
             if given:
                 parser.error(f"{flag} needs --backend shots")
-    if args.noise is None:
+    if args.command == "decompose" or args.noise is None:
         return None
     n_qubits = args.qubits if args.command == "rates" else _MODE_QUBITS[args.mode]
     try:
         noise = from_json_object(ReadoutNoiseModel.uniform, args.noise, n_qubits)
     except ValueError as exc:
-        parser.error(f"--noise: {exc} ({n_qubits} qubits)")
-    if args.mitigate and noise.ill_posed.any():
+        parser.error(f"--noise: {exc} ({n_qubits} qubit{'s' * (n_qubits > 1)})")
+    if args.command != "rates" and args.mitigate and noise.ill_posed.any():
         parser.error("--mitigate is ill-posed: w01 + w10 >= 1 on some qubit "
                      "(w10 at its drift peak)")
     return noise
@@ -527,6 +528,8 @@ def main(argv: list[str] | None = None) -> int:
     noise = _check_across_flags(parser, args)
     if args.command in ("bands", "scan") and args.params is None:
         args.params = TBParameters.default_silicon()
+    if args.command in ("bands", "scan") and args.backend == "shots" and args.shots is None:
+        args.shots = _DEFAULT_SHOTS
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

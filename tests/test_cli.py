@@ -264,6 +264,11 @@ class TestBadInput:
         pytest.param(
             ["bands", "--kpath", "X,G:1", "--params", params_file(V_xy=-1.01e150)],
             "--params", id="argv65---params"),
+        # The exact backend draws no shots, and `decompose` draws nothing.
+        pytest.param(["bands", "--shots", "100"], "--shots", id="bands-exact-shots"),
+        pytest.param(["scan", "--shots", "100"], "--shots", id="scan-exact-shots"),
+        pytest.param(["decompose", "--matrix", File('{"matrix": [[1, 0], [0, -1]]}'),
+                      "--seed", "1"], "--seed", id="decompose-seed"),
     ])
     def test_rejected_before_any_work(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out"
@@ -322,12 +327,16 @@ class TestBadInput:
         assert message in err
         assert "argument '" not in err and "__init__" not in err
 
-    @pytest.mark.parametrize("argv, noise, flag", [
-        pytest.param(["bands", "--backend", "shots"], {"w01": [0.1, 0.1]}, "--noise",
+    @pytest.mark.parametrize("argv, noise, message", [
+        # The message names the flag; these two name the qubit count too.
+        pytest.param(["bands", "--backend", "shots"], {"w01": [0.1, 0.1]},
+                     "--noise: w01 and w10 need 1 per-qubit entries each (1 qubit)\n",
                      id="argv0-noise0---noise"),
         pytest.param(
             ["bands", "--mode", "8band", "--backend", "shots"],
-            {"w01": 0.1, "w10": [0.1, 0.1]}, "--noise", id="argv1-noise1---noise"),
+            {"w01": 0.1, "w10": [0.1, 0.1]},
+            "--noise: w01 and w10 need 3 per-qubit entries each (3 qubits)\n",
+            id="argv1-noise1---noise"),
         pytest.param(["scan", "--backend", "shots"], {"w10": [0.1, 0.1, 0.1]}, "--noise",
                      id="argv2-noise2---noise"),
         pytest.param(["rates", "--qubits", "2"], {"w01": [0.1, 0.1, 0.1]}, "--noise",
@@ -431,20 +440,26 @@ class TestBadInput:
             "--noise",
             id="argv25-noise25---noise"),
     ])
-    def test_noise_rejected_before_any_work(self, argv, noise, flag, tmp_path, capsys):
+    def test_noise_rejected_before_any_work(self, argv, noise, message, tmp_path, capsys):
         noise_file = tmp_path / "noise.json"
         noise_file.write_text(json.dumps(noise))
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--noise", str(noise_file), "--out", str(out)])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
-_COMMON_KEYS = {"command", "params", "kpath", "mode", "backend", "shots", "noise",
-                "mitigate", "restarts", "seed", "workers"}
-
+# Each command's header `config` holds its own flags but --out.
+_CONFIG_KEYS = {
+    "bands": {"command", "params", "kpath", "mode", "backend", "shots", "noise", "mitigate",
+              "restarts", "seed", "workers"},
+    "scan": {"command", "params", "backend", "shots", "noise", "mitigate", "kpoint",
+             "theta_steps", "phi_steps", "mode", "seed"},
+    "rates": {"command", "noise", "trials", "samples", "qubits", "seed"},
+    "decompose": {"command", "matrix"},
+}
 
 
 class TestSizeCaps:
@@ -561,33 +576,34 @@ class TestSizeCaps:
 
 class TestHeader:
     @pytest.mark.parametrize("argv, out_file, expected", [
+        # An exact run draws no shots; a shots run without --shots draws 8192.
         (["bands", "--kpath", "X,G:1", "--seed", "3"], "bands.csv",
-         {"kpath": "X,G:1", "mode": "2band", "workers": 1, "seed": 3}),
+         {"kpath": "X,G:1", "mode": "2band", "workers": 1, "restarts": None, "shots": None,
+          "seed": 3}),
+        (["bands", "--kpath", "X,G:1", "--backend", "shots"], "bands.csv",
+         {"backend": "shots", "shots": 8192}),
         (["scan", "--kpoint", "X", "--theta-steps", "2", "--phi-steps", "3"], "scan.csv",
-         {"kpath": None, "mode": "2band", "kpoint": "X", "theta_steps": 2,
-          "phi_steps": 3}),
+         {"mode": "2band", "kpoint": "X", "theta_steps": 2, "phi_steps": 3, "shots": None,
+          "seed": 0}),
         (["rates", "--samples", "1", "--trials", "10"], "rates.csv",
-         {"params": None, "kpath": None, "mode": None, "qubits": 1, "trials": 10,
-          "samples": 1}),
+         {"qubits": 1, "trials": 10, "samples": 1, "seed": 0}),
         (["decompose", "--matrix", File('{"matrix": [[1, 0], [0, -1]]}')], "decompose.csv",
-         {"params": None, "kpath": None, "mode": None, "backend": "exact"}),
-    ], ids=["bands", "scan", "rates", "decompose"])
+         {}),
+    ], ids=["bands", "bands-shots", "scan", "rates", "decompose"])
     def test_config_keys_and_digest(self, argv, out_file, expected, tmp_path):
         argv = [a.path(tmp_path) if isinstance(a, File) else a for a in argv]
         main(argv + ["--out", str(tmp_path)])
         header, _, _ = read_csv(tmp_path / out_file)
         config = header["config"]
-        extra = {k for k in expected if k not in _COMMON_KEYS}
-        if argv[0] == "decompose":
-            extra.add("matrix")
-            assert config["matrix"] == argv[2]
-        assert set(config) == _COMMON_KEYS | extra
+        assert set(config) == _CONFIG_KEYS[argv[0]]
         assert {k: config[k] for k in expected} == expected
         assert config["command"] == argv[0]
-        assert config["restarts"] is None
+        if argv[0] == "decompose":
+            assert config["matrix"] == argv[2]
         blob = json.dumps(config, sort_keys=True).encode()
         assert header["digest"] == hashlib.sha256(blob).hexdigest()[:12]
-        assert header["seed"] == config["seed"]
+        # `decompose` draws nothing, so it records no seed.
+        assert header["seed"] == (None if argv[0] == "decompose" else config["seed"])
 
 
 class TestBands:
@@ -853,6 +869,17 @@ class TestRates:
               "--out", str(tmp_path)])
         _, columns, rows = read_csv(tmp_path / "rates.csv")
         assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows)
+
+    def test_ill_posed_noise_file_is_taken(self, tmp_path):
+        # `rates` mitigates nothing, so w01 + w10 >= 1 is no error there.
+        noise_file = tmp_path / "noise.json"
+        noise_file.write_text(json.dumps({"w01": 0.6, "w10": 0.5}))
+        assert main(["rates", "--samples", "2", "--trials", "2000", "--noise",
+                     str(noise_file), "--out", str(tmp_path)]) == 0
+        _, columns, rows = read_csv(tmp_path / "rates.csv")
+        # 2000 trials: sigma about 0.011 per estimate, so 0.06 is over 5 sigma.
+        assert np.allclose(col(columns, rows, "w01_q1"), 0.6, atol=0.06)
+        assert np.allclose(col(columns, rows, "w10_q1"), 0.5, atol=0.06)
 
     def test_constant_rate_series_mean(self, tmp_path):
         noise_file = tmp_path / "noise.json"
