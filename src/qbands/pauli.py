@@ -7,8 +7,10 @@ qubit 1, the least significant bit of a basis-state index.  A Hermitian
 matrix H of dimension 2**n is represented by the real coefficients
 c_w = Tr(H† σ_w) / 2**n over all 4**n words.
 
-Every module builds its products over qubits with `kron` (first factor on
-the highest qubit) and its batch-independent mat-vecs with `rowwise`.
+Three functions here are the single homes of three conventions: every
+module builds its products over qubits with `kron` (first factor on the
+highest qubit), its batch-independent mat-vecs with `rowwise`, and reads
+which bit of a basis index belongs to which qubit from `bit_table`.
 """
 from __future__ import annotations
 
@@ -65,6 +67,19 @@ def rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     matrix.T`` is not (BLAS rounds a one-row product differently), so every
     product that must not depend on its batch goes through here."""
     return np.matmul(matrix, rows[..., None])[..., 0]
+
+
+@lru_cache(maxsize=None)
+def bit_table(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bit, flip), two (n, 2**n) integer arrays: bit[q-1, b] is qubit q's
+    bit of basis index b, qubit 1 the least significant, and flip[q-1, b]
+    is b with that bit flipped.  Cached, so read-only."""
+    index = np.arange(2**n_qubits)
+    place = np.arange(n_qubits)[:, None]
+    table = index >> place & 1, index ^ 1 << place
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=8)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pauli import kron, rowwise, word_matrix_stack
+from .pauli import bit_table, kron, rowwise, word_matrix_stack
 
 
 def _ry_matrix(t: float) -> np.ndarray:
@@ -58,7 +58,7 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 
 def num_qubits(state: np.ndarray) -> int:
-    n = int(np.log2(len(state)))
+    n = len(state).bit_length() - 1
     if 2**n != len(state):
         raise ValueError(f"state length {len(state)} is not a power of two")
     return n
@@ -73,34 +73,26 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"{gate.kind} has no single-qubit matrix")
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    axis = n - qubit  # reshaped axis 0 holds the most significant bit
-    v = np.moveaxis(state.reshape((2,) * n), axis, 0)
-    shape = v.shape
-    v = mat @ v.reshape(2, -1)
-    return np.moveaxis(v.reshape(shape), 0, axis).reshape(-1)
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    v = state.reshape((2,) * n).copy()
-    ic, it = n - control, n - target
-    sel0 = [slice(None)] * n
-    sel0[ic] = 1
-    sel1 = list(sel0)
-    sel0[it], sel1[it] = 0, 1
-    v[tuple(sel0)], v[tuple(sel1)] = v[tuple(sel1)].copy(), v[tuple(sel0)].copy()
-    return v.reshape(-1)
+def _cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
+    """CNOT(control -> target) as its own inverse index map: out = psi[map]."""
+    bit, flip = bit_table(n_qubits)
+    return np.where(bit[control - 1], flip[target - 1], np.arange(2**n_qubits))
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Unitary action of one gate; returns a new statevector."""
+    """Unitary action of one gate; returns a new statevector.  A rotation is
+    its 2x2 matrix times the (bit clear, bit set) amplitude pairs of its
+    qubit, a CNOT an index permutation."""
     n = num_qubits(state)
     for q in gate.qubits:
         if not 1 <= q <= n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
     if gate.kind == "cnot":
-        return _apply_cnot(state, gate.qubits[0], gate.qubits[1], n)
-    return _apply_1q(state, gate_matrix(gate), gate.qubits[0], n)
+        return state[_cnot_permutation(n, *gate.qubits)]
+    # Stably sorted by the qubit's bit, the indices pair up in (clear, set) columns.
+    order = np.argsort(bit_table(n)[0][gate.qubits[0] - 1], kind="stable")
+    rotated = gate_matrix(gate) @ state[order.reshape(2, -1)]
+    return rotated.reshape(-1)[np.argsort(order)]
 
 
 def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
@@ -113,26 +105,18 @@ def apply_circuit(state: np.ndarray, gates) -> np.ndarray:
 # The layered variational circuit
 
 
-def _entangler_gather(n_qubits: int) -> np.ndarray:
-    """Index map of the CNOT(1->2)·CNOT(2->3)··· chain:
-    entangled[:, c] = psi[:, map[c]]."""
-    image = []
-    for b in range(2**n_qubits):
-        for q in range(n_qubits - 1):  # CNOT(q+1 -> q+2)
-            if b >> q & 1:
-                b ^= 2 << q
-        image.append(b)
-    return np.argsort(image)
-
-
 @lru_cache(maxsize=None)
 def _register_maps(n_qubits: int):
-    """Per-qubit Z signs (n, 2**n) as floats, bit-flip index maps (n, 2**n),
-    and the entangler's gather map and its inverse; cached, so read-only."""
-    x = np.arange(2**n_qubits)
-    bits = np.arange(n_qubits)[:, None]
-    gather = _entangler_gather(n_qubits)
-    maps = (1.0 - 2.0 * (x >> bits & 1)), x ^ (1 << bits), gather, np.argsort(gather)
+    """Per-qubit Z signs (n, 2**n) as floats and bit-flip index maps (n,
+    2**n), from `bit_table`, and the gather map of the CNOT(1->2)·CNOT(2->3)···
+    chain (entangled[:, c] = psi[:, gather[c]]) and its inverse, the scatter,
+    both composed from the chain's permutations; cached, so read-only."""
+    bit, flip = bit_table(n_qubits)
+    chain = [_cnot_permutation(n_qubits, q, q + 1) for q in range(1, n_qubits)]
+    gather = scatter = np.arange(2**n_qubits)
+    for forward, backward in zip(chain, chain[::-1]):  # each CNOT is its own inverse
+        gather, scatter = gather[forward], scatter[backward]
+    maps = 1.0 - 2.0 * bit, flip, gather, scatter
     for array in maps:
         array.flags.writeable = False
     return maps

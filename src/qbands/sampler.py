@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import is_real, kron, rowwise
+from .pauli import bit_table, is_real, kron, rowwise
 
 
 class IllPosedMitigationError(ValueError):
@@ -80,7 +80,8 @@ class ReadoutNoiseModel:
         """Rates from scalars (every qubit) or per-qubit lists; a noise file's keys."""
         w01, w10 = ((v,) * n_qubits if np.isscalar(v) else tuple(v) for v in (w01, w10))
         if not len(w01) == len(w10) == n_qubits:
-            raise ValueError(f"w01 and w10 need {n_qubits} per-qubit entries each")
+            raise ValueError(f"w01 and w10 need {n_qubits} per-qubit "
+                             f"entr{'ies' if n_qubits > 1 else 'y'} each")
         return cls(w01, w10, drift_amplitude, drift_period)
 
     def laws(self, trials) -> np.ndarray:
@@ -302,11 +303,9 @@ def estimate_transition_rates(confusion: np.ndarray | None, n_qubits: int, trial
         raise ValueError("n_qubits must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dim = 2**n_qubits
-    basis = np.zeros((1 if confusion is None else len(confusion), 2, dim))
+    basis = np.zeros((1 if confusion is None else len(confusion), 2, 2**n_qubits))
     basis[:, 0, 0] = basis[:, 1, -1] = 1.0  # |0...0>, |1...1>
-    bits = (np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1  # column q-1 = qubit q
-    ones_read = sample(basis, trials, confusion, stream) @ bits / trials
+    ones_read = sample(basis, trials, confusion, stream) @ bit_table(n_qubits)[0].T / trials
     return np.stack([ones_read[:, 0], 1.0 - ones_read[:, 1]], axis=1)
 
 

@@ -330,7 +330,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, noise, message", [
         # The message names the flag; these two name the qubit count too.
         pytest.param(["bands", "--backend", "shots"], {"w01": [0.1, 0.1]},
-                     "--noise: w01 and w10 need 1 per-qubit entries each (1 qubit)\n",
+                     "--noise: w01 and w10 need 1 per-qubit entry each (1 qubit)\n",
                      id="argv0-noise0---noise"),
         pytest.param(
             ["bands", "--mode", "8band", "--backend", "shots"],

@@ -3,6 +3,7 @@ import pytest
 
 from qbands.pauli import (
     SpectralDecomposition,
+    bit_table,
     decompose,
     deflate,
     from_json_object,
@@ -64,6 +65,20 @@ class TestKron:
     def test_needs_a_qubit(self):
         with pytest.raises(ValueError, match="at least one qubit"):
             kron(np.ones((3, 0, 2, 2)))
+
+
+class TestBitTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_kron_word(self, n):
+        # Qubit q's Z is diagonal in its bit, (-1)^bit; its X maps b to flip[q-1, b].
+        bit, flip = bit_table(n)
+        assert bit.shape == flip.shape == (n, 2**n)
+        for q in range(1, n + 1):
+            word = ["I"] * n
+            word[n - q] = "Z"
+            assert (np.diag(kron_word("".join(word))) == 1 - 2 * bit[q - 1]).all()
+            word[n - q] = "X"
+            assert (kron_word("".join(word)) == np.eye(2**n)[flip[q - 1]]).all()
 
 
 class TestNumberRule:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qbands import qsim
-from qbands.pauli import SpectralDecomposition, decompose, pauli_words
+from qbands.pauli import SpectralDecomposition, bit_table, decompose, pauli_words
 from qbands.qsim import (
     MEAN_FIELD,
     THREE_QUBIT,
@@ -131,13 +131,38 @@ class TestGates:
             out = apply_circuit(state, gates)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
-    def test_matches_dense_unitary(self, rng):
-        gates = [qsim.ry(1, 0.3), qsim.rz(2, -1.2), cnot(1, 3), qsim.rz(2, 0.7),
-                 qsim.ry(3, -2.1), cnot(2, 1), qsim.rz(1, np.pi), qsim.ry(2, 1.9)]
-        state = rand_state(rng, 8)
+    @pytest.mark.parametrize("n, pair", [
+        pytest.param(n, pair, id=f"{n}q" + (f"-cnot{pair[0]}-{pair[1]}" if pair else ""))
+        for n in (1, 2, 3, 4)
+        for pair in ([(c, t) for c in range(1, n + 1) for t in range(1, n + 1) if c != t]
+                     or [None])])
+    def test_matches_dense_unitary(self, n, pair, rng):
+        # Rotations on every qubit around one CNOT: adjacent, non-adjacent or
+        # reversed, on a random state.
+        def rotations():
+            return [gate(q, rng.uniform(-np.pi, np.pi))
+                    for gate in (qsim.ry, qsim.rz) for q in range(1, n + 1)]
+
+        gates = rotations() + ([cnot(*pair)] if pair else []) + rotations()
+        state = rand_state(rng, 2**n)
         assert np.allclose(
-            apply_circuit(state, gates), _circuit_matrix(gates, 3) @ state, atol=1e-12
+            apply_circuit(state, gates), _circuit_matrix(gates, n) @ state, atol=1e-12
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_entangler_is_the_cnot_chain(self, n):
+        # entangled[c] = psi[gather[c]] for CNOT(1->2)·CNOT(2->3)···, and
+        # scatter undoes it.
+        _, _, gather, scatter = qsim._register_maps(n)
+        chain = _circuit_matrix([cnot(q, q + 1) for q in range(1, n)], n)
+        assert (chain == np.eye(2**n)[gather]).all()
+        assert (gather[scatter] == np.arange(2**n)).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [0, 3, 6])
+    def test_num_qubits_needs_a_power_of_two(self, length):
+        with pytest.raises(ValueError, match=f"state length {length} is not a power of two"):
+            qsim.num_qubits(np.zeros(length, dtype=complex))
 
 
 class TestMeanField:
@@ -306,7 +331,7 @@ class TestPauliExpectations:
 
 
 def test_cached_register_maps_are_read_only():
-    for array in qsim._register_maps(2):
+    for array in (*qsim._register_maps(2), *bit_table(2)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
 
